@@ -22,7 +22,6 @@ from .primes import PrimeTable, dusart_gap_holds
 from .factored import (
     CandidateFactorization,
     big_g,
-    derived_scalars,
     g_ratio_divide,
     g_ratio_swap,
     log_n,
@@ -76,7 +75,6 @@ __all__ = [
     "compute_m",
     "compute_u",
     "constants",
-    "derived_scalars",
     "dusart_gap_holds",
     "full_audit",
     "g_ratio_divide",

@@ -13,8 +13,8 @@ endpoints need testing and violations sit at a known end of the run.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,10 +23,12 @@ from .errors import (
     DomainError,
     InvariantError,
     PrecisionError,
-    TableTooSmallError,
 )
 from .factored import (
+    _EXACT_POW_BITS,
     CandidateFactorization,
+    _pow_bits,
+    _require_table,
     g_ratio_divide,
     g_ratio_swap,
     is_sum_of_two_squares,
@@ -35,15 +37,18 @@ from .factored import (
     rho,
 )
 from .intervals import (
+    _MAX_ESCALATIONS,
     DEFAULT_PRECISION_BITS,
     Comparison,
     IntervalScalar,
     constants,
+    escalate,
     interval_to_json,
     iv_add,
     iv_compare,
     iv_div,
     iv_exp,
+    iv_floor,
     iv_from_decimal,
     iv_from_fraction,
     iv_from_int,
@@ -86,9 +91,7 @@ FAIL = "fail"
 UNKNOWN = "unknown"
 NOT_APPLICABLE = "not_applicable"
 
-_MAX_ESCALATIONS = 4
 _B2_PAIR_LIMIT = 512
-_EXACT_POW_BITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -202,23 +205,26 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
     """U(p_i) for the candidate, retrying at doubled precision when a
     bracket or floor stays indeterminate."""
     p = t.nth_prime(i)
-    work = prec
-    for _ in range(_MAX_ESCALATIONS + 1):
+
+    def attempt(work: int) -> Optional[int]:
         lg = log_n(c, t, work)
         cmp = iv_compare(iv_from_int(p), lg)
         if cmp is Comparison.CERTAINLY_GREATER:
             raise DomainError(f"U undefined at p_{i}={p}: log n is below it")
         if cmp is Comparison.OVERLAPPING:
-            work *= 2
-            continue
+            return None
         try:
             return _UpperBounds(lg, work).u(p)
         except _Indeterminate:
-            work *= 2
-    raise PrecisionError(
-        f"U(p_{i}) indeterminate up to {work // 2} bits",
-        suggested_precision_bits=work,
-    )
+            return None
+
+    u = escalate(attempt, prec)
+    if u is None:
+        raise PrecisionError(
+            f"U(p_{i}) indeterminate up to {prec << _MAX_ESCALATIONS} bits",
+            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
+        )
+    return u
 
 
 def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
@@ -283,9 +289,32 @@ class _AuditContext:
         )
 
 
+def _needs_table(check: Callable[..., Verdict]) -> Callable[..., Verdict]:
+    """Checks that read the candidate's primes report Unknown, not an
+    error, when the prime table does not cover the candidate."""
+    @functools.wraps(check)
+    def guarded(ctx: _AuditContext, *args) -> Verdict:
+        if not ctx.covered:
+            return ctx.uncovered()
+        return check(ctx, *args)
+    return guarded
+
+
+def _decide(pairs: list[tuple[Comparison, Comparison]], witness: dict,
+            prec: int) -> Verdict:
+    """Verdict from (comparison, side that passes) pairs: Pass when every
+    comparison is on its passing side, Fail when any is certainly on the
+    other side, Unknown otherwise."""
+    if all(cmp is side for cmp, side in pairs):
+        return Verdict(PASS, witness, prec)
+    if any(cmp is not side and cmp is not Comparison.OVERLAPPING
+           for cmp, side in pairs):
+        return Verdict(FAIL, witness, prec)
+    return Verdict(UNKNOWN, witness, prec)
+
+
+@_needs_table
 def _check_size_floor(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     ln10 = iv_log(iv_from_int(10), prec)
     log10_n = iv_div(ctx.log_n, ln10, prec)
@@ -304,24 +333,15 @@ def _check_size_floor(ctx: _AuditContext) -> Verdict:
         "log10_log10_n": _wit_iv(val, prec),
         "bound_log10_log10": str(constants(prec).size_floor_log10_log10),
     }
-    if cmp is Comparison.CERTAINLY_GREATER:
-        return Verdict(PASS, witness, prec)
-    if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
+@_needs_table
 def _check_log_window_1(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     cmp = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
     witness = {"log_n": _wit_iv(ctx.log_n, prec), "p_r": ctx.p_r}
-    if cmp is Comparison.CERTAINLY_GREATER:
-        return Verdict(PASS, witness, prec)
-    if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
 def _log_window_upper_bound(p_r: int, prec: int) -> IntervalScalar:
@@ -334,9 +354,8 @@ def _log_window_upper_bound(p_r: int, prec: int) -> IntervalScalar:
     )
 
 
+@_needs_table
 def _check_log_window_2(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     bound = _log_window_upper_bound(ctx.p_r, prec)
     cmp = iv_compare(ctx.log_n, bound)
@@ -345,22 +364,12 @@ def _check_log_window_2(ctx: _AuditContext) -> Verdict:
         "upper_bound": _wit_iv(bound, prec),
         "p_r": ctx.p_r,
     }
-    if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(PASS, witness, prec)
-    if cmp is Comparison.CERTAINLY_GREATER:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_LESS)], witness, prec)
 
 
-def check_log_window_alt(c: CandidateFactorization, t: PrimeTable,
-                         prec: int = DEFAULT_PRECISION_BITS) -> Verdict:
-    """Alternative one-sided window: p_r > (log n)(1 - c'/log log n).
-
-    Informational companion to log_window_2; not part of the audit ledger.
-    """
-    ctx = _AuditContext(c, t, prec)
-    if not ctx.covered:
-        return ctx.uncovered()
+@_needs_table
+def _check_log_window_alt(ctx: _AuditContext) -> Verdict:
+    prec = ctx.prec
     lg = ctx.log_n
     if lg.lo <= 1:
         return Verdict(
@@ -373,16 +382,20 @@ def check_log_window_alt(c: CandidateFactorization, t: PrimeTable,
     bound = iv_mul(lg, factor, prec)
     cmp = iv_compare(iv_from_int(ctx.p_r), bound)
     witness = {"p_r": ctx.p_r, "lower_bound": _wit_iv(bound, prec)}
-    if cmp is Comparison.CERTAINLY_GREATER:
-        return Verdict(PASS, witness, prec)
-    if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
+def check_log_window_alt(c: CandidateFactorization, t: PrimeTable,
+                         prec: int = DEFAULT_PRECISION_BITS) -> Verdict:
+    """Alternative one-sided window: p_r > (log n)(1 - c'/log log n).
+
+    Informational companion to log_window_2; not part of the audit ledger.
+    """
+    return _check_log_window_alt(_AuditContext(c, t, prec))
+
+
+@_needs_table
 def _check_upper_window(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     cmp = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
     if cmp is Comparison.CERTAINLY_LESS:
@@ -446,9 +459,8 @@ def _lower_violation(ctx: _AuditContext, first_index: int) -> Optional[tuple[int
     return None
 
 
+@_needs_table
 def _check_lower_window(ctx: _AuditContext, first_index: int) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     if ctx.r < 2:
         return Verdict(
@@ -489,26 +501,25 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     p_i = ctx.t.nth_prime(i)
     p_j = ctx.t.nth_prime(j)
     a_i = ctx.c.a(i)
-    if a_i * p_i.bit_length() + 1 <= _EXACT_POW_BITS:
+    if _pow_bits(p_i, a_i) <= _EXACT_POW_BITS:
         return int_log_floor(p_i**a_i, p_j)
+
     # interval route for astronomically large exponents
-    prec = ctx.prec
-    for _ in range(_MAX_ESCALATIONS + 1):
-        x = iv_div(
+    def attempt(prec: int) -> Optional[int]:
+        return iv_floor(iv_div(
             iv_mul(iv_from_int(a_i), iv_log(iv_from_int(p_i), prec), prec),
             iv_log(iv_from_int(p_j), prec),
             prec,
-        )
-        m = math.floor(x.lo)
-        if math.floor(x.hi) == m:
-            return m
-        prec *= 2
-    raise _Indeterminate(f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
+        ))
+
+    m = escalate(attempt, ctx.prec)
+    if m is None:
+        raise _Indeterminate(f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
+    return m
 
 
+@_needs_table
 def _check_shape_b2(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     c, prec = ctx.c, ctx.prec
 
     def bad(i: int, j: int) -> Optional[dict]:
@@ -571,21 +582,17 @@ def _check_shape_b3(ctx: _AuditContext) -> Verdict:
     return Verdict(FAIL, {"last_exponent": a_r, "index": c.r}, ctx.prec)
 
 
+@_needs_table
 def _check_shape_b4(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     c, t, prec = ctx.c, ctx.t, ctx.prec
     if c.r < 2:
         return Verdict(PASS, {"reason": "no index above 1"}, prec)
     a1 = c.a(1)
     try:
         for start, end, e in c.run_bounds():
-            if e == 0:
+            if e == 0 or end < 2:
                 continue
-            check_at = end if end >= 2 else None
-            if check_at is None:
-                continue
-            p = t.nth_prime(check_at)
+            p = t.nth_prime(end)
             # p^e < 2^(a1+2), worst within the run at its top prime
             if not _power_below(ctx, p, e, 2, a1 + 2):
                 idx = _first_b4_violation(ctx, max(start, 2), end, e, a1)
@@ -602,19 +609,21 @@ def _check_shape_b4(ctx: _AuditContext) -> Verdict:
 
 def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int) -> bool:
     """Certified p^e < q^f; raises _Indeterminate when undecidable."""
-    if e * p.bit_length() + 1 <= _EXACT_POW_BITS and f * q.bit_length() + 1 <= _EXACT_POW_BITS:
+    if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
         return p**e < q**f
-    prec = ctx.prec
-    for _ in range(_MAX_ESCALATIONS + 1):
+
+    def attempt(prec: int) -> Optional[bool]:
         lhs = iv_mul(iv_from_int(e), iv_log(iv_from_int(p), prec), prec)
         rhs = iv_mul(iv_from_int(f), iv_log(iv_from_int(q), prec), prec)
         cmp = iv_compare(lhs, rhs)
-        if cmp is Comparison.CERTAINLY_LESS:
-            return True
-        if cmp is Comparison.CERTAINLY_GREATER:
-            return False
-        prec *= 2
-    raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate")
+        if cmp is Comparison.OVERLAPPING:
+            return None
+        return cmp is Comparison.CERTAINLY_LESS
+
+    below = escalate(attempt, ctx.prec)
+    if below is None:
+        raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate")
+    return below
 
 
 def _first_b4_violation(ctx: _AuditContext, start: int, end: int, e: int, a1: int) -> int:
@@ -628,9 +637,8 @@ def _first_b4_violation(ctx: _AuditContext, start: int, end: int, e: int, a1: in
     return lo
 
 
+@_needs_table
 def _check_density_b6(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     lp = iv_log(iv_from_int(ctx.p_r), prec)
     inv = iv_div(iv_from_int(1), lp, prec)
@@ -647,11 +655,7 @@ def _check_density_b6(ctx: _AuditContext) -> Verdict:
         "bound": _wit_iv(bound, prec),
         "epsilon_p_r": _wit_iv(eps, prec),
     }
-    if cmp is Comparison.CERTAINLY_GREATER:
-        return Verdict(PASS, witness, prec)
-    if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
 def _check_vojak_d1(ctx: _AuditContext) -> Verdict:
@@ -671,9 +675,8 @@ def _check_vojak_d2(ctx: _AuditContext) -> Verdict:
     )
 
 
+@_needs_table
 def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     lp = iv_log(iv_from_int(ctx.p_r), prec)
     lower = iv_exp(iv_neg(iv_div(iv_from_int(1), lp, prec)), prec)
@@ -684,16 +687,12 @@ def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
         "ratio": _wit_iv(mid, prec),
         "lower": _wit_iv(lower, prec),
     }
-    if c1 is Comparison.CERTAINLY_LESS and c2 is Comparison.CERTAINLY_LESS:
-        return Verdict(PASS, witness, prec)
-    if c1 is Comparison.CERTAINLY_GREATER or c2 is Comparison.CERTAINLY_GREATER:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(c1, Comparison.CERTAINLY_LESS),
+                    (c2, Comparison.CERTAINLY_LESS)], witness, prec)
 
 
+@_needs_table
 def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     c, t, prec = ctx.c, ctx.t, ctx.prec
     if c.r < 2:
         return Verdict(PASS, {"reason": "no index above 1"}, prec)
@@ -737,18 +736,16 @@ def _check_exponents_e(ctx: _AuditContext) -> Verdict:
     return Verdict(PASS, {"floors": [f for _, f in EXPONENT_FLOORS]}, ctx.prec)
 
 
+@_needs_table
 def _check_two_squares(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     representable = is_sum_of_two_squares(ctx.c, ctx.t)
     # a least counterexample cannot be a sum of two squares
     status = FAIL if representable else PASS
     return Verdict(status, {"sum_of_two_squares": representable}, ctx.prec)
 
 
+@_needs_table
 def _check_s_window(ctx: _AuditContext) -> Verdict:
-    if not ctx.covered:
-        return ctx.uncovered()
     prec = ctx.prec
     s = ctx.c.s_index()
     if s is None or s >= ctx.r:
@@ -769,11 +766,8 @@ def _check_s_window(ctx: _AuditContext) -> Verdict:
         "s": s, "p_s": p_s, "p_r": ctx.p_r,
         "lower": _wit_iv(lower, prec), "upper": _wit_iv(upper, prec),
     }
-    if c1 is Comparison.CERTAINLY_GREATER and c2 is Comparison.CERTAINLY_LESS:
-        return Verdict(PASS, witness, prec)
-    if c1 is Comparison.CERTAINLY_LESS or c2 is Comparison.CERTAINLY_GREATER:
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+    return _decide([(c1, Comparison.CERTAINLY_GREATER),
+                    (c2, Comparison.CERTAINLY_LESS)], witness, prec)
 
 
 _CHECK_FUNCS: dict[str, Callable[[_AuditContext], Verdict]] = {
@@ -940,12 +934,8 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     cur = c
     trace: list[dict] = []
     for _ in range(step_limit):
+        _require_table(cur, t)
         ctx = _AuditContext(cur, t, prec)
-        if not ctx.covered:
-            raise TableTooSmallError(
-                f"candidate spans {ctx.r} primes, table holds {len(t)}",
-                needed=ctx.r,
-            )
         state = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
         upper_ok = state is Comparison.CERTAINLY_GREATER
         if state is Comparison.OVERLAPPING:

@@ -18,7 +18,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .audit import full_audit, normalize, IN_WINDOW
@@ -98,7 +98,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
              f"(default {_DEFAULT_PRIME_LIMIT})",
     )
     p.add_argument(
-        "--format", choices=("json", "csv", "text"), default=None,
+        "--format", choices=("json", "csv", "text"), default="json",
         help="output format (default json)",
     )
 
@@ -194,16 +194,26 @@ def _load_candidate(arg: str) -> CandidateFactorization:
     return CandidateFactorization.from_json(text)
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+class _Output(NamedTuple):
+    """One command's result in every output format."""
+
+    payload: object          # --format json
+    header: list[str]        # --format csv
+    rows: list[list]
+    lines: list[str]         # --format text
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(fmt: str, out: _Output) -> None:
+    if fmt == "json":
+        sys.stdout.write(json.dumps(out.payload, sort_keys=True, indent=2) + "\n")
+    elif fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(out.header)
+        w.writerows(out.rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        sys.stdout.write("".join(line + "\n" for line in out.lines))
 
 
 def _record_json(rec, prec: int) -> dict:
@@ -222,59 +232,51 @@ def _record_row(rec) -> list:
     return [rec.n, rec.sigma, rho.numerator, rho.denominator, rec.verdict]
 
 
-def _cmd_verify(args, prec: int) -> int:
+def _cmd_verify(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
     lo = max(3, args.lo)
     hi = args.hi
     if hi < lo:
         raise DomainError(f"empty range: [{lo}, {hi}]")
     result = verify_range(lo, hi, prec=prec)
     flagged = list(result.violations) + list(result.unknowns)
-    if args.format == "csv":
-        _emit_csv(
-            ["n", "sigma", "rho_num", "rho_den", "verdict"],
-            [_record_row(r) for r in flagged],
-        )
-    elif args.format == "text":
-        print(f"checked {result.checked} integers in [{result.lo}, {result.hi}]")
-        for rec in flagged:
-            print(f"  n={rec.n} sigma={rec.sigma} verdict={rec.verdict}")
-        print(f"violations: {len(result.violations)}  "
-              f"unknowns: {len(result.unknowns)}")
-    else:
-        _emit_json({
+    out = _Output(
+        {
             "from": result.lo,
             "to": result.hi,
             "checked": result.checked,
             "violations": [_record_json(r, prec) for r in result.violations],
             "unknowns": [_record_json(r, prec) for r in result.unknowns],
-        })
+        },
+        ["n", "sigma", "rho_num", "rho_den", "verdict"],
+        [_record_row(r) for r in flagged],
+        [f"checked {result.checked} integers in [{result.lo}, {result.hi}]"]
+        + [f"  n={rec.n} sigma={rec.sigma} verdict={rec.verdict}" for rec in flagged]
+        + [f"violations: {len(result.violations)}  "
+           f"unknowns: {len(result.unknowns)}"],
+    )
     if result.violations:
-        return EX_NEGATIVE
+        return EX_NEGATIVE, out
     if result.unknowns:
-        return EX_INCONCLUSIVE
-    return EX_OK
+        return EX_INCONCLUSIVE, out
+    return EX_OK, out
 
 
-def _cmd_sa(args, prec: int) -> int:
+def _cmd_sa(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
     records = superabundant_up_to(args.limit)
-    if args.format == "csv":
-        rows = [[r.n, r.sigma, r.rho.numerator, r.rho.denominator]
-                for r in records]
-        _emit_csv(["n", "sigma", "rho_num", "rho_den"], rows)
-    elif args.format == "text":
-        for r in records:
-            print(f"n={r.n} sigma={r.sigma}")
-        print(f"records: {len(records)}")
-    else:
-        _emit_json({
+    return EX_OK, _Output(
+        {
             "limit": args.limit,
             "records": [
                 {"n": r.n, "sigma": r.sigma,
                  "rho": {"num": r.rho.numerator, "den": r.rho.denominator}}
                 for r in records
             ],
-        })
-    return EX_OK
+        },
+        ["n", "sigma", "rho_num", "rho_den"],
+        [[r.n, r.sigma, r.rho.numerator, r.rho.denominator] for r in records],
+        [f"n={r.n} sigma={r.sigma}" for r in records]
+        + [f"records: {len(records)}"],
+    )
 
 
 def _candidate_entry(c: CandidateFactorization, t: PrimeTable) -> dict:
@@ -287,7 +289,7 @@ def _candidate_entry(c: CandidateFactorization, t: PrimeTable) -> dict:
     return entry
 
 
-def _cmd_ca(args, prec: int, table: PrimeTable) -> int:
+def _cmd_ca(args, prec: int, table: PrimeTable) -> tuple[int, Optional[_Output]]:
     if args.epsilon is not None:
         if args.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {args.epsilon}")
@@ -296,73 +298,63 @@ def _cmd_ca(args, prec: int, table: PrimeTable) -> int:
         except DomainError as e:
             print(f"no candidate at epsilon = {args.epsilon}: {e}",
                   file=sys.stderr)
-            return EX_NEGATIVE
+            return EX_NEGATIVE, None
         entry = _candidate_entry(c, table)
-        if args.format == "csv":
-            _emit_csv(["r", "n", "runs"],
-                      [[entry["r"], entry["n"], str(c)]])
-        elif args.format == "text":
-            print(f"epsilon={args.epsilon} r={c.r} n={entry['n']} {c}")
-        else:
-            _emit_json({"epsilon": str(args.epsilon), "candidate": entry})
-        return EX_OK
+        return EX_OK, _Output(
+            {"epsilon": str(args.epsilon), "candidate": entry},
+            ["r", "n", "runs"],
+            [[entry["r"], entry["n"], str(c)]],
+            [f"epsilon={args.epsilon} r={c.r} n={entry['n']} {c}"],
+        )
     cands = ca_sweep(args.count, table, prec=prec)
     entries = [_candidate_entry(c, table) for c in cands]
-    if args.format == "csv":
-        _emit_csv(["r", "n", "runs"],
-                  [[e["r"], e["n"], str(c)] for e, c in zip(entries, cands)])
-    elif args.format == "text":
-        for e, c in zip(entries, cands):
-            print(f"r={e['r']} n={e['n']} {c}")
-    else:
-        _emit_json({"count": args.count, "candidates": entries})
-    return EX_OK
+    return EX_OK, _Output(
+        {"count": args.count, "candidates": entries},
+        ["r", "n", "runs"],
+        [[e["r"], e["n"], str(c)] for e, c in zip(entries, cands)],
+        [f"r={e['r']} n={e['n']} {c}" for e, c in zip(entries, cands)],
+    )
 
 
-def _cmd_audit(args, prec: int, table: PrimeTable) -> int:
+def _cmd_audit(args, prec: int, table: PrimeTable) -> tuple[int, _Output]:
     c = _load_candidate(args.candidate)
     report = full_audit(c, table, prec=prec,
                         include_alt_log_window=args.alt_log_window)
-    if args.format == "csv":
-        rows = [[cid, v.status, v.precision_used]
-                for cid, v in report.checks + report.extra_checks]
-        _emit_csv(["check_id", "status", "precision_used"], rows)
-    elif args.format == "text":
-        for cid, v in report.checks + report.extra_checks:
-            print(f"{cid:16s} {v.status}")
-        print(f"result: {report.result}")
-        if report.excluded_by:
-            print("excluded_by: " + " ".join(report.excluded_by))
-        if report.unknown_checks:
-            print("unknown: " + " ".join(report.unknown_checks))
-    else:
-        _emit_json(report.to_json())
+    checks = report.checks + report.extra_checks
+    lines = [f"{cid:16s} {v.status}" for cid, v in checks]
+    lines.append(f"result: {report.result}")
+    if report.excluded_by:
+        lines.append("excluded_by: " + " ".join(report.excluded_by))
+    if report.unknown_checks:
+        lines.append("unknown: " + " ".join(report.unknown_checks))
+    out = _Output(
+        report.to_json(),
+        ["check_id", "status", "precision_used"],
+        [[cid, v.status, v.precision_used] for cid, v in checks],
+        lines,
+    )
     if report.result == "excluded":
-        return EX_NEGATIVE
+        return EX_NEGATIVE, out
     if report.result == "inconclusive":
-        return EX_INCONCLUSIVE
-    return EX_OK
+        return EX_INCONCLUSIVE, out
+    return EX_OK, out
 
 
-def _cmd_normalize(args, prec: int, table: PrimeTable) -> int:
+def _cmd_normalize(args, prec: int, table: PrimeTable) -> tuple[int, _Output]:
     c = _load_candidate(args.candidate)
     result = normalize(c, table, prec=prec, step_limit=args.step_limit)
-    if args.format == "csv":
-        rows = [
-            [i + 1, s["action"], s["index"], s["prime"],
-             s.get("removed_prime", "")]
-            for i, s in enumerate(result.trace)
-        ]
-        _emit_csv(["step", "action", "index", "prime", "removed_prime"], rows)
-    elif args.format == "text":
-        for i, s in enumerate(result.trace):
-            print(f"step {i + 1}: {s['action']} at index {s['index']} "
-                  f"(prime {s['prime']})")
-        print(f"status: {result.status} after {result.steps} steps")
-        print(f"candidate: {result.candidate}")
-    else:
-        _emit_json(result.to_json())
-    return EX_OK if result.status == IN_WINDOW else EX_INCONCLUSIVE
+    steps = list(enumerate(result.trace, 1))
+    out = _Output(
+        result.to_json(),
+        ["step", "action", "index", "prime", "removed_prime"],
+        [[i, s["action"], s["index"], s["prime"], s.get("removed_prime", "")]
+         for i, s in steps],
+        [f"step {i}: {s['action']} at index {s['index']} (prime {s['prime']})"
+         for i, s in steps]
+        + [f"status: {result.status} after {result.steps} steps",
+           f"candidate: {result.candidate}"],
+    )
+    return (EX_OK if result.status == IN_WINDOW else EX_INCONCLUSIVE), out
 
 
 def _selftest_checks(prec: int):
@@ -408,7 +400,7 @@ def _selftest_checks(prec: int):
     ]
 
 
-def _cmd_selftest(args, prec: int) -> int:
+def _cmd_selftest(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
     results = []
     for name, fn in _selftest_checks(prec):
         try:
@@ -419,14 +411,23 @@ def _cmd_selftest(args, prec: int) -> int:
             continue
         results.append({"name": name, "ok": ok})
     all_ok = all(r["ok"] for r in results)
-    if args.format == "csv":
-        _emit_csv(["name", "ok"], [[r["name"], r["ok"]] for r in results])
-    elif args.format == "text":
-        for r in results:
-            print(f"{'ok' if r['ok'] else 'FAIL'} {r['name']}")
-    else:
-        _emit_json({"checks": results, "ok": all_ok})
-    return EX_OK if all_ok else EX_NEGATIVE
+    return (EX_OK if all_ok else EX_NEGATIVE), _Output(
+        {"checks": results, "ok": all_ok},
+        ["name", "ok"],
+        [[r["name"], r["ok"]] for r in results],
+        [f"{'ok' if r['ok'] else 'FAIL'} {r['name']}" for r in results],
+    )
+
+
+# command -> (handler, whether it needs a prime table)
+_COMMANDS = {
+    "verify": (_cmd_verify, False),
+    "sa": (_cmd_sa, False),
+    "ca": (_cmd_ca, True),
+    "audit": (_cmd_audit, True),
+    "normalize": (_cmd_normalize, True),
+    "selftest": (_cmd_selftest, False),
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -434,25 +435,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a command is required")
-    if args.format is None:
-        args.format = "json"
     prec = _resolve_precision(args, parser)
     limit = args.prime_limit or _DEFAULT_PRIME_LIMIT
 
+    handler, needs_table = _COMMANDS[args.command]
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, prec)
-        if args.command == "sa":
-            return _cmd_sa(args, prec)
-        if args.command == "ca":
-            return _cmd_ca(args, prec, PrimeTable.build(limit))
-        if args.command == "audit":
-            return _cmd_audit(args, prec, PrimeTable.build(limit))
-        if args.command == "normalize":
-            return _cmd_normalize(args, prec, PrimeTable.build(limit))
-        if args.command == "selftest":
-            return _cmd_selftest(args, prec)
-        parser.error(f"unknown command {args.command!r}")
+        table = PrimeTable.build(limit) if needs_table else None
+        code, out = handler(args, prec, table)
+        if out is not None:
+            _emit(args.format, out)
+        return code
     except CandidateFormatError as e:
         print(f"robinaudit: candidate format error: {e}", file=sys.stderr)
         return EX_FORMAT
@@ -475,7 +467,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("robinaudit: internal error (this is a bug, not a verdict)",
               file=sys.stderr)
         return EX_SOFTWARE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

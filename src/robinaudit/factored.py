@@ -189,6 +189,13 @@ class CandidateFactorization:
                 raise CandidateFormatError("<document>", f"not valid JSON: {e}")
         if not isinstance(obj, dict):
             raise CandidateFormatError("<document>", "candidate must be an object")
+        for key in obj:
+            if key not in ("runs", "exponents"):
+                raise CandidateFormatError(str(key), "unknown field")
+        if "runs" in obj and "exponents" in obj:
+            raise CandidateFormatError(
+                "<document>", 'candidate needs "runs" or "exponents", not both'
+            )
         if "runs" in obj:
             runs = obj["runs"]
             if not isinstance(runs, list) or not runs:
@@ -197,6 +204,9 @@ class CandidateFactorization:
             for k, item in enumerate(runs):
                 if not isinstance(item, dict):
                     raise CandidateFormatError(f"runs[{k}]", "must be an object")
+                for key in item:
+                    if key not in ("exponent", "count"):
+                        raise CandidateFormatError(f"runs[{k}].{key}", "unknown field")
                 for key in ("exponent", "count"):
                     v = item.get(key)
                     if not isinstance(v, int) or isinstance(v, bool):
@@ -404,29 +414,6 @@ def big_g(c: CandidateFactorization, t: PrimeTable,
           prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of G(n) = rho(n) / log log n; needs log n certainly > 1."""
     return iv_div(rho(c, t, prec), loglog_n(c, t, prec), prec)
-
-
-@dataclass(frozen=True)
-class DerivedScalars:
-    log_n: IntervalScalar
-    loglog_n: IntervalScalar
-    rho: IntervalScalar
-    big_g: IntervalScalar
-    n_over_phi: IntervalScalar
-
-
-def derived_scalars(c: CandidateFactorization, t: PrimeTable,
-                    prec: int = DEFAULT_PRECISION_BITS) -> DerivedScalars:
-    lg = log_n(c, t, prec)
-    llg = _loglog_from(lg, prec)
-    rh = rho(c, t, prec)
-    return DerivedScalars(
-        log_n=lg,
-        loglog_n=llg,
-        rho=rh,
-        big_g=iv_div(rh, llg, prec),
-        n_over_phi=n_over_phi(c, t, prec),
-    )
 
 
 def _sigma_ratio_divide(p: int, a: int, prec: int) -> Union[Fraction, IntervalScalar]:

@@ -24,10 +24,12 @@ import numpy as np
 from .errors import DomainError, PrecisionError, ResourceBudgetError, TableTooSmallError
 from .factored import CandidateFactorization
 from .intervals import (
+    _MAX_ESCALATIONS,
     DEFAULT_PRECISION_BITS,
     Comparison,
     IntervalScalar,
     constants,
+    escalate,
     iv_compare,
     iv_div,
     iv_from_fraction,
@@ -41,7 +43,6 @@ from .primes import PrimeTable
 
 _SEGMENT = 1 << 20
 _SCREEN_BLOCK = 1 << 12
-_MAX_ESCALATIONS = 4
 
 
 def sigma_range(lo: int, hi: int) -> np.ndarray:
@@ -107,16 +108,20 @@ class RangeVerification:
 
 def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     """Certified verdict for one n, escalating precision on overlap."""
-    p = prec
-    for _ in range(_MAX_ESCALATIONS + 1):
+    thr = None
+
+    def attempt(p: int) -> Optional[VerificationRecord]:
+        nonlocal thr
         thr = _threshold(n, p)
         cmp = iv_compare(iv_from_int(sigma), thr)
         if cmp is Comparison.CERTAINLY_LESS:
             return VerificationRecord(n, sigma, thr, "holds")
         if cmp is Comparison.CERTAINLY_GREATER:
             return VerificationRecord(n, sigma, thr, "fails")
-        p *= 2
-    return VerificationRecord(n, sigma, _threshold(n, p // 2), "unknown")
+        return None
+
+    rec = escalate(attempt, prec)
+    return rec if rec is not None else VerificationRecord(n, sigma, thr, "unknown")
 
 
 def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
@@ -240,20 +245,21 @@ def _ca_exponent(p: int, eps: Fraction, prec: int) -> int:
             u += 1
         return u - 1
     pv = iv_from_int(p)
-    work = prec
-    for _ in range(_MAX_ESCALATIONS + 1):
+
+    def attempt(work: int) -> Optional[int]:
         num = iv_sub(iv_pow(pv, 1 + eps, work), iv_from_int(1), work)
         den = iv_sub(iv_pow(pv, eps, work), iv_from_int(1), work)
         x = iv_div(num, den, work)
         hint = math.log(max(x.hi_float, 2.0)) / math.log(p)
-        u = _power_floor_of_interval(x, p, hint)
-        if u is not None:
-            return u - 1
-        work *= 2
-    raise PrecisionError(
-        f"exponent of {p} straddles a power boundary at eps={eps}",
-        suggested_precision_bits=work,
-    )
+        return _power_floor_of_interval(x, p, hint)
+
+    u = escalate(attempt, prec)
+    if u is None:
+        raise PrecisionError(
+            f"exponent of {p} straddles a power boundary at eps={eps}",
+            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
+        )
+    return u - 1
 
 
 def ca_candidate(eps: EpsilonLike, t: PrimeTable,

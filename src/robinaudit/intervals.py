@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from mpmath.libmp import (
     finf,
@@ -38,6 +38,8 @@ from .errors import DomainError
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
+# Precision doublings tried by escalate after the first attempt.
+_MAX_ESCALATIONS = 4
 
 # Largest fractional bit count serialized as an exact decimal string.  An
 # endpoint with a smaller binary exponent has no bounded decimal expansion
@@ -130,6 +132,7 @@ def _from_mpi(t: tuple) -> IntervalScalar:
 
 
 IntervalLike = Union[IntervalScalar, int, Fraction]
+T = TypeVar("T")
 
 
 def iv_from_int(n: int) -> IntervalScalar:
@@ -216,10 +219,6 @@ def iv_neg(a: IntervalScalar) -> IntervalScalar:
     return _iv(mpf_neg(a._hi), mpf_neg(a._lo))
 
 
-def iv_abs(a: IntervalScalar, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    return _from_mpi(_mpi.mpi_abs(_as_mpi(a), prec))
-
-
 def iv_log(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     a = _coerce(a, prec)
     if mpf_cmp(a._lo, fzero) <= 0:
@@ -280,6 +279,17 @@ def iv_compare(a: IntervalLike, b: IntervalLike,
     if mpf_cmp(a._lo, b._hi) > 0:
         return Comparison.CERTAINLY_GREATER
     return Comparison.OVERLAPPING
+
+
+def escalate(attempt: Callable[[int], Optional[T]], prec: int) -> Optional[T]:
+    """The first result of attempt(p) that is not None, for p = prec,
+    2 prec, ..., prec * 2^_MAX_ESCALATIONS; None when every attempt stays
+    indeterminate.  The caller reports exhaustion in its own terms."""
+    for k in range(_MAX_ESCALATIONS + 1):
+        result = attempt(prec << k)
+        if result is not None:
+            return result
+    return None
 
 
 def iv_floor(a: IntervalScalar) -> Optional[int]:

@@ -187,9 +187,17 @@ class PrimeTable:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise DomainError(f"bad prime cache magic {magic!r}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
+            head = fh.read(8)
+            if len(head) != 8:
+                raise DomainError("prime cache header is truncated")
+            (limit,) = struct.unpack("<Q", head)
             raw = np.frombuffer(fh.read(), dtype=np.uint8)
         n_odd = (limit + 1) // 2
+        if raw.size != (n_odd + 7) // 8:
+            raise DomainError(
+                f"prime cache bitmap has {raw.size} bytes, limit {limit} "
+                f"needs {(n_odd + 7) // 8}"
+            )
         bits = np.unpackbits(raw, bitorder="little")[:n_odd]
         odd = (2 * np.flatnonzero(bits) + 1).astype(np.int64)
         primes = np.concatenate([np.array([2], dtype=np.int64), odd]) if limit >= 2 else odd

@@ -207,8 +207,10 @@ def _interval_widths(node, path, out):
             _interval_widths(item, f"{path}/{idx}", out)
 
 
-def test_criterion_7_precision_doubling(table_1e6):
-    corpus = [
+def _precision_corpus(t):
+    """Candidates of criterion 7: tiny, wide, a huge exponent (interval
+    routes of B2/B4/D4) and one the table does not cover."""
+    return [
         CandidateFactorization.from_exponents([4, 2, 1, 1]),
         CandidateFactorization.from_exponents([3, 2, 1, 1]),
         CandidateFactorization.from_exponents([4, 2, 1, 1, 1]),
@@ -218,12 +220,15 @@ def test_criterion_7_precision_doubling(table_1e6):
         CandidateFactorization.from_runs(
             [(150_000_000_000_000, 1), (2, 1), (1, 3)]
         ),
-        _boosted_primorial(table_1e6, 100, 0),
+        _boosted_primorial(t, 100, 0),
         CandidateFactorization.from_runs(
             [(20, 1), (13, 1), (8, 1), (7, 1), (6, 1), (1, 10**9)]
         ),
     ]
-    for c in corpus:
+
+
+def test_criterion_7_precision_doubling(table_1e6):
+    for c in _precision_corpus(table_1e6):
         lo_rep = full_audit(c, table_1e6, 128)
         hi_rep = full_audit(c, table_1e6, 256)
         stable = []

@@ -314,6 +314,17 @@ class TestSchemas:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema("candidate.schema.json"))
 
+    @pytest.mark.parametrize("doc", [
+        {"runs": [{"exponent": 1, "count": 1}], "exponents": [4, 2, 1, 1]},
+        {"exponents": [4, 2, 1, 1], "note": "5040"},
+        {"runs": [{"exponent": 1, "count": 1, "prime": 2}]},
+    ])
+    def test_cli_rejects_what_the_candidate_schema_rejects(self, doc, capsys):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema("candidate.schema.json"))
+        code, out, err = run_cli(["audit", json.dumps(doc)], capsys)
+        assert code == 66 and out == "" and "candidate format" in err
+
     def test_candidate_schema_accepts_zero_exponents_form(self):
         jsonschema.validate({"exponents": [0, 2]},
                             schema("candidate.schema.json"))

@@ -16,7 +16,6 @@ from robinaudit.errors import (
 from robinaudit.factored import (
     CandidateFactorization,
     big_g,
-    derived_scalars,
     g_ratio_divide,
     g_ratio_swap,
     is_sum_of_two_squares,
@@ -116,6 +115,21 @@ def test_json_errors_name_offending_field():
         CandidateFactorization.from_json({"something": 1})
     with pytest.raises(CandidateFormatError):
         CandidateFactorization.from_json("not json at all {")
+    # the candidate schema allows one form, no other top-level field and
+    # no other field in a run item
+    with pytest.raises(CandidateFormatError) as e:
+        CandidateFactorization.from_json(
+            {"runs": [{"exponent": 1, "count": 1}], "exponents": [4, 2, 1, 1]}
+        )
+    assert e.value.field == "<document>"
+    with pytest.raises(CandidateFormatError) as e:
+        CandidateFactorization.from_json({"exponents": [4, 2, 1, 1], "note": ""})
+    assert e.value.field == "note"
+    with pytest.raises(CandidateFormatError) as e:
+        CandidateFactorization.from_json(
+            {"runs": [{"exponent": 2, "count": 1}, {"exponent": 1, "count": 1, "p": 3}]}
+        )
+    assert e.value.field == "runs[1].p"
 
 
 def test_json_non_canonical_runs_expand():
@@ -233,11 +247,11 @@ def test_huge_exponent_paths(table_1e6):
 
 
 def test_derived_scalars_bundle(table_1e6):
-    d = derived_scalars(C_5040, table_1e6)
-    assert d.log_n.contains(LN_5040)
-    assert d.big_g.contains(G_5040)
-    assert d.n_over_phi.contains(Fraction(35, 8))
-    assert iv_compare(d.rho, d.n_over_phi) is Comparison.CERTAINLY_LESS
+    nphi = n_over_phi(C_5040, table_1e6)
+    assert log_n(C_5040, table_1e6).contains(LN_5040)
+    assert big_g(C_5040, table_1e6).contains(G_5040)
+    assert nphi.contains(Fraction(35, 8))
+    assert iv_compare(rho(C_5040, table_1e6), nphi) is Comparison.CERTAINLY_LESS
 
 
 def _independent_ratio_divide(c, s, t, prec=512):

@@ -14,6 +14,7 @@ from robinaudit.intervals import (
     Comparison,
     IntervalScalar,
     constants,
+    escalate,
     interval_from_json,
     interval_to_json,
     iv_add,
@@ -121,6 +122,22 @@ def test_floor_determinate_and_straddling():
     assert iv_floor(iv_log(iv_from_int(8))) == 2  # ln 8 = 2.079...
     assert iv_floor(iv_make(Fraction(29, 10), Fraction(31, 10))) is None
     assert iv_floor(iv_from_int(7)) == 7
+
+
+def test_escalate_doubles_until_decided():
+    tried = []
+
+    def decided_at(bits):
+        def attempt(p):
+            tried.append(p)
+            return False if p >= bits else None  # a falsy result still ends it
+        return attempt
+
+    assert escalate(decided_at(512), 128) is False
+    assert tried == [128, 256, 512]
+    tried.clear()
+    assert escalate(decided_at(10**9), 128) is None
+    assert tried == [128, 256, 512, 1024, 2048]
 
 
 def test_division_by_zero_interval_rejected():

@@ -118,6 +118,25 @@ def test_cache_bad_magic_rejected(tmp_path):
         PrimeTable.load(path)
 
 
+@pytest.mark.parametrize("where", ["bitmap", "header"])
+def test_cache_truncated_rejected(tmp_path, table_1e6, where):
+    path = tmp_path / "primes.bin"
+    table_1e6.save(path)
+    raw = path.read_bytes()
+    cut = 13 + (len(raw) - 13) // 2 if where == "bitmap" else 9
+    path.write_bytes(raw[:cut])
+    with pytest.raises(DomainError):
+        PrimeTable.load(path)
+
+
+def test_cache_extra_byte_rejected(tmp_path, table_1e6):
+    path = tmp_path / "primes.bin"
+    table_1e6.save(path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DomainError):
+        PrimeTable.load(path)
+
+
 def test_gap_below_threshold_rejected():
     with pytest.raises(DomainError):
         dusart_gap_holds(DUSART_GAP_THRESHOLD - 1)
