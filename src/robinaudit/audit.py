@@ -27,7 +27,9 @@ from .errors import (
 from .factored import (
     _EXACT_POW_BITS,
     CandidateFactorization,
+    Run,
     _pow_bits,
+    _Products,
     _require_table,
     g_ratio_divide,
     g_ratio_swap,
@@ -227,25 +229,31 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
     return u
 
 
-def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
+              products: Optional[_Products] = None) -> IntervalScalar:
     """M(k) = exp(e^(-gamma) f(N_k)) - log N_k for the k-th primorial N_k,
     with f(N_k) = prod_{i<=k} p_i/(p_i - 1)."""
     if k < 1:
         raise DomainError(f"compute_m needs k >= 1, got {k}")
     primorial = CandidateFactorization.from_runs([(1, k)])
-    f = n_over_phi(primorial, t, prec)
-    lg = log_n(primorial, t, prec)
+    products = _Products() if products is None else products
+    f = n_over_phi(primorial, t, prec, products=products)
+    lg = log_n(primorial, t, prec, products=products)
     inner = iv_mul(iv_exp(iv_neg(constants(prec).gamma), prec), f, prec)
     return iv_sub(iv_exp(inner, prec), lg, prec)
 
 
 class _AuditContext:
-    """Shared lazily-computed quantities for one audit run."""
+    """Shared lazily-computed quantities for one audit run.  ``products``
+    holds the exact cell products behind them; normalize passes one
+    object to the context of every step."""
 
-    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int):
+    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
+                 products: Optional[_Products] = None):
         self.c = c
         self.t = t
         self.prec = prec
+        self.products = _Products() if products is None else products
         self.r = c.r
         self.covered = self.r <= len(t)
         self.p_r = t.nth_prime(self.r) if self.covered else None
@@ -257,19 +265,20 @@ class _AuditContext:
     @property
     def log_n(self) -> IntervalScalar:
         if self._log_n is None:
-            self._log_n = log_n(self.c, self.t, self.prec)
+            self._log_n = log_n(self.c, self.t, self.prec, products=self.products)
         return self._log_n
 
     @property
     def rho(self) -> IntervalScalar:
         if self._rho is None:
-            self._rho = rho(self.c, self.t, self.prec)
+            self._rho = rho(self.c, self.t, self.prec, products=self.products)
         return self._rho
 
     @property
     def nphi(self) -> IntervalScalar:
         if self._nphi is None:
-            self._nphi = n_over_phi(self.c, self.t, self.prec)
+            self._nphi = n_over_phi(self.c, self.t, self.prec,
+                                    products=self.products)
         return self._nphi
 
     def upper_bounds(self) -> _UpperBounds:
@@ -697,7 +706,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
     if c.r < 2:
         return Verdict(PASS, {"reason": "no index above 1"}, prec)
     a1 = c.a(1)
-    m_r = compute_m(c.r, t, prec)
+    m_r = compute_m(c.r, t, prec, products=ctx.products)
     witness_m = _wit_iv(m_r, prec)
     try:
         for start, end, e in c.run_bounds():
@@ -861,7 +870,7 @@ def full_audit(c: CandidateFactorization, t: PrimeTable,
     checks = [(cid, _CHECK_FUNCS[cid](ctx)) for cid in CHECK_IDS]
     extra = []
     if include_alt_log_window:
-        extra.append(("log_window_alt", check_log_window_alt(c, t, prec)))
+        extra.append(("log_window_alt", _check_log_window_alt(ctx)))
     return AuditReport(
         candidate=c, precision_bits=prec, checks=checks, extra_checks=extra
     )
@@ -933,9 +942,10 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
         raise DomainError(f"step limit must be >= 1, got {step_limit}")
     cur = c
     trace: list[dict] = []
+    products = _Products()
     for _ in range(step_limit):
         _require_table(cur, t)
-        ctx = _AuditContext(cur, t, prec)
+        ctx = _AuditContext(cur, t, prec, products)
         state = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
         upper_ok = state is Comparison.CERTAINLY_GREATER
         if state is Comparison.OVERLAPPING:
@@ -950,7 +960,7 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
         if s_div is not None:
             step = _apply_divide(ctx, s_div, prec)
             trace.append(step)
-            cur = _rebuild(cur, s_div, -1)
+            cur = _divided(cur, s_div)
             continue
 
         s_swap = _largest_lower_violation(ctx)
@@ -959,10 +969,7 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
                 return NormalizationResult(cur, BLOCKED_EXPONENT, trace)
             step = _apply_swap(ctx, s_swap, prec)
             trace.append(step)
-            exps = cur.exponents_list()
-            exps[s_swap - 1] += 1
-            exps.pop()
-            cur = CandidateFactorization.from_exponents(exps)
+            cur = _swapped(cur, s_swap)
             continue
 
         if upper_ok:
@@ -983,7 +990,7 @@ def _ratio_entry(ratio: Optional[IntervalScalar], prec: int) -> dict:
 
 def _apply_divide(ctx: _AuditContext, s: int, prec: int) -> dict:
     try:
-        ratio = g_ratio_divide(ctx.c, s, ctx.t, prec)
+        ratio = g_ratio_divide(ctx.c, s, ctx.t, prec, products=ctx.products)
     except DomainError:
         ratio = None
     return {
@@ -996,7 +1003,7 @@ def _apply_divide(ctx: _AuditContext, s: int, prec: int) -> dict:
 
 def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
     try:
-        ratio = g_ratio_swap(ctx.c, s, ctx.t, prec)
+        ratio = g_ratio_swap(ctx.c, s, ctx.t, prec, products=ctx.products)
     except DomainError:
         ratio = None
     return {
@@ -1008,12 +1015,54 @@ def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
     }
 
 
-def _rebuild(c: CandidateFactorization, s: int, delta: int) -> CandidateFactorization:
-    exps = c.exponents_list()
-    exps[s - 1] += delta
-    if exps[s - 1] == 0 and s != len(exps):
+def _edited(c: CandidateFactorization, s: int, delta: int,
+            drop_top: bool) -> CandidateFactorization:
+    """Add ``delta`` to a_s and, with ``drop_top``, remove position r, by
+    editing runs in O(#runs).  The result equals ``from_exponents`` of the
+    edited exponent list: maximal runs, trailing zeros stripped, the same
+    ``canonical`` flag."""
+    runs: list[Run] = []
+    for start, end, e in c.run_bounds():
+        if start <= s <= end:
+            pieces = [(e, s - start), (e + delta, 1), (e, end - s)]
+        else:
+            pieces = [(e, end - start + 1)]
+        for exp, count in pieces:
+            if count == 0:
+                continue
+            if runs and runs[-1].exponent == exp:
+                runs[-1] = Run(exp, runs[-1].count + count)
+            else:
+                runs.append(Run(exp, count))
+    if drop_top:
+        last = runs.pop()
+        if last.count > 1:
+            runs.append(Run(last.exponent, last.count - 1))
+    while runs and runs[-1].exponent == 0:
+        runs.pop()
+    if not runs:
+        raise DomainError("empty candidate (all exponents zero)")
+    # the last run is positive, so strictly decreasing runs have no zeros
+    canonical = all(runs[k].exponent > runs[k + 1].exponent
+                    for k in range(len(runs) - 1))
+    return CandidateFactorization(runs=tuple(runs), canonical=canonical)
+
+
+def _divided(c: CandidateFactorization, s: int) -> CandidateFactorization:
+    """n / p_s, for a_s >= 1."""
+    a = c.a(s)
+    if a < 1:
+        raise DomainError(f"p_{s} does not divide the candidate")
+    if a == 1 and s != c.r:
         raise InvariantError(f"divide at interior index {s} would leave a hole")
-    return CandidateFactorization.from_exponents(exps)
+    return _edited(c, s, -1, drop_top=False)
+
+
+def _swapped(c: CandidateFactorization, s: int) -> CandidateFactorization:
+    """n * p_s with position r removed, for 1 <= s < r."""
+    if not 1 <= s < c.r:
+        raise DomainError(f"swap index must satisfy 1 <= s < r = {c.r}")
+    return _edited(c, s, 1, drop_top=True)
 
 
 def report_to_json_str(report: AuditReport) -> str:

@@ -4,9 +4,14 @@ A candidate n = p_1^{a_1} ... p_r^{a_r} is stored as runs of equal
 exponents, so primorial-like numbers with millions of prime factors stay
 O(#runs) in memory.  Analytic quantities (log n, rho = sigma(n)/n, G,
 n/phi(n)) are certified enclosures built from exact big-integer products
-per run, taking one outward-rounded logarithm or division per chunk.
-Exponents too large for exact powers fall back to interval forms, so
-candidates like 2^(10^14) still evaluate.
+over cells of 512 consecutive prime positions on a fixed grid (positions
+1..512, 513..1024, ...; a run is cut at run ends and cell edges), taking
+one outward-rounded logarithm or division per cell.  Because cells sit at
+fixed positions, the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do
+not depend on the exponents: one audit or normalize call forms each of
+them once and shares it between log n, rho, n/phi, the primorial margin
+M(r) and every normalize step.  Exponents too large for exact powers fall
+back to interval forms, so candidates like 2^(10^14) still evaluate.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ from .intervals import (
 )
 from .primes import PrimeTable
 
-_CHUNK = 1 << 16
+# Cell width in prime positions.  Exact products of a few thousand bits
+# keep CPython's big-int multiplication cheap; wider cells cost
+# superlinearly more.
+_CHUNK = 512
 # Above this bit count, p^e is not formed exactly; analytic forms are used.
 _EXACT_POW_BITS = 1 << 14
 _EXPLICIT_LIMIT = 1_000_000
@@ -279,13 +287,33 @@ def _prod(values) -> int:
     return items[0]
 
 
-def _chunks(t: PrimeTable, start: int, end: int):
-    """Yield the primes p_start..p_end (1-based inclusive) as int lists."""
+def _chunks(start: int, end: int) -> Iterator[tuple[int, int]]:
+    """Split positions start..end (1-based inclusive) at the cell edges
+    k * _CHUNK, yielding (i, j) per piece."""
     i = start
     while i <= end:
-        j = min(i + _CHUNK - 1, end)
-        yield t.slice(i, j).tolist(), i, j
+        j = min((i - 1) // _CHUNK * _CHUNK + _CHUNK, end)
+        yield i, j
         i = j + 1
+
+
+class _Products:
+    """Exact products Pi (p + shift), shift in {-1, 0, 1}, over p_i..p_j,
+    each formed on first use.  Keyed by prime positions only, so one
+    object serves every candidate over the same primes.  Callers create
+    one per audit or normalize call and drop it with the call."""
+
+    def __init__(self):
+        self._cells: dict[tuple[int, int, int], int] = {}
+
+    def get(self, t: PrimeTable, i: int, j: int, shift: int = 0) -> int:
+        key = (i, j, shift)
+        v = self._cells.get(key)
+        if v is None:
+            primes = t.slice(i, j).tolist()
+            v = _prod([p + shift for p in primes] if shift else primes)
+            self._cells[key] = v
+        return v
 
 
 def _pow_bits(p: int, e: int) -> int:
@@ -293,15 +321,17 @@ def _pow_bits(p: int, e: int) -> int:
 
 
 def log_n(c: CandidateFactorization, t: PrimeTable,
-          prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+          prec: int = DEFAULT_PRECISION_BITS, *,
+          products: Optional[_Products] = None) -> IntervalScalar:
     """Enclosure of log n = sum a_i log p_i (natural log)."""
     _require_table(c, t)
+    products = _Products() if products is None else products
     total = iv_from_int(0)
     for start, end, e in c.run_bounds():
         if e == 0:
             continue
-        for primes, _, _ in _chunks(t, start, end):
-            block = iv_log(iv_from_int_rounded(_prod(primes), prec), prec)
+        for i, j in _chunks(start, end):
+            block = iv_log(iv_from_int_rounded(products.get(t, i, j), prec), prec)
             if e != 1:
                 block = iv_mul(iv_from_int(e), block, prec)
             total = iv_add(total, block, prec)
@@ -330,22 +360,25 @@ def _sigma_factor_interval(p: int, e: int, prec: int) -> IntervalScalar:
 
 
 def rho(c: CandidateFactorization, t: PrimeTable,
-        prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+        prec: int = DEFAULT_PRECISION_BITS, *,
+        products: Optional[_Products] = None) -> IntervalScalar:
     """Enclosure of rho(n) = sigma(n)/n."""
     _require_table(c, t)
+    products = _Products() if products is None else products
     total = iv_from_int(1)
     for start, end, e in c.run_bounds():
         if e == 0:
             continue
-        for primes, _, _ in _chunks(t, start, end):
+        for i, j in _chunks(start, end):
             if e == 1:
-                num = _prod([p + 1 for p in primes])
-                den = _prod(primes)
-            elif _pow_bits(max(primes), e + 1) <= _EXACT_POW_BITS:
-                num = _prod([p ** (e + 1) - 1 for p in primes])
-                den = _prod([p**e * (p - 1) for p in primes])
+                num = products.get(t, i, j, 1)
+                den = products.get(t, i, j)
+            elif _pow_bits(t.nth_prime(j), e + 1) <= _EXACT_POW_BITS:
+                num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
+                # Pi p^e (p - 1)
+                den = products.get(t, i, j) ** e * products.get(t, i, j, -1)
             else:
-                for p in primes:
+                for p in t.slice(i, j).tolist():
                     total = iv_mul(total, _sigma_factor_interval(p, e, prec), prec)
                 continue
             block = iv_div(
@@ -355,39 +388,19 @@ def rho(c: CandidateFactorization, t: PrimeTable,
     return total
 
 
-def rho_exact(c: CandidateFactorization, t: PrimeTable) -> Fraction:
-    """Exact rho(n) as a Fraction; refuses astronomically large exponents."""
-    _require_table(c, t)
-    num = 1
-    den = 1
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        for primes, _, _ in _chunks(t, start, end):
-            if _pow_bits(max(primes), e + 1) > _EXACT_POW_BITS:
-                raise ResourceBudgetError(
-                    f"exponent {e} too large for exact rho"
-                )
-            if e == 1:
-                num *= _prod([p + 1 for p in primes])
-                den *= _prod(primes)
-            else:
-                num *= _prod([p ** (e + 1) - 1 for p in primes])
-                den *= _prod([p**e * (p - 1) for p in primes])
-    return Fraction(num, den)
-
-
 def n_over_phi(c: CandidateFactorization, t: PrimeTable,
-               prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+               prec: int = DEFAULT_PRECISION_BITS, *,
+               products: Optional[_Products] = None) -> IntervalScalar:
     """Enclosure of n/phi(n) = prod p/(p-1) over the prime support."""
     _require_table(c, t)
+    products = _Products() if products is None else products
     total = iv_from_int(1)
     for start, end, e in c.run_bounds():
         if e == 0:
             continue
-        for primes, _, _ in _chunks(t, start, end):
-            num = _prod(primes)
-            den = _prod([p - 1 for p in primes])
+        for i, j in _chunks(start, end):
+            num = products.get(t, i, j)
+            den = products.get(t, i, j, -1)
             total = iv_mul(
                 total,
                 iv_div(iv_from_int_rounded(num, prec),
@@ -397,23 +410,12 @@ def n_over_phi(c: CandidateFactorization, t: PrimeTable,
     return total
 
 
-def n_over_phi_exact(c: CandidateFactorization, t: PrimeTable) -> Fraction:
-    _require_table(c, t)
-    num = 1
-    den = 1
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        for primes, _, _ in _chunks(t, start, end):
-            num *= _prod(primes)
-            den *= _prod([p - 1 for p in primes])
-    return Fraction(num, den)
-
-
 def big_g(c: CandidateFactorization, t: PrimeTable,
           prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of G(n) = rho(n) / log log n; needs log n certainly > 1."""
-    return iv_div(rho(c, t, prec), loglog_n(c, t, prec), prec)
+    products = _Products()
+    lg = log_n(c, t, prec, products=products)
+    return iv_div(rho(c, t, prec, products=products), _loglog_from(lg, prec), prec)
 
 
 def _sigma_ratio_divide(p: int, a: int, prec: int) -> Union[Fraction, IntervalScalar]:
@@ -435,7 +437,8 @@ def _sigma_ratio_divide(p: int, a: int, prec: int) -> Union[Fraction, IntervalSc
 
 
 def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
-                   prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+                   prec: int = DEFAULT_PRECISION_BITS, *,
+                   products: Optional[_Products] = None) -> IntervalScalar:
     """Enclosure of G(n) / G(n / p_s).
 
     Computed from local data: the sigma ratio at p_s is exact rational and
@@ -447,7 +450,7 @@ def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
         raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
     p = t.nth_prime(s)
-    lg = log_n(c, t, prec)
+    lg = log_n(c, t, prec, products=products)
     lg1 = iv_sub(lg, iv_log(iv_from_int(p), prec), prec)
     ratio_sigma = _sigma_ratio_divide(p, a, prec)
     if not isinstance(ratio_sigma, IntervalScalar):
@@ -457,7 +460,8 @@ def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
 
 
 def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
-                 prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+                 prec: int = DEFAULT_PRECISION_BITS, *,
+                 products: Optional[_Products] = None) -> IntervalScalar:
     """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r.
 
     Requires a_r == 1 (the top prime is removed entirely) and s < r.
@@ -492,7 +496,7 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
             prec,
         )
         sig_iv = iv_mul(core, iv_from_fraction(Fraction(p_r + 1, p_r), prec), prec)
-    lg = log_n(c, t, prec)
+    lg = log_n(c, t, prec, products=products)
     lg1 = iv_add(
         iv_sub(lg, iv_log(iv_from_int(p_r), prec), prec),
         iv_log(iv_from_int(p_s), prec),
@@ -521,8 +525,8 @@ def materialize(c: CandidateFactorization, t: PrimeTable,
     for start, end, e in c.run_bounds():
         if e == 0:
             continue
-        for primes, _, _ in _chunks(t, start, end):
-            n *= _prod([p**e for p in primes])
+        for i, j in _chunks(start, end):
+            n *= _prod(t.slice(i, j).tolist()) ** e
     return n
 
 

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinaudit.audit import (
+    _divided,
+    _swapped,
     CHECK_IDS,
     FAIL,
     IN_WINDOW,
@@ -31,7 +33,7 @@ from robinaudit.audit import (
     report_to_json_str,
     run_check,
 )
-from robinaudit.errors import DomainError, TableTooSmallError
+from robinaudit.errors import DomainError, InvariantError, TableTooSmallError
 from robinaudit.factored import CandidateFactorization, log_n
 from robinaudit.intervals import iv_from_int
 from robinaudit.primes import PrimeTable
@@ -398,3 +400,54 @@ class TestNormalize:
         once = normalize(cand(1, 1, 1, 1, 1, 1), table_1e6)
         again = normalize(once.candidate, table_1e6)
         assert again.steps == 0 and again.status == IN_WINDOW
+
+    def test_beyond_a_million_positions(self):
+        # wider than an exponent list may be expanded to
+        t = PrimeTable.build(18_000_000)
+        c = CandidateFactorization.from_runs([(3, 1), (1, 1_100_000)])
+        r = c.r
+        res = normalize(c, t, step_limit=2)
+        assert res.status == STEP_LIMIT
+        # log n < p_r, so only swaps; the largest s with a_s = 1 < L(p_s)
+        # is the last s with p_s^2 <= p_r
+        p_r = t.nth_prime(r)
+        assert t.nth_prime(570) ** 2 <= p_r < t.nth_prime(571) ** 2
+        assert [(s["action"], s["index"], s["removed_prime"]) for s in res.trace] == [
+            ("swap", 570, p_r), ("swap", 569, t.nth_prime(r - 1))]
+        assert all(s["ratio_certainly_below_one"] for s in res.trace)
+        assert res.candidate.runs == ((3, 1), (1, 567), (2, 2), (1, r - 572))
+        assert not res.candidate.canonical
+
+
+def _edit_by_list(c, s, delta, drop_top):
+    """The exponent-list edit that normalize's run edits replace."""
+    exps = c.exponents_list()
+    exps[s - 1] += delta
+    if exps[s - 1] == 0 and s != len(exps):
+        raise InvariantError(f"divide at interior index {s} would leave a hole")
+    if drop_top:
+        exps.pop()
+    return CandidateFactorization.from_exponents(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
+def test_run_edits_match_exponent_list_path(exps):
+    if not any(exps):
+        exps = exps + [1]
+    c = CandidateFactorization.from_exponents(exps)
+    for s in range(1, c.r + 1):
+        if c.a(s) >= 1:
+            try:
+                want = _edit_by_list(c, s, -1, False)
+            except (InvariantError, DomainError) as e:
+                # an interior hole, or nothing left after the last factor
+                with pytest.raises(type(e)):
+                    _divided(c, s)
+            else:
+                got = _divided(c, s)
+                assert (got.runs, got.canonical) == (want.runs, want.canonical)
+        if s < c.r:
+            want = _edit_by_list(c, s, 1, True)
+            got = _swapped(c, s)
+            assert (got.runs, got.canonical) == (want.runs, want.canonical)

@@ -358,13 +358,19 @@ def run_console_script(args, cwd):
     ``robinaudit`` package this process imported, not an installed copy.
     """
     target = pyproject()["project"]["scripts"]["robinaudit"]
+    return run_child(["-c", _LAUNCHER, "robinaudit", target, *args], cwd)
+
+
+def run_child(args, cwd):
+    """``sys.executable`` with ``args``, importing the ``robinaudit``
+    package this process imported, with ROBIN_PRECISION_BITS removed."""
     pkg_root = str(Path(robinaudit.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "ROBIN_PRECISION_BITS"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, "robinaudit", target, *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
 
@@ -387,3 +393,15 @@ class TestConsoleScript:
         payload = json.loads(proc.stdout)
         jsonschema.validate(payload, schema("audit_report.schema.json"))
         assert payload["summary"]["result"] == "excluded"
+
+    def test_python_dash_m(self, tmp_path):
+        proc = run_child(["-m", "robinaudit", "--version"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == robinaudit.__version__
+        proc = run_child(
+            ["-m", "robinaudit", "audit", CAND_5040, "--prime-limit", "100"],
+            tmp_path,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["summary"]["result"] == "excluded"

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import n_over_phi_exact, rho_exact
 
+from robinaudit.audit import compute_m
 from robinaudit.errors import (
     CandidateFormatError,
     DomainError,
@@ -14,7 +17,10 @@ from robinaudit.errors import (
     TableTooSmallError,
 )
 from robinaudit.factored import (
+    _CHUNK,
     CandidateFactorization,
+    _chunks,
+    _Products,
     big_g,
     g_ratio_divide,
     g_ratio_swap,
@@ -23,9 +29,7 @@ from robinaudit.factored import (
     loglog_n,
     materialize,
     n_over_phi,
-    n_over_phi_exact,
     rho,
-    rho_exact,
 )
 from robinaudit.intervals import iv_compare, Comparison
 
@@ -192,6 +196,55 @@ def test_n_over_phi_matches_sympy(table_1e6):
         exact = Fraction(n, int(sympy.totient(n)))
         assert n_over_phi_exact(c, table_1e6) == exact
         assert n_over_phi(c, table_1e6).contains(exact)
+
+
+# Runs that straddle the cell edges at positions 512, 1024, ...; the
+# second candidate is non-canonical, with zero runs across an edge.
+WIDE = CandidateFactorization.from_runs([(5, 3), (3, 600), (2, 700), (1, 1500)])
+HOLEY = CandidateFactorization.from_exponents(
+    [2] * 10 + [0] * 520 + [1] * 600 + [3] * 5 + [0] * 3 + [1] * 400)
+
+
+def _mp_log_n(c, t):
+    """sum a_i log p_i as an exact Fraction of a 512-bit mpmath sum."""
+    with mpmath.mp.workprec(512):
+        total = mpmath.mpf(0)
+        for start, end, e in c.run_bounds():
+            for p in t.slice(start, end).tolist():
+                total += e * mpmath.log(p)
+        man, exp = total.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_cells_sit_on_a_fixed_grid():
+    assert _CHUNK == 512
+    assert list(_chunks(4, 600)) == [(4, 512), (513, 600)]
+    assert list(_chunks(601, 1300)) == [(601, 1024), (1025, 1300)]
+    assert list(_chunks(1024, 1025)) == [(1024, 1024), (1025, 1025)]
+
+
+@pytest.mark.parametrize("c", [WIDE, HOLEY], ids=["canonical", "holes"])
+def test_aggregates_across_cell_edges(c, table_1e6):
+    assert c.r > 2 * _CHUNK
+    assert rho(c, table_1e6).contains(rho_exact(c, table_1e6))
+    assert n_over_phi(c, table_1e6).contains(n_over_phi_exact(c, table_1e6))
+    lg = log_n(c, table_1e6)
+    assert lg.contains(_mp_log_n(c, table_1e6))
+    assert lg.width() < Fraction(1, 10**30)
+
+
+def test_shared_products_give_fresh_endpoints(table_1e6):
+    # one object for both candidates and the primorials, so later calls
+    # read cells that earlier ones formed
+    shared = _Products()
+    for c in (WIDE, HOLEY):
+        for f in (log_n, rho, n_over_phi):
+            fresh = f(c, table_1e6)
+            again = f(c, table_1e6, products=shared)
+            assert (again.lo, again.hi) == (fresh.lo, fresh.hi), f.__name__
+        fresh = compute_m(c.r, table_1e6)
+        again = compute_m(c.r, table_1e6, products=shared)
+        assert (again.lo, again.hi) == (fresh.lo, fresh.hi)
 
 
 def test_big_g_oracles(table_1e6):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from robinaudit.errors import DomainError, ResourceBudgetError, TableTooSmallError
-from robinaudit.factored import CandidateFactorization, materialize, rho_exact
+from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
     ca_candidate,
