@@ -1,10 +1,18 @@
 """Exact sigma sieves, range verification, and candidate generators.
 
+sigma_range is a multiplicative segmented sieve: for every prime p up to
+sqrt(hi) it folds sigma(p^a) into strided numpy views at the multiples of
+p, p^2, ..., and the cofactor left above 1 is one prime q, worth 1 + q.
+
 verify_range checks sigma(n) < e^gamma n log log n for every n in a range
-with exact divisor sums and certified thresholds: a fast per-block screen
-discards the overwhelming majority, and only screened survivors get a
-per-n interval comparison (escalating precision until the comparison is
-strict or the retry ladder is exhausted).
+with exact divisor sums and certified thresholds.  The threshold is convex
+for n > e, so its tangent at a segment's start, rounded down to exact
+int64 arithmetic, is a lower bound over the whole segment (segments that
+more than double their start take a tangent per doubling): it discards
+the overwhelming majority, and only screened survivors get a per-n interval
+comparison (escalating precision until the comparison is strict or the
+retry ladder is exhausted).  Ranges end at 10^18, where sigma(n) still fits
+int64.
 
 superabundant_up_to scans abundancy records sigma(n)/n exactly, and
 ca_candidate builds the exponent vector that maximizes the sigma ratio per
@@ -30,49 +38,58 @@ from .intervals import (
     IntervalScalar,
     constants,
     escalate,
+    iv_add,
     iv_compare,
     iv_div,
-    iv_from_fraction,
     iv_from_int,
     iv_log,
     iv_mul,
     iv_pow,
     iv_sub,
 )
-from .primes import PrimeTable
+from .primes import PrimeTable, _prime_chunks
 
 _SEGMENT = 1 << 20
-_SCREEN_BLOCK = 1 << 12
+# sigma(n) < e^gamma n log log n + 0.6483 n / log log n < 6.9e18 up to here,
+# so sigma and the tangent screen fit int64
+_MAX_N = 10**18
 
 
 def sigma_range(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for n in [lo, hi] inclusive, exact, as int64.
+    """sigma(n) for n in [lo, hi] inclusive, exact, as int64; hi <= 10^18.
 
-    Divisor-pair accumulation: every d <= sqrt(m) contributes d + m/d,
-    and perfect squares subtract the double-counted sqrt(m).
+    For each prime p <= sqrt(hi), the multiples of p^a trade their factor
+    sigma(p^(a-1)) for sigma(p^a) in place, and ``part`` collects the
+    powers of those primes in n.  What is left, n / part, is 1 or one
+    prime q > sqrt(hi).
     """
     if lo < 1 or hi < lo:
         raise DomainError(f"bad sigma range [{lo}, {hi}]")
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
-    end = hi + 1
-    for d in range(1, math.isqrt(hi) + 1):
-        first = max(d * d, ((lo + d - 1) // d) * d)
-        if first >= end:
-            continue
-        mult = np.arange(first, end, d, dtype=np.int64)
-        out[mult - lo] += d + mult // d
-    k0 = math.isqrt(lo - 1) + 1
-    for k in range(k0, math.isqrt(hi) + 1):
-        out[k * k - lo] -= k
+    if hi > _MAX_N:
+        raise DomainError(f"sigma range ends at {hi}, above the int64 cap 10^18")
+    size = hi - lo + 1
+    out = np.ones(size, dtype=np.int64)
+    part = np.ones(size, dtype=np.int64)
+    for chunk in _prime_chunks(math.isqrt(hi)):
+        for p in chunk.tolist():
+            q, prev = p, 1  # q = p^a, prev = sigma(p^(a-1))
+            while q <= hi:
+                first = -lo % q
+                if first >= size:
+                    break
+                cur = prev * p + 1
+                hits = out[first::q]
+                if prev > 1:
+                    hits //= prev
+                hits *= cur
+                part[first::q] *= p
+                prev = cur
+                q *= p
+    cofactor = np.arange(lo, hi + 1, dtype=np.int64)
+    cofactor //= part
+    cofactor += cofactor > 1  # a prime q contributes 1 + q, the unit 1
+    out *= cofactor
     return out
-
-
-def _screen_float_below(x: Fraction) -> float:
-    """A float guaranteed <= x (for conservative screening)."""
-    f = float(x)
-    while Fraction(f) > x:
-        f = math.nextafter(f, -math.inf)
-    return f
 
 
 def _threshold(n: int, prec: int) -> IntervalScalar:
@@ -83,6 +100,33 @@ def _threshold(n: int, prec: int) -> IntervalScalar:
         iv_log(lg, prec),
         prec,
     )
+
+
+def _tangent_screen(a: int, size: int, prec: int) -> np.ndarray:
+    """Integers screen[k] <= e^gamma (a+k) log log (a+k) for 0 <= k < size.
+
+    The threshold T is convex for n > e, so on a piece starting at b,
+    T(b) + T'(b) j lies below it, with T'(b) = e^gamma (log log b + 1/log b).
+    A = floor(T(b).lo) and B = floor(T'(b).lo 2^32) round both down, and
+    A + ((B j) >> 32) is exact int64 arithmetic (B < 2^35 for b <= 10^18,
+    so B j < 2^63 while size <= 2^26), and every entry is at most T(b + j).  On pieces [b, 2b) each tangent stays within 1 % of T from
+    b = 5041 on, and from b = 2^20 on a 2^20 segment is one piece.
+    """
+    screen = np.arange(size, dtype=np.int64)
+    b, end = a, a + size
+    while b < end:
+        piece = screen[b - a : min(2 * b, end) - a]
+        lg = iv_log(iv_from_int(b), prec)
+        slope = iv_mul(constants(prec).exp_gamma,
+                       iv_add(iv_log(lg, prec), iv_div(1, lg, prec), prec), prec)
+        A = math.floor(_threshold(b, prec).lo)
+        B = math.floor(slope.lo * (1 << 32))
+        piece -= b - a
+        piece *= B
+        piece >>= 32
+        piece += A
+        b *= 2
+    return screen
 
 
 @dataclass(frozen=True)
@@ -130,32 +174,31 @@ def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
 
     Every n with a certified violation lands in ``violations``; n whose
     comparison stayed indeterminate after the retry ladder land in
-    ``unknowns`` (none are silently dropped).
+    ``unknowns`` (none are silently dropped).  hi may be at most 10^18 and
+    segment at most 2^26, where sigma(n) and the int64 screen still fit;
+    beyond either, DomainError.
     """
     if lo < 3:
         raise DomainError(f"range starts at {lo}; log log n needs n >= 3")
     if hi < lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
+    if hi > _MAX_N:
+        raise DomainError(f"range ends at {hi}, above the int64 cap 10^18")
+    if not 1 <= segment <= 1 << 26:
+        raise DomainError(f"segment must be in [1, 2^26], got {segment}")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
     seg_lo = lo
     while seg_lo <= hi:
         seg_hi = min(seg_lo + segment - 1, hi)
         sig = sigma_range(seg_lo, seg_hi)
-        blk_lo = seg_lo
-        while blk_lo <= seg_hi:
-            blk_hi = min(blk_lo + _SCREEN_BLOCK - 1, seg_hi)
-            # sigma(n) below the threshold at the block start certainly
-            # holds for every n in the block (the threshold is increasing)
-            screen = _screen_float_below(_threshold(blk_lo, prec).lo)
-            window = sig[blk_lo - seg_lo : blk_hi - seg_lo + 1]
-            for off in np.flatnonzero(window >= screen):
-                n = blk_lo + int(off)
-                rec = _classify(n, int(window[off]), prec)
-                if rec.verdict == "fails":
-                    result.violations.append(rec)
-                elif rec.verdict == "unknown":
-                    result.unknowns.append(rec)
-            blk_lo = blk_hi + 1
+        # sigma(n) below the screen certainly holds
+        survivors = np.flatnonzero(sig >= _tangent_screen(seg_lo, sig.size, prec))
+        for off in survivors.tolist():
+            rec = _classify(seg_lo + off, int(sig[off]), prec)
+            if rec.verdict == "fails":
+                result.violations.append(rec)
+            elif rec.verdict == "unknown":
+                result.unknowns.append(rec)
         seg_lo = seg_hi + 1
     return result
 
@@ -184,24 +227,32 @@ class AbundanceRecord:
 def superabundant_up_to(limit: int, segment: int = _SEGMENT) -> list[AbundanceRecord]:
     """All n <= limit with sigma(n)/n strictly above every smaller n's value.
 
-    Record confirmation is exact integer cross-multiplication; a slightly
-    loosened float screen only pre-filters candidates.
+    Record confirmation is exact integer cross-multiplication.  A float
+    screen only pre-filters: n passes when fl(sigma/n) exceeds the running
+    maximum of the earlier fl(sigma/m), times 1 - 1e-9.  It cannot hide a
+    record: for limit <= 10^15, sigma(n) and n are below 2^53 and exact,
+    each of the three roundings on the way (two quotients, one product)
+    errs by a relative 2^-53 at most, and 1e-9 >> 3 * 2^-53.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
+    if limit > 10**15:
+        raise DomainError(f"limit {limit} above 10^15, where sigma(n) leaves float64")
     records: list[AbundanceRecord] = []
     best_num, best_den = 0, 1
     seg_lo = 1
     while seg_lo <= limit:
         seg_hi = min(seg_lo + segment - 1, limit)
         sig = sigma_range(seg_lo, seg_hi)
-        ns = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        # screen against the record entering the segment, loosened so float
-        # rounding can never hide a true record
-        lhs = sig.astype(np.float64) * float(best_den)
-        rhs = ns.astype(np.float64) * float(best_num) * (1.0 - 1e-9)
-        for off in np.flatnonzero(lhs > rhs):
-            n = seg_lo + int(off)
+        ratio = sig / np.arange(seg_lo, seg_hi + 1, dtype=np.float64)
+        # best[i] = max(entering record, ratio[:i])
+        best = np.empty_like(ratio)
+        best[0] = best_num / best_den
+        best[1:] = ratio[:-1]
+        np.maximum.accumulate(best, out=best)
+        best *= 1.0 - 1e-9
+        for off in np.flatnonzero(ratio > best).tolist():
+            n = seg_lo + off
             s = int(sig[off])
             if s * best_den > best_num * n:
                 records.append(AbundanceRecord(n, s))

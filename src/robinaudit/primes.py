@@ -13,7 +13,7 @@ import struct
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -63,6 +63,23 @@ def _sieve_odd_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return (lo + 2 * np.flatnonzero(flags)).astype(np.int64)
 
 
+def _prime_chunks(limit: int, segment_size: int = _DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
+    """All primes <= limit as increasing int64 arrays, one sieve segment
+    each, so a caller that walks them holds one segment at a time."""
+    if limit < 2:
+        return
+    base = np.flatnonzero(_simple_sieve(max(isqrt(limit), 3))).astype(np.int64)
+    odd_base = base[base > 2]
+    yield np.array([2], dtype=np.int64)
+    lo = 3
+    while lo <= limit:
+        hi = min(lo + segment_size, limit + 1)
+        yield _sieve_odd_segment(lo, hi, odd_base)
+        lo = hi
+        if lo % 2 == 0:
+            lo += 1
+
+
 class PrimeTable:
     """All primes up to ``limit`` as a sorted int64 array, 1-based indexing."""
 
@@ -76,19 +93,7 @@ class PrimeTable:
     def build(cls, limit: int, segment_size: int = _DEFAULT_SEGMENT) -> "PrimeTable":
         if limit < 2:
             return cls(max(limit, 0), np.empty(0, dtype=np.int64))
-        root = isqrt(limit)
-        base = _simple_sieve(max(root, 3))
-        base_primes = np.flatnonzero(base).astype(np.int64)
-        odd_base = base_primes[base_primes > 2]
-        chunks = [np.array([2], dtype=np.int64)]
-        lo = 3
-        while lo <= limit:
-            hi = min(lo + segment_size, limit + 1)
-            chunks.append(_sieve_odd_segment(lo, hi, odd_base))
-            lo = hi
-            if lo % 2 == 0:
-                lo += 1
-        return cls(limit, np.concatenate(chunks))
+        return cls(limit, np.concatenate(list(_prime_chunks(limit, segment_size))))
 
     def __len__(self) -> int:
         return int(self._primes.size)
@@ -246,15 +251,16 @@ def dusart_gap_holds(x: int, table: Optional[PrimeTable] = None,
             return table.next_prime(x) <= end
         except TableTooSmallError:
             return False
-    # Sieve just the window (x, end].
-    root = isqrt(end)
-    base = _gap_base_primes(root)
+    # Sieve just the window (x, end]: a prime p >= size hits it at most once,
+    # so one fancy store clears those and only the few smaller p loop.
+    base = _gap_base_primes(isqrt(end))
     lo = x + 1
     size = end - lo + 1
     flags = np.ones(size, dtype=bool)
-    for p in base:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= end:
-            flags[start - lo :: p] = False
+    first = np.maximum(base * base, lo + (-lo) % base) - lo
+    small = int(np.searchsorted(base, size))
+    for p, f in zip(base[:small].tolist(), first[:small].tolist()):
+        flags[f::p] = False
+    big = first[small:]
+    flags[big[big < size]] = False
     return bool(flags.any())

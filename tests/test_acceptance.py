@@ -31,7 +31,6 @@ from robinaudit.factored import (
 )
 from robinaudit.generators import (
     ca_sweep,
-    sigma_range,
     superabundant_up_to,
     verify_range,
 )
@@ -42,6 +41,8 @@ from robinaudit.intervals import (
     iv_from_int,
 )
 from robinaudit.primes import dusart_gap_holds, DUSART_GAP_THRESHOLD
+
+from oracles import sigma_divisor_pairs
 
 # the 26 classical exceptions below 5041, frozen from the literature
 EXCEPTIONS_ORACLE = [
@@ -111,7 +112,7 @@ def test_criterion_3_abundance_records_match_brute_force(sa_million):
     lo = 1
     while lo <= 10**6:
         hi = min(10**6, lo + seg - 1)
-        for off, s in enumerate(sigma_range(lo, hi).tolist()):
+        for off, s in enumerate(sigma_divisor_pairs(lo, hi).tolist()):
             n = lo + off
             if s * best_den > best_num * n:
                 best_num, best_den = s, n

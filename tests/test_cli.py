@@ -82,6 +82,14 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--from", "10", "--to", "5"], capsys)
         assert code == 64
 
+    def test_range_above_cap_is_usage_error(self, capsys):
+        # sigma(n) would overflow int64; the answer is exit 64, never 70
+        code, out, err = run_cli(["verify", "--from", "1e19", "--to", "1e19"],
+                                 capsys)
+        assert code == 64
+        assert out == ""
+        assert "10^18" in err and "internal error" not in err
+
 
 class TestSaCommand:
     def test_records_prefix(self, capsys):

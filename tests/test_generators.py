@@ -1,5 +1,7 @@
 """Sigma sieve, range verification, abundancy records, CA construction."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,8 @@ from robinaudit.errors import DomainError, ResourceBudgetError, TableTooSmallErr
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
+    _tangent_screen,
+    _threshold,
     ca_candidate,
     ca_sweep,
     robin_exceptions,
@@ -17,6 +21,8 @@ from robinaudit.generators import (
     superabundant_up_to,
     verify_range,
 )
+
+from oracles import sigma_divisor_pairs
 
 # The complete list of failures below 5041 (classical; frozen as oracle).
 ROBIN_EXCEPTIONS = [
@@ -49,6 +55,66 @@ def test_sigma_range_rejects_bad_bounds():
         sigma_range(10, 5)
 
 
+_P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 4096),
+    (5041, 5041 + 4095),
+    (10**7, 10**7 + 4095),
+    (10**9, 10**9 + 4095),
+    (10**10, 10**10 + 4095),
+    (_P * _P - 2000, _P * _P + 2000),  # holds p^2 for p just below sqrt(hi)
+    (3**20, 3**20 + 4095),  # starts on a prime power
+    (2**33, 2**33 + 4095),
+    (1, 1),
+    (5040, 5040),
+    (_P, _P),
+    (_P * _P, _P * _P),
+    (10**10, 10**10),
+])
+def test_sigma_range_matches_divisor_pairs(lo, hi):
+    assert np.array_equal(sigma_range(lo, hi), sigma_divisor_pairs(lo, hi))
+
+
+def test_sigma_range_cap():
+    with pytest.raises(DomainError):
+        sigma_range(10**18, 10**18 + 1)
+    with pytest.raises(DomainError):
+        verify_range(10**18 + 1, 10**18 + 1)
+    with pytest.raises(DomainError):
+        verify_range(10**19, 10**19)
+    with pytest.raises(DomainError):  # B j of the screen would pass 2^63
+        verify_range(5041, 6000, segment=(1 << 26) + 1)
+    with pytest.raises(DomainError):
+        verify_range(5041, 6000, segment=0)
+
+
+@pytest.mark.parametrize("a", [3, 5041, 10**10])
+def test_tangent_screen_below_threshold(a):
+    size = 1 << 20
+    screen = _tangent_screen(a, size, 128)
+    assert screen.dtype == np.int64 and screen.size == size
+    rng = random.Random(a)
+    ks = [0, 1, 2, 3, size // 2, size - 2, size - 1]
+    ks += [rng.randrange(size) for _ in range(40)]
+    for k in ks:
+        assert int(screen[k]) <= math.floor(_threshold(a + k, 128).lo), k
+    # non-decreasing, and within 1 % of the threshold from 5041 on
+    assert np.all(np.diff(screen) >= 0)
+    assert int(screen[0]) == math.floor(_threshold(a, 128).lo)
+    if a >= 5041:
+        for k in ks:
+            assert int(screen[k]) >= 0.99 * _threshold(a + k, 128).lo, k
+
+
+def test_tangent_screen_exhaustive_short_segments():
+    for a in range(3, 200, 7):
+        screen = _tangent_screen(a, 7, 128)
+        for k in range(7):
+            assert int(screen[k]) <= math.floor(_threshold(a + k, 128).lo)
+
+
 def test_verify_range_finds_all_exceptions():
     res = verify_range(3, 5040)
     assert [r.n for r in res.violations] == ROBIN_EXCEPTIONS
@@ -63,6 +129,16 @@ def test_verify_range_clean_above_5040():
     res = verify_range(5041, 100000)
     assert res.violations == []
     assert res.unknowns == []
+
+
+@pytest.mark.parametrize("segment", [7, 4096, 1 << 20])
+def test_verify_range_segment_sizes_agree(segment):
+    res = verify_range(3, 20000, segment=segment)
+    assert [r.n for r in res.violations] == ROBIN_EXCEPTIONS
+    assert [(r.sigma, r.verdict) for r in res.violations] == [
+        (int(sympy.divisor_sigma(n)), "fails") for n in ROBIN_EXCEPTIONS]
+    assert res.unknowns == []
+    assert res.checked == 19998
 
 
 def test_verify_range_preconditions():
@@ -92,7 +168,7 @@ def test_superabundant_prefix():
     rhos = [r.rho for r in recs]
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
     # and each n is a true record against a brute scan
-    sig = sigma_range(1, 2000)
+    sig = sigma_divisor_pairs(1, 2000)
     best = Fraction(0)
     brute = []
     for n in range(1, 2001):
@@ -112,6 +188,16 @@ def test_superabundant_record_values():
 def test_superabundant_bad_limit():
     with pytest.raises(DomainError):
         superabundant_up_to(0)
+    with pytest.raises(DomainError):
+        superabundant_up_to(10**15 + 1)  # sigma(n) would leave float64
+
+
+def test_superabundant_segments_agree():
+    # a record found in one segment must screen the next segment's start
+    want = [(r.n, r.sigma) for r in superabundant_up_to(60000)]
+    for segment in (7, 1000, 1 << 12):
+        got = superabundant_up_to(60000, segment=segment)
+        assert [(r.n, r.sigma) for r in got] == want
 
 
 def test_ca_candidate_known_values(table_1e6):

@@ -1,11 +1,13 @@
 """Prime table construction, lookups, cache format, gap windows."""
 
+import random
 import struct
 
 import numpy as np
 import pytest
 import sympy
 
+from robinaudit import primes
 from robinaudit.errors import DomainError, TableTooSmallError
 from robinaudit.primes import (
     DUSART_GAP_THRESHOLD,
@@ -163,3 +165,28 @@ def test_gap_uses_table_when_it_covers():
     end = dusart_window_end(x)
     t = PrimeTable.build(end + 1000)
     assert dusart_gap_holds(x, table=t)
+
+
+def test_gap_window_matches_nextprime():
+    rng = random.Random(20261018)
+    xs = [DUSART_GAP_THRESHOLD, 10**9]
+    xs += [rng.randrange(DUSART_GAP_THRESHOLD, 10**9 + 1) for _ in range(50)]
+    for x in xs:
+        assert dusart_gap_holds(x) == (sympy.nextprime(x) <= dusart_window_end(x))
+
+
+def test_gap_window_sieve_sees_prime_gaps(monkeypatch):
+    # shortened windows (x, x + w] that may hold no prime: the window sieve
+    # must answer exactly whether the next prime falls inside
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        x = rng.randrange(DUSART_GAP_THRESHOLD, 10**9 + 1)
+        gap = sympy.nextprime(x) - x
+        cases += [(x, gap - 1), (x, gap), (x, rng.randrange(1, 2000))]
+    for x, w in cases:
+        if w < 1:
+            continue
+        monkeypatch.setattr(primes, "dusart_window_end", lambda x, prec, w=w: x + w)
+        assert dusart_gap_holds(x) == (sympy.nextprime(x) <= x + w), (x, w)
+
