@@ -25,10 +25,8 @@ from .errors import (
     PrecisionError,
 )
 from .factored import (
-    _EXACT_POW_BITS,
     CandidateFactorization,
     Run,
-    _pow_bits,
     _Products,
     _require_table,
     g_ratio_divide,
@@ -39,10 +37,12 @@ from .factored import (
     rho,
 )
 from .intervals import (
+    _EXACT_POW_BITS,
     _MAX_ESCALATIONS,
     DEFAULT_PRECISION_BITS,
     Comparison,
     IntervalScalar,
+    _pow_bits,
     constants,
     escalate,
     interval_to_json,
@@ -57,10 +57,10 @@ from .intervals import (
     iv_log,
     iv_mul,
     iv_neg,
-    iv_pow,
     iv_round,
     iv_sqrt,
     iv_sub,
+    power_below,
 )
 from .primes import PrimeTable
 
@@ -137,67 +137,35 @@ def compute_l(p_r: int, p: int) -> int:
     return int_log_floor(p_r, p)
 
 
-class _UpperBounds:
-    """U(p) = floor(log(k log n) / log p) where k is the bracket index with
-    x_{k+1} < p <= x_k and x_k = (k log n)^(1/k).
+def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
+    """U(p) = floor(log(k log n) / log p), where k is the bracket index
+    with x_{k+1} < p <= x_k and x_k = (k log n)^(1/k).
 
-    The ladder x_k is strictly decreasing for log n > 2, so the bracket is
-    found by walking k upward; the floor is then certified against exact
-    powers of p, which doubles as the consistency cross-check (the bracket
-    index and the floor must coincide)."""
-
-    def __init__(self, lg: IntervalScalar, prec: int):
-        if lg.lo <= 2:
-            raise DomainError("upper window bounds need log n certainly > 2")
-        self.lg = lg
-        self.prec = prec
-        self._x: dict[int, IntervalScalar] = {}
-        self._kl: dict[int, IntervalScalar] = {}
-
-    def _x_at(self, k: int) -> IntervalScalar:
-        if k not in self._x:
-            kl = iv_mul(iv_from_int(k), self.lg, self.prec)
-            self._kl[k] = kl
-            self._x[k] = iv_pow(kl, Fraction(1, k), self.prec) if k > 1 else kl
-        return self._x[k]
-
-    def bracket(self, p: int) -> int:
-        pv = iv_from_int(p)
-        k = 1
-        if iv_compare(pv, self._x_at(1)) is not Comparison.CERTAINLY_LESS:
-            raise DomainError(f"bracket undefined: {p} not certainly below log n")
-        while True:
-            k += 1
-            if k > 200:
-                raise InvariantError(f"bracket walk for {p} did not terminate")
-            cmp = iv_compare(pv, self._x_at(k))
-            if cmp is Comparison.CERTAINLY_GREATER:
-                return k - 1
-            if cmp is Comparison.OVERLAPPING:
-                raise _Indeterminate(f"x_{k} straddles {p}")
-
-    def u(self, p: int) -> int:
-        k = self.bracket(p)
-        kl = self._kl[k]
-        pk = Fraction(p) ** k
-        if pk > kl.hi:
-            raise InvariantError(
-                f"bracket {k} for {p} disagrees with the floor (too high)"
-            )
-        if pk * p <= kl.lo:
-            raise InvariantError(
-                f"bracket {k} for {p} disagrees with the floor (too low)"
-            )
-        if pk <= kl.lo and kl.hi < pk * p:
+    p <= x_k is p^k <= k log n.  The x_k decrease for log n > 2, so the
+    bracket is the largest k with p^k <= k log n, and then
+    p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
+    k is found by walking upward, comparing the exact p^(k+1) with an
+    enclosure of (k + 1) log n; raises _Indeterminate on overlap."""
+    if lg.lo <= 2:
+        raise DomainError("upper window bounds need log n certainly > 2")
+    if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
+        raise DomainError(f"bracket undefined: {p} not certainly below log n")
+    power = p
+    for k in range(1, 200):
+        power *= p
+        cmp = iv_compare(power, iv_mul(k + 1, lg, prec))
+        if cmp is Comparison.CERTAINLY_GREATER:
             return k
-        raise _Indeterminate(f"floor at {p} straddles a power boundary")
+        if cmp is Comparison.OVERLAPPING:
+            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
+    raise InvariantError(f"bracket walk for {p} did not terminate")
 
 
 def compute_u_from_log(lg: IntervalScalar, p: int,
                        prec: int = DEFAULT_PRECISION_BITS) -> int:
     """U(p) for a given enclosure of log n (single precision, no retry)."""
     try:
-        return _UpperBounds(lg, prec).u(p)
+        return _upper_bound(lg, p, prec)
     except _Indeterminate as e:
         raise PrecisionError(str(e), suggested_precision_bits=prec * 2) from e
 
@@ -205,18 +173,19 @@ def compute_u_from_log(lg: IntervalScalar, p: int,
 def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
               prec: int = DEFAULT_PRECISION_BITS) -> int:
     """U(p_i) for the candidate, retrying at doubled precision when a
-    bracket or floor stays indeterminate."""
+    power comparison stays indeterminate."""
     p = t.nth_prime(i)
+    products = _Products()
 
     def attempt(work: int) -> Optional[int]:
-        lg = log_n(c, t, work)
+        lg = log_n(c, t, work, products=products)
         cmp = iv_compare(iv_from_int(p), lg)
         if cmp is Comparison.CERTAINLY_GREATER:
             raise DomainError(f"U undefined at p_{i}={p}: log n is below it")
         if cmp is Comparison.OVERLAPPING:
             return None
         try:
-            return _UpperBounds(lg, work).u(p)
+            return _upper_bound(lg, p, work)
         except _Indeterminate:
             return None
 
@@ -260,7 +229,6 @@ class _AuditContext:
         self._log_n: Optional[IntervalScalar] = None
         self._rho: Optional[IntervalScalar] = None
         self._nphi: Optional[IntervalScalar] = None
-        self._ub: Optional[_UpperBounds] = None
 
     @property
     def log_n(self) -> IntervalScalar:
@@ -280,11 +248,6 @@ class _AuditContext:
             self._nphi = n_over_phi(self.c, self.t, self.prec,
                                     products=self.products)
         return self._nphi
-
-    def upper_bounds(self) -> _UpperBounds:
-        if self._ub is None:
-            self._ub = _UpperBounds(self.log_n, self.prec)
-        return self._ub
 
     def uncovered(self) -> Verdict:
         return Verdict(
@@ -421,13 +384,16 @@ def _check_upper_window(ctx: _AuditContext) -> Verdict:
              "log_n": _wit_iv(ctx.log_n, prec), "p_r": ctx.p_r},
             prec,
         )
+
+    def u(i: int) -> int:
+        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i), prec)
+
     try:
-        ub = ctx.upper_bounds()
         runs_checked = 0
         for start, end, e in ctx.c.run_bounds():
             if e == 0:
                 continue
-            u_end = ub.u(ctx.t.nth_prime(end))
+            u_end = u(end)
             runs_checked += 1
             if e <= u_end:
                 continue
@@ -435,15 +401,14 @@ def _check_upper_window(ctx: _AuditContext) -> Verdict:
             lo, hi = start, end
             while lo < hi:
                 mid = (lo + hi) // 2
-                if e > ub.u(ctx.t.nth_prime(mid)):
+                if e > u(mid):
                     hi = mid
                 else:
                     lo = mid + 1
-            p_v = ctx.t.nth_prime(lo)
             return Verdict(
                 FAIL,
-                {"index": lo, "prime": p_v, "exponent": e,
-                 "upper_bound": ub.u(p_v)},
+                {"index": lo, "prime": ctx.t.nth_prime(lo), "exponent": e,
+                 "upper_bound": u(lo)},
                 prec,
             )
         return Verdict(PASS, {"runs_checked": runs_checked}, prec)
@@ -618,18 +583,7 @@ def _check_shape_b4(ctx: _AuditContext) -> Verdict:
 
 def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int) -> bool:
     """Certified p^e < q^f; raises _Indeterminate when undecidable."""
-    if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
-        return p**e < q**f
-
-    def attempt(prec: int) -> Optional[bool]:
-        lhs = iv_mul(iv_from_int(e), iv_log(iv_from_int(p), prec), prec)
-        rhs = iv_mul(iv_from_int(f), iv_log(iv_from_int(q), prec), prec)
-        cmp = iv_compare(lhs, rhs)
-        if cmp is Comparison.OVERLAPPING:
-            return None
-        return cmp is Comparison.CERTAINLY_LESS
-
-    below = escalate(attempt, ctx.prec)
+    below = power_below(p, e, q, f, ctx.prec)
     if below is None:
         raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate")
     return below
@@ -902,11 +856,10 @@ class NormalizationResult:
 
 
 def _largest_upper_violation(ctx: _AuditContext) -> Optional[int]:
-    ub = ctx.upper_bounds()
     for start, end, e in reversed(list(ctx.c.run_bounds())):
         if e == 0:
             continue
-        if e > ub.u(ctx.t.nth_prime(end)):
+        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end), ctx.prec):
             return end  # violations are a suffix; the end is the largest
     return None
 
@@ -990,7 +943,7 @@ def _ratio_entry(ratio: Optional[IntervalScalar], prec: int) -> dict:
 
 def _apply_divide(ctx: _AuditContext, s: int, prec: int) -> dict:
     try:
-        ratio = g_ratio_divide(ctx.c, s, ctx.t, prec, products=ctx.products)
+        ratio = g_ratio_divide(ctx.c, s, ctx.t, prec, lg=ctx.log_n)
     except DomainError:
         ratio = None
     return {
@@ -1003,7 +956,7 @@ def _apply_divide(ctx: _AuditContext, s: int, prec: int) -> dict:
 
 def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
     try:
-        ratio = g_ratio_swap(ctx.c, s, ctx.t, prec, products=ctx.products)
+        ratio = g_ratio_swap(ctx.c, s, ctx.t, prec, lg=ctx.log_n)
     except DomainError:
         ratio = None
     return {

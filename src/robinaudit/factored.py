@@ -27,8 +27,10 @@ from .errors import (
     ResourceBudgetError,
 )
 from .intervals import (
+    _EXACT_POW_BITS,
     DEFAULT_PRECISION_BITS,
     IntervalScalar,
+    _pow_bits,
     iv_add,
     iv_div,
     iv_exp,
@@ -46,8 +48,6 @@ from .primes import PrimeTable
 # keep CPython's big-int multiplication cheap; wider cells cost
 # superlinearly more.
 _CHUNK = 512
-# Above this bit count, p^e is not formed exactly; analytic forms are used.
-_EXACT_POW_BITS = 1 << 14
 _EXPLICIT_LIMIT = 1_000_000
 _DEFAULT_MATERIALIZE_BITS = 1 << 22
 
@@ -135,10 +135,6 @@ class CandidateFactorization:
     def omega(self) -> int:
         """Number of positions with a strictly positive exponent."""
         return sum(run.count for run in self.runs if run.exponent > 0)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.runs)
 
     def a(self, i: int) -> int:
         """Exponent a_i, 1-based; 0 beyond the last position."""
@@ -316,10 +312,6 @@ class _Products:
         return v
 
 
-def _pow_bits(p: int, e: int) -> int:
-    return e * p.bit_length() + 1
-
-
 def log_n(c: CandidateFactorization, t: PrimeTable,
           prec: int = DEFAULT_PRECISION_BITS, *,
           products: Optional[_Products] = None) -> IntervalScalar:
@@ -338,11 +330,6 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
     if not c.runs:
         raise DomainError("empty candidate has no factorization")
     return total
-
-
-def loglog_n(c: CandidateFactorization, t: PrimeTable,
-             prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    return _loglog_from(log_n(c, t, prec), prec)
 
 
 def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
@@ -438,8 +425,9 @@ def _sigma_ratio_divide(p: int, a: int, prec: int) -> Union[Fraction, IntervalSc
 
 def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
                    prec: int = DEFAULT_PRECISION_BITS, *,
-                   products: Optional[_Products] = None) -> IntervalScalar:
-    """Enclosure of G(n) / G(n / p_s).
+                   lg: Optional[IntervalScalar] = None) -> IntervalScalar:
+    """Enclosure of G(n) / G(n / p_s); ``lg`` is an enclosure of log n at
+    ``prec`` when the caller already has one.
 
     Computed from local data: the sigma ratio at p_s is exact rational and
     only the two log log factors need enclosures, so the result is far
@@ -450,7 +438,8 @@ def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
         raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
     p = t.nth_prime(s)
-    lg = log_n(c, t, prec, products=products)
+    if lg is None:
+        lg = log_n(c, t, prec)
     lg1 = iv_sub(lg, iv_log(iv_from_int(p), prec), prec)
     ratio_sigma = _sigma_ratio_divide(p, a, prec)
     if not isinstance(ratio_sigma, IntervalScalar):
@@ -461,8 +450,9 @@ def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
 
 def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
                  prec: int = DEFAULT_PRECISION_BITS, *,
-                 products: Optional[_Products] = None) -> IntervalScalar:
-    """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r.
+                 lg: Optional[IntervalScalar] = None) -> IntervalScalar:
+    """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r; ``lg`` as for
+    g_ratio_divide.
 
     Requires a_r == 1 (the top prime is removed entirely) and s < r.
     """
@@ -496,7 +486,8 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
             prec,
         )
         sig_iv = iv_mul(core, iv_from_fraction(Fraction(p_r + 1, p_r), prec), prec)
-    lg = log_n(c, t, prec, products=products)
+    if lg is None:
+        lg = log_n(c, t, prec)
     lg1 = iv_add(
         iv_sub(lg, iv_log(iv_from_int(p_r), prec), prec),
         iv_log(iv_from_int(p_s), prec),

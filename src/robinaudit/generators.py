@@ -16,7 +16,8 @@ int64.
 
 superabundant_up_to scans abundancy records sigma(n)/n exactly, and
 ca_candidate builds the exponent vector that maximizes the sigma ratio per
-log-cost at a given epsilon, using certified floors of interval logs.
+log-cost at a given epsilon, with one certified comparison of p^eps
+against an exact rational per probe.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .intervals import (
     iv_from_int,
     iv_log,
     iv_mul,
-    iv_pow,
-    iv_sub,
+    power_below,
 )
 from .primes import PrimeTable, _prime_chunks
 
@@ -264,74 +264,47 @@ def superabundant_up_to(limit: int, segment: int = _SEGMENT) -> list[AbundanceRe
 EpsilonLike = Union[int, float, str, Fraction, Decimal]
 
 
-def _as_fraction(eps: EpsilonLike) -> Fraction:
-    if isinstance(eps, float):
-        return Fraction(eps)  # exact binary value of the float
-    return Fraction(eps)
+def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
+    """a(p) >= e for e >= 1, where a(p) is the CA exponent at eps.
 
-
-def _power_floor_of_interval(x: IntervalScalar, p: int, hint: float) -> Optional[int]:
-    """Largest u with p^u <= x, certified against the enclosure; None if the
-    enclosure straddles a power of p."""
-    u = max(int(hint), 0)
-    # walk down while p^u > x is not certain to be <= x
-    while u > 0 and Fraction(p) ** u > x.hi:
-        u -= 1
-    while Fraction(p) ** (u + 1) <= x.hi:
-        u += 1
-    # now p^u <= x.hi < p^(u+1); certify against x.lo
-    if Fraction(p) ** u <= x.lo:
-        return u
-    return None
-
-
-def _ca_exponent(p: int, eps: Fraction, prec: int) -> int:
-    """floor(log((p^(1+eps) - 1)/(p^eps - 1)) / log p) - 1, certified."""
-    if eps.denominator == 1:
-        # integer epsilon: the quotient is an exact rational
-        e = eps.numerator
-        x = Fraction(p ** (e + 1) - 1, p**e - 1)
-        u = 0
-        while Fraction(p) ** (u + 1) <= x:
-            u += 1
-        return u - 1
-    pv = iv_from_int(p)
-
-    def attempt(work: int) -> Optional[int]:
-        num = iv_sub(iv_pow(pv, 1 + eps, work), iv_from_int(1), work)
-        den = iv_sub(iv_pow(pv, eps, work), iv_from_int(1), work)
-        x = iv_div(num, den, work)
-        hint = math.log(max(x.hi_float, 2.0)) / math.log(p)
-        return _power_floor_of_interval(x, p, hint)
-
-    u = escalate(attempt, prec)
-    if u is None:
+    With u = p^eps, a(p) >= e means (p u - 1)/(u - 1) >= p^(e+1), that is
+    u <= F = (p^(e+1) - 1)/(p^(e+1) - p).  Equality never holds: F is a
+    rational strictly between 1 and 2, while p^eps is an integer or
+    irrational.  So one certified comparison p^eps < F decides it."""
+    q = p ** (e + 1)
+    below = power_below(p, eps, Fraction(q - 1, q - p), 1, prec)
+    if below is None:
         raise PrecisionError(
             f"exponent of {p} straddles a power boundary at eps={eps}",
             suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
         )
-    return u - 1
+    return below
 
 
 def ca_candidate(eps: EpsilonLike, t: PrimeTable,
                  prec: int = DEFAULT_PRECISION_BITS) -> CandidateFactorization:
     """The candidate whose exponent at each prime p is
-    floor(log((p^(1+eps)-1)/(p^eps-1))/log p) - 1.
+    a(p) = floor(log((p^(1+eps)-1)/(p^eps-1))/log p) - 1.
 
-    Exponents are non-increasing in p, so each exponent level is located by
-    binary search over the prime table.  Raises DomainError when the vector
-    is empty (eps too large) and TableTooSmallError when the table cannot
-    bracket the last prime with exponent 1.
+    Each exponent is decided by one certified comparison per probe,
+    a(p) >= e exactly when p^eps < (p^(e+1) - 1)/(p^(e+1) - p).  a(2) is
+    found by walking e upward; exponents are non-increasing in p, so every
+    lower level is located by binary search over the prime table.  Raises
+    DomainError when the vector is empty (eps too large) and
+    TableTooSmallError when the table cannot bracket the last prime with
+    exponent 1.
     """
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
-    a2 = _ca_exponent(2, eps, prec)
+    a2 = 0
+    while _ca_at_least(2, a2 + 1, eps, prec):
+        a2 += 1
     if a2 < 1:
         raise DomainError(
             f"epsilon {eps} gives an empty exponent vector (a(2) = {a2})"
         )
-    if _ca_exponent(t.nth_prime(len(t)), eps, prec) >= 1:
+    if _ca_at_least(t.nth_prime(len(t)), 1, eps, prec):
         raise TableTooSmallError(
             f"every prime up to {t.limit} has a positive exponent at "
             f"eps={eps}; enlarge the table",
@@ -342,7 +315,7 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
         # largest i in [lo, hi] with exponent(p_i) >= e; exponent(p_lo) >= e
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _ca_exponent(t.nth_prime(mid), eps, prec) >= e:
+            if _ca_at_least(t.nth_prime(mid), e, eps, prec):
                 lo = mid
             else:
                 hi = mid - 1
@@ -367,8 +340,8 @@ def ca_sweep(count: int, t: PrimeTable, eps0: EpsilonLike = 1,
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    eps0 = _as_fraction(eps0)
-    ratio = _as_fraction(ratio)
+    eps0 = Fraction(eps0)
+    ratio = Fraction(ratio)
     if not 0 < ratio < 1:
         raise DomainError(f"ratio must be in (0, 1), got {ratio}")
     out: list[CandidateFactorization] = []

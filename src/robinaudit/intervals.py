@@ -40,6 +40,8 @@ DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 # Precision doublings tried by escalate after the first attempt.
 _MAX_ESCALATIONS = 4
+# Above this bit count, p^e is not formed exactly; logarithms are compared.
+_EXACT_POW_BITS = 1 << 14
 
 # Largest fractional bit count serialized as an exact decimal string.  An
 # endpoint with a smaller binary exponent has no bounded decimal expansion
@@ -238,31 +240,9 @@ def iv_sqrt(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScal
     return _from_mpi(_mpi.mpi_sqrt(_as_mpi(a), prec))
 
 
-def iv_pow(a: IntervalLike, k: Union[int, Fraction, IntervalScalar],
-           prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    """a**k.  Integer k uses exact repeated squaring of the endpoints;
-    fractional or interval k requires a certainly positive base."""
-    a = _coerce(a, prec)
-    if isinstance(k, int):
-        if k < 0 and mpf_cmp(a._lo, fzero) <= 0 <= mpf_cmp(a._hi, fzero):
-            raise DomainError("negative power of an interval containing zero")
-        return _from_mpi(_mpi.mpi_pow_int(_as_mpi(a), k, prec))
-    if mpf_cmp(a._lo, fzero) <= 0:
-        raise DomainError("fractional power of a base not certainly positive")
-    if isinstance(k, Fraction):
-        k = iv_from_fraction(k, prec)
-    return _from_mpi(_mpi.mpi_pow(_as_mpi(a), _as_mpi(k), prec))
-
-
 def iv_round(a: IntervalScalar, prec: int) -> IntervalScalar:
     """Outward re-rounding of both endpoints to ``prec`` mantissa bits."""
     return _from_mpi(_mpi.mpi_pos(_as_mpi(a), prec))
-
-
-def iv_hull(a: IntervalScalar, b: IntervalScalar) -> IntervalScalar:
-    lo = a._lo if mpf_cmp(a._lo, b._lo) <= 0 else b._lo
-    hi = a._hi if mpf_cmp(a._hi, b._hi) >= 0 else b._hi
-    return _iv(lo, hi)
 
 
 def iv_compare(a: IntervalLike, b: IntervalLike,
@@ -290,6 +270,34 @@ def escalate(attempt: Callable[[int], Optional[T]], prec: int) -> Optional[T]:
         if result is not None:
             return result
     return None
+
+
+def _pow_bits(p: int, e: int) -> int:
+    """Bit-length bound of p^e."""
+    return e * p.bit_length() + 1
+
+
+def power_below(x: Union[int, Fraction], a: Union[int, Fraction],
+                y: Union[int, Fraction], b: Union[int, Fraction],
+                prec: int = DEFAULT_PRECISION_BITS) -> Optional[bool]:
+    """Certified x^a < y^b for rationals x, y > 0 and a, b >= 0.
+
+    Exact when a and b are integers and both powers stay within
+    _EXACT_POW_BITS; otherwise a log x is compared with b log y, escalating
+    from ``prec``.  None when that comparison stays indeterminate."""
+    if (a.denominator == b.denominator == 1
+            and _pow_bits(max(x.numerator, x.denominator), a.numerator) <= _EXACT_POW_BITS
+            and _pow_bits(max(y.numerator, y.denominator), b.numerator) <= _EXACT_POW_BITS):
+        return x ** a.numerator < y ** b.numerator
+
+    def attempt(work: int) -> Optional[bool]:
+        cmp = iv_compare(iv_mul(a, iv_log(x, work), work),
+                         iv_mul(b, iv_log(y, work), work))
+        if cmp is Comparison.OVERLAPPING:
+            return None
+        return cmp is Comparison.CERTAINLY_LESS
+
+    return escalate(attempt, prec)
 
 
 def iv_floor(a: IntervalScalar) -> Optional[int]:

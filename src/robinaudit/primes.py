@@ -120,14 +120,6 @@ class PrimeTable:
             raise DomainError(f"{p} is not prime")
         return pos + 1
 
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise TableTooSmallError(
-                f"{n} beyond table limit {self.limit}", needed=n
-            )
-        pos = int(np.searchsorted(self._primes, n))
-        return pos < self._primes.size and int(self._primes[pos]) == n
-
     def next_prime(self, x: int) -> int:
         """Smallest prime strictly greater than x."""
         pos = int(np.searchsorted(self._primes, x, side="right"))

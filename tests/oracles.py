@@ -4,11 +4,14 @@ Exact rho(n) = sigma(n)/n and n/phi(n) as Fractions, multiplied out prime
 by prime, share no code with the certified aggregates of
 ``robinaudit.factored`` (no cells, no cached products).  sigma by divisor
 pairs shares no code with the multiplicative sieve of
-``robinaudit.generators.sigma_range``."""
+``robinaudit.generators.sigma_range``.  The upper window bound U and the
+colossally abundant exponent are restated from their definitions, with no
+code from ``robinaudit.audit`` or ``robinaudit.generators``."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -52,3 +55,18 @@ def n_over_phi_exact(c, t) -> Fraction:
             num *= p
             den *= p - 1
     return Fraction(num, den)
+
+
+def u_oracle(x: int, p: int) -> int:
+    """U(p) when log n = x exactly: the largest k with p^k <= k x, found by
+    trying every k in exact integers (p < x, x <= 10^12)."""
+    return max(k for k in range(1, 100) if p**k <= k * x)
+
+
+def ca_exponent_oracle(p: int, eps: Fraction) -> int:
+    """floor(log((p^(1+eps) - 1)/(p^eps - 1)) / log p) - 1, the published
+    colossally abundant exponent, in mpmath at 1024 bits."""
+    with mpmath.workprec(1024):
+        e = mpmath.mpf(eps.numerator) / eps.denominator
+        x = (mpmath.power(p, 1 + e) - 1) / (mpmath.power(p, e) - 1)
+        return int(mpmath.floor(mpmath.log(x) / mpmath.log(p))) - 1

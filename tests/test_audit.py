@@ -8,8 +8,10 @@ existed.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import u_oracle
 
 from robinaudit.audit import (
     _divided,
@@ -33,7 +35,12 @@ from robinaudit.audit import (
     report_to_json_str,
     run_check,
 )
-from robinaudit.errors import DomainError, InvariantError, TableTooSmallError
+from robinaudit.errors import (
+    DomainError,
+    InvariantError,
+    PrecisionError,
+    TableTooSmallError,
+)
 from robinaudit.factored import CandidateFactorization, log_n
 from robinaudit.intervals import iv_from_int
 from robinaudit.primes import PrimeTable
@@ -55,6 +62,22 @@ class TestWindowBounds:
         assert compute_u_from_log(lg, 2) == 9    # 2^9 = 512 <= 900 < 1024
         assert compute_u_from_log(lg, 3) == 5    # 3^5 = 243 <= 500 < 729
         assert compute_u_from_log(lg, 7) == 2    # 7^2 = 49 <= 200 < 343
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 10**12).flatmap(
+        lambda x: st.tuples(st.just(x), st.one_of(st.integers(3, min(x, 60)),
+                                                  st.integers(3, x)))))
+    @example((4, 3))        # 2^4 = 4 * 4: only PrecisionError is allowed
+    @example((10**12, 3))
+    def test_upper_bound_matches_oracle(self, pair):
+        x, below = pair
+        p = sympy.prevprime(below)  # a prime p < x
+        try:
+            got = compute_u_from_log(iv_from_int(x), p)
+        except PrecisionError:
+            assert any(p**j == j * x for j in range(1, 100)), (x, p)
+            return
+        assert got == u_oracle(x, p), (x, p)
 
     def test_upper_bound_candidate(self, table_1e6):
         c = CandidateFactorization.from_runs([(1, 1000)])

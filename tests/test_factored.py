@@ -26,7 +26,6 @@ from robinaudit.factored import (
     g_ratio_swap,
     is_sum_of_two_squares,
     log_n,
-    loglog_n,
     materialize,
     n_over_phi,
     rho,
@@ -276,9 +275,10 @@ _HYP_TABLE = PrimeTable.build(200)
 
 def test_loglog_domain(table_1e6):
     with pytest.raises(DomainError):
-        loglog_n(CandidateFactorization.from_exponents([1]), table_1e6)  # log 2 < 1
-    assert loglog_n(CandidateFactorization.from_exponents([2]), table_1e6).contains(
-        Fraction("0.326634259978280982404792963225507098621236686"))  # log log 4
+        big_g(CandidateFactorization.from_exponents([1]), table_1e6)  # log 2 < 1
+    # G(4) = (7/4) / log log 4
+    assert big_g(CandidateFactorization.from_exponents([2]), table_1e6).contains(
+        Fraction(7, 4) / Fraction("0.326634259978280982404792963225507098621236686"))
 
 
 def test_huge_exponent_paths(table_1e6):

@@ -4,11 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 
-from robinaudit.errors import DomainError, ResourceBudgetError, TableTooSmallError
+from robinaudit.errors import (
+    DomainError,
+    PrecisionError,
+    ResourceBudgetError,
+    TableTooSmallError,
+)
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
@@ -21,8 +27,9 @@ from robinaudit.generators import (
     superabundant_up_to,
     verify_range,
 )
+from robinaudit.intervals import Comparison, iv_compare, iv_log, iv_mul
 
-from oracles import sigma_divisor_pairs
+from oracles import ca_exponent_oracle, sigma_divisor_pairs
 
 # The complete list of failures below 5041 (classical; frozen as oracle).
 ROBIN_EXCEPTIONS = [
@@ -270,6 +277,58 @@ def test_ca_exponent_formula_directly(table_1e6):
         want = max(int(math.log(x) / math.log(p)) - 1, 0)
         assert c.a(table_1e6.prime_index(p)) == want
     assert n == 2  # only a(2) = 1 survives at this epsilon
+
+
+def _assert_ca_matches_oracle(eps, t):
+    if ca_exponent_oracle(2, eps) < 1:
+        with pytest.raises(DomainError):
+            ca_candidate(eps, t)
+        return
+    c = ca_candidate(eps, t)
+    for i in range(1, c.r + 1):
+        assert c.a(i) == ca_exponent_oracle(t.nth_prime(i), eps), (eps, i)
+    assert ca_exponent_oracle(t.nth_prime(c.r + 1), eps) == 0, eps
+
+
+def test_ca_candidate_matches_oracle_on_geometric_grid(table_1e6):
+    for j in range(1, 41):
+        _assert_ca_matches_oracle(Fraction(9, 10) ** j, table_1e6)
+
+
+def test_ca_candidate_matches_oracle_on_seeded_rationals(table_1e6):
+    rng = random.Random(20061309)
+    for _ in range(40):
+        den = rng.randint(1, 1000)
+        _assert_ca_matches_oracle(Fraction(rng.randint(1, den), den), table_1e6)
+
+
+def _eps_near_a2_boundary(s):
+    """floor(eps* 2^s) / 2^s and that plus 2^-s, for eps* = log2(15/14),
+    where a(2) drops from 3 to 2.  The floor is certified by a margin far
+    above the working error."""
+    with mpmath.workprec(s + 128):
+        v = mpmath.log(mpmath.mpf(15) / 14, 2) * mpmath.mpf(2) ** s
+        m = int(mpmath.floor(v))
+        assert mpmath.mpf(2) ** -64 < v - m < 1 - mpmath.mpf(2) ** -64
+    return Fraction(m, 2**s), Fraction(m + 1, 2**s)
+
+
+@pytest.mark.parametrize("s", [150, 1000])
+def test_ca_candidate_near_a2_boundary(s, table_1e6):
+    below, above = _eps_near_a2_boundary(s)
+    # 128 bits cannot tell 2^eps from 15/14 here, so the result needs escalation
+    for eps in (below, above):
+        cmp = iv_compare(iv_mul(eps, iv_log(2)), iv_log(Fraction(15, 14)))
+        assert cmp is Comparison.OVERLAPPING
+    assert ca_candidate(below, table_1e6).a(1) == 3
+    assert ca_candidate(above, table_1e6).a(1) == 2
+
+
+def test_ca_candidate_boundary_beyond_the_ladder(table_1e6):
+    for eps in _eps_near_a2_boundary(3000):
+        with pytest.raises(PrecisionError) as info:
+            ca_candidate(eps, table_1e6)
+        assert info.value.suggested_precision_bits == 4096
 
 
 def test_ca_sweep_budget(table_1e6):

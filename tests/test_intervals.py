@@ -26,15 +26,14 @@ from robinaudit.intervals import (
     iv_from_fraction,
     iv_from_int,
     iv_from_int_rounded,
-    iv_hull,
     iv_log,
     iv_make,
     iv_mul,
     iv_neg,
-    iv_pow,
     iv_round,
     iv_sqrt,
     iv_sub,
+    power_below,
 )
 
 # Frozen oracles (50+ digit evaluations, computed independently before the
@@ -81,15 +80,7 @@ def test_log_oracle_5040():
 
 
 def test_sqrt_and_half_power_agree():
-    a = iv_sqrt(iv_from_int(200))
-    b = iv_pow(iv_from_int(200), Fraction(1, 2))
-    for enc in (a, b):
-        assert enc.contains(SQRT_200)
-
-
-def test_pow_int_exact():
-    a = iv_pow(iv_from_int(3), 5)
-    assert a.contains(243)
+    assert iv_sqrt(iv_from_int(200)).contains(SQRT_200)
 
 
 def test_constants_enclose_published_digits():
@@ -140,6 +131,17 @@ def test_escalate_doubles_until_decided():
     assert tried == [128, 256, 512, 1024, 2048]
 
 
+def test_power_below_exact_and_by_logarithms():
+    # integer exponents within the exact cut: exact, and equality is not below
+    assert power_below(2, 10, 1025, 1) is True
+    assert power_below(2, 10, 1024, 1) is False
+    # exponents past the cut compare a log x with b log y
+    assert power_below(2, 3 * 10**6, 8, 10**6 + 1) is True
+    assert power_below(8, 10**6 + 1, 2, 3 * 10**6) is False
+    assert power_below(8, 10**6, 2, 3 * 10**6) is None  # equal powers
+    assert power_below(2, Fraction(1, 2), Fraction(3, 2), 1) is True
+
+
 def test_division_by_zero_interval_rejected():
     with pytest.raises(DomainError):
         iv_div(iv_from_int(1), iv_make(-1, 1))
@@ -181,10 +183,6 @@ def test_json_foreign_decimal_rounded_outward():
 
 
 def test_hull_and_neg():
-    a = iv_make(1, 2)
-    b = iv_make(3, 4)
-    h = iv_hull(a, b)
-    assert h.lo == 1 and h.hi == 4
     n = iv_neg(iv_make(1, 2))
     assert n.lo == -2 and n.hi == -1
 
