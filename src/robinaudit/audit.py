@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (
@@ -51,8 +50,6 @@ from .intervals import (
     iv_div,
     iv_exp,
     iv_floor,
-    iv_from_decimal,
-    iv_from_fraction,
     iv_from_int,
     iv_log,
     iv_mul,
@@ -146,7 +143,7 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
     k is found by walking upward, comparing the exact p^(k+1) with an
     enclosure of (k + 1) log n; raises _Indeterminate on overlap."""
-    if lg.lo <= 2:
+    if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
     if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
@@ -208,14 +205,14 @@ def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
     products = _Products() if products is None else products
     f = n_over_phi(primorial, t, prec, products=products)
     lg = log_n(primorial, t, prec, products=products)
-    inner = iv_mul(iv_exp(iv_neg(constants(prec).gamma), prec), f, prec)
+    inner = iv_mul(constants(prec).exp_neg_gamma, f, prec)
     return iv_sub(iv_exp(inner, prec), lg, prec)
 
 
 class _AuditContext:
-    """Shared lazily-computed quantities for one audit run.  ``products``
-    holds the exact cell products behind them; normalize passes one
-    object to the context of every step."""
+    """Shared lazily-computed quantities for one audit run: log n, rho,
+    n/phi and log p_r.  ``products`` holds the exact cell products behind
+    them; normalize passes one object to the context of every step."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
                  products: Optional[_Products] = None):
@@ -229,6 +226,7 @@ class _AuditContext:
         self._log_n: Optional[IntervalScalar] = None
         self._rho: Optional[IntervalScalar] = None
         self._nphi: Optional[IntervalScalar] = None
+        self._log_p_r: Optional[IntervalScalar] = None
 
     @property
     def log_n(self) -> IntervalScalar:
@@ -248,6 +246,12 @@ class _AuditContext:
             self._nphi = n_over_phi(self.c, self.t, self.prec,
                                     products=self.products)
         return self._nphi
+
+    @property
+    def log_p_r(self) -> IntervalScalar:
+        if self._log_p_r is None:
+            self._log_p_r = iv_log(iv_from_int(self.p_r), self.prec)
+        return self._log_p_r
 
     def uncovered(self) -> Verdict:
         return Verdict(
@@ -288,22 +292,21 @@ def _decide(pairs: list[tuple[Comparison, Comparison]], witness: dict,
 @_needs_table
 def _check_size_floor(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    ln10 = iv_log(iv_from_int(10), prec)
-    log10_n = iv_div(ctx.log_n, ln10, prec)
-    bound = iv_from_decimal(constants(prec).size_floor_log10_log10, prec)
+    cst = constants(prec)
+    log10_n = iv_div(ctx.log_n, cst.ln10, prec)
     if log10_n.lo <= 1:
         # n <= 10^10 is certainly below any double-exponential floor
         return Verdict(
             FAIL,
             {"log_n": _wit_iv(ctx.log_n, prec),
-             "bound_log10_log10": str(constants(prec).size_floor_log10_log10)},
+             "bound_log10_log10": str(cst.size_floor_log10_log10)},
             prec,
         )
-    val = iv_div(iv_log(log10_n, prec), ln10, prec)
-    cmp = iv_compare(val, bound)
+    val = iv_div(iv_log(log10_n, prec), cst.ln10, prec)
+    cmp = iv_compare(val, cst.size_floor_log10_log10_iv)
     witness = {
         "log10_log10_n": _wit_iv(val, prec),
-        "bound_log10_log10": str(constants(prec).size_floor_log10_log10),
+        "bound_log10_log10": str(cst.size_floor_log10_log10),
     }
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
@@ -316,20 +319,15 @@ def _check_log_window_1(ctx: _AuditContext) -> Verdict:
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
-def _log_window_upper_bound(p_r: int, prec: int) -> IntervalScalar:
-    slack = iv_from_decimal(constants(prec).log_window_slack, prec)
-    lp = iv_log(iv_from_int(p_r), prec)
-    return iv_mul(
-        iv_from_int(p_r),
-        iv_add(iv_from_int(1), iv_div(slack, lp, prec), prec),
-        prec,
-    )
-
-
 @_needs_table
 def _check_log_window_2(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    bound = _log_window_upper_bound(ctx.p_r, prec)
+    slack = constants(prec).log_window_slack_iv
+    bound = iv_mul(
+        iv_from_int(ctx.p_r),
+        iv_add(iv_from_int(1), iv_div(slack, ctx.log_p_r, prec), prec),
+        prec,
+    )
     cmp = iv_compare(ctx.log_n, bound)
     witness = {
         "log_n": _wit_iv(ctx.log_n, prec),
@@ -349,7 +347,7 @@ def _check_log_window_alt(ctx: _AuditContext) -> Verdict:
             {"reason": "log log n undefined", "log_n": _wit_iv(lg, prec)},
             prec,
         )
-    slack = iv_from_decimal(constants(prec).log_window_slack_alt, prec)
+    slack = constants(prec).log_window_slack_alt_iv
     factor = iv_sub(iv_from_int(1), iv_div(slack, iv_log(lg, prec), prec), prec)
     bound = iv_mul(lg, factor, prec)
     cmp = iv_compare(iv_from_int(ctx.p_r), bound)
@@ -398,17 +396,18 @@ def _check_upper_window(ctx: _AuditContext) -> Verdict:
             if e <= u_end:
                 continue
             # violations form a suffix of the run; locate the first one
-            lo, hi = start, end
+            lo, hi, u_hi = start, end, u_end
             while lo < hi:
                 mid = (lo + hi) // 2
-                if e > u(mid):
-                    hi = mid
+                u_mid = u(mid)
+                if e > u_mid:
+                    hi, u_hi = mid, u_mid
                 else:
                     lo = mid + 1
             return Verdict(
                 FAIL,
                 {"index": lo, "prime": ctx.t.nth_prime(lo), "exponent": e,
-                 "upper_bound": u(lo)},
+                 "upper_bound": u_hi},
                 prec,
             )
         return Verdict(PASS, {"runs_checked": runs_checked}, prec)
@@ -603,12 +602,12 @@ def _first_b4_violation(ctx: _AuditContext, start: int, end: int, e: int, a1: in
 @_needs_table
 def _check_density_b6(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    lp = iv_log(iv_from_int(ctx.p_r), prec)
+    lp = ctx.log_p_r
     inv = iv_div(iv_from_int(1), lp, prec)
     eps = iv_mul(
         inv,
         iv_add(iv_from_int(1),
-               iv_div(iv_from_fraction(Fraction(3, 2), prec), lp, prec), prec),
+               iv_div(constants(prec).three_halves, lp, prec), prec),
         prec,
     )
     bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), ctx.nphi, prec)
@@ -641,8 +640,7 @@ def _check_vojak_d2(ctx: _AuditContext) -> Verdict:
 @_needs_table
 def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    lp = iv_log(iv_from_int(ctx.p_r), prec)
-    lower = iv_exp(iv_neg(iv_div(iv_from_int(1), lp, prec)), prec)
+    lower = iv_exp(iv_neg(iv_div(iv_from_int(1), ctx.log_p_r, prec)), prec)
     mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, prec)
     c1 = iv_compare(lower, mid)
     c2 = iv_compare(mid, iv_from_int(1))
@@ -721,8 +719,8 @@ def _check_s_window(ctx: _AuditContext) -> Verdict:
     p_s = ctx.t.nth_prime(s)
     root = iv_sqrt(iv_from_int(ctx.p_r), prec)
     cst = constants(prec)
-    lower = iv_mul(iv_from_decimal(cst.s_window_lower, prec), root, prec)
-    upper = iv_mul(iv_from_decimal(cst.s_window_upper, prec), root, prec)
+    lower = iv_mul(cst.s_window_lower_iv, root, prec)
+    upper = iv_mul(cst.s_window_upper_iv, root, prec)
     c1 = iv_compare(iv_from_int(p_s), lower)
     c2 = iv_compare(iv_from_int(p_s), upper)
     witness = {

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -94,8 +96,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--prime-limit", type=_positive_int, default=None, metavar="N",
-        help=f"sieve primes up to N when a table is needed "
-             f"(default {_DEFAULT_PRIME_LIMIT})",
+        help=f"largest prime sieved (default {_DEFAULT_PRIME_LIMIT}); "
+             f"audit and normalize sieve only as far as the candidate needs",
     )
     p.add_argument(
         "--format", choices=("json", "csv", "text"), default="json",
@@ -103,6 +105,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="robinaudit",
@@ -180,6 +183,27 @@ def _resolve_precision(args, parser: _Parser) -> int:
     return prec
 
 
+def _prime_bound(r: int) -> int:
+    """An upper bound on p_r: r (ln r + ln ln r) for r >= 6 (Rosser and
+    Schoenfeld), else p_5 = 11."""
+    if r < 6:
+        return 11
+    return math.ceil(r * (math.log(r) + math.log(math.log(r))))
+
+
+def _table_for(r: int, limit: int) -> PrimeTable:
+    """Primes up to min(limit, bound on p_r): audit and normalize read no
+    table position above r.  When that table misses p_r, the full table,
+    so coverage never rests on the bound and an uncovered candidate
+    reports pi(limit)."""
+    bound = _prime_bound(r)
+    if bound < limit:
+        t = PrimeTable.build(bound)
+        if len(t) >= r:
+            return t
+    return PrimeTable.build(limit)
+
+
 def _load_candidate(arg: str) -> CandidateFactorization:
     if arg == "-":
         text = sys.stdin.read()
@@ -232,7 +256,7 @@ def _record_row(rec) -> list:
     return [rec.n, rec.sigma, rho.numerator, rho.denominator, rec.verdict]
 
 
-def _cmd_verify(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
+def _cmd_verify(args, prec: int, limit: int) -> tuple[int, _Output]:
     lo = max(3, args.lo)
     hi = args.hi
     if hi < lo:
@@ -261,7 +285,7 @@ def _cmd_verify(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Out
     return EX_OK, out
 
 
-def _cmd_sa(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
+def _cmd_sa(args, prec: int, limit: int) -> tuple[int, _Output]:
     records = superabundant_up_to(args.limit)
     return EX_OK, _Output(
         {
@@ -289,7 +313,8 @@ def _candidate_entry(c: CandidateFactorization, t: PrimeTable) -> dict:
     return entry
 
 
-def _cmd_ca(args, prec: int, table: PrimeTable) -> tuple[int, Optional[_Output]]:
+def _cmd_ca(args, prec: int, limit: int) -> tuple[int, Optional[_Output]]:
+    table = PrimeTable.build(limit)
     if args.epsilon is not None:
         if args.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {args.epsilon}")
@@ -316,9 +341,9 @@ def _cmd_ca(args, prec: int, table: PrimeTable) -> tuple[int, Optional[_Output]]
     )
 
 
-def _cmd_audit(args, prec: int, table: PrimeTable) -> tuple[int, _Output]:
+def _cmd_audit(args, prec: int, limit: int) -> tuple[int, _Output]:
     c = _load_candidate(args.candidate)
-    report = full_audit(c, table, prec=prec,
+    report = full_audit(c, _table_for(c.r, limit), prec=prec,
                         include_alt_log_window=args.alt_log_window)
     checks = report.checks + report.extra_checks
     lines = [f"{cid:16s} {v.status}" for cid, v in checks]
@@ -340,9 +365,10 @@ def _cmd_audit(args, prec: int, table: PrimeTable) -> tuple[int, _Output]:
     return EX_OK, out
 
 
-def _cmd_normalize(args, prec: int, table: PrimeTable) -> tuple[int, _Output]:
+def _cmd_normalize(args, prec: int, limit: int) -> tuple[int, _Output]:
     c = _load_candidate(args.candidate)
-    result = normalize(c, table, prec=prec, step_limit=args.step_limit)
+    result = normalize(c, _table_for(c.r, limit), prec=prec,
+                       step_limit=args.step_limit)
     steps = list(enumerate(result.trace, 1))
     out = _Output(
         result.to_json(),
@@ -400,7 +426,7 @@ def _selftest_checks(prec: int):
     ]
 
 
-def _cmd_selftest(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _Output]:
+def _cmd_selftest(args, prec: int, limit: int) -> tuple[int, _Output]:
     results = []
     for name, fn in _selftest_checks(prec):
         try:
@@ -419,14 +445,14 @@ def _cmd_selftest(args, prec: int, table: Optional[PrimeTable]) -> tuple[int, _O
     )
 
 
-# command -> (handler, whether it needs a prime table)
+# command -> handler(args, precision, prime limit)
 _COMMANDS = {
-    "verify": (_cmd_verify, False),
-    "sa": (_cmd_sa, False),
-    "ca": (_cmd_ca, True),
-    "audit": (_cmd_audit, True),
-    "normalize": (_cmd_normalize, True),
-    "selftest": (_cmd_selftest, False),
+    "verify": _cmd_verify,
+    "sa": _cmd_sa,
+    "ca": _cmd_ca,
+    "audit": _cmd_audit,
+    "normalize": _cmd_normalize,
+    "selftest": _cmd_selftest,
 }
 
 
@@ -438,10 +464,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     prec = _resolve_precision(args, parser)
     limit = args.prime_limit or _DEFAULT_PRIME_LIMIT
 
-    handler, needs_table = _COMMANDS[args.command]
     try:
-        table = PrimeTable.build(limit) if needs_table else None
-        code, out = handler(args, prec, table)
+        code, out = _COMMANDS[args.command](args, prec, limit)
         if out is not None:
             _emit(args.format, out)
         return code

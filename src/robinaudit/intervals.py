@@ -62,10 +62,14 @@ class Comparison(Enum):
     OVERLAPPING = "overlapping"
 
 
-def _check_finite(t: tuple) -> tuple:
-    if t in _SPECIALS:
+def _validate(lo: tuple, hi: tuple) -> None:
+    """Reject non-finite or reversed endpoints.  Every special value has a
+    zero mantissa, so only those tuples are looked up; mpf_cmp(x, x) is 0
+    for any x, so identical endpoints skip the order test."""
+    if (not lo[1] and lo in _SPECIALS) or (not hi[1] and hi in _SPECIALS):
         raise DomainError("non-finite interval endpoint")
-    return t
+    if lo is not hi and mpf_cmp(lo, hi) > 0:
+        raise DomainError("interval endpoints out of order")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,10 +80,7 @@ class IntervalScalar:
     _hi: tuple
 
     def __post_init__(self):
-        _check_finite(self._lo)
-        _check_finite(self._hi)
-        if mpf_cmp(self._lo, self._hi) > 0:
-            raise DomainError("interval endpoints out of order")
+        _validate(self._lo, self._hi)
 
     @property
     def lo(self) -> Fraction:
@@ -121,8 +122,19 @@ class IntervalScalar:
         )
 
 
+_new_interval = object.__new__
+_set_lo = IntervalScalar._lo.__set__
+_set_hi = IntervalScalar._hi.__set__
+
+
 def _iv(lo: tuple, hi: tuple) -> IntervalScalar:
-    return IntervalScalar(lo, hi)
+    """IntervalScalar(lo, hi) without the frozen-dataclass __init__: the
+    same validation, then the slots are filled directly."""
+    _validate(lo, hi)
+    a = _new_interval(IntervalScalar)
+    _set_lo(a, lo)
+    _set_hi(a, hi)
+    return a
 
 
 def _as_mpi(a: IntervalScalar) -> tuple:
@@ -130,7 +142,7 @@ def _as_mpi(a: IntervalScalar) -> tuple:
 
 
 def _from_mpi(t: tuple) -> IntervalScalar:
-    return IntervalScalar(t[0], t[1])
+    return _iv(t[0], t[1])
 
 
 IntervalLike = Union[IntervalScalar, int, Fraction]
@@ -369,13 +381,22 @@ class Constants:
     """Frozen numeric constants at one working precision.
 
     The transcendental members are certified enclosures; the decimal members
-    are exact literals and must be outward-rounded (iv_from_decimal) before
-    entering any interval comparison.
+    are exact literals.  A member named with an ``_iv`` suffix is the
+    outward-rounded enclosure of the decimal member of that name, for
+    interval comparisons.
     """
 
     precision_bits: int
     gamma: IntervalScalar
     exp_gamma: IntervalScalar
+    exp_neg_gamma: IntervalScalar
+    ln10: IntervalScalar
+    three_halves: IntervalScalar
+    size_floor_log10_log10_iv: IntervalScalar
+    log_window_slack_iv: IntervalScalar
+    log_window_slack_alt_iv: IntervalScalar
+    s_window_upper_iv: IntervalScalar
+    s_window_lower_iv: IntervalScalar
     # n must exceed 10^(10^13.099); checked against log10(log10 n).
     size_floor_log10_log10: Decimal = Decimal("13.099")
     # log n <= p_r * (1 + c / log p_r) for the least counterexample.
@@ -393,5 +414,20 @@ class Constants:
 
 @functools.lru_cache(maxsize=None)
 def constants(prec: int = DEFAULT_PRECISION_BITS) -> Constants:
+    """The constants at ``prec`` bits, formed once per precision."""
     g = _iv(mpf_euler(prec, _ROUND_DOWN), mpf_euler(prec, _ROUND_UP))
-    return Constants(precision_bits=prec, gamma=g, exp_gamma=iv_exp(g, prec))
+    return Constants(
+        precision_bits=prec,
+        gamma=g,
+        exp_gamma=iv_exp(g, prec),
+        exp_neg_gamma=iv_exp(iv_neg(g), prec),
+        ln10=iv_log(iv_from_int(10), prec),
+        three_halves=iv_from_fraction(Fraction(3, 2), prec),
+        size_floor_log10_log10_iv=iv_from_decimal(
+            Constants.size_floor_log10_log10, prec),
+        log_window_slack_iv=iv_from_decimal(Constants.log_window_slack, prec),
+        log_window_slack_alt_iv=iv_from_decimal(
+            Constants.log_window_slack_alt, prec),
+        s_window_upper_iv=iv_from_decimal(Constants.s_window_upper, prec),
+        s_window_lower_iv=iv_from_decimal(Constants.s_window_lower, prec),
+    )

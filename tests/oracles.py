@@ -6,13 +6,18 @@ by prime, share no code with the certified aggregates of
 pairs shares no code with the multiplicative sieve of
 ``robinaudit.generators.sigma_range``.  The upper window bound U and the
 colossally abundant exponent are restated from their definitions, with no
-code from ``robinaudit.audit`` or ``robinaudit.generators``."""
+code from ``robinaudit.audit`` or ``robinaudit.generators``.  The interval
+endpoint rule is stated in its plain form, with no code from
+``robinaudit.intervals``."""
 
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import finf, fnan, fninf, mpf_cmp
+
+from robinaudit.errors import DomainError
 
 
 def sigma_divisor_pairs(lo: int, hi: int) -> np.ndarray:
@@ -70,3 +75,14 @@ def ca_exponent_oracle(p: int, eps: Fraction) -> int:
         e = mpmath.mpf(eps.numerator) / eps.denominator
         x = (mpmath.power(p, 1 + e) - 1) / (mpmath.power(p, e) - 1)
         return int(mpmath.floor(mpmath.log(x) / mpmath.log(p))) - 1
+
+
+def check_interval_endpoints(lo: tuple, hi: tuple) -> None:
+    """Raise DomainError unless raw mpf endpoints lo, hi make an interval:
+    each is looked up among the non-finite values, then mpf_cmp(lo, hi)
+    must not be positive."""
+    for t in (lo, hi):
+        if t in (finf, fninf, fnan):
+            raise DomainError("non-finite interval endpoint")
+    if mpf_cmp(lo, hi) > 0:
+        raise DomainError("interval endpoints out of order")

@@ -41,8 +41,9 @@ from robinaudit.errors import (
     PrecisionError,
     TableTooSmallError,
 )
+from robinaudit import audit, factored, intervals
 from robinaudit.factored import CandidateFactorization, log_n
-from robinaudit.intervals import iv_from_int
+from robinaudit.intervals import IntervalScalar, iv_from_int
 from robinaudit.primes import PrimeTable
 
 # exp(exp(-gamma) * f(N_k)) - log N_k, 45 digits, independent computation
@@ -325,6 +326,41 @@ class TestFullAudit:
         rep = full_audit(c, table_1e6)
         assert rep.verdict_for("size_floor_C").status == PASS
         assert rep.result == "excluded"
+
+    def test_context_computes_shared_values_once(self, table_1e6,
+                                                 monkeypatch):
+        logs, decimals = [], []
+        real_log, real_decimal = intervals.iv_log, intervals.iv_from_decimal
+
+        def counting_log(a, prec=128):
+            logs.append(a if isinstance(a, IntervalScalar) else iv_from_int(a))
+            return real_log(a, prec)
+
+        def counting_decimal(text, prec=128):
+            decimals.append(text)
+            return real_decimal(text, prec)
+
+        for mod in (audit, factored, intervals):
+            monkeypatch.setattr(mod, "iv_log", counting_log)
+        monkeypatch.setattr(intervals, "iv_from_decimal", counting_decimal)
+
+        def logs_of(x):
+            return sum(a.is_point() and a.lo == x for a in logs)
+
+        # p_r = 7: one log for the context's log p_r (log window 2, B6,
+        # D3) and one for D4 at the end of the last run
+        c = cand(4, 2, 1, 1)
+        intervals.constants.cache_clear()
+        first = full_audit(c, table_1e6, include_alt_log_window=True)
+        assert first.verdict_for("vojak_D4").status == PASS
+        assert logs_of(7) == 2
+        assert logs_of(10) == 1 and decimals  # the constants, formed once
+        logs.clear()
+        decimals.clear()
+        again = full_audit(c, table_1e6, include_alt_log_window=True)
+        assert report_to_json_str(again) == report_to_json_str(first)
+        assert logs_of(7) == 2
+        assert logs_of(10) == 0 and decimals == []
 
     def test_report_json_deterministic(self, table_1e6):
         a = report_to_json_str(full_audit(cand(4, 2, 1, 1), table_1e6))

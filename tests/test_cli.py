@@ -15,6 +15,7 @@ import robinaudit
 from robinaudit import cli
 from robinaudit.cli import main
 from robinaudit.errors import InvariantError
+from robinaudit.primes import PrimeTable
 
 CAND_5040 = '{"exponents": [4, 2, 1, 1]}'
 CAND_30030 = '{"exponents": [1, 1, 1, 1, 1, 1]}'
@@ -216,6 +217,65 @@ class TestAuditCommand:
     def test_precision_flag_recorded(self, capsys):
         _, out, _ = run_cli(["audit", CAND_5040, "--precision", "192"], capsys)
         assert json.loads(out)["precision_bits"] == 192
+
+
+def _runs_spanning(r):
+    """Falling exponents on a short head, then exponent 1, r primes in all."""
+    head = min(r - 1, 4)
+    runs = [(head + 1 - k, 1) for k in range(head)] + [(1, r - head)]
+    return json.dumps({"runs": [{"exponent": e, "count": n} for e, n in runs]})
+
+
+class TestTableSizing:
+    """audit and normalize sieve only as far as the candidate needs; their
+    output must be what the full table to --prime-limit gives."""
+
+    @pytest.mark.parametrize("limit", [1000, cli._DEFAULT_PRIME_LIMIT])
+    def test_output_matches_full_table(self, limit, capsys, monkeypatch,
+                                       table_1e6):
+        full = table_1e6 if limit == table_1e6.limit else PrimeTable.build(limit)
+        pi = len(full)
+        for r in [*range(1, 13), 50, pi - 1, pi, pi + 1]:
+            cand = _runs_spanning(r)
+            sized = []
+            for argv in (["audit", cand], ["audit", cand, "--alt-log-window"],
+                         ["normalize", cand, "--step-limit", "3"]):
+                argv = argv + ["--prime-limit", str(limit)]
+                sized.append(run_cli(argv, capsys))
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_table_for", lambda r, limit: full)
+                    assert run_cli(argv, capsys) == sized[-1], (r, argv)
+            if r > pi:
+                audit_doc = json.loads(sized[0][1])
+                assert {ch["witness"].get("table_primes")
+                        for ch in audit_doc["checks"]
+                        if ch["status"] == "unknown"} == {pi}
+                code, _, err = sized[2]
+                assert code == 65 and f"table holds {pi}" in err
+
+    def test_prime_bound_covers_the_default_table(self, table_1e6):
+        primes = table_1e6.slice(1, len(table_1e6)).tolist()
+        assert all(cli._prime_bound(r) >= p for r, p in enumerate(primes, 1))
+
+    def test_repeated_main_matches_fresh_processes(self, capsys, tmp_path):
+        commands = [
+            ["audit", CAND_5040, "--format", "text"],
+            ["verify", "--from", "3", "--to", "60", "--format", "csv"],
+            ["normalize", CAND_30030],
+            ["audit", CAND_30030, "--alt-log-window", "--format", "csv",
+             "--prime-limit", "100"],
+            ["sa", "--limit", "100", "--format", "text"],
+            ["ca", "--epsilon", "1/20", "--prime-limit", "1000"],
+            ["verify", "--from", "3"],
+        ]
+        fresh = []
+        for argv in commands:
+            proc = run_child(["-m", "robinaudit", *argv], tmp_path)
+            fresh.append((proc.returncode, proc.stdout))
+        for _ in range(2):
+            for argv, expect in zip(commands, fresh):
+                code, out, _ = run_cli(argv, capsys)
+                assert (code, out) == expect, argv
 
 
 class TestNormalizeCommand:

@@ -2,17 +2,21 @@
 
 import json
 import random
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, fzero
+from oracles import check_interval_endpoints
 
 from robinaudit.errors import DomainError
 from robinaudit.intervals import (
     Comparison,
     IntervalScalar,
+    _iv,
     constants,
     escalate,
     interval_from_json,
@@ -79,7 +83,7 @@ def test_log_oracle_5040():
     assert b.contains(LN_LN_5040)
 
 
-def test_sqrt_and_half_power_agree():
+def test_sqrt_encloses_oracle():
     assert iv_sqrt(iv_from_int(200)).contains(SQRT_200)
 
 
@@ -159,6 +163,47 @@ def test_endpoint_order_enforced():
         iv_make(2, 1)
 
 
+# Raw libmp endpoints: the specials and zero, zero-mantissa tuples that
+# are none of them, unnormalized tuples, and well-formed values.
+_RAW_ENDPOINT = st.one_of(
+    st.sampled_from([finf, fninf, fnan, fzero]),
+    st.tuples(st.integers(0, 1), st.just(0), st.integers(-1000, 1000),
+              st.integers(-5, 5)),
+    st.tuples(st.integers(0, 1), st.integers(0, 2**80),
+              st.integers(-300, 300), st.integers(-3, 90)),
+    st.builds(from_int, st.integers(-10**30, 10**30)),
+    st.builds(lambda n, d: from_rational(n, d, 64, "f"),
+              st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+)
+
+
+def _outcome(make, lo, hi) -> str:
+    try:
+        make(lo, hi)
+    except DomainError:
+        return "rejected"
+    except Exception as e:  # any other error must match too
+        return type(e).__name__
+    return "accepted"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lo=_RAW_ENDPOINT, hi=_RAW_ENDPOINT, same=st.booleans())
+def test_constructors_reject_what_the_endpoint_rule_rejects(lo, hi, same):
+    if same:
+        hi = lo  # one object as both endpoints
+    expect = _outcome(check_interval_endpoints, lo, hi)
+    assert _outcome(IntervalScalar, lo, hi) == expect
+    assert _outcome(_iv, lo, hi) == expect
+    if expect != "accepted":
+        return
+    a, b = IntervalScalar(lo, hi), _iv(lo, hi)
+    assert a == b and hash(a) == hash(b)
+    assert (b._lo, b._hi) == (lo, hi)
+    with pytest.raises(FrozenInstanceError):
+        b._lo = hi
+
+
 def test_big_int_rounded_enclosure():
     n = 10**100 + 12345
     a = iv_from_int_rounded(n, 128)
@@ -182,7 +227,7 @@ def test_json_foreign_decimal_rounded_outward():
     assert a.lo < Fraction("0.1") and a.hi > Fraction("0.2")
 
 
-def test_hull_and_neg():
+def test_neg_reverses_endpoints():
     n = iv_neg(iv_make(1, 2))
     assert n.lo == -2 and n.hi == -1
 
