@@ -48,6 +48,7 @@ from .intervals import (
     iv_add,
     iv_compare,
     iv_div,
+    iv_dyadic,
     iv_exp,
     iv_floor,
     iv_from_int,
@@ -100,10 +101,17 @@ class Verdict:
     precision_used: int
 
     def to_json(self) -> dict:
+        """Interval witnesses are kept as enclosures and written here,
+        rounded outward to ``precision_used``."""
+        prec = self.precision_used
+        witness = {
+            key: _interval_json(v, prec) if isinstance(v, IntervalScalar) else v
+            for key, v in self.witness.items()
+        }
         return {
             "status": self.status,
-            "witness": self.witness,
-            "precision_used": self.precision_used,
+            "witness": witness,
+            "precision_used": prec,
         }
 
 
@@ -111,7 +119,7 @@ class _Indeterminate(Exception):
     """Internal: a certified decision needs more precision."""
 
 
-def _wit_iv(v: IntervalScalar, prec: int) -> dict:
+def _interval_json(v: IntervalScalar, prec: int) -> dict:
     return interval_to_json(iv_round(v, prec))
 
 
@@ -134,26 +142,27 @@ def compute_l(p_r: int, p: int) -> int:
     return int_log_floor(p_r, p)
 
 
-def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
+def _upper_bound(lg: IntervalScalar, p: int) -> int:
     """U(p) = floor(log(k log n) / log p), where k is the bracket index
     with x_{k+1} < p <= x_k and x_k = (k log n)^(1/k).
 
     p <= x_k is p^k <= k log n.  The x_k decrease for log n > 2, so the
     bracket is the largest k with p^k <= k log n, and then
     p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
-    k is found by walking upward, comparing the exact p^(k+1) with an
-    enclosure of (k + 1) log n; raises _Indeterminate on overlap."""
+    k is found by walking upward, comparing the exact p^(k+1) with
+    (k + 1) times each endpoint m 2^e of the enclosure of log n in exact
+    integers; raises _Indeterminate when p^(k+1) lies between the two."""
     if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
     if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
+    (lo_m, lo_s), (hi_m, hi_s) = iv_dyadic(lg)
     power = p
     for k in range(1, 200):
         power *= p
-        cmp = iv_compare(power, iv_mul(k + 1, lg, prec))
-        if cmp is Comparison.CERTAINLY_GREATER:
+        if power << hi_s > (k + 1) * hi_m:
             return k
-        if cmp is Comparison.OVERLAPPING:
+        if power << lo_s >= (k + 1) * lo_m:
             raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
     raise InvariantError(f"bracket walk for {p} did not terminate")
 
@@ -162,7 +171,7 @@ def compute_u_from_log(lg: IntervalScalar, p: int,
                        prec: int = DEFAULT_PRECISION_BITS) -> int:
     """U(p) for a given enclosure of log n (single precision, no retry)."""
     try:
-        return _upper_bound(lg, p, prec)
+        return _upper_bound(lg, p)
     except _Indeterminate as e:
         raise PrecisionError(str(e), suggested_precision_bits=prec * 2) from e
 
@@ -176,13 +185,13 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
 
     def attempt(work: int) -> Optional[int]:
         lg = log_n(c, t, work, products=products)
-        cmp = iv_compare(iv_from_int(p), lg)
+        cmp = iv_compare(p, lg)
         if cmp is Comparison.CERTAINLY_GREATER:
             raise DomainError(f"U undefined at p_{i}={p}: log n is below it")
         if cmp is Comparison.OVERLAPPING:
             return None
         try:
-            return _upper_bound(lg, p, work)
+            return _upper_bound(lg, p)
         except _Indeterminate:
             return None
 
@@ -294,18 +303,18 @@ def _check_size_floor(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
     cst = constants(prec)
     log10_n = iv_div(ctx.log_n, cst.ln10, prec)
-    if log10_n.lo <= 1:
+    if iv_compare(log10_n, 1) is not Comparison.CERTAINLY_GREATER:
         # n <= 10^10 is certainly below any double-exponential floor
         return Verdict(
             FAIL,
-            {"log_n": _wit_iv(ctx.log_n, prec),
+            {"log_n": ctx.log_n,
              "bound_log10_log10": str(cst.size_floor_log10_log10)},
             prec,
         )
     val = iv_div(iv_log(log10_n, prec), cst.ln10, prec)
     cmp = iv_compare(val, cst.size_floor_log10_log10_iv)
     witness = {
-        "log10_log10_n": _wit_iv(val, prec),
+        "log10_log10_n": val,
         "bound_log10_log10": str(cst.size_floor_log10_log10),
     }
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
@@ -314,8 +323,8 @@ def _check_size_floor(ctx: _AuditContext) -> Verdict:
 @_needs_table
 def _check_log_window_1(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    cmp = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
-    witness = {"log_n": _wit_iv(ctx.log_n, prec), "p_r": ctx.p_r}
+    cmp = iv_compare(ctx.log_n, ctx.p_r)
+    witness = {"log_n": ctx.log_n, "p_r": ctx.p_r}
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
@@ -330,8 +339,8 @@ def _check_log_window_2(ctx: _AuditContext) -> Verdict:
     )
     cmp = iv_compare(ctx.log_n, bound)
     witness = {
-        "log_n": _wit_iv(ctx.log_n, prec),
-        "upper_bound": _wit_iv(bound, prec),
+        "log_n": ctx.log_n,
+        "upper_bound": bound,
         "p_r": ctx.p_r,
     }
     return _decide([(cmp, Comparison.CERTAINLY_LESS)], witness, prec)
@@ -341,17 +350,17 @@ def _check_log_window_2(ctx: _AuditContext) -> Verdict:
 def _check_log_window_alt(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
     lg = ctx.log_n
-    if lg.lo <= 1:
+    if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
         return Verdict(
             NOT_APPLICABLE,
-            {"reason": "log log n undefined", "log_n": _wit_iv(lg, prec)},
+            {"reason": "log log n undefined", "log_n": lg},
             prec,
         )
     slack = constants(prec).log_window_slack_alt_iv
     factor = iv_sub(iv_from_int(1), iv_div(slack, iv_log(lg, prec), prec), prec)
     bound = iv_mul(lg, factor, prec)
-    cmp = iv_compare(iv_from_int(ctx.p_r), bound)
-    witness = {"p_r": ctx.p_r, "lower_bound": _wit_iv(bound, prec)}
+    cmp = iv_compare(ctx.p_r, bound)
+    witness = {"p_r": ctx.p_r, "lower_bound": bound}
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
 
@@ -367,24 +376,24 @@ def check_log_window_alt(c: CandidateFactorization, t: PrimeTable,
 @_needs_table
 def _check_upper_window(ctx: _AuditContext) -> Verdict:
     prec = ctx.prec
-    cmp = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
+    cmp = iv_compare(ctx.log_n, ctx.p_r)
     if cmp is Comparison.CERTAINLY_LESS:
         return Verdict(
             NOT_APPLICABLE,
             {"reason": "log n is below p_r; U is undefined at the top prime",
-             "log_n": _wit_iv(ctx.log_n, prec), "p_r": ctx.p_r},
+             "log_n": ctx.log_n, "p_r": ctx.p_r},
             prec,
         )
     if cmp is Comparison.OVERLAPPING:
         return Verdict(
             UNKNOWN,
             {"reason": "log n vs p_r indeterminate",
-             "log_n": _wit_iv(ctx.log_n, prec), "p_r": ctx.p_r},
+             "log_n": ctx.log_n, "p_r": ctx.p_r},
             prec,
         )
 
     def u(i: int) -> int:
-        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i), prec)
+        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i))
 
     try:
         runs_checked = 0
@@ -613,9 +622,9 @@ def _check_density_b6(ctx: _AuditContext) -> Verdict:
     bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), ctx.nphi, prec)
     cmp = iv_compare(ctx.rho, bound)
     witness = {
-        "rho": _wit_iv(ctx.rho, prec),
-        "bound": _wit_iv(bound, prec),
-        "epsilon_p_r": _wit_iv(eps, prec),
+        "rho": ctx.rho,
+        "bound": bound,
+        "epsilon_p_r": eps,
     }
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
 
@@ -643,10 +652,10 @@ def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
     lower = iv_exp(iv_neg(iv_div(iv_from_int(1), ctx.log_p_r, prec)), prec)
     mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, prec)
     c1 = iv_compare(lower, mid)
-    c2 = iv_compare(mid, iv_from_int(1))
+    c2 = iv_compare(mid, 1)
     witness = {
-        "ratio": _wit_iv(mid, prec),
-        "lower": _wit_iv(lower, prec),
+        "ratio": mid,
+        "lower": lower,
     }
     return _decide([(c1, Comparison.CERTAINLY_LESS),
                     (c2, Comparison.CERTAINLY_LESS)], witness, prec)
@@ -659,7 +668,6 @@ def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
         return Verdict(PASS, {"reason": "no index above 1"}, prec)
     a1 = c.a(1)
     m_r = compute_m(c.r, t, prec, products=ctx.products)
-    witness_m = _wit_iv(m_r, prec)
     try:
         for start, end, e in c.run_bounds():
             if e == 0 or end < 2:
@@ -677,12 +685,12 @@ def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
                     FAIL,
                     {"index": end, "prime": p, "exponent": e,
                      "below_power_bound": ok1, "below_m_bound": ok2,
-                     "m_r": witness_m},
+                     "m_r": m_r},
                     prec,
                 )
-        return Verdict(PASS, {"m_r": witness_m}, prec)
+        return Verdict(PASS, {"m_r": m_r}, prec)
     except _Indeterminate as e:
-        return Verdict(UNKNOWN, {"reason": str(e), "m_r": witness_m}, prec)
+        return Verdict(UNKNOWN, {"reason": str(e), "m_r": m_r}, prec)
 
 
 def _check_exponents_e(ctx: _AuditContext) -> Verdict:
@@ -721,11 +729,11 @@ def _check_s_window(ctx: _AuditContext) -> Verdict:
     cst = constants(prec)
     lower = iv_mul(cst.s_window_lower_iv, root, prec)
     upper = iv_mul(cst.s_window_upper_iv, root, prec)
-    c1 = iv_compare(iv_from_int(p_s), lower)
-    c2 = iv_compare(iv_from_int(p_s), upper)
+    c1 = iv_compare(p_s, lower)
+    c2 = iv_compare(p_s, upper)
     witness = {
         "s": s, "p_s": p_s, "p_r": ctx.p_r,
-        "lower": _wit_iv(lower, prec), "upper": _wit_iv(upper, prec),
+        "lower": lower, "upper": upper,
     }
     return _decide([(c1, Comparison.CERTAINLY_GREATER),
                     (c2, Comparison.CERTAINLY_LESS)], witness, prec)
@@ -857,7 +865,7 @@ def _largest_upper_violation(ctx: _AuditContext) -> Optional[int]:
     for start, end, e in reversed(list(ctx.c.run_bounds())):
         if e == 0:
             continue
-        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end), ctx.prec):
+        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end)):
             return end  # violations are a suffix; the end is the largest
     return None
 
@@ -897,7 +905,7 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     for _ in range(step_limit):
         _require_table(cur, t)
         ctx = _AuditContext(cur, t, prec, products)
-        state = iv_compare(ctx.log_n, iv_from_int(ctx.p_r))
+        state = iv_compare(ctx.log_n, ctx.p_r)
         upper_ok = state is Comparison.CERTAINLY_GREATER
         if state is Comparison.OVERLAPPING:
             return NormalizationResult(cur, INDETERMINATE, trace)
@@ -932,9 +940,9 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
 def _ratio_entry(ratio: Optional[IntervalScalar], prec: int) -> dict:
     if ratio is None:
         return {"ratio": None, "ratio_certainly_below_one": None}
-    below = iv_compare(ratio, iv_from_int(1)) is Comparison.CERTAINLY_LESS
+    below = iv_compare(ratio, 1) is Comparison.CERTAINLY_LESS
     return {
-        "ratio": _wit_iv(ratio, prec),
+        "ratio": _interval_json(ratio, prec),
         "ratio_certainly_below_one": below,
     }
 

@@ -29,9 +29,11 @@ from .errors import (
 from .intervals import (
     _EXACT_POW_BITS,
     DEFAULT_PRECISION_BITS,
+    Comparison,
     IntervalScalar,
     _pow_bits,
     iv_add,
+    iv_compare,
     iv_div,
     iv_exp,
     iv_from_fraction,
@@ -333,7 +335,7 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
 
 
 def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
-    if lg.lo <= 1:
+    if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("log log n requires log n certainly > 1")
     return iv_log(lg, prec)
 

@@ -157,7 +157,7 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     def attempt(p: int) -> Optional[VerificationRecord]:
         nonlocal thr
         thr = _threshold(n, p)
-        cmp = iv_compare(iv_from_int(sigma), thr)
+        cmp = iv_compare(sigma, thr)
         if cmp is Comparison.CERTAINLY_LESS:
             return VerificationRecord(n, sigma, thr, "holds")
         if cmp is Comparison.CERTAINLY_GREATER:

@@ -62,13 +62,36 @@ class Comparison(Enum):
     OVERLAPPING = "overlapping"
 
 
+def _cmp(s: tuple, t: tuple) -> int:
+    """mpf_cmp(s, t), exactly, for any raw tuples.
+
+    mpf_cmp settles two same-sign values whose leading bits sit at the
+    same position with a rounded subtraction.  When both are finite and
+    normalized (odd mantissa, bit count = mantissa bit length) and their
+    exponents differ, shifting one mantissa by the exponent gap, which is
+    at most the other's bit count, decides it with one integer comparison.
+    Every other case goes to mpf_cmp, which must also answer for tuples
+    that are not normalized."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if (sexp != texp and sbc + sexp == tbc + texp and ssign == tsign
+            and sman > 0 and tman > 0 and sman & tman & 1
+            and sbc == sman.bit_length() and tbc == tman.bit_length()):
+        if sexp > texp:
+            above = (sman << (sexp - texp)) > tman
+        else:
+            above = sman > (tman << (texp - sexp))
+        return -1 if above == ssign else 1
+    return mpf_cmp(s, t)
+
+
 def _validate(lo: tuple, hi: tuple) -> None:
     """Reject non-finite or reversed endpoints.  Every special value has a
     zero mantissa, so only those tuples are looked up; mpf_cmp(x, x) is 0
     for any x, so identical endpoints skip the order test."""
     if (not lo[1] and lo in _SPECIALS) or (not hi[1] and hi in _SPECIALS):
         raise DomainError("non-finite interval endpoint")
-    if lo is not hi and mpf_cmp(lo, hi) > 0:
+    if lo is not hi and _cmp(lo, hi) > 0:
         raise DomainError("interval endpoints out of order")
 
 
@@ -203,6 +226,18 @@ def _coerce(x: IntervalLike, prec: int) -> IntervalScalar:
     raise TypeError(f"cannot treat {type(x).__name__} as an interval")
 
 
+def _endpoints(x: IntervalLike, prec: int) -> tuple[tuple, tuple]:
+    """(lo, hi) of x; an int is its own exact endpoint, with no interval
+    built for it."""
+    if isinstance(x, IntervalScalar):
+        return x._lo, x._hi
+    if isinstance(x, int):
+        t = from_int(x)
+        return t, t
+    a = _coerce(x, prec)
+    return a._lo, a._hi
+
+
 def iv_add(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     a = _coerce(a, prec)
     b = _coerce(b, prec)
@@ -264,13 +299,23 @@ def iv_compare(a: IntervalLike, b: IntervalLike,
     CERTAINLY_LESS / CERTAINLY_GREATER require strictly disjoint enclosures;
     anything else (including shared endpoints) is OVERLAPPING.
     """
-    a = _coerce(a, prec)
-    b = _coerce(b, prec)
-    if mpf_cmp(a._hi, b._lo) < 0:
+    a_lo, a_hi = _endpoints(a, prec)
+    b_lo, b_hi = _endpoints(b, prec)
+    if _cmp(a_hi, b_lo) < 0:
         return Comparison.CERTAINLY_LESS
-    if mpf_cmp(a._lo, b._hi) > 0:
+    if _cmp(a_lo, b_hi) > 0:
         return Comparison.CERTAINLY_GREATER
     return Comparison.OVERLAPPING
+
+
+def iv_dyadic(a: IntervalScalar) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both endpoints of a exactly, each as (m, s) with value m / 2^s and
+    s >= 0, for comparisons in integer arithmetic."""
+    out = []
+    for sign, man, exp, _bc in (a._lo, a._hi):
+        m = -man if sign else man
+        out.append((m << exp, 0) if exp >= 0 else (m, -exp))
+    return out[0], out[1]
 
 
 def escalate(attempt: Callable[[int], Optional[T]], prec: int) -> Optional[T]:

@@ -8,7 +8,10 @@ pairs shares no code with the multiplicative sieve of
 colossally abundant exponent are restated from their definitions, with no
 code from ``robinaudit.audit`` or ``robinaudit.generators``.  The interval
 endpoint rule is stated in its plain form, with no code from
-``robinaudit.intervals``."""
+``robinaudit.intervals``.  ``upper_bound_rounded`` is the exception: it
+keeps the bracket walk that compared p^(k+1) with a rounded product
+(k + 1) log n, as the reference the exact walk must agree with wherever
+the rounded one decided."""
 
 import math
 from fractions import Fraction
@@ -17,7 +20,9 @@ import mpmath
 import numpy as np
 from mpmath.libmp import finf, fnan, fninf, mpf_cmp
 
-from robinaudit.errors import DomainError
+from robinaudit.audit import _Indeterminate
+from robinaudit.errors import DomainError, InvariantError
+from robinaudit.intervals import Comparison, iv_compare, iv_mul
 
 
 def sigma_divisor_pairs(lo: int, hi: int) -> np.ndarray:
@@ -66,6 +71,25 @@ def u_oracle(x: int, p: int) -> int:
     """U(p) when log n = x exactly: the largest k with p^k <= k x, found by
     trying every k in exact integers (p < x, x <= 10^12)."""
     return max(k for k in range(1, 100) if p**k <= k * x)
+
+
+def upper_bound_rounded(lg, p: int, prec: int) -> int:
+    """U(p) by the rounded bracket walk: the first k with p^(k+1) certainly
+    above the enclosure iv_mul(k + 1, log n) at ``prec`` bits; raises
+    _Indeterminate when they overlap."""
+    if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
+        raise DomainError("upper window bounds need log n certainly > 2")
+    if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
+        raise DomainError(f"bracket undefined: {p} not certainly below log n")
+    power = p
+    for k in range(1, 200):
+        power *= p
+        cmp = iv_compare(power, iv_mul(k + 1, lg, prec))
+        if cmp is Comparison.CERTAINLY_GREATER:
+            return k
+        if cmp is Comparison.OVERLAPPING:
+            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
+    raise InvariantError(f"bracket walk for {p} did not terminate")
 
 
 def ca_exponent_oracle(p: int, eps: Fraction) -> int:

@@ -241,8 +241,8 @@ def test_criterion_7_precision_doubling(table_1e6):
         for cid, v_lo, v_hi in stable:
             w_lo: dict = {}
             w_hi: dict = {}
-            _interval_widths(v_lo.witness, cid, w_lo)
-            _interval_widths(v_hi.witness, cid, w_hi)
+            _interval_widths(v_lo.to_json()["witness"], cid, w_lo)
+            _interval_widths(v_hi.to_json()["witness"], cid, w_hi)
             for path in set(w_lo) & set(w_hi):
                 assert w_lo[path] > 0, f"degenerate witness at {path} on {c}"
                 assert w_hi[path] < w_lo[path], (

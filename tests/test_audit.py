@@ -6,12 +6,14 @@ existed.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import u_oracle
+from mpmath.libmp import from_man_exp
+from oracles import u_oracle, upper_bound_rounded
 
 from robinaudit.audit import (
     _divided,
@@ -43,7 +45,7 @@ from robinaudit.errors import (
 )
 from robinaudit import audit, factored, intervals
 from robinaudit.factored import CandidateFactorization, log_n
-from robinaudit.intervals import IntervalScalar, iv_from_int
+from robinaudit.intervals import IntervalScalar, iv_from_int, iv_make
 from robinaudit.primes import PrimeTable
 
 # exp(exp(-gamma) * f(N_k)) - log N_k, 45 digits, independent computation
@@ -79,6 +81,55 @@ class TestWindowBounds:
             assert any(p**j == j * x for j in range(1, 100)), (x, p)
             return
         assert got == u_oracle(x, p), (x, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(3, 10**12).flatmap(lambda x: st.tuples(
+            st.just(x), st.one_of(st.integers(3, min(x, 60)),
+                                  st.integers(3, x)))),
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.none(), st.integers(0, 200)),
+        st.sampled_from([64, 96, 128, 256]),
+    )
+    def test_exact_walk_keeps_every_rounded_decision(self, pair, offset,
+                                                     width_bits, prec):
+        x, below = pair
+        p = sympy.prevprime(below)
+        if width_bits is None:  # log n = x exactly
+            lg = iv_from_int(x)
+        else:
+            lo = x + Fraction(offset, 2**64)
+            lg = iv_make(lo, lo + Fraction(1, 2**width_bits), prec)
+        try:
+            rounded = upper_bound_rounded(lg, p, prec)
+        except audit._Indeterminate:
+            rounded = None
+        try:
+            exact = audit._upper_bound(lg, p)
+        except audit._Indeterminate:
+            exact = None
+        if rounded is not None:
+            assert exact == rounded, (x, p, prec)
+        if width_bits is None:
+            tie = any(p**j == j * x for j in range(1, 100))
+            assert exact == (None if tie else u_oracle(x, p)), (x, p)
+            assert rounded in (None, exact)
+        elif exact is not None:
+            # a certified bracket for every value of the enclosure
+            assert p**exact < exact * lg.lo
+            assert (exact + 1) * lg.hi < p ** (exact + 1)
+
+    def test_exact_walk_decides_where_rounding_overlaps(self):
+        # log n a hair below 1024/10: 10 log n < 2^10 exactly, but at 64
+        # bits the product 10 log n rounds up to 2^10 itself
+        m = (1024 << 110) // 10
+        t = from_man_exp(m, -110)
+        lg = IntervalScalar(t, t)
+        with pytest.raises(audit._Indeterminate):
+            upper_bound_rounded(lg, 2, 64)
+        assert audit._upper_bound(lg, 2) == 9
+        assert compute_u_from_log(lg, 2, 64) == 9
+        assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
 
     def test_upper_bound_candidate(self, table_1e6):
         c = CandidateFactorization.from_runs([(1, 1000)])
@@ -361,6 +412,40 @@ class TestFullAudit:
         assert report_to_json_str(again) == report_to_json_str(first)
         assert logs_of(7) == 2
         assert logs_of(10) == 0 and decimals == []
+
+    def test_witnesses_formatted_only_when_serialized(self, table_1e6,
+                                                     monkeypatch):
+        calls = []
+        real = intervals._mpf_to_decimal_str
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(intervals, "_mpf_to_decimal_str", counting)
+        golden = (Path(__file__).resolve().parent / "golden"
+                  / "audit_criterion_9.txt").read_text(encoding="utf-8")
+        compared = 0
+        # 5040 and the primorial 30030 are the criterion 9 fixtures; n = 2
+        # takes the n <= 10 branch of C and leaves log log n undefined
+        for c in (cand(4, 2, 1, 1), cand(1, 1, 1, 1, 1, 1), cand(1)):
+            for prec in (128, 256):
+                rep = full_audit(c, table_1e6, prec,
+                                 include_alt_log_window=True)
+                assert calls == [], (c, prec)
+                assert isinstance(rep.verdict_for("log_window_1")
+                                  .witness["log_n"], IntervalScalar)
+                rep.extra_checks = []  # the fixtures hold the ledger only
+                text = report_to_json_str(rep)
+                assert calls
+                calls.clear()
+                header = f"### {c} audit {prec}\n"
+                if header in golden:
+                    recorded = golden.split(header, 1)[1]
+                    recorded = recorded.split("\n### ", 1)[0].rstrip("\n")
+                    assert text == recorded, (c, prec)
+                    compared += 1
+        assert compared == 4
 
     def test_report_json_deterministic(self, table_1e6):
         a = report_to_json_str(full_audit(cand(4, 2, 1, 1), table_1e6))

@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, fzero
+from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, fzero, mpf_cmp
 from oracles import check_interval_endpoints
 
 from robinaudit.errors import DomainError
 from robinaudit.intervals import (
     Comparison,
     IntervalScalar,
+    _cmp,
     _iv,
     constants,
     escalate,
@@ -24,6 +25,7 @@ from robinaudit.intervals import (
     iv_add,
     iv_compare,
     iv_div,
+    iv_dyadic,
     iv_exp,
     iv_floor,
     iv_from_decimal,
@@ -202,6 +204,75 @@ def test_constructors_reject_what_the_endpoint_rule_rejects(lo, hi, same):
     assert (b._lo, b._hi) == (lo, hi)
     with pytest.raises(FrozenInstanceError):
         b._lo = hi
+
+
+def _equal_forms(sign, man, exp, shift):
+    """One value twice: normalized, and with ``shift`` trailing zero bits
+    moved into the mantissa (the bit count still matches)."""
+    wide = man << shift
+    return ((sign, wide, exp - shift, wide.bit_length()),
+            (sign, man, exp, man.bit_length()))
+
+
+def _same_top_bit(sign, top, bc1, bc2, m1, m2):
+    """Two normalized values whose leading bits sit at position ``top``."""
+    def make(bc, m):
+        man = ((1 << (bc - 1)) | (m % (1 << (bc - 1)))) | 1 if bc > 1 else 1
+        return (sign, man, top - bc, bc)
+    return make(bc1, m1), make(bc2, m2)
+
+
+_CMP_PAIR = st.one_of(
+    st.tuples(_RAW_ENDPOINT, _RAW_ENDPOINT),
+    st.builds(_equal_forms, st.integers(0, 1),
+              st.integers(0, 2**64).map(lambda m: m | 1),
+              st.integers(-300, 300), st.integers(1, 80)),
+    st.builds(_same_top_bit, st.integers(0, 1), st.integers(-300, 300),
+              st.integers(1, 140), st.integers(1, 140),
+              st.integers(0, 2**140), st.integers(0, 2**140)),
+)
+
+
+def _result(f, s, t):
+    try:
+        return f(s, t)
+    except Exception as e:  # any error must match too
+        return type(e).__name__
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=_CMP_PAIR, swap=st.booleans())
+def test_cmp_agrees_with_mpf_cmp(pair, swap):
+    s, t = pair[::-1] if swap else pair
+    assert _result(_cmp, s, t) == _result(mpf_cmp, s, t)
+
+
+def _near(n):
+    """Enclosures around the int n: points at n + d and intervals with
+    rational endpoints near n."""
+    return st.one_of(
+        st.integers(-2, 2).map(lambda d: iv_from_int(n + d)),
+        st.builds(lambda a, w: iv_make(n + a, n + a + w, 64),
+                  st.fractions(-3, 3, max_denominator=10**6),
+                  st.fractions(0, 2, max_denominator=10**6)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**30, 10**30).flatmap(
+    lambda n: st.tuples(st.just(n), _near(n))))
+def test_int_operand_compares_as_its_point_interval(case):
+    n, x = case
+    assert iv_compare(n, x) == iv_compare(iv_from_int(n), x)
+    assert iv_compare(x, n) == iv_compare(x, iv_from_int(n))
+
+
+@given(st.fractions(-10**6, 10**6), st.fractions(0, 10**6),
+       st.sampled_from([8, 64, 128]))
+def test_dyadic_endpoints_are_exact(lo, width, prec):
+    a = iv_make(lo, lo + width, prec)
+    for (m, s), end in zip(iv_dyadic(a), (a.lo, a.hi)):
+        assert s >= 0 and Fraction(m, 2**s) == end
 
 
 def test_big_int_rounded_enclosure():

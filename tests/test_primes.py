@@ -2,6 +2,7 @@
 
 import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -103,11 +104,13 @@ def test_cache_header_layout(tmp_path):
     path = tmp_path / "p.bin"
     t.save(path)
     raw = path.read_bytes()
-    assert raw[:5] == b"RBSV1"
-    (limit,) = struct.unpack("<Q", raw[5:13])
+    assert raw[:5] == b"RBSV2"
+    limit, count, crc = struct.unpack("<QQI", raw[5:25])
     assert limit == 100
+    assert count == 25
+    assert crc == zlib.crc32(raw[25:])
     # bit t of the body <-> odd number 2t+1
-    bits = np.unpackbits(np.frombuffer(raw[13:], dtype=np.uint8), bitorder="little")
+    bits = np.unpackbits(np.frombuffer(raw[25:], dtype=np.uint8), bitorder="little")
     odd_primes = [int(2 * i + 1) for i in np.flatnonzero(bits)]
     assert odd_primes == [p for p in _naive_primes(100) if p % 2]
     assert bits[0] == 0  # 1 is not prime
@@ -117,6 +120,36 @@ def test_cache_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXXX" + b"\x00" * 16)
     with pytest.raises(DomainError):
+        PrimeTable.load(path)
+
+
+def test_cache_old_layout_rejected(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"RBSV1" + struct.pack("<Q", 10) + b"\x6e")
+    with pytest.raises(DomainError, match="rebuild"):
+        PrimeTable.load(path)
+
+
+@pytest.mark.parametrize("bit", [0, 1, 7, 3999])
+def test_cache_flipped_bit_rejected(tmp_path, bit):
+    path = tmp_path / "primes.bin"
+    PrimeTable.build(8000).save(path)
+    raw = bytearray(path.read_bytes())
+    raw[25 + bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="checksum"):
+        PrimeTable.load(path)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_cache_wrong_count_rejected(tmp_path, delta):
+    t = PrimeTable.build(8000)
+    path = tmp_path / "primes.bin"
+    t.save(path)
+    raw = bytearray(path.read_bytes())
+    raw[13:21] = struct.pack("<Q", len(t) + delta)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="header says"):
         PrimeTable.load(path)
 
 
