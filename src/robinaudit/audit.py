@@ -207,15 +207,19 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
 def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
               products: Optional[_Products] = None) -> IntervalScalar:
     """M(k) = exp(e^(-gamma) f(N_k)) - log N_k for the k-th primorial N_k,
-    with f(N_k) = prod_{i<=k} p_i/(p_i - 1)."""
+    with f(N_k) = prod_{i<=k} p_i/(p_i - 1); memoized on the table."""
     if k < 1:
         raise DomainError(f"compute_m needs k >= 1, got {k}")
-    primorial = CandidateFactorization.from_runs([(1, k)])
-    products = _Products() if products is None else products
-    f = n_over_phi(primorial, t, prec, products=products)
-    lg = log_n(primorial, t, prec, products=products)
-    inner = iv_mul(constants(prec).exp_neg_gamma, f, prec)
-    return iv_sub(iv_exp(inner, prec), lg, prec)
+
+    def fresh() -> IntervalScalar:
+        primorial = CandidateFactorization.from_runs([(1, k)])
+        shared = _Products() if products is None else products
+        f = n_over_phi(primorial, t, prec, products=shared)
+        lg = log_n(primorial, t, prec, products=shared)
+        inner = iv_mul(constants(prec).exp_neg_gamma, f, prec)
+        return iv_sub(iv_exp(inner, prec), lg, prec)
+
+    return t._memoized(("m", k, prec), fresh)
 
 
 class _AuditContext:

@@ -352,8 +352,9 @@ def _cmd_audit(args, prec: int, limit: int) -> tuple[int, _Output]:
         lines.append("excluded_by: " + " ".join(report.excluded_by))
     if report.unknown_checks:
         lines.append("unknown: " + " ".join(report.unknown_checks))
+    # Serializing rounds and formats every witness; only json prints it.
     out = _Output(
-        report.to_json(),
+        report.to_json() if args.format == "json" else None,
         ["check_id", "status", "precision_used"],
         [[cid, v.status, v.precision_used] for cid, v in checks],
         lines,

@@ -9,9 +9,13 @@ over cells of 512 consecutive prime positions on a fixed grid (positions
 one outward-rounded logarithm or division per cell.  Because cells sit at
 fixed positions, the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do
 not depend on the exponents: one audit or normalize call forms each of
-them once and shares it between log n, rho, n/phi, the primorial margin
-M(r) and every normalize step.  Exponents too large for exact powers fall
-back to interval forms, so candidates like 2^(10^14) still evaluate.
+them at most once and shares it between log n, rho, n/phi, the primorial
+margin M(r) and every normalize step.  The enclosures made from them (the
+log of a cell's Pi p, a cell's rho and n/phi ratio blocks, keyed by the
+cell, the precision and for rho the exponent) are memoized on the
+PrimeTable, so later calls on the same table skip the products too.
+Exponents too large for exact powers fall back to interval forms, so
+candidates like 2^(10^14) still evaluate.
 """
 
 from __future__ import annotations
@@ -299,7 +303,10 @@ class _Products:
     """Exact products Pi (p + shift), shift in {-1, 0, 1}, over p_i..p_j,
     each formed on first use.  Keyed by prime positions only, so one
     object serves every candidate over the same primes.  Callers create
-    one per audit or normalize call and drop it with the call."""
+    one per audit or normalize call and drop it with the call: the big
+    ints stay out of the table's memo, which keeps only the fixed-size
+    enclosures made from them, so a call whose cells are all memoized
+    forms no product at all."""
 
     def __init__(self):
         self._cells: dict[tuple[int, int, int], int] = {}
@@ -325,7 +332,11 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
         if e == 0:
             continue
         for i, j in _chunks(start, end):
-            block = iv_log(iv_from_int_rounded(products.get(t, i, j), prec), prec)
+            block = t._memoized(
+                ("log", i, j, prec),
+                lambda: iv_log(iv_from_int_rounded(products.get(t, i, j), prec),
+                               prec),
+            )
             if e != 1:
                 block = iv_mul(iv_from_int(e), block, prec)
             total = iv_add(total, block, prec)
@@ -359,22 +370,32 @@ def rho(c: CandidateFactorization, t: PrimeTable,
         if e == 0:
             continue
         for i, j in _chunks(start, end):
-            if e == 1:
-                num = products.get(t, i, j, 1)
-                den = products.get(t, i, j)
-            elif _pow_bits(t.nth_prime(j), e + 1) <= _EXACT_POW_BITS:
-                num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
-                # Pi p^e (p - 1)
-                den = products.get(t, i, j) ** e * products.get(t, i, j, -1)
-            else:
+            if e != 1 and _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
                 for p in t.slice(i, j).tolist():
                     total = iv_mul(total, _sigma_factor_interval(p, e, prec), prec)
                 continue
-            block = iv_div(
-                iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
+            block = t._memoized(
+                ("rho", i, j, e, prec),
+                lambda: _rho_block(t, products, i, j, e, prec),
             )
             total = iv_mul(total, block, prec)
     return total
+
+
+def _rho_block(t: PrimeTable, products: _Products, i: int, j: int, e: int,
+               prec: int) -> IntervalScalar:
+    """Enclosure of Pi sigma(p^e)/p^e over p_i..p_j from exact products;
+    needs p_j^(e+1) within _EXACT_POW_BITS when e > 1."""
+    if e == 1:
+        num = products.get(t, i, j, 1)
+        den = products.get(t, i, j)
+    else:
+        num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
+        # Pi p^e (p - 1)
+        den = products.get(t, i, j) ** e * products.get(t, i, j, -1)
+    return iv_div(
+        iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
+    )
 
 
 def n_over_phi(c: CandidateFactorization, t: PrimeTable,
@@ -388,14 +409,13 @@ def n_over_phi(c: CandidateFactorization, t: PrimeTable,
         if e == 0:
             continue
         for i, j in _chunks(start, end):
-            num = products.get(t, i, j)
-            den = products.get(t, i, j, -1)
-            total = iv_mul(
-                total,
-                iv_div(iv_from_int_rounded(num, prec),
-                       iv_from_int_rounded(den, prec), prec),
-                prec,
+            block = t._memoized(
+                ("nphi", i, j, prec),
+                lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
+                               iv_from_int_rounded(products.get(t, i, j, -1), prec),
+                               prec),
             )
+            total = iv_mul(total, block, prec)
     return total
 
 

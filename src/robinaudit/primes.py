@@ -2,7 +2,9 @@
 
 A PrimeTable is an immutable sorted array of all primes up to a limit,
 built with a segmented sieve of Eratosthenes.  It can be saved to and
-loaded from a compact bitmap cache.  dusart_gap_holds verifies that a
+loaded from a compact bitmap cache.  Each table keeps a bounded memo of
+enclosures derived from its primes alone (see ``PrimeTable._memoized``),
+which lives and dies with the table.  dusart_gap_holds verifies that a
 short interval above x contains a prime, using a conservatively rounded
 window end so a True answer is a certificate.
 """
@@ -14,7 +16,7 @@ import zlib
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -40,6 +42,12 @@ _OLD_CACHE_MAGIC = b"RBSV1"
 _CACHE_HEADER = struct.Struct("<QQI")  # limit, pi(limit), CRC-32 of the bitmap
 
 _DEFAULT_SEGMENT = 1 << 20
+
+# Entries a table's memo holds before it is emptied.  A corpus pass of the
+# benchmark stores about 700 and a full_audit at r = 10^6 about 6,000 per
+# precision, so this covers an audit at 128 bits and its 256-bit recheck
+# (11,760 entries, 6.6 MB).
+_MEMO_CAP = 1 << 14
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -85,13 +93,33 @@ def _prime_chunks(limit: int, segment_size: int = _DEFAULT_SEGMENT) -> Iterator[
 
 
 class PrimeTable:
-    """All primes up to ``limit`` as a sorted int64 array, 1-based indexing."""
+    """All primes up to ``limit`` as a sorted int64 array, 1-based indexing.
 
-    __slots__ = ("limit", "_primes")
+    The array is read-only, so no slice can change the primes that the
+    memo's entries were derived from."""
+
+    __slots__ = ("limit", "_primes", "_memo")
 
     def __init__(self, limit: int, primes: np.ndarray):
+        primes.flags.writeable = False
         self.limit = int(limit)
         self._primes = primes
+        self._memo: dict = {}
+
+    def _memoized(self, key: tuple, compute: Callable[[], object]) -> object:
+        """``compute()``, kept under ``key`` for as long as the table lives.
+
+        For small values that depend only on the primes and on ``key``
+        (cell enclosures with their precision, M(k)), so a hit returns
+        exactly what ``compute()`` would.  Past ``_MEMO_CAP`` entries the
+        memo is emptied and starts again."""
+        v = self._memo.get(key)
+        if v is None:
+            v = compute()
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = v
+        return v
 
     @classmethod
     def build(cls, limit: int, segment_size: int = _DEFAULT_SEGMENT) -> "PrimeTable":
@@ -149,7 +177,7 @@ class PrimeTable:
         return int(np.searchsorted(self._primes, x, side="right"))
 
     def slice(self, i: int, j: int) -> np.ndarray:
-        """Primes p_i..p_j inclusive (1-based) as an int64 view."""
+        """Primes p_i..p_j inclusive (1-based) as a read-only int64 view."""
         if i < 1 or j < i - 1:
             raise DomainError(f"bad prime index range [{i}, {j}]")
         if j > self._primes.size:
@@ -160,7 +188,7 @@ class PrimeTable:
         return self._primes[i - 1 : j]
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
-        """Primes in [lo, hi] as an int64 view."""
+        """Primes in [lo, hi] as a read-only int64 view."""
         if hi > self.limit:
             raise TableTooSmallError(
                 f"{hi} beyond table limit {self.limit}", needed=hi

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import robinaudit
-from robinaudit import cli
+from robinaudit import cli, intervals
 from robinaudit.cli import main
 from robinaudit.errors import InvariantError
 from robinaudit.primes import PrimeTable
@@ -213,6 +213,22 @@ class TestAuditCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "check_id,status,precision_used"
         assert len(lines) == 19
+
+    def test_witnesses_formatted_only_for_json(self, capsys, monkeypatch):
+        calls = []
+        real = intervals._mpf_to_decimal_str
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(intervals, "_mpf_to_decimal_str", counting)
+        for fmt in ("csv", "text"):
+            code, out, _ = run_cli(["audit", CAND_5040, "--format", fmt], capsys)
+            assert code == 1 and out
+            assert calls == [], fmt
+        run_cli(["audit", CAND_5040, "--format", "json"], capsys)
+        assert calls
 
     def test_precision_flag_recorded(self, capsys):
         _, out, _ = run_cli(["audit", CAND_5040, "--precision", "192"], capsys)

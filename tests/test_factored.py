@@ -31,6 +31,7 @@ from robinaudit.factored import (
     rho,
 )
 from robinaudit.intervals import iv_compare, Comparison
+from robinaudit.primes import PrimeTable
 
 LN_5040 = Fraction(
     "8.52516136106541430016553103634712505075966773693689883032415")
@@ -232,17 +233,22 @@ def test_aggregates_across_cell_edges(c, table_1e6):
     assert lg.width() < Fraction(1, 10**30)
 
 
-def test_shared_products_give_fresh_endpoints(table_1e6):
+def test_shared_products_give_fresh_endpoints():
     # one object for both candidates and the primorials, so later calls
-    # read cells that earlier ones formed
+    # read cells that earlier ones formed; a new table for every call, so
+    # no memoized enclosure stands in for the products
     shared = _Products()
+
+    def table():
+        return PrimeTable.build(30000)  # p_2803 = 25423 for WIDE
+
     for c in (WIDE, HOLEY):
         for f in (log_n, rho, n_over_phi):
-            fresh = f(c, table_1e6)
-            again = f(c, table_1e6, products=shared)
+            fresh = f(c, table())
+            again = f(c, table(), products=shared)
             assert (again.lo, again.hi) == (fresh.lo, fresh.hi), f.__name__
-        fresh = compute_m(c.r, table_1e6)
-        again = compute_m(c.r, table_1e6, products=shared)
+        fresh = compute_m(c.r, table())
+        again = compute_m(c.r, table(), products=shared)
         assert (again.lo, again.hi) == (fresh.lo, fresh.hi)
 
 
@@ -261,14 +267,10 @@ def test_rho_strictly_below_n_over_phi(table_1e6):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12))
 def test_rho_below_n_over_phi_hypothesis(exps):
-    from robinaudit.primes import PrimeTable
-
     t = _HYP_TABLE
     c = CandidateFactorization.from_exponents(exps)
     assert rho_exact(c, t) < n_over_phi_exact(c, t)
 
-
-from robinaudit.primes import PrimeTable  # noqa: E402
 
 _HYP_TABLE = PrimeTable.build(200)
 

@@ -81,6 +81,18 @@ def test_slice_is_one_based_inclusive(table_1e6):
     assert table_1e6.slice(5, 4).size == 0  # empty range allowed
 
 
+def test_table_is_read_only(tmp_path):
+    built = PrimeTable.build(100)
+    path = tmp_path / "primes.bin"
+    built.save(path)
+    for t in (built, PrimeTable.load(path)):
+        with pytest.raises(ValueError):
+            t.slice(1, 3)[0] = 4
+        with pytest.raises(ValueError):
+            t.primes_in(2, 10)[:] = 0
+        assert t.nth_prime(1) == 2 and list(t.slice(1, 3)) == [2, 3, 5]
+
+
 def test_primes_in_range(table_1e6):
     assert list(table_1e6.primes_in(90, 110)) == [97, 101, 103, 107, 109]
 
