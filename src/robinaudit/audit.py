@@ -13,6 +13,7 @@ endpoints need testing and violations sit at a known end of the run.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .errors import (
 )
 from .factored import (
     CandidateFactorization,
-    Run,
     _Products,
     _require_table,
     g_ratio_divide,
@@ -204,8 +204,8 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
     return u
 
 
-def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
-              products: Optional[_Products] = None) -> IntervalScalar:
+def compute_m(k: int, t: PrimeTable,
+              prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """M(k) = exp(e^(-gamma) f(N_k)) - log N_k for the k-th primorial N_k,
     with f(N_k) = prod_{i<=k} p_i/(p_i - 1); memoized on the table."""
     if k < 1:
@@ -213,9 +213,9 @@ def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
 
     def fresh() -> IntervalScalar:
         primorial = CandidateFactorization.from_runs([(1, k)])
-        shared = _Products() if products is None else products
-        f = n_over_phi(primorial, t, prec, products=shared)
-        lg = log_n(primorial, t, prec, products=shared)
+        products = _Products()
+        f = n_over_phi(primorial, t, prec, products=products)
+        lg = log_n(primorial, t, prec, products=products)
         inner = iv_mul(constants(prec).exp_neg_gamma, f, prec)
         return iv_sub(iv_exp(inner, prec), lg, prec)
 
@@ -225,46 +225,32 @@ def compute_m(k: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS, *,
 class _AuditContext:
     """Shared lazily-computed quantities for one audit run: log n, rho,
     n/phi and log p_r.  ``products`` holds the exact cell products behind
-    them; normalize passes one object to the context of every step."""
+    them."""
 
-    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
-                 products: Optional[_Products] = None):
+    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int):
         self.c = c
         self.t = t
         self.prec = prec
-        self.products = _Products() if products is None else products
+        self.products = _Products()
         self.r = c.r
         self.covered = self.r <= len(t)
         self.p_r = t.nth_prime(self.r) if self.covered else None
-        self._log_n: Optional[IntervalScalar] = None
-        self._rho: Optional[IntervalScalar] = None
-        self._nphi: Optional[IntervalScalar] = None
-        self._log_p_r: Optional[IntervalScalar] = None
 
-    @property
+    @functools.cached_property
     def log_n(self) -> IntervalScalar:
-        if self._log_n is None:
-            self._log_n = log_n(self.c, self.t, self.prec, products=self.products)
-        return self._log_n
+        return log_n(self.c, self.t, self.prec, products=self.products)
 
-    @property
+    @functools.cached_property
     def rho(self) -> IntervalScalar:
-        if self._rho is None:
-            self._rho = rho(self.c, self.t, self.prec, products=self.products)
-        return self._rho
+        return rho(self.c, self.t, self.prec, products=self.products)
 
-    @property
+    @functools.cached_property
     def nphi(self) -> IntervalScalar:
-        if self._nphi is None:
-            self._nphi = n_over_phi(self.c, self.t, self.prec,
-                                    products=self.products)
-        return self._nphi
+        return n_over_phi(self.c, self.t, self.prec, products=self.products)
 
-    @property
+    @functools.cached_property
     def log_p_r(self) -> IntervalScalar:
-        if self._log_p_r is None:
-            self._log_p_r = iv_log(iv_from_int(self.p_r), self.prec)
-        return self._log_p_r
+        return iv_log(iv_from_int(self.p_r), self.prec)
 
     def uncovered(self) -> Verdict:
         return Verdict(
@@ -396,6 +382,7 @@ def _check_upper_window(ctx: _AuditContext) -> Verdict:
             prec,
         )
 
+    @functools.cache
     def u(i: int) -> int:
         return _upper_bound(ctx.log_n, ctx.t.nth_prime(i))
 
@@ -404,23 +391,16 @@ def _check_upper_window(ctx: _AuditContext) -> Verdict:
         for start, end, e in ctx.c.run_bounds():
             if e == 0:
                 continue
-            u_end = u(end)
             runs_checked += 1
-            if e <= u_end:
+            if e <= u(end):
                 continue
             # violations form a suffix of the run; locate the first one
-            lo, hi, u_hi = start, end, u_end
-            while lo < hi:
-                mid = (lo + hi) // 2
-                u_mid = u(mid)
-                if e > u_mid:
-                    hi, u_hi = mid, u_mid
-                else:
-                    lo = mid + 1
+            first = start + bisect.bisect_left(range(start, end), True,
+                                               key=lambda i: e > u(i))
             return Verdict(
                 FAIL,
-                {"index": lo, "prime": ctx.t.nth_prime(lo), "exponent": e,
-                 "upper_bound": u_hi},
+                {"index": first, "prime": ctx.t.nth_prime(first),
+                 "exponent": e, "upper_bound": u(first)},
                 prec,
             )
         return Verdict(PASS, {"runs_checked": runs_checked}, prec)
@@ -581,7 +561,12 @@ def _check_shape_b4(ctx: _AuditContext) -> Verdict:
             p = t.nth_prime(end)
             # p^e < 2^(a1+2), worst within the run at its top prime
             if not _power_below(ctx, p, e, 2, a1 + 2):
-                idx = _first_b4_violation(ctx, max(start, 2), end, e, a1)
+                # violations form a suffix of the run; locate the first one
+                lo = max(start, 2)
+                idx = lo + bisect.bisect_left(
+                    range(lo, end), True,
+                    key=lambda i: not _power_below(ctx, t.nth_prime(i), e, 2,
+                                                   a1 + 2))
                 return Verdict(
                     FAIL,
                     {"index": idx, "prime": t.nth_prime(idx),
@@ -599,17 +584,6 @@ def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int) -> bool:
     if below is None:
         raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate")
     return below
-
-
-def _first_b4_violation(ctx: _AuditContext, start: int, end: int, e: int, a1: int) -> int:
-    lo, hi = start, end
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if not _power_below(ctx, ctx.t.nth_prime(mid), e, 2, a1 + 2):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 @_needs_table
@@ -671,7 +645,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
     if c.r < 2:
         return Verdict(PASS, {"reason": "no index above 1"}, prec)
     a1 = c.a(1)
-    m_r = compute_m(c.r, t, prec, products=ctx.products)
+    m_r = compute_m(c.r, t, prec)
     try:
         for start, end, e in c.run_bounds():
             if e == 0 or end < 2:
@@ -879,15 +853,10 @@ def _largest_lower_violation(ctx: _AuditContext) -> Optional[int]:
         l_start = compute_l(ctx.p_r, ctx.t.nth_prime(start))
         if e >= l_start:
             continue  # no violation anywhere in this run
-        # violations are a prefix; binary-search its last index
-        lo, hi = start, end
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if e < compute_l(ctx.p_r, ctx.t.nth_prime(mid)):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # violations are a prefix; walking down from end, find its last index
+        return end - bisect.bisect_left(
+            range(end, start, -1), True,
+            key=lambda i: e < compute_l(ctx.p_r, ctx.t.nth_prime(i)))
     return None
 
 
@@ -905,10 +874,9 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
         raise DomainError(f"step limit must be >= 1, got {step_limit}")
     cur = c
     trace: list[dict] = []
-    products = _Products()
     for _ in range(step_limit):
         _require_table(cur, t)
-        ctx = _AuditContext(cur, t, prec, products)
+        ctx = _AuditContext(cur, t, prec)
         state = iv_compare(ctx.log_n, ctx.p_r)
         upper_ok = state is Comparison.CERTAINLY_GREATER
         if state is Comparison.OVERLAPPING:
@@ -981,34 +949,17 @@ def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
 def _edited(c: CandidateFactorization, s: int, delta: int,
             drop_top: bool) -> CandidateFactorization:
     """Add ``delta`` to a_s and, with ``drop_top``, remove position r, by
-    editing runs in O(#runs).  The result equals ``from_exponents`` of the
-    edited exponent list: maximal runs, trailing zeros stripped, the same
-    ``canonical`` flag."""
-    runs: list[Run] = []
+    splitting the run that holds s in O(#runs); ``_from_pieces`` merges
+    and strips the result as ``from_exponents`` would."""
+    top = c.r - 1 if drop_top else c.r
+    pieces = []
     for start, end, e in c.run_bounds():
+        end = min(end, top)
         if start <= s <= end:
-            pieces = [(e, s - start), (e + delta, 1), (e, end - s)]
+            pieces += [(e, s - start), (e + delta, 1), (e, end - s)]
         else:
-            pieces = [(e, end - start + 1)]
-        for exp, count in pieces:
-            if count == 0:
-                continue
-            if runs and runs[-1].exponent == exp:
-                runs[-1] = Run(exp, runs[-1].count + count)
-            else:
-                runs.append(Run(exp, count))
-    if drop_top:
-        last = runs.pop()
-        if last.count > 1:
-            runs.append(Run(last.exponent, last.count - 1))
-    while runs and runs[-1].exponent == 0:
-        runs.pop()
-    if not runs:
-        raise DomainError("empty candidate (all exponents zero)")
-    # the last run is positive, so strictly decreasing runs have no zeros
-    canonical = all(runs[k].exponent > runs[k + 1].exponent
-                    for k in range(len(runs) - 1))
-    return CandidateFactorization(runs=tuple(runs), canonical=canonical)
+            pieces.append((e, end - start + 1))
+    return CandidateFactorization._from_pieces(pieces)
 
 
 def _divided(c: CandidateFactorization, s: int) -> CandidateFactorization:

@@ -8,12 +8,13 @@ over cells of 512 consecutive prime positions on a fixed grid (positions
 1..512, 513..1024, ...; a run is cut at run ends and cell edges), taking
 one outward-rounded logarithm or division per cell.  Because cells sit at
 fixed positions, the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do
-not depend on the exponents: one audit or normalize call forms each of
-them at most once and shares it between log n, rho, n/phi, the primorial
-margin M(r) and every normalize step.  The enclosures made from them (the
-log of a cell's Pi p, a cell's rho and n/phi ratio blocks, keyed by the
-cell, the precision and for rho the exponent) are memoized on the
-PrimeTable, so later calls on the same table skip the products too.
+not depend on the exponents: one audit context forms each of them at
+most once and shares it between log n, rho and n/phi.  The enclosures
+made from them (the log of a cell's Pi p, a cell's rho and n/phi ratio
+blocks, keyed by the cell, the precision and for rho the exponent) are
+memoized on the PrimeTable.  That memo serves the primorial margin M(r),
+every normalize step and later calls on the same table, which form a
+product only for a cell piece no earlier call has evaluated.
 Exponents too large for exact powers fall back to interval forms, so
 candidates like 2^(10^14) still evaluate.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CandidateFormatError,
@@ -117,20 +118,31 @@ class CandidateFactorization:
         for i, a in enumerate(exps):
             if a < 0:
                 raise DomainError(f"exponent at position {i + 1} is negative")
-        while exps and exps[-1] == 0:
-            exps.pop()
-        if not exps:
-            raise DomainError("empty candidate (all exponents zero)")
-        runs = []
-        for a in exps:
-            if runs and runs[-1].exponent == a:
-                runs[-1] = Run(a, runs[-1].count + 1)
+        return cls._from_pieces((a, 1) for a in exps)
+
+    @classmethod
+    def _from_pieces(cls, pieces: Iterable[tuple[int, int]]) -> "CandidateFactorization":
+        """Consecutive (exponent, count) pieces, any non-negative shape.
+
+        Equal neighbours merge into one run, pieces of count 0 vanish and
+        trailing zero exponents are stripped; the result is flagged
+        canonical exactly when its run exponents strictly decrease (the last
+        one is positive, so all are)."""
+        runs: list[list[int]] = []
+        for e, count in pieces:
+            if not count:
+                continue
+            if runs and runs[-1][0] == e:
+                runs[-1][1] += count
             else:
-                runs.append(Run(a, 1))
-        canonical = bool(exps) and all(a >= 1 for a in exps) and all(
-            runs[k].exponent > runs[k + 1].exponent for k in range(len(runs) - 1)
-        )
-        return cls(runs=tuple(runs), canonical=canonical)
+                runs.append([e, count])
+        while runs and runs[-1][0] == 0:
+            runs.pop()
+        if not runs:
+            raise DomainError("empty candidate (all exponents zero)")
+        canonical = all(runs[k][0] > runs[k + 1][0] for k in range(len(runs) - 1))
+        return cls(runs=tuple(Run(e, count) for e, count in runs),
+                   canonical=canonical)
 
     @property
     def r(self) -> int:
@@ -235,16 +247,11 @@ class CandidateFactorization:
             )
             if exps_decreasing and all(e >= 1 for e, _ in pairs):
                 return cls.from_runs(pairs)
-            # Non-canonical run list: normalize through the explicit path.
-            total = sum(c for _, c in pairs)
-            if total > _EXPLICIT_LIMIT:
+            if sum(c for _, c in pairs) > _EXPLICIT_LIMIT:
                 raise CandidateFormatError(
                     "runs", "non-canonical run list too wide to expand"
                 )
-            exps = []
-            for e, c in pairs:
-                exps.extend([e] * c)
-            return cls.from_exponents(exps)
+            return cls._from_pieces(pairs)
         if "exponents" in obj:
             exps = obj["exponents"]
             if not isinstance(exps, list) or not exps:
@@ -303,8 +310,8 @@ class _Products:
     """Exact products Pi (p + shift), shift in {-1, 0, 1}, over p_i..p_j,
     each formed on first use.  Keyed by prime positions only, so one
     object serves every candidate over the same primes.  Callers create
-    one per audit or normalize call and drop it with the call: the big
-    ints stay out of the table's memo, which keeps only the fixed-size
+    one per call or audit context and drop it with that: the big ints
+    stay out of the table's memo, which keeps only the fixed-size
     enclosures made from them, so a call whose cells are all memoized
     forms no product at all."""
 

@@ -22,11 +22,12 @@ against an exact rational per probe.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -90,6 +91,14 @@ def sigma_range(lo: int, hi: int) -> np.ndarray:
     cofactor += cofactor > 1  # a prime q contributes 1 + q, the unit 1
     out *= cofactor
     return out
+
+
+def _sigma_segments(lo: int, hi: int,
+                    segment: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, sigma_range over the segment) for consecutive segments of
+    ``segment`` integers covering [lo, hi]."""
+    for seg_lo in range(lo, hi + 1, segment):
+        yield seg_lo, sigma_range(seg_lo, min(seg_lo + segment - 1, hi))
 
 
 def _threshold(n: int, prec: int) -> IntervalScalar:
@@ -187,10 +196,7 @@ def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
     if not 1 <= segment <= 1 << 26:
         raise DomainError(f"segment must be in [1, 2^26], got {segment}")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
-    seg_lo = lo
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + segment - 1, hi)
-        sig = sigma_range(seg_lo, seg_hi)
+    for seg_lo, sig in _sigma_segments(lo, hi, segment):
         # sigma(n) below the screen certainly holds
         survivors = np.flatnonzero(sig >= _tangent_screen(seg_lo, sig.size, prec))
         for off in survivors.tolist():
@@ -199,7 +205,6 @@ def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
                 result.violations.append(rec)
             elif rec.verdict == "unknown":
                 result.unknowns.append(rec)
-        seg_lo = seg_hi + 1
     return result
 
 
@@ -209,7 +214,7 @@ def robin_exceptions(prec: int = DEFAULT_PRECISION_BITS) -> list[int]:
     if res.unknowns:
         raise PrecisionError(
             f"{len(res.unknowns)} indeterminate comparisons below 5041",
-            suggested_precision_bits=prec * 2,
+            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
         )
     return [rec.n for rec in res.violations]
 
@@ -240,11 +245,8 @@ def superabundant_up_to(limit: int, segment: int = _SEGMENT) -> list[AbundanceRe
         raise DomainError(f"limit {limit} above 10^15, where sigma(n) leaves float64")
     records: list[AbundanceRecord] = []
     best_num, best_den = 0, 1
-    seg_lo = 1
-    while seg_lo <= limit:
-        seg_hi = min(seg_lo + segment - 1, limit)
-        sig = sigma_range(seg_lo, seg_hi)
-        ratio = sig / np.arange(seg_lo, seg_hi + 1, dtype=np.float64)
+    for seg_lo, sig in _sigma_segments(1, limit, segment):
+        ratio = sig / np.arange(seg_lo, seg_lo + sig.size, dtype=np.float64)
         # best[i] = max(entering record, ratio[:i])
         best = np.empty_like(ratio)
         best[0] = best_num / best_den
@@ -257,7 +259,6 @@ def superabundant_up_to(limit: int, segment: int = _SEGMENT) -> list[AbundanceRe
             if s * best_den > best_num * n:
                 records.append(AbundanceRecord(n, s))
                 best_num, best_den = s, n
-        seg_lo = seg_hi + 1
     return records
 
 
@@ -312,14 +313,11 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
         )
 
     def last_index_with(e: int, lo: int, hi: int) -> int:
-        # largest i in [lo, hi] with exponent(p_i) >= e; exponent(p_lo) >= e
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _ca_at_least(t.nth_prime(mid), e, eps, prec):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # largest i in [lo, hi] with exponent(p_i) >= e; exponent(p_lo) >= e,
+        # and walking down from hi the exponent first reaches e there
+        return hi - bisect.bisect_left(
+            range(hi, lo, -1), True,
+            key=lambda i: _ca_at_least(t.nth_prime(i), e, eps, prec))
 
     pairs = []
     prev_boundary = 0
@@ -331,22 +329,17 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
     return CandidateFactorization.from_runs(pairs)
 
 
-def ca_sweep(count: int, t: PrimeTable, eps0: EpsilonLike = 1,
-             ratio: EpsilonLike = Fraction(9, 10),
-             prec: int = DEFAULT_PRECISION_BITS,
+def ca_sweep(count: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS,
              max_steps: int = 2000) -> list[CandidateFactorization]:
     """First ``count`` distinct candidates along the geometric epsilon grid
-    eps0 * ratio^j, j = 0, 1, 2, ...  (decreasing epsilon, growing candidates).
+    (9/10)^j, j = 0, 1, 2, ...  (decreasing epsilon, growing candidates).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    eps0 = Fraction(eps0)
-    ratio = Fraction(ratio)
-    if not 0 < ratio < 1:
-        raise DomainError(f"ratio must be in (0, 1), got {ratio}")
+    ratio = Fraction(9, 10)
     out: list[CandidateFactorization] = []
     seen = set()
-    eps = eps0
+    eps = Fraction(1)
     for _ in range(max_steps):
         try:
             cand = ca_candidate(eps, t, prec)

@@ -41,7 +41,7 @@ _CACHE_MAGIC = b"RBSV2"
 _OLD_CACHE_MAGIC = b"RBSV1"
 _CACHE_HEADER = struct.Struct("<QQI")  # limit, pi(limit), CRC-32 of the bitmap
 
-_DEFAULT_SEGMENT = 1 << 20
+_SEGMENT = 1 << 20
 
 # Entries a table's memo holds before it is emptied.  A corpus pass of the
 # benchmark stores about 700 and a full_audit at r = 10^6 about 6,000 per
@@ -75,7 +75,7 @@ def _sieve_odd_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return (lo + 2 * np.flatnonzero(flags)).astype(np.int64)
 
 
-def _prime_chunks(limit: int, segment_size: int = _DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
+def _prime_chunks(limit: int) -> Iterator[np.ndarray]:
     """All primes <= limit as increasing int64 arrays, one sieve segment
     each, so a caller that walks them holds one segment at a time."""
     if limit < 2:
@@ -85,7 +85,7 @@ def _prime_chunks(limit: int, segment_size: int = _DEFAULT_SEGMENT) -> Iterator[
     yield np.array([2], dtype=np.int64)
     lo = 3
     while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
+        hi = min(lo + _SEGMENT, limit + 1)
         yield _sieve_odd_segment(lo, hi, odd_base)
         lo = hi
         if lo % 2 == 0:
@@ -122,10 +122,10 @@ class PrimeTable:
         return v
 
     @classmethod
-    def build(cls, limit: int, segment_size: int = _DEFAULT_SEGMENT) -> "PrimeTable":
+    def build(cls, limit: int) -> "PrimeTable":
         if limit < 2:
             return cls(max(limit, 0), np.empty(0, dtype=np.int64))
-        return cls(limit, np.concatenate(list(_prime_chunks(limit, segment_size))))
+        return cls(limit, np.concatenate(list(_prime_chunks(limit))))
 
     def __len__(self) -> int:
         return int(self._primes.size)
@@ -273,8 +273,7 @@ def dusart_window_end(x: int, prec: int = DEFAULT_PRECISION_BITS) -> int:
     return end_int
 
 
-def dusart_gap_holds(x: int, table: Optional[PrimeTable] = None,
-                     prec: int = DEFAULT_PRECISION_BITS) -> bool:
+def dusart_gap_holds(x: int, prec: int = DEFAULT_PRECISION_BITS) -> bool:
     """True iff a prime lies in (x, end] with end the certified window bound.
 
     True is a certificate.  False only means no prime was found in the
@@ -285,11 +284,6 @@ def dusart_gap_holds(x: int, table: Optional[PrimeTable] = None,
             f"gap bound applies for x >= {DUSART_GAP_THRESHOLD}, got {x}"
         )
     end = dusart_window_end(x, prec)
-    if table is not None and table.limit >= end:
-        try:
-            return table.next_prime(x) <= end
-        except TableTooSmallError:
-            return False
     # Sieve just the window (x, end]: a prime p >= size hits it at most once,
     # so one fancy store clears those and only the few smaller p loop.
     base = _gap_base_primes(isqrt(end))

@@ -595,3 +595,82 @@ def test_run_edits_match_exponent_list_path(exps):
             want = _edit_by_list(c, s, 1, True)
             got = _swapped(c, s)
             assert (got.runs, got.canonical) == (want.runs, want.canonical)
+
+
+_SCAN_TABLE = PrimeTable.build(1000)
+
+
+def _scan_upper(lg, primes):
+    """U(p_i) at every position, or None when one bracket is undecided."""
+    try:
+        return [audit._upper_bound(lg, p) for p in primes]
+    except audit._Indeterminate:
+        return None
+
+
+def _first(indices, lo=1):
+    return next((i for i in indices if i >= lo), None)
+
+
+def _expect(status_if_none, index):
+    return (status_if_none, None) if index is None else (FAIL, index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                          st.integers(min_value=1, max_value=12)),
+                min_size=1, max_size=40))
+def test_window_indices_match_linear_scan(pieces):
+    # runs of equal exponents put violations inside multi-position runs,
+    # where the checks and normalize bisect instead of testing each index
+    exps = [e for e, count in pieces for _ in range(count)][:40]
+    if not any(exps):
+        exps.append(1)
+    t = _SCAN_TABLE
+    c = CandidateFactorization.from_exponents(exps)
+    a = c.exponents_list()
+    r = c.r
+    primes = [t.nth_prime(i) for i in range(1, r + 1)]
+    p_r = primes[-1]
+    positions = range(1, r + 1)
+    low = [i for i in positions if a[i - 1] < compute_l(p_r, primes[i - 1])]
+    b4 = [i for i in positions
+          if i >= 2 and primes[i - 1] ** a[i - 1] >= 2 ** (a[0] + 2)]
+
+    def got(check_id):
+        v = run_check(check_id, c, t)
+        return v.status, v.witness.get("index")
+
+    if r < 2:
+        assert got("lower_window_4")[0] == got("shape_B5")[0] == NOT_APPLICABLE
+    else:
+        assert got("lower_window_4") == _expect(PASS, _first(low))
+        assert got("shape_B5") == _expect(PASS, _first(low, 2))
+    assert got("shape_B4") == _expect(PASS, _first(b4))
+
+    lg = log_n(c, t)
+    state = intervals.iv_compare(lg, p_r)
+    upper = (_scan_upper(lg, primes)
+             if state is intervals.Comparison.CERTAINLY_GREATER else None)
+    above = None if upper is None else [
+        i for i in positions if a[i - 1] > upper[i - 1]]
+    if above is not None:
+        want = _first(above)
+        v = run_check("upper_window_3", c, t)
+        assert (v.status, v.witness.get("index")) == _expect(PASS, want)
+        if want is not None:
+            assert v.witness["upper_bound"] == upper[want - 1]
+    elif state is intervals.Comparison.CERTAINLY_LESS:
+        assert got("upper_window_3")[0] == NOT_APPLICABLE
+
+    if state is intervals.Comparison.OVERLAPPING or (
+            state is intervals.Comparison.CERTAINLY_GREATER and above is None):
+        return  # normalize stops as indeterminate
+    res = normalize(c, t, step_limit=1)
+    steps = [(s["action"], s["index"]) for s in res.trace]
+    if above:
+        assert steps == [("divide", max(above))]
+    elif low and a[-1] == 1:
+        assert steps == [("swap", max(low))]
+    else:
+        assert steps == []

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import n_over_phi_exact, rho_exact
 
-from robinaudit.audit import compute_m
 from robinaudit.errors import (
     CandidateFormatError,
     DomainError,
@@ -234,9 +233,9 @@ def test_aggregates_across_cell_edges(c, table_1e6):
 
 
 def test_shared_products_give_fresh_endpoints():
-    # one object for both candidates and the primorials, so later calls
-    # read cells that earlier ones formed; a new table for every call, so
-    # no memoized enclosure stands in for the products
+    # one object for both candidates, so later calls read cells that
+    # earlier ones formed; a new table for every call, so no memoized
+    # enclosure stands in for the products
     shared = _Products()
 
     def table():
@@ -247,9 +246,6 @@ def test_shared_products_give_fresh_endpoints():
             fresh = f(c, table())
             again = f(c, table(), products=shared)
             assert (again.lo, again.hi) == (fresh.lo, fresh.hi), f.__name__
-        fresh = compute_m(c.r, table())
-        again = compute_m(c.r, table(), products=shared)
-        assert (again.lo, again.hi) == (fresh.lo, fresh.hi)
 
 
 def test_big_g_oracles(table_1e6):

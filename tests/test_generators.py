@@ -15,6 +15,7 @@ from robinaudit.errors import (
     ResourceBudgetError,
     TableTooSmallError,
 )
+from robinaudit import generators
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
@@ -166,6 +167,15 @@ def test_verify_record_fields():
 
 def test_robin_exceptions_helper():
     assert robin_exceptions() == ROBIN_EXCEPTIONS
+
+
+def test_robin_exceptions_suggests_past_the_ladder(monkeypatch):
+    # _classify has already tried up to prec << 4, so the suggestion must
+    # lie beyond the ladder, as compute_u and _ca_at_least suggest
+    monkeypatch.setattr(generators, "escalate", lambda attempt, prec: None)
+    with pytest.raises(PrecisionError) as info:
+        robin_exceptions(128)
+    assert info.value.suggested_precision_bits == 4096
 
 
 def test_superabundant_prefix():

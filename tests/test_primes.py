@@ -205,13 +205,6 @@ def test_gap_holds_at_threshold_and_beyond():
     assert dusart_gap_holds(123456789 * 5)  # arbitrary interior point
 
 
-def test_gap_uses_table_when_it_covers():
-    x = DUSART_GAP_THRESHOLD
-    end = dusart_window_end(x)
-    t = PrimeTable.build(end + 1000)
-    assert dusart_gap_holds(x, table=t)
-
-
 def test_gap_window_matches_nextprime():
     rng = random.Random(20261018)
     xs = [DUSART_GAP_THRESHOLD, 10**9]
