@@ -247,10 +247,6 @@ class CandidateFactorization:
             )
             if exps_decreasing and all(e >= 1 for e, _ in pairs):
                 return cls.from_runs(pairs)
-            if sum(c for _, c in pairs) > _EXPLICIT_LIMIT:
-                raise CandidateFormatError(
-                    "runs", "non-canonical run list too wide to expand"
-                )
             return cls._from_pieces(pairs)
         if "exponents" in obj:
             exps = obj["exponents"]

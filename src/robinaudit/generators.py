@@ -5,14 +5,23 @@ sqrt(hi) it folds sigma(p^a) into strided numpy views at the multiples of
 p, p^2, ..., and the cofactor left above 1 is one prime q, worth 1 + q.
 
 verify_range checks sigma(n) < e^gamma n log log n for every n in a range
-with exact divisor sums and certified thresholds.  The threshold is convex
-for n > e, so its tangent at a segment's start, rounded down to exact
-int64 arithmetic, is a lower bound over the whole segment (segments that
-more than double their start take a tangent per doubling): it discards
-the overwhelming majority, and only screened survivors get a per-n interval
-comparison (escalating precision until the comparison is strict or the
-retry ladder is exhausted).  Ranges end at 10^18, where sigma(n) still fits
-int64.
+with certified thresholds, in two passes per segment.  Pass 1 bounds the
+abundancy from above with one strided float multiply per prime
+p <= sqrt(hi), hi the segment's end (the primes up to 13 are tiled from
+one period of 30030 instead): sigma(n)/n is below
+(1 + 1/isqrt(hi)) prod_{p | n, p <= sqrt(hi)} p/(p-1), because n has at
+most one prime factor above sqrt(hi) and its factor 1 + 1/q is below
+1 + 1/isqrt(hi); a relative slack of 1e-9 covers the float64 roundings
+(at most 15 distinct primes, so under 40 roundings of 2^-53).
+On each doubling piece [b, 2b) of a segment, n whose bound is below a
+float c <= e^gamma log log b certainly hold, which discards all but a few
+in 10^4 of the integers.  Pass 2 computes sigma(n) exactly for the rest,
+from the primes dividing each and the cofactor.  The threshold is convex
+for n > e, so its tangent at a piece's start, rounded down to exact int64
+arithmetic, is a lower bound over the piece: it discards most survivors,
+and only what is left gets a per-n interval comparison (escalating
+precision until the comparison is strict or the retry ladder is
+exhausted).  Ranges end at 10^18, where sigma(n) still fits int64.
 
 superabundant_up_to scans abundancy records sigma(n)/n exactly, and
 ca_candidate builds the exponent vector that maximizes the sigma ratio per
@@ -93,12 +102,78 @@ def sigma_range(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _sigma_segments(lo: int, hi: int,
-                    segment: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, sigma_range over the segment) for consecutive segments of
-    ``segment`` integers covering [lo, hi]."""
-    for seg_lo in range(lo, hi + 1, segment):
-        yield seg_lo, sigma_range(seg_lo, min(seg_lo + segment - 1, hi))
+_WHEEL = (2, 3, 5, 7, 11, 13)
+_WHEEL_PERIOD = 30030
+
+
+def _abundancy_bound(lo: int, size: int, root: int) -> np.ndarray:
+    """Floats bound[k] > sigma(n)/n for n = lo + k, 0 <= k < size, given
+    that every such n is below (root + 1)^2.
+
+    bound[k] = slack * prod fl(p/(p-1)) over the primes p <= root dividing
+    n, with slack = (1 + 1/root)(1 + 1e-9).  Exactly, sigma(n)/n is below
+    prod p/(p-1) over all p | n; n has at most one prime factor q > root,
+    with q >= root + 1 and q^2 > n, so its factor 1 + 1/q is below
+    1 + 1/root.  n <= 10^18 has at most 15 distinct prime factors, so each
+    entry is at most 15 quotients and 15 products, and the slack about 5
+    more roundings, each off by a relative 2^-53 at most: under 40 * 2^-53
+    < 5e-15 in all, which the factor 1 + 1e-9 covers.
+
+    The factors of the primes up to 13 repeat with period 30030, so they
+    are formed over one period and tiled; every entry still multiplies
+    the slack by its factors in increasing order of p.
+    """
+    wheel = np.full(min(size, _WHEEL_PERIOD), (1 + 1 / root) * (1 + 1e-9))
+    for p in _WHEEL:
+        if p <= root:
+            wheel[(-lo) % p :: p] *= p / (p - 1)
+    bound = np.resize(wheel, size)
+    for chunk in _prime_chunks(root):
+        chunk = chunk[chunk > _WHEEL[-1]]
+        firsts = (-lo) % chunk
+        for p, first, ratio in zip(chunk.tolist(), firsts.tolist(),
+                                   (chunk / (chunk - 1)).tolist()):
+            if first < size:
+                bound[first::p] *= ratio
+    return bound
+
+
+# Entries of one survivors-by-primes remainder block in _sigma_sparse.
+_PAIR_BLOCK = 1 << 20
+
+
+def _sigma_sparse(ns: np.ndarray, root: int) -> np.ndarray:
+    """sigma(n) for each n of the int64 array ``ns``, exact, as int64, given
+    that every n is below (root + 1)^2 and at most 10^18.
+
+    The primes p <= root are walked once, in sieve segments, to find the
+    pairs (n, p) with p | n; each pair gets the power p^a exactly dividing
+    n and sigma(p^a).  What is left of n after those powers is 1 or one
+    prime q > root, worth 1 + q.
+    """
+    rows, ps = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    for chunk in _prime_chunks(root):
+        step = max(1, _PAIR_BLOCK // max(chunk.size, 1))
+        for s in range(0, ns.size, step):
+            row, col = np.nonzero(ns[s : s + step, None] % chunk == 0)
+            rows.append(row + s)
+            ps.append(chunk[col])
+    row = np.concatenate(rows)
+    p = np.concatenate(ps)
+    n = ns[row]
+    power, term = p.copy(), p + 1  # p^a and sigma(p^a)
+    more = np.flatnonzero(n // power % p == 0)
+    while more.size:
+        power[more] *= p[more]
+        term[more] = term[more] * p[more] + 1
+        more = more[n[more] // power[more] % p[more] == 0]
+    part = np.ones_like(ns)
+    np.multiply.at(part, row, power)
+    sigma = np.ones_like(ns)
+    np.multiply.at(sigma, row, term)
+    cofactor = ns // part
+    sigma *= np.where(cofactor > 1, cofactor + 1, 1)
+    return sigma
 
 
 def _threshold(n: int, prec: int) -> IntervalScalar:
@@ -111,31 +186,51 @@ def _threshold(n: int, prec: int) -> IntervalScalar:
     )
 
 
-def _tangent_screen(a: int, size: int, prec: int) -> np.ndarray:
-    """Integers screen[k] <= e^gamma (a+k) log log (a+k) for 0 <= k < size.
+def _pieces(a: int, end: int,
+            prec: int) -> Iterator[tuple[int, int, float, int, int]]:
+    """(b, piece end, c, A, B) for the doubling pieces [b, min(2b, end)) of
+    [a, end), a >= 3.
 
-    The threshold T is convex for n > e, so on a piece starting at b,
-    T(b) + T'(b) j lies below it, with T'(b) = e^gamma (log log b + 1/log b).
-    A = floor(T(b).lo) and B = floor(T'(b).lo 2^32) round both down, and
-    A + ((B j) >> 32) is exact int64 arithmetic (B < 2^35 for b <= 10^18,
-    so B j < 2^63 while size <= 2^26), and every entry is at most T(b + j).  On pieces [b, 2b) each tangent stays within 1 % of T from
-    b = 5041 on, and from b = 2^20 on a 2^20 segment is one piece.
+    c is a float at most e^gamma log log b: the lower end of its enclosure,
+    floored to a multiple of 2^-40 (exact in float64, since c < 8 for
+    b <= 10^18).  log log is increasing, so c <= T(n)/n over the piece.
+    A and B are the piece's tangent to the threshold T: T is convex for
+    n > e, so T(b) + T'(b) j lies below it, with
+    T'(b) = e^gamma (log log b + 1/log b).  A = floor(T(b).lo) and
+    B = floor(T'(b).lo 2^32) round both down, so A + ((B j) >> 32) is at
+    most T(b + j) (see _survivors).
     """
-    screen = np.arange(size, dtype=np.int64)
-    b, end = a, a + size
+    eg = constants(prec).exp_gamma
+    b = a
     while b < end:
-        piece = screen[b - a : min(2 * b, end) - a]
         lg = iv_log(iv_from_int(b), prec)
-        slope = iv_mul(constants(prec).exp_gamma,
-                       iv_add(iv_log(lg, prec), iv_div(1, lg, prec), prec), prec)
-        A = math.floor(_threshold(b, prec).lo)
-        B = math.floor(slope.lo * (1 << 32))
-        piece -= b - a
-        piece *= B
-        piece >>= 32
-        piece += A
+        llg = iv_log(lg, prec)
+        c = math.ldexp(math.floor(iv_mul(eg, llg, prec).lo * (1 << 40)), -40)
+        slope = iv_mul(eg, iv_add(llg, iv_div(1, lg, prec), prec), prec)
+        yield (b, min(2 * b, end), c, math.floor(_threshold(b, prec).lo),
+               math.floor(slope.lo * (1 << 32)))
         b *= 2
-    return screen
+
+
+def _survivors(a: int, bound: np.ndarray,
+               prec: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k, increasing, of the n = a + k whose bound[k] is not below
+    the c of their piece (see _pieces), and the tangent screen at each:
+    the integer A + ((B j) >> 32) <= e^gamma n log log n, with j = n - b.
+    That is exact int64 arithmetic, since B < 2^35 for b <= 10^18 and
+    j < 2^26 keep B j below 2^63.  On pieces [b, 2b) each tangent stays
+    within 1 % of the threshold from b = 5041 on, and from b = 2^20 on a
+    2^20 segment is one piece.
+    """
+    offs, screens = [], []
+    for b, end, c, A, B in _pieces(a, a + bound.size, prec):
+        j = np.flatnonzero(bound[b - a : end - a] >= c)
+        offs.append(j + (b - a))
+        j *= B
+        j >>= 32
+        j += A
+        screens.append(j)
+    return np.concatenate(offs), np.concatenate(screens)
 
 
 @dataclass(frozen=True)
@@ -196,11 +291,18 @@ def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
     if not 1 <= segment <= 1 << 26:
         raise DomainError(f"segment must be in [1, 2^26], got {segment}")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
-    for seg_lo, sig in _sigma_segments(lo, hi, segment):
-        # sigma(n) below the screen certainly holds
-        survivors = np.flatnonzero(sig >= _tangent_screen(seg_lo, sig.size, prec))
-        for off in survivors.tolist():
-            rec = _classify(seg_lo + off, int(sig[off]), prec)
+    for seg_lo in range(lo, hi + 1, segment):
+        size = min(segment, hi + 1 - seg_lo)
+        root = math.isqrt(seg_lo + size - 1)
+        # n with bound[n] below the c of its piece certainly hold
+        off, screen = _survivors(seg_lo, _abundancy_bound(seg_lo, size, root),
+                                 prec)
+        if not off.size:
+            continue
+        sig = _sigma_sparse(seg_lo + off, root)
+        # sigma(n) below the tangent screen certainly holds
+        for k in np.flatnonzero(sig >= screen).tolist():
+            rec = _classify(seg_lo + int(off[k]), int(sig[k]), prec)
             if rec.verdict == "fails":
                 result.violations.append(rec)
             elif rec.verdict == "unknown":
@@ -245,7 +347,8 @@ def superabundant_up_to(limit: int, segment: int = _SEGMENT) -> list[AbundanceRe
         raise DomainError(f"limit {limit} above 10^15, where sigma(n) leaves float64")
     records: list[AbundanceRecord] = []
     best_num, best_den = 0, 1
-    for seg_lo, sig in _sigma_segments(1, limit, segment):
+    for seg_lo in range(1, limit + 1, segment):
+        sig = sigma_range(seg_lo, min(seg_lo + segment - 1, limit))
         ratio = sig / np.arange(seg_lo, seg_lo + sig.size, dtype=np.float64)
         # best[i] = max(entering record, ratio[:i])
         best = np.empty_like(ratio)

@@ -152,30 +152,6 @@ class PrimeTable:
             raise DomainError(f"{p} is not prime")
         return pos + 1
 
-    def next_prime(self, x: int) -> int:
-        """Smallest prime strictly greater than x."""
-        pos = int(np.searchsorted(self._primes, x, side="right"))
-        if pos >= self._primes.size:
-            raise TableTooSmallError(
-                f"no prime > {x} within table limit {self.limit}", needed=x + 1
-            )
-        return int(self._primes[pos])
-
-    def prev_prime(self, x: int) -> int:
-        """Largest prime strictly less than x."""
-        pos = int(np.searchsorted(self._primes, x, side="left"))
-        if pos == 0:
-            raise DomainError(f"no prime < {x}")
-        return int(self._primes[pos - 1])
-
-    def count_up_to(self, x: int) -> int:
-        """pi(x) for x <= limit."""
-        if x > self.limit:
-            raise TableTooSmallError(
-                f"{x} beyond table limit {self.limit}", needed=x
-            )
-        return int(np.searchsorted(self._primes, x, side="right"))
-
     def slice(self, i: int, j: int) -> np.ndarray:
         """Primes p_i..p_j inclusive (1-based) as a read-only int64 view."""
         if i < 1 or j < i - 1:

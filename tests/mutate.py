@@ -1,0 +1,172 @@
+"""Mutation check: break the package one listed way at a time and see
+whether the tests that guard that code notice.
+
+    python tests/mutate.py             # every mutant
+    python tests/mutate.py -k bound    # mutants whose name contains "bound"
+    python tests/mutate.py --list
+
+Each mutant is (name, file under src/robinaudit/, old text, new text,
+test ids).  For each one the script copies src/, tests/, pyproject.toml
+and README.md into a temporary directory, replaces the one occurrence of
+the old text in the file, and runs pytest on the test ids there.  Failing
+tests catch the mutant; passing tests let it survive.  An old text that
+does not occur exactly once makes the mutant stale: the code moved and
+the entry needs updating.  Prints one line per mutant, then every
+survivor and stale entry, and exits 1 if there is any.
+
+pytest does not collect this file (its name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+GEN = "generators.py"
+T_GEN = "tests/test_generators.py::"
+SIGMA_TESTS = (T_GEN + "test_sigma_range_matches_naive",
+               T_GEN + "test_sigma_range_matches_divisor_pairs")
+SPARSE_TESTS = (T_GEN + "test_sigma_sparse_matches_divisor_pairs",
+                T_GEN + "test_sigma_sparse_near_1e14")
+BOUND_TESTS = (T_GEN + "test_abundancy_bound_exceeds_abundancy",)
+ORACLE_TESTS = (T_GEN + "test_verify_range_segment_sizes_agree",
+                T_GEN + "test_verify_range_matches_oracle_near_1e9")
+SCREEN_TESTS = (T_GEN + "test_tangent_screen_below_threshold",
+                T_GEN + "test_tangent_screen_exhaustive_short_segments")
+GAP_TESTS = ("tests/test_primes.py::test_gap_window_matches_nextprime",
+             "tests/test_primes.py::test_gap_window_sieve_sees_prime_gaps")
+
+MUTANTS = [
+    # the abundancy bound of verify_range and the sparse exact sigma
+    Mutant("bound: cofactor factor dropped", GEN,
+           "(1 + 1 / root) * (1 + 1e-9)", "1 + 1e-9", BOUND_TESTS),
+    Mutant("bound: p/(p-1) replaced by (p+1)/p", GEN,
+           "(chunk / (chunk - 1)).tolist()", "((chunk + 1) / chunk).tolist()",
+           BOUND_TESTS + ORACLE_TESTS),
+    Mutant("bound: p/(p-1) replaced by (p+1)/p for p <= 13", GEN,
+           "*= p / (p - 1)", "*= (p + 1) / p", BOUND_TESTS + ORACLE_TESTS),
+    Mutant("bound: 17 and 19, the primes after the wheel, skipped", GEN,
+           "chunk[chunk > _WHEEL[-1]]", "chunk[chunk > 20]",
+           BOUND_TESTS + ORACLE_TESTS),
+    Mutant("bound: c taken at the piece end", GEN,
+           "c = math.ldexp(math.floor(iv_mul(eg, llg, prec)",
+           "c = math.ldexp(math.floor(iv_mul(eg, iv_log(iv_log(iv_from_int("
+           "min(2 * b, end)), prec), prec), prec)", ORACLE_TESTS),
+    Mutant("bound: survivor offsets not shifted to the piece", GEN,
+           "offs.append(j + (b - a))", "offs.append(j)", ORACLE_TESTS),
+    Mutant("sparse sigma: cofactor missing", GEN,
+           "sigma *= np.where(cofactor > 1, cofactor + 1, 1)", "sigma *= 1",
+           SPARSE_TESTS),
+    Mutant("sparse sigma: valuation stops at p^1", GEN,
+           "more = more[n[more] // power[more] % p[more] == 0]",
+           "more = more[:0]", SPARSE_TESTS),
+    # the multiplicative sieve
+    Mutant("sieve: no division of the old p-factor", GEN,
+           "hits //= prev", "hits //= 1", SIGMA_TESTS),
+    Mutant("sieve: 1 + q for every cofactor", GEN,
+           "cofactor += cofactor > 1", "cofactor += 1", SIGMA_TESTS),
+    Mutant("sieve: sigma cap removed", GEN,
+           "    if hi > _MAX_N:\n        raise DomainError(f\"sigma range",
+           "    if False:\n        raise DomainError(f\"sigma range",
+           (T_GEN + "test_sigma_range_cap",)),
+    # the tangent screen
+    Mutant("screen: A rounded up", GEN,
+           "math.floor(_threshold(b, prec).lo)", "math.ceil(_threshold(b, prec).lo)",
+           SCREEN_TESTS),
+    Mutant("screen: one tangent per segment", GEN,
+           "yield (b, min(2 * b, end), c,", "yield (b, end, c,", SCREEN_TESTS),
+    Mutant("screen: tangent taken at the segment offset", GEN,
+           "        j *= B\n", "        j += b - a\n        j *= B\n", SCREEN_TESTS),
+    Mutant("screen: segment cap removed", GEN,
+           "if not 1 <= segment <= 1 << 26:", "if not 1 <= segment:",
+           (T_GEN + "test_sigma_range_cap",)),
+    # the record scan
+    Mutant("records: screen tightened to a 1e-3 gain", GEN,
+           "best *= 1.0 - 1e-9", "best *= 1.0 + 1e-3",
+           (T_GEN + "test_superabundant_prefix",
+            T_GEN + "test_superabundant_segments_agree",
+            "tests/test_acceptance.py::"
+            "test_criterion_3_abundance_records_match_brute_force")),
+    # the prime-gap window sieve
+    Mutant("gap: fancy store removed", "primes.py",
+           "flags[big[big < size]] = False", "pass", GAP_TESTS),
+    Mutant("gap: small-prime split removed", "primes.py",
+           "small = int(np.searchsorted(base, size))", "small = 0", GAP_TESTS),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def run_mutant(m: Mutant) -> str:
+    """'caught', 'survived' or 'stale'."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        path = tmp / "src" / "robinaudit" / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return "stale"
+        path.write_text(text.replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        env.pop("ROBIN_PRECISION_BITS", None)
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               *m.tests]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "caught"  # a hang is a failure the tests would show
+        # 0: every test passed, 1: some failed; anything else (a test id
+        # that no longer exists, a collection error) is no verdict
+        return {0: "survived", 1: "caught"}.get(proc.returncode, "stale")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-k", default="", help="run only mutants whose name contains this")
+    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = ap.parse_args(argv)
+    chosen = [m for m in MUTANTS if args.k in m.name]
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  [{m.file}]")
+        return 0
+    bad = []
+    for m in chosen:
+        status = run_mutant(m)
+        print(f"{status:9s} {m.name}", flush=True)
+        if status != "caught":
+            bad.append((status, m.name))
+    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutants caught")
+    for status, name in bad:
+        print(f"{status.upper()}: {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

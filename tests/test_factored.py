@@ -1,7 +1,10 @@
 """Run-length candidates: round-trips, derived scalars, local G ratios."""
 
+import json
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import mpmath
 import pytest
 import sympy
@@ -29,6 +32,7 @@ from robinaudit.factored import (
     n_over_phi,
     rho,
 )
+from robinaudit.audit import full_audit, normalize
 from robinaudit.intervals import iv_compare, Comparison
 from robinaudit.primes import PrimeTable
 
@@ -153,6 +157,67 @@ def test_rle_round_trip_hypothesis(exps):
         exps.pop()
     assert c.exponents_list() == exps
     assert CandidateFactorization.from_json(c.to_json()).runs == c.runs
+
+
+def _schema(name):
+    return json.loads(resources.files("robinaudit").joinpath(
+        f"schemas/{name}.schema.json").read_text())
+
+
+CANDIDATE_SCHEMA = _schema("candidate")
+
+_EXPONENT_LISTS = st.lists(st.integers(0, 12), min_size=1, max_size=40).filter(any)
+
+
+@st.composite
+def _built_candidates(draw):
+    """A candidate from from_exponents, from_runs or _from_pieces; runs
+    and pieces span up to 3 * 10^6 positions, wider than the exponents
+    form allows."""
+    kind = draw(st.sampled_from(["exponents", "runs", "pieces"]))
+    if kind == "exponents":
+        return CandidateFactorization.from_exponents(draw(_EXPONENT_LISTS))
+    count = st.integers(1, 3_000_000)
+    if kind == "runs":
+        exps = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=6)),
+                      reverse=True)
+        return CandidateFactorization.from_runs([(e, draw(count)) for e in exps])
+    pieces = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3_000_000)),
+                           min_size=1, max_size=10))
+    pieces.append((draw(st.integers(1, 12)), draw(count)))  # some exponent > 0
+    return CandidateFactorization._from_pieces(pieces)
+
+
+def _assert_round_trip(c):
+    doc = c.to_json()
+    jsonschema.validate(doc, CANDIDATE_SCHEMA)
+    assert CandidateFactorization.from_json(doc) == c
+    assert CandidateFactorization.from_json(json.dumps(doc)) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_candidates())
+def test_built_candidates_round_trip_through_schema_valid_json(c):
+    _assert_round_trip(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exps=_EXPONENT_LISTS)
+def test_normalize_outputs_round_trip_through_schema_valid_json(exps, table_1e5):
+    res = normalize(CandidateFactorization.from_exponents(exps), table_1e5, 128,
+                    step_limit=64)
+    jsonschema.validate(res.to_json(), _schema("normalize_report"))
+    jsonschema.validate(full_audit(res.candidate, table_1e5).to_json(),
+                        _schema("audit_report"))
+    _assert_round_trip(res.candidate)
+
+
+def test_wide_non_canonical_normalize_output_round_trips():
+    # over 10^6 positions, so only the runs form can hold it
+    c = CandidateFactorization._from_pieces([(1, 5), (2, 1), (1, 1_000_000)])
+    out = normalize(c, PrimeTable.build(15_500_000), 128, step_limit=1).candidate
+    assert out.r > 10**6 and not out.canonical
+    _assert_round_trip(out)
 
 
 def test_materialize_small(table_1e6):

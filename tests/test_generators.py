@@ -19,7 +19,10 @@ from robinaudit import generators
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
-    _tangent_screen,
+    _abundancy_bound,
+    _classify,
+    _sigma_sparse,
+    _survivors,
     _threshold,
     ca_candidate,
     ca_sweep,
@@ -66,7 +69,7 @@ def test_sigma_range_rejects_bad_bounds():
 _P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
 
 
-@pytest.mark.parametrize("lo, hi", [
+_SIGMA_WINDOWS = [
     (1, 4096),
     (5041, 5041 + 4095),
     (10**7, 10**7 + 4095),
@@ -80,9 +83,87 @@ _P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
     (_P, _P),
     (_P * _P, _P * _P),
     (10**10, 10**10),
-])
+]
+
+
+@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
 def test_sigma_range_matches_divisor_pairs(lo, hi):
     assert np.array_equal(sigma_range(lo, hi), sigma_divisor_pairs(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
+def test_sigma_sparse_matches_divisor_pairs(lo, hi):
+    root = math.isqrt(hi)
+    want = sigma_divisor_pairs(lo, hi)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    assert np.array_equal(_sigma_sparse(ns, root), want)
+    # sparse index sets, unsorted and with repeats
+    rng = random.Random(lo)
+    for k in (1, 2, 17, 300):
+        idx = np.array([rng.randrange(ns.size) for _ in range(k)], dtype=np.int64)
+        assert np.array_equal(_sigma_sparse(ns[idx], root), want[idx])
+
+
+def test_sigma_sparse_near_1e14():
+    # sqrt(hi) = 10^7 spans many sieve segments of base primes
+    rng = random.Random(14)
+    hi = 10**14 + 10**6
+    ns = [rng.randrange(10**14, hi + 1) for _ in range(40)]
+    ns += [2 * int(sympy.nextprime(math.isqrt(hi))), int(sympy.prevprime(10**7)) ** 2,
+           2**46, 3**29, 10**14]
+    got = _sigma_sparse(np.array(ns, dtype=np.int64), math.isqrt(hi))
+    assert got.tolist() == [int(sympy.divisor_sigma(n)) for n in ns]
+
+
+def _bound_windows(w):
+    """Windows near w, all below (root + 1)^2 for root = isqrt(w + 4095):
+    [w, w + 4095]; around 2q for the least prime q above root, the n
+    whose cofactor is closest to root; around the square of the largest
+    prime up to root and around the largest power of 2 up to w."""
+    root = math.isqrt(w + 4095)
+    q = int(sympy.nextprime(root))
+    p = int(sympy.prevprime(root + 1))
+    centres = [2 * q, p * p, 1 << (w.bit_length() - 1)]
+    return root, [(w, w + 4095)] + [(c - 64, c + 63) for c in centres]
+
+
+@pytest.mark.parametrize("w", [10**4, 10**7, 10**10])
+def test_abundancy_bound_exceeds_abundancy(w):
+    root, windows = _bound_windows(w)
+    for lo, hi in windows:
+        bound = _abundancy_bound(lo, hi - lo + 1, root)
+        assert bound.dtype == np.float64 and bound.size == hi - lo + 1
+        sig = sigma_divisor_pairs(lo, hi)
+        for k, (b, s) in enumerate(zip(bound.tolist(), sig.tolist())):
+            assert Fraction(b) > Fraction(s, lo + k), lo + k
+
+
+_ORACLE_WINDOWS = [(720720 * 1388 - 1024, 720720 * 1388 + 1023),
+                   (1441440 * 695 - 1024, 1441440 * 695 + 1023)]
+
+
+def _found(recs):
+    """(n, sigma, verdict) of the violations, then of the unknowns."""
+    return tuple([(r.n, r.sigma, r.verdict) for r in recs if r.verdict == v]
+                 for v in ("fails", "unknown"))
+
+
+def _screen_free(lo, hi):
+    """_found over [lo, hi] from divisor-pair sums and a certified
+    comparison of every n."""
+    sig = sigma_divisor_pairs(lo, hi).tolist()
+    return _found([_classify(lo + k, s, 128) for k, s in enumerate(sig)])
+
+
+@pytest.fixture(scope="module")
+def oracle_to_20000():
+    return _screen_free(3, 20000)
+
+
+@pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
+def test_verify_range_matches_oracle_near_1e9(lo, hi):
+    res = verify_range(lo, hi)
+    assert _found(res.violations + res.unknowns) == _screen_free(lo, hi)
 
 
 def test_sigma_range_cap():
@@ -96,6 +177,14 @@ def test_sigma_range_cap():
         verify_range(5041, 6000, segment=(1 << 26) + 1)
     with pytest.raises(DomainError):
         verify_range(5041, 6000, segment=0)
+
+
+def _tangent_screen(a, size, prec):
+    """The tangent screen at every n in [a, a + size), as _survivors
+    gives it for a bound that excludes nothing."""
+    off, screen = _survivors(a, np.full(size, np.inf), prec)
+    assert np.array_equal(off, np.arange(size))
+    return screen
 
 
 @pytest.mark.parametrize("a", [3, 5041, 10**10])
@@ -140,8 +229,9 @@ def test_verify_range_clean_above_5040():
 
 
 @pytest.mark.parametrize("segment", [7, 4096, 1 << 20])
-def test_verify_range_segment_sizes_agree(segment):
+def test_verify_range_segment_sizes_agree(segment, oracle_to_20000):
     res = verify_range(3, 20000, segment=segment)
+    assert _found(res.violations + res.unknowns) == oracle_to_20000
     assert [r.n for r in res.violations] == ROBIN_EXCEPTIONS
     assert [(r.sigma, r.verdict) for r in res.violations] == [
         (int(sympy.divisor_sigma(n)), "fails") for n in ROBIN_EXCEPTIONS]

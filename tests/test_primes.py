@@ -37,8 +37,7 @@ def test_table_matches_naive_small():
 def test_prime_counts():
     t = PrimeTable.build(10**6)
     assert len(t) == 78498  # pi(10^6)
-    assert t.count_up_to(100) == 25
-    assert t.count_up_to(10**6) == 78498
+    assert len(PrimeTable.build(100)) == 25
 
 
 def test_nth_prime_and_index_inverse(table_1e6):
@@ -55,22 +54,10 @@ def test_index_of_composite_rejected(table_1e6):
         table_1e6.prime_index(100)
 
 
-def test_neighbor_lookups(table_1e6):
-    t = table_1e6
-    assert t.next_prime(2) == 3
-    assert t.next_prime(100) == 101
-    assert t.prev_prime(100) == 97
-    assert t.prev_prime(3) == 2
-    with pytest.raises(DomainError):
-        t.prev_prime(2)
-
-
 def test_out_of_range_raises_table_too_small(table_1e6):
     t = table_1e6
     with pytest.raises(TableTooSmallError):
         t.nth_prime(len(t) + 1)
-    with pytest.raises(TableTooSmallError):
-        t.next_prime(10**6)
     with pytest.raises(TableTooSmallError):
         t.prime_index(10**6 + 3)
 
