@@ -37,7 +37,6 @@ from .factored import (
 )
 from .intervals import (
     _EXACT_POW_BITS,
-    _MAX_ESCALATIONS,
     DEFAULT_PRECISION_BITS,
     Comparison,
     IntervalScalar,
@@ -58,6 +57,7 @@ from .intervals import (
     iv_round,
     iv_sqrt,
     iv_sub,
+    ladder_exhausted,
     power_below,
 )
 from .primes import PrimeTable
@@ -197,10 +197,7 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
 
     u = escalate(attempt, prec)
     if u is None:
-        raise PrecisionError(
-            f"U(p_{i}) indeterminate up to {prec << _MAX_ESCALATIONS} bits",
-            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
-        )
+        raise ladder_exhausted(f"U(p_{i}) indeterminate up to {{top}} bits", prec)
     return u
 
 
@@ -946,19 +943,18 @@ def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
     }
 
 
-def _edited(c: CandidateFactorization, s: int, delta: int,
-            drop_top: bool) -> CandidateFactorization:
-    """Add ``delta`` to a_s and, with ``drop_top``, remove position r, by
-    splitting the run that holds s in O(#runs); ``_from_pieces`` merges
-    and strips the result as ``from_exponents`` would."""
-    top = c.r - 1 if drop_top else c.r
-    pieces = []
+def _edited(c: CandidateFactorization,
+            edits: dict[int, int]) -> CandidateFactorization:
+    """Add edits[i] to a_i at each edited position i <= r, by splitting the
+    runs that hold them in O(#runs); ``_from_pieces`` merges and strips the
+    result as ``from_exponents`` would."""
+    pieces, todo = [], sorted(edits, reverse=True)
     for start, end, e in c.run_bounds():
-        end = min(end, top)
-        if start <= s <= end:
-            pieces += [(e, s - start), (e + delta, 1), (e, end - s)]
-        else:
-            pieces.append((e, end - start + 1))
+        while todo and todo[-1] <= end:
+            i = todo.pop()
+            pieces += [(e, i - start), (e + edits[i], 1)]
+            start = i + 1
+        pieces.append((e, end - start + 1))
     return CandidateFactorization._from_pieces(pieces)
 
 
@@ -969,14 +965,15 @@ def _divided(c: CandidateFactorization, s: int) -> CandidateFactorization:
         raise DomainError(f"p_{s} does not divide the candidate")
     if a == 1 and s != c.r:
         raise InvariantError(f"divide at interior index {s} would leave a hole")
-    return _edited(c, s, -1, drop_top=False)
+    return _edited(c, {s: -1})
 
 
 def _swapped(c: CandidateFactorization, s: int) -> CandidateFactorization:
-    """n * p_s with position r removed, for 1 <= s < r."""
+    """n * p_s / p_r, for 1 <= s < r; with a_r = 1, as normalize has it,
+    position r is removed."""
     if not 1 <= s < c.r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {c.r}")
-    return _edited(c, s, 1, drop_top=True)
+    return _edited(c, {s: 1, c.r: -1})
 
 
 def report_to_json_str(report: AuditReport) -> str:

@@ -15,8 +15,11 @@ blocks, keyed by the cell, the precision and for rho the exponent) are
 memoized on the PrimeTable.  That memo serves the primorial margin M(r),
 every normalize step and later calls on the same table, which form a
 product only for a cell piece no earlier call has evaluated.
-Exponents too large for exact powers fall back to interval forms, so
-candidates like 2^(10^14) still evaluate.
+One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
+exponents too large for exact powers and the G ratios of normalize steps,
+where one map of exponent edits describes a divide or a swap.  It is exact
+while the powers fit and an interval form beyond, so candidates like
+2^(10^14) still evaluate.
 """
 
 from __future__ import annotations
@@ -242,11 +245,8 @@ class CandidateFactorization:
                         f"runs[{k}].exponent", "must be non-negative"
                     )
                 pairs.append((item["exponent"], item["count"]))
-            exps_decreasing = all(
-                pairs[k][0] > pairs[k + 1][0] for k in range(len(pairs) - 1)
-            )
-            if exps_decreasing and all(e >= 1 for e, _ in pairs):
-                return cls.from_runs(pairs)
+            if not any(e for e, _ in pairs):
+                raise CandidateFormatError("runs", "needs a positive exponent")
             return cls._from_pieces(pairs)
         if "exponents" in obj:
             exps = obj["exponents"]
@@ -257,6 +257,8 @@ class CandidateFactorization:
                     raise CandidateFormatError(f"exponents[{i}]", "must be an integer")
                 if a < 0:
                     raise CandidateFormatError(f"exponents[{i}]", "must be non-negative")
+            if not any(exps):
+                raise CandidateFormatError("exponents", "needs a positive exponent")
             return cls.from_exponents(exps)
         raise CandidateFormatError(
             "<document>", 'candidate needs a "runs" or "exponents" field'
@@ -354,14 +356,6 @@ def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
     return iv_log(lg, prec)
 
 
-def _sigma_factor_interval(p: int, e: int, prec: int) -> IntervalScalar:
-    """Enclosure of sigma(p^e)/p^e = (p - p^(-e)) / (p - 1)."""
-    tiny = iv_exp(
-        iv_neg(iv_mul(iv_from_int(e), iv_log(iv_from_int(p), prec), prec)), prec
-    )
-    return iv_div(iv_sub(iv_from_int(p), tiny, prec), iv_from_int(p - 1), prec)
-
-
 def rho(c: CandidateFactorization, t: PrimeTable,
         prec: int = DEFAULT_PRECISION_BITS, *,
         products: Optional[_Products] = None) -> IntervalScalar:
@@ -375,7 +369,10 @@ def rho(c: CandidateFactorization, t: PrimeTable,
         for i, j in _chunks(start, end):
             if e != 1 and _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
                 for p in t.slice(i, j).tolist():
-                    total = iv_mul(total, _sigma_factor_interval(p, e, prec), prec)
+                    f = _sigma_ratio(p, e, 0, prec)
+                    if isinstance(f, Fraction):
+                        f = iv_from_fraction(f, prec)
+                    total = iv_mul(total, f, prec)
                 continue
             block = t._memoized(
                 ("rho", i, j, e, prec),
@@ -430,47 +427,65 @@ def big_g(c: CandidateFactorization, t: PrimeTable,
     return iv_div(rho(c, t, prec, products=products), _loglog_from(lg, prec), prec)
 
 
-def _sigma_ratio_divide(p: int, a: int, prec: int) -> Union[Fraction, IntervalScalar]:
-    """rho(n)/rho(n / p) when p has exponent a >= 1 in n.
+def _sigma_ratio(p: int, a: int, b: int,
+                 prec: int) -> Union[Fraction, IntervalScalar]:
+    """(sigma(p^a)/p^a) / (sigma(p^b)/p^b) = (p - p^(-a)) / (p - p^(-b)).
 
-    Exactly (p^(a+1) - 1) / (p (p^a - 1)); interval form for huge a.
+    Exact while p^(max(a, b) + 1) fits _EXACT_POW_BITS; otherwise an
+    enclosure of the second form, whose exponent-0 side is the exact p - 1.
     """
-    if _pow_bits(p, a + 1) <= _EXACT_POW_BITS:
-        return Fraction(p ** (a + 1) - 1, p * (p**a - 1))
-    # (p - p^(-a)) / (p - p^(1-a))
+    if _pow_bits(p, max(a, b) + 1) <= _EXACT_POW_BITS:
+        return Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
     lp = iv_log(iv_from_int(p), prec)
-    t_a = iv_exp(iv_neg(iv_mul(iv_from_int(a), lp, prec)), prec)
-    t_a1 = iv_exp(iv_neg(iv_mul(iv_from_int(a - 1), lp, prec)), prec)
-    return iv_div(
-        iv_sub(iv_from_int(p), t_a, prec),
-        iv_sub(iv_from_int(p), t_a1, prec),
-        prec,
-    )
+
+    def side(e: int) -> IntervalScalar:
+        if e == 0:
+            return iv_from_int(p - 1)
+        tiny = iv_exp(iv_neg(iv_mul(iv_from_int(e), lp, prec)), prec)
+        return iv_sub(iv_from_int(p), tiny, prec)
+
+    return iv_div(side(a), side(b), prec)
+
+
+def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
+                  t: PrimeTable, prec: int,
+                  lg: Optional[IntervalScalar]) -> IntervalScalar:
+    """Enclosure of G(n) / G(n') for n' = n * Pi p_i^edits[i], each edit
+    +1 or -1; ``lg`` is an enclosure of log n at ``prec`` or None.
+
+    Computed from local data: the sigma ratios at the edited primes are
+    exact rationals unless an exponent is huge, and only the two log log
+    factors need enclosures, so the result is far tighter than dividing
+    two independently computed G values.
+    """
+    if lg is None:
+        lg = log_n(c, t, prec)
+    lg1, num, den, parts = lg, 1, 1, []
+    for i in sorted(edits, reverse=True):
+        p, a, delta = t.nth_prime(i), c.a(i), edits[i]
+        f = _sigma_ratio(p, a, a + delta, prec)
+        if isinstance(f, Fraction):
+            num, den = num * f.numerator, den * f.denominator
+        else:
+            parts.append(f)
+        lp = iv_log(iv_from_int(p), prec)
+        lg1 = iv_add(lg1, lp, prec) if delta > 0 else iv_sub(lg1, lp, prec)
+    sig = iv_from_fraction(Fraction(num, den), prec)
+    for f in parts:
+        sig = iv_mul(sig, f, prec)
+    ratio_loglog = iv_div(_loglog_from(lg1, prec), _loglog_from(lg, prec), prec)
+    return iv_mul(sig, ratio_loglog, prec)
 
 
 def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
                    prec: int = DEFAULT_PRECISION_BITS, *,
                    lg: Optional[IntervalScalar] = None) -> IntervalScalar:
     """Enclosure of G(n) / G(n / p_s); ``lg`` is an enclosure of log n at
-    ``prec`` when the caller already has one.
-
-    Computed from local data: the sigma ratio at p_s is exact rational and
-    only the two log log factors need enclosures, so the result is far
-    tighter than dividing two independently computed G values.
-    """
-    a = c.a(s)
-    if a < 1:
+    ``prec`` when the caller already has one."""
+    if c.a(s) < 1:
         raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
-    p = t.nth_prime(s)
-    if lg is None:
-        lg = log_n(c, t, prec)
-    lg1 = iv_sub(lg, iv_log(iv_from_int(p), prec), prec)
-    ratio_sigma = _sigma_ratio_divide(p, a, prec)
-    if not isinstance(ratio_sigma, IntervalScalar):
-        ratio_sigma = iv_from_fraction(ratio_sigma, prec)
-    ratio_loglog = iv_div(_loglog_from(lg1, prec), _loglog_from(lg, prec), prec)
-    return iv_mul(ratio_sigma, ratio_loglog, prec)
+    return _g_ratio_edit(c, {s: -1}, t, prec, lg)
 
 
 def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
@@ -488,38 +503,10 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
         raise DomainError(f"swap requires a_r == 1, got a_r = {c.a(r)}")
     if not 1 <= s < r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
-    a = c.a(s)
-    if a < 1:
+    if c.a(s) < 1:
         raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
-    p_s = t.nth_prime(s)
-    p_r = t.nth_prime(r)
-    # rho(n)/rho(n1) = p_s (p_s^(a+1) - 1)(p_r + 1) / ((p_s^(a+2) - 1) p_r)
-    if _pow_bits(p_s, a + 2) <= _EXACT_POW_BITS:
-        ratio_sigma = Fraction(
-            p_s * (p_s ** (a + 1) - 1) * (p_r + 1),
-            (p_s ** (a + 2) - 1) * p_r,
-        )
-        sig_iv = iv_from_fraction(ratio_sigma, prec)
-    else:
-        lp = iv_log(iv_from_int(p_s), prec)
-        t_a1 = iv_exp(iv_neg(iv_mul(iv_from_int(a + 1), lp, prec)), prec)
-        t_a2 = iv_exp(iv_neg(iv_mul(iv_from_int(a + 2), lp, prec)), prec)
-        core = iv_div(
-            iv_sub(iv_from_int(1), t_a1, prec),
-            iv_sub(iv_from_int(1), t_a2, prec),
-            prec,
-        )
-        sig_iv = iv_mul(core, iv_from_fraction(Fraction(p_r + 1, p_r), prec), prec)
-    if lg is None:
-        lg = log_n(c, t, prec)
-    lg1 = iv_add(
-        iv_sub(lg, iv_log(iv_from_int(p_r), prec), prec),
-        iv_log(iv_from_int(p_s), prec),
-        prec,
-    )
-    ratio_loglog = iv_div(_loglog_from(lg1, prec), _loglog_from(lg, prec), prec)
-    return iv_mul(sig_iv, ratio_loglog, prec)
+    return _g_ratio_edit(c, {s: 1, r: -1}, t, prec, lg)
 
 
 def materialize(c: CandidateFactorization, t: PrimeTable,

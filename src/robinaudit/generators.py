@@ -40,10 +40,9 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResourceBudgetError, TableTooSmallError
+from .errors import DomainError, ResourceBudgetError, TableTooSmallError
 from .factored import CandidateFactorization
 from .intervals import (
-    _MAX_ESCALATIONS,
     DEFAULT_PRECISION_BITS,
     Comparison,
     IntervalScalar,
@@ -55,6 +54,7 @@ from .intervals import (
     iv_from_int,
     iv_log,
     iv_mul,
+    ladder_exhausted,
     power_below,
 )
 from .primes import PrimeTable, _prime_chunks
@@ -314,10 +314,8 @@ def robin_exceptions(prec: int = DEFAULT_PRECISION_BITS) -> list[int]:
     """All n in [3, 5040] where the inequality fails."""
     res = verify_range(3, 5040, prec)
     if res.unknowns:
-        raise PrecisionError(
-            f"{len(res.unknowns)} indeterminate comparisons below 5041",
-            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
-        )
+        raise ladder_exhausted(
+            f"{len(res.unknowns)} indeterminate comparisons below 5041", prec)
     return [rec.n for rec in res.violations]
 
 
@@ -378,10 +376,8 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     q = p ** (e + 1)
     below = power_below(p, eps, Fraction(q - 1, q - p), 1, prec)
     if below is None:
-        raise PrecisionError(
-            f"exponent of {p} straddles a power boundary at eps={eps}",
-            suggested_precision_bits=prec << (_MAX_ESCALATIONS + 1),
-        )
+        raise ladder_exhausted(
+            f"exponent of {p} straddles a power boundary at eps={eps}", prec)
     return below
 
 

@@ -34,7 +34,7 @@ from mpmath.libmp import (
 )
 from mpmath.libmp import libmpi as _mpi
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
@@ -327,6 +327,15 @@ def escalate(attempt: Callable[[int], Optional[T]], prec: int) -> Optional[T]:
         if result is not None:
             return result
     return None
+
+
+def ladder_exhausted(message: str, prec: int) -> PrecisionError:
+    """The error for an escalation from ``prec`` that stayed indeterminate
+    at every step: ``{top}`` in ``message`` reads as the last precision
+    tried, and the suggested precision is the next doubling above it."""
+    top = prec << _MAX_ESCALATIONS
+    return PrecisionError(message.replace("{top}", str(top)),
+                          suggested_precision_bits=top << 1)
 
 
 def _pow_bits(p: int, e: int) -> int:

@@ -1,22 +1,19 @@
 """Prime tables and the certified prime-gap window check.
 
 A PrimeTable is an immutable sorted array of all primes up to a limit,
-built with a segmented sieve of Eratosthenes.  It can be saved to and
-loaded from a compact bitmap cache.  Each table keeps a bounded memo of
-enclosures derived from its primes alone (see ``PrimeTable._memoized``),
-which lives and dies with the table.  dusart_gap_holds verifies that a
-short interval above x contains a prime, using a conservatively rounded
-window end so a True answer is a certificate.
+built with a segmented sieve of Eratosthenes.  Each table keeps a bounded
+memo of enclosures derived from its primes alone (see
+``PrimeTable._memoized``), which lives and dies with the table.
+dusart_gap_holds verifies that a short interval above x contains a prime,
+using a conservatively rounded window end so a True answer is a
+certificate.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from fractions import Fraction
 from math import isqrt
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -35,11 +32,6 @@ from .intervals import (
 # interval (x, x(1 + (1/5000)/log^2 x)] contains a prime.
 DUSART_GAP_THRESHOLD = 468991632
 DUSART_GAP_COEFF = Fraction(1, 5000)
-
-_CACHE_MAGIC = b"RBSV2"
-# The RBSV1 layout had no prime count and no checksum.
-_OLD_CACHE_MAGIC = b"RBSV1"
-_CACHE_HEADER = struct.Struct("<QQI")  # limit, pi(limit), CRC-32 of the bitmap
 
 _SEGMENT = 1 << 20
 
@@ -172,56 +164,6 @@ class PrimeTable:
         a = int(np.searchsorted(self._primes, lo, side="left"))
         b = int(np.searchsorted(self._primes, hi, side="right"))
         return self._primes[a:b]
-
-    # Bitmap cache: magic, then little-endian uint64 limit and pi(limit)
-    # and the uint32 CRC-32 of the bitmap, then packed bits for odd
-    # numbers 1, 3, 5, ... up to limit (bit t <-> 2t+1, 1 iff prime).
-    # CRC-32 catches every flipped bit and every burst of up to 32 bits.
-    def save(self, path: Union[str, Path]) -> None:
-        n_odd = (self.limit + 1) // 2
-        bits = np.zeros(n_odd, dtype=np.uint8)
-        odd = self._primes[self._primes > 2]
-        bits[(odd - 1) // 2] = 1
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(_CACHE_HEADER.pack(self.limit, len(self),
-                                        zlib.crc32(packed)))
-            fh.write(packed)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic == _OLD_CACHE_MAGIC:
-                raise DomainError(
-                    "prime cache has the old RBSV1 layout with no checksum; "
-                    "rebuild it with PrimeTable.save"
-                )
-            if magic != _CACHE_MAGIC:
-                raise DomainError(f"bad prime cache magic {magic!r}")
-            head = fh.read(_CACHE_HEADER.size)
-            if len(head) != _CACHE_HEADER.size:
-                raise DomainError("prime cache header is truncated")
-            limit, count, crc = _CACHE_HEADER.unpack(head)
-            body = fh.read()
-        n_odd = (limit + 1) // 2
-        if len(body) != (n_odd + 7) // 8:
-            raise DomainError(
-                f"prime cache bitmap has {len(body)} bytes, limit {limit} "
-                f"needs {(n_odd + 7) // 8}"
-            )
-        if zlib.crc32(body) != crc:
-            raise DomainError("prime cache bitmap does not match its checksum")
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8),
-                             bitorder="little")[:n_odd]
-        odd = (2 * np.flatnonzero(bits) + 1).astype(np.int64)
-        primes = np.concatenate([np.array([2], dtype=np.int64), odd]) if limit >= 2 else odd
-        if primes.size != count:
-            raise DomainError(
-                f"prime cache holds {primes.size} primes, its header says {count}"
-            )
-        return cls(int(limit), primes)
 
 
 _GAP_BASE_TABLE: Optional[PrimeTable] = None

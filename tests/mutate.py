@@ -53,6 +53,12 @@ SCREEN_TESTS = (T_GEN + "test_tangent_screen_below_threshold",
                 T_GEN + "test_tangent_screen_exhaustive_short_segments")
 GAP_TESTS = ("tests/test_primes.py::test_gap_window_matches_nextprime",
              "tests/test_primes.py::test_gap_window_sieve_sees_prime_gaps")
+T_FAC = "tests/test_factored.py::"
+SIGMA_RATIO_TESTS = (T_FAC + "test_sigma_ratio_on_both_sides_of_the_exact_cut",
+                     T_FAC + "test_rho_beyond_the_exact_cut")
+G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
+                 "tests/test_golden.py")
+EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
 
 MUTANTS = [
     # the abundancy bound of verify_range and the sparse exact sigma
@@ -110,6 +116,21 @@ MUTANTS = [
            "flags[big[big < size]] = False", "pass", GAP_TESTS),
     Mutant("gap: small-prime split removed", "primes.py",
            "small = int(np.searchsorted(base, size))", "small = 0", GAP_TESTS),
+    # the sigma-power ratio and the edit map of normalize steps
+    Mutant("sigma ratio: p^a and p^b swapped in the exact branch", "factored.py",
+           "(p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a",
+           "(p ** (a + 1) - 1) * p**a, (p ** (b + 1) - 1) * p**b",
+           SIGMA_RATIO_TESTS + G_RATIO_TESTS),
+    Mutant("sigma ratio: exponent-0 side taken as p", "factored.py",
+           "return iv_from_int(p - 1)", "return iv_from_int(p)",
+           SIGMA_RATIO_TESTS),
+    Mutant("g ratio: log-part sign flipped", "factored.py",
+           "if delta > 0 else", "if delta < 0 else", G_RATIO_TESTS),
+    Mutant("g ratio: swap adds log p_s before it subtracts log p_r", "factored.py",
+           "sorted(edits, reverse=True)", "sorted(edits)", ("tests/test_golden.py",)),
+    Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
+           "_edited(c, {s: 1, c.r: -1})", "_edited(c, {s: 1})",
+           EDIT_TESTS + ("tests/test_golden.py",)),
 ]
 
 

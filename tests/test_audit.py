@@ -563,14 +563,13 @@ class TestNormalize:
         assert not res.candidate.canonical
 
 
-def _edit_by_list(c, s, delta, drop_top):
+def _edit_by_list(c, edits):
     """The exponent-list edit that normalize's run edits replace."""
     exps = c.exponents_list()
-    exps[s - 1] += delta
-    if exps[s - 1] == 0 and s != len(exps):
-        raise InvariantError(f"divide at interior index {s} would leave a hole")
-    if drop_top:
-        exps.pop()
+    for i, delta in edits.items():
+        exps[i - 1] += delta
+        if exps[i - 1] == 0 and i != len(exps):
+            raise InvariantError(f"divide at interior index {i} would leave a hole")
     return CandidateFactorization.from_exponents(exps)
 
 
@@ -583,7 +582,7 @@ def test_run_edits_match_exponent_list_path(exps):
     for s in range(1, c.r + 1):
         if c.a(s) >= 1:
             try:
-                want = _edit_by_list(c, s, -1, False)
+                want = _edit_by_list(c, {s: -1})
             except (InvariantError, DomainError) as e:
                 # an interior hole, or nothing left after the last factor
                 with pytest.raises(type(e)):
@@ -592,7 +591,7 @@ def test_run_edits_match_exponent_list_path(exps):
                 got = _divided(c, s)
                 assert (got.runs, got.canonical) == (want.runs, want.canonical)
         if s < c.r:
-            want = _edit_by_list(c, s, 1, True)
+            want = _edit_by_list(c, {s: 1, c.r: -1})
             got = _swapped(c, s)
             assert (got.runs, got.canonical) == (want.runs, want.canonical)
 

@@ -413,6 +413,16 @@ class TestSchemas:
         jsonschema.validate({"exponents": [0, 2]},
                             schema("candidate.schema.json"))
 
+    @pytest.mark.parametrize("doc", [
+        {"exponents": [0]},
+        {"runs": [{"exponent": 0, "count": 2}]},
+    ])
+    def test_all_zero_candidate_is_format_error(self, doc, capsys):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema("candidate.schema.json"))
+        code, out, err = run_cli(["audit", json.dumps(doc)], capsys)
+        assert code == 66 and out == "" and "candidate format" in err
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -23,6 +23,7 @@ from robinaudit.factored import (
     CandidateFactorization,
     _chunks,
     _Products,
+    _sigma_ratio,
     big_g,
     g_ratio_divide,
     g_ratio_swap,
@@ -33,7 +34,7 @@ from robinaudit.factored import (
     rho,
 )
 from robinaudit.audit import full_audit, normalize
-from robinaudit.intervals import iv_compare, Comparison
+from robinaudit.intervals import _EXACT_POW_BITS, _pow_bits, iv_compare, Comparison
 from robinaudit.primes import PrimeTable
 
 LN_5040 = Fraction(
@@ -416,6 +417,78 @@ def test_g_ratio_swap_preconditions(table_1e6):
         g_ratio_swap(C_55440, 5, table_1e6)  # s must be < r
     with pytest.raises(DomainError):
         g_ratio_swap(CandidateFactorization.from_exponents([3]), 1, table_1e6)
+
+
+def _g_ratio_oracle(exps, edited, t):
+    """rho(n)/rho(n') * log log n'/log log n for the exponent lists of n and
+    n': exact rho, mpmath logs at 2,048 bits, returned as a Fraction."""
+    q = (rho_exact(CandidateFactorization.from_exponents(exps), t)
+         / rho_exact(CandidateFactorization.from_exponents(edited), t))
+    with mpmath.mp.workprec(2048):
+        def loglog(v):
+            return mpmath.log(mpmath.fsum(
+                a * mpmath.log(p) for a, p in zip(v, t.slice(1, len(v)).tolist())))
+
+        man, exp = (mpmath.mpf(q.numerator) / q.denominator
+                    * loglog(edited) / loglog(exps)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10),
+       st.sampled_from([None, 8189, 8190, 8191, 20_000]))
+def test_g_ratio_edits_contain_oracle(exps, a_1):
+    """Every divide normalize may take (a_s >= 2, or the top with a_r = 1)
+    and every swap (a_r = 1, s < r, a_s >= 1) encloses the true ratio; a
+    huge a_1 takes the interval branch of the sigma ratio."""
+    t = _HYP_TABLE
+    exps = ([a_1] if a_1 else []) + exps
+    if not any(exps):
+        exps.append(1)
+    c = CandidateFactorization.from_exponents(exps)
+    exps, r = c.exponents_list(), c.r
+    steps = [({s: -1}, g_ratio_divide) for s in range(1, r + 1)
+             if exps[s - 1] >= 2 or (s == r and exps[s - 1] == 1)]
+    if exps[-1] == 1:
+        steps += [({s: 1, r: -1}, g_ratio_swap) for s in range(1, r)
+                  if exps[s - 1] >= 1]
+    for edits, ratio in steps:
+        edited = list(exps)
+        for i, delta in edits.items():
+            edited[i - 1] += delta
+        while edited and not edited[-1]:
+            edited.pop()
+        if edited in ([], [1]):  # n' <= 2: log log n' is not positive
+            with pytest.raises(DomainError):
+                ratio(c, min(edits), t)
+        else:
+            assert ratio(c, min(edits), t).contains(
+                _g_ratio_oracle(exps, edited, t)), edits
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sigma_ratio_on_both_sides_of_the_exact_cut(p):
+    cut = next(a for a in range(1, 10**5) if _pow_bits(p, a + 1) > _EXACT_POW_BITS)
+    for a in sorted({1, 2, cut - 2, cut - 1, cut, cut + 1, 10**4, 2 * 10**4}):
+        for b in {0, a - 1, a + 1}:
+            want = Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
+            got = _sigma_ratio(p, a, b, 128)
+            if max(a, b) < cut:
+                assert got == want, (a, b)
+            else:
+                assert got.contains(want), (a, b)
+                assert got.width() < Fraction(1, 2**120), (a, b)
+
+
+def test_rho_beyond_the_exact_cut(table_1e6):
+    # a_1 > 8192 leaves exact powers of 2; at 3000 over p_1..p_12 the cell
+    # mixes exact factors (p <= 31) with interval ones (p = 37)
+    for c in (CandidateFactorization.from_exponents([9000, 3, 1]),
+              CandidateFactorization.from_runs([(20_000, 1), (2, 2)]),
+              CandidateFactorization.from_runs([(3000, 12)])):
+        got = rho(c, table_1e6)
+        assert got.contains(rho_exact(c, table_1e6)), c
+        assert got.width() < Fraction(1, 2**110), c
 
 
 def test_two_squares_rules(table_1e6):

@@ -39,6 +39,7 @@ from robinaudit.intervals import (
     iv_round,
     iv_sqrt,
     iv_sub,
+    ladder_exhausted,
     power_below,
 )
 
@@ -135,6 +136,10 @@ def test_escalate_doubles_until_decided():
     tried.clear()
     assert escalate(decided_at(10**9), 128) is None
     assert tried == [128, 256, 512, 1024, 2048]
+    # the error names the last precision tried and suggests the next one
+    err = ladder_exhausted("undecided up to {top} bits", 128)
+    assert str(err) == "undecided up to 2048 bits"
+    assert err.suggested_precision_bits == 4096
 
 
 def test_power_below_exact_and_by_logarithms():

@@ -1,10 +1,7 @@
-"""Prime table construction, lookups, cache format, gap windows."""
+"""Prime table construction, lookups, gap windows."""
 
 import random
-import struct
-import zlib
 
-import numpy as np
 import pytest
 import sympy
 
@@ -68,16 +65,13 @@ def test_slice_is_one_based_inclusive(table_1e6):
     assert table_1e6.slice(5, 4).size == 0  # empty range allowed
 
 
-def test_table_is_read_only(tmp_path):
-    built = PrimeTable.build(100)
-    path = tmp_path / "primes.bin"
-    built.save(path)
-    for t in (built, PrimeTable.load(path)):
-        with pytest.raises(ValueError):
-            t.slice(1, 3)[0] = 4
-        with pytest.raises(ValueError):
-            t.primes_in(2, 10)[:] = 0
-        assert t.nth_prime(1) == 2 and list(t.slice(1, 3)) == [2, 3, 5]
+def test_table_is_read_only():
+    t = PrimeTable.build(100)
+    with pytest.raises(ValueError):
+        t.slice(1, 3)[0] = 4
+    with pytest.raises(ValueError):
+        t.primes_in(2, 10)[:] = 0
+    assert t.nth_prime(1) == 2 and list(t.slice(1, 3)) == [2, 3, 5]
 
 
 def test_primes_in_range(table_1e6):
@@ -88,87 +82,6 @@ def test_against_sympy_spot_checks(table_1e6):
     t = table_1e6
     for i in (10, 1000, 50000):
         assert t.nth_prime(i) == sympy.prime(i)
-
-
-def test_cache_round_trip(tmp_path, table_1e6):
-    path = tmp_path / "primes.bin"
-    table_1e6.save(path)
-    loaded = PrimeTable.load(path)
-    assert loaded.limit == table_1e6.limit
-    assert np.array_equal(loaded._primes, table_1e6._primes)
-
-
-def test_cache_header_layout(tmp_path):
-    t = PrimeTable.build(100)
-    path = tmp_path / "p.bin"
-    t.save(path)
-    raw = path.read_bytes()
-    assert raw[:5] == b"RBSV2"
-    limit, count, crc = struct.unpack("<QQI", raw[5:25])
-    assert limit == 100
-    assert count == 25
-    assert crc == zlib.crc32(raw[25:])
-    # bit t of the body <-> odd number 2t+1
-    bits = np.unpackbits(np.frombuffer(raw[25:], dtype=np.uint8), bitorder="little")
-    odd_primes = [int(2 * i + 1) for i in np.flatnonzero(bits)]
-    assert odd_primes == [p for p in _naive_primes(100) if p % 2]
-    assert bits[0] == 0  # 1 is not prime
-
-
-def test_cache_bad_magic_rejected(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXXX" + b"\x00" * 16)
-    with pytest.raises(DomainError):
-        PrimeTable.load(path)
-
-
-def test_cache_old_layout_rejected(tmp_path):
-    path = tmp_path / "old.bin"
-    path.write_bytes(b"RBSV1" + struct.pack("<Q", 10) + b"\x6e")
-    with pytest.raises(DomainError, match="rebuild"):
-        PrimeTable.load(path)
-
-
-@pytest.mark.parametrize("bit", [0, 1, 7, 3999])
-def test_cache_flipped_bit_rejected(tmp_path, bit):
-    path = tmp_path / "primes.bin"
-    PrimeTable.build(8000).save(path)
-    raw = bytearray(path.read_bytes())
-    raw[25 + bit // 8] ^= 1 << (bit % 8)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DomainError, match="checksum"):
-        PrimeTable.load(path)
-
-
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_cache_wrong_count_rejected(tmp_path, delta):
-    t = PrimeTable.build(8000)
-    path = tmp_path / "primes.bin"
-    t.save(path)
-    raw = bytearray(path.read_bytes())
-    raw[13:21] = struct.pack("<Q", len(t) + delta)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DomainError, match="header says"):
-        PrimeTable.load(path)
-
-
-@pytest.mark.parametrize("where", ["bitmap", "header"])
-def test_cache_truncated_rejected(tmp_path, table_1e6, where):
-    path = tmp_path / "primes.bin"
-    table_1e6.save(path)
-    raw = path.read_bytes()
-    cut = 13 + (len(raw) - 13) // 2 if where == "bitmap" else 9
-    path.write_bytes(raw[:cut])
-    with pytest.raises(DomainError):
-        PrimeTable.load(path)
-
-
-def test_cache_extra_byte_rejected(tmp_path, table_1e6):
-    path = tmp_path / "primes.bin"
-    table_1e6.save(path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(DomainError):
-        PrimeTable.load(path)
 
 
 def test_gap_below_threshold_rejected():
