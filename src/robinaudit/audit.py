@@ -1,10 +1,16 @@
 """Necessary-condition audit for least-counterexample candidates.
 
-Every check returns a certified verdict: Pass and Fail are backed by
+Every check yields a certified verdict: Pass and Fail are backed by
 disjoint enclosures or exact integer comparisons, Unknown means the
 comparison stayed indeterminate at the working precision, NotApplicable
 means the condition's preconditions are unmet.  A candidate is excluded
 the moment any single check certifies Fail.
+
+A check states only its own condition: it returns a status and a
+witness, or raises _Indeterminate.  One runner, ``_verdict``, owns the
+rest: a check that reads primes the table does not cover is Unknown, an
+indeterminate comparison is Unknown, and every verdict carries the
+audit's precision.
 
 Per-index window checks run in O(#runs): inside a run the exponent is
 constant while the bounds U and L are monotone in the prime, so only run
@@ -62,27 +68,6 @@ from .intervals import (
 )
 from .primes import PrimeTable
 
-CHECK_IDS = (
-    "size_floor_C",
-    "log_window_1",
-    "log_window_2",
-    "upper_window_3",
-    "lower_window_4",
-    "shape_B1",
-    "shape_B2",
-    "shape_B3",
-    "shape_B4",
-    "shape_B5",
-    "density_B6",
-    "vojak_D1",
-    "vojak_D2",
-    "vojak_D3",
-    "vojak_D4",
-    "exponents_E",
-    "two_squares_F",
-    "s_window_56",
-)
-
 # Strict lower bounds on the first five exponents of the least counterexample.
 EXPONENT_FLOORS = ((1, 19), (2, 12), (3, 7), (4, 6), (5, 5))
 
@@ -116,7 +101,12 @@ class Verdict:
 
 
 class _Indeterminate(Exception):
-    """Internal: a certified decision needs more precision."""
+    """Internal: a certified decision needs more precision.  ``witness``
+    holds what the Unknown verdict reports besides the reason."""
+
+    def __init__(self, reason: str, **witness):
+        super().__init__(reason)
+        self.witness = witness
 
 
 def _interval_json(v: IntervalScalar, prec: int) -> dict:
@@ -142,7 +132,7 @@ def compute_l(p_r: int, p: int) -> int:
     return int_log_floor(p_r, p)
 
 
-def _upper_bound(lg: IntervalScalar, p: int) -> int:
+def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     """U(p) = floor(log(k log n) / log p), where k is the bracket index
     with x_{k+1} < p <= x_k and x_k = (k log n)^(1/k).
 
@@ -151,7 +141,8 @@ def _upper_bound(lg: IntervalScalar, p: int) -> int:
     p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
     k is found by walking upward, comparing the exact p^(k+1) with
     (k + 1) times each endpoint m 2^e of the enclosure of log n in exact
-    integers; raises _Indeterminate when p^(k+1) lies between the two."""
+    integers; raises _Indeterminate when p^(k+1) lies between the two,
+    suggesting twice ``prec``, the precision of the enclosure."""
     if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
     if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
@@ -163,7 +154,8 @@ def _upper_bound(lg: IntervalScalar, p: int) -> int:
         if power << hi_s > (k + 1) * hi_m:
             return k
         if power << lo_s >= (k + 1) * lo_m:
-            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
+            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate",
+                                 suggested_precision_bits=prec * 2)
     raise InvariantError(f"bracket walk for {p} did not terminate")
 
 
@@ -171,9 +163,9 @@ def compute_u_from_log(lg: IntervalScalar, p: int,
                        prec: int = DEFAULT_PRECISION_BITS) -> int:
     """U(p) for a given enclosure of log n (single precision, no retry)."""
     try:
-        return _upper_bound(lg, p)
+        return _upper_bound(lg, p, prec)
     except _Indeterminate as e:
-        raise PrecisionError(str(e), suggested_precision_bits=prec * 2) from e
+        raise PrecisionError(str(e), **e.witness) from e
 
 
 def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
@@ -191,7 +183,7 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
         if cmp is Comparison.OVERLAPPING:
             return None
         try:
-            return _upper_bound(lg, p)
+            return _upper_bound(lg, p, work)
         except _Indeterminate:
             return None
 
@@ -249,74 +241,44 @@ class _AuditContext:
     def log_p_r(self) -> IntervalScalar:
         return iv_log(iv_from_int(self.p_r), self.prec)
 
-    def uncovered(self) -> Verdict:
-        return Verdict(
-            UNKNOWN,
-            {
-                "reason": "prime table does not cover the candidate",
-                "needed_index": self.r,
-                "table_primes": len(self.t),
-            },
-            self.prec,
-        )
 
-
-def _needs_table(check: Callable[..., Verdict]) -> Callable[..., Verdict]:
-    """Checks that read the candidate's primes report Unknown, not an
-    error, when the prime table does not cover the candidate."""
-    @functools.wraps(check)
-    def guarded(ctx: _AuditContext, *args) -> Verdict:
-        if not ctx.covered:
-            return ctx.uncovered()
-        return check(ctx, *args)
-    return guarded
-
-
-def _decide(pairs: list[tuple[Comparison, Comparison]], witness: dict,
-            prec: int) -> Verdict:
-    """Verdict from (comparison, side that passes) pairs: Pass when every
+def _decide(pairs: list[tuple[Comparison, Comparison]],
+            witness: dict) -> tuple[str, dict]:
+    """Status from (comparison, side that passes) pairs: Pass when every
     comparison is on its passing side, Fail when any is certainly on the
     other side, Unknown otherwise."""
     if all(cmp is side for cmp, side in pairs):
-        return Verdict(PASS, witness, prec)
+        return PASS, witness
     if any(cmp is not side and cmp is not Comparison.OVERLAPPING
            for cmp, side in pairs):
-        return Verdict(FAIL, witness, prec)
-    return Verdict(UNKNOWN, witness, prec)
+        return FAIL, witness
+    return UNKNOWN, witness
 
 
-@_needs_table
-def _check_size_floor(ctx: _AuditContext) -> Verdict:
+def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     cst = constants(prec)
     log10_n = iv_div(ctx.log_n, cst.ln10, prec)
     if iv_compare(log10_n, 1) is not Comparison.CERTAINLY_GREATER:
         # n <= 10^10 is certainly below any double-exponential floor
-        return Verdict(
-            FAIL,
-            {"log_n": ctx.log_n,
-             "bound_log10_log10": str(cst.size_floor_log10_log10)},
-            prec,
-        )
+        return FAIL, {"log_n": ctx.log_n,
+                      "bound_log10_log10": str(cst.size_floor_log10_log10)}
     val = iv_div(iv_log(log10_n, prec), cst.ln10, prec)
     cmp = iv_compare(val, cst.size_floor_log10_log10_iv)
     witness = {
         "log10_log10_n": val,
         "bound_log10_log10": str(cst.size_floor_log10_log10),
     }
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
 
 
-@_needs_table
-def _check_log_window_1(ctx: _AuditContext) -> Verdict:
-    prec = ctx.prec
+def _check_log_window_1(ctx: _AuditContext) -> tuple[str, dict]:
     cmp = iv_compare(ctx.log_n, ctx.p_r)
     witness = {"log_n": ctx.log_n, "p_r": ctx.p_r}
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
 
 
-@_needs_table
-def _check_log_window_2(ctx: _AuditContext) -> Verdict:
+def _check_log_window_2(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     slack = constants(prec).log_window_slack_iv
     bound = iv_mul(
@@ -330,83 +292,53 @@ def _check_log_window_2(ctx: _AuditContext) -> Verdict:
         "upper_bound": bound,
         "p_r": ctx.p_r,
     }
-    return _decide([(cmp, Comparison.CERTAINLY_LESS)], witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_LESS)], witness)
 
 
-@_needs_table
-def _check_log_window_alt(ctx: _AuditContext) -> Verdict:
+def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
+    """Alternative one-sided window: p_r > (log n)(1 - c'/log log n).
+
+    Informational companion to log_window_2; not part of the audit ledger.
+    """
     prec = ctx.prec
     lg = ctx.log_n
     if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
-        return Verdict(
-            NOT_APPLICABLE,
-            {"reason": "log log n undefined", "log_n": lg},
-            prec,
-        )
+        return NOT_APPLICABLE, {"reason": "log log n undefined", "log_n": lg}
     slack = constants(prec).log_window_slack_alt_iv
     factor = iv_sub(iv_from_int(1), iv_div(slack, iv_log(lg, prec), prec), prec)
     bound = iv_mul(lg, factor, prec)
     cmp = iv_compare(ctx.p_r, bound)
     witness = {"p_r": ctx.p_r, "lower_bound": bound}
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
 
 
-def check_log_window_alt(c: CandidateFactorization, t: PrimeTable,
-                         prec: int = DEFAULT_PRECISION_BITS) -> Verdict:
-    """Alternative one-sided window: p_r > (log n)(1 - c'/log log n).
-
-    Informational companion to log_window_2; not part of the audit ledger.
-    """
-    return _check_log_window_alt(_AuditContext(c, t, prec))
-
-
-@_needs_table
-def _check_upper_window(ctx: _AuditContext) -> Verdict:
-    prec = ctx.prec
+def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
     cmp = iv_compare(ctx.log_n, ctx.p_r)
     if cmp is Comparison.CERTAINLY_LESS:
-        return Verdict(
-            NOT_APPLICABLE,
-            {"reason": "log n is below p_r; U is undefined at the top prime",
-             "log_n": ctx.log_n, "p_r": ctx.p_r},
-            prec,
-        )
+        return NOT_APPLICABLE, {
+            "reason": "log n is below p_r; U is undefined at the top prime",
+            "log_n": ctx.log_n, "p_r": ctx.p_r}
     if cmp is Comparison.OVERLAPPING:
-        return Verdict(
-            UNKNOWN,
-            {"reason": "log n vs p_r indeterminate",
-             "log_n": ctx.log_n, "p_r": ctx.p_r},
-            prec,
-        )
+        return UNKNOWN, {"reason": "log n vs p_r indeterminate",
+                         "log_n": ctx.log_n, "p_r": ctx.p_r}
 
     @functools.cache
     def u(i: int) -> int:
-        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i))
+        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i), ctx.prec)
 
-    try:
-        runs_checked = 0
-        for start, end, e in ctx.c.run_bounds():
-            if e == 0:
-                continue
-            runs_checked += 1
-            if e <= u(end):
-                continue
-            # violations form a suffix of the run; locate the first one
-            first = start + bisect.bisect_left(range(start, end), True,
-                                               key=lambda i: e > u(i))
-            return Verdict(
-                FAIL,
-                {"index": first, "prime": ctx.t.nth_prime(first),
-                 "exponent": e, "upper_bound": u(first)},
-                prec,
-            )
-        return Verdict(PASS, {"runs_checked": runs_checked}, prec)
-    except _Indeterminate as e:
-        return Verdict(
-            UNKNOWN,
-            {"reason": str(e), "suggested_precision_bits": prec * 2},
-            prec,
-        )
+    runs_checked = 0
+    for start, end, e in ctx.c.run_bounds():
+        if e == 0:
+            continue
+        runs_checked += 1
+        if e <= u(end):
+            continue
+        # violations form a suffix of the run; locate the first one
+        first = start + bisect.bisect_left(range(start, end), True,
+                                           key=lambda i: e > u(i))
+        return FAIL, {"index": first, "prime": ctx.t.nth_prime(first),
+                      "exponent": e, "upper_bound": u(first)}
+    return PASS, {"runs_checked": runs_checked}
 
 
 def _lower_violation(ctx: _AuditContext, first_index: int) -> Optional[tuple[int, int, int]]:
@@ -422,41 +354,29 @@ def _lower_violation(ctx: _AuditContext, first_index: int) -> Optional[tuple[int
     return None
 
 
-@_needs_table
-def _check_lower_window(ctx: _AuditContext, first_index: int) -> Verdict:
-    prec = ctx.prec
+def _check_lower_window(ctx: _AuditContext, first_index: int) -> tuple[str, dict]:
     if ctx.r < 2:
-        return Verdict(
-            NOT_APPLICABLE,
-            {"reason": "needs at least two prime factors", "r": ctx.r},
-            prec,
-        )
+        return NOT_APPLICABLE, {"reason": "needs at least two prime factors",
+                                "r": ctx.r}
     hit = _lower_violation(ctx, first_index)
     if hit is None:
-        return Verdict(PASS, {"first_index": first_index, "p_r": ctx.p_r}, prec)
+        return PASS, {"first_index": first_index, "p_r": ctx.p_r}
     i, p, l_val = hit
-    return Verdict(
-        FAIL,
-        {"index": i, "prime": p, "exponent": ctx.c.a(i), "lower_bound": l_val},
-        prec,
-    )
+    return FAIL, {"index": i, "prime": p, "exponent": ctx.c.a(i),
+                  "lower_bound": l_val}
 
 
-def _check_shape_b1(ctx: _AuditContext) -> Verdict:
+def _check_shape_b1(ctx: _AuditContext) -> tuple[str, dict]:
     c = ctx.c
     if c.canonical:
-        return Verdict(PASS, {"canonical": True}, ctx.prec)
+        return PASS, {"canonical": True}
     prev_end, prev_e = 0, None
     for start, end, e in c.run_bounds():
         if prev_e is not None and e > prev_e:
-            return Verdict(
-                FAIL,
-                {"index_i": prev_end, "index_j": start,
-                 "exponent_i": prev_e, "exponent_j": e},
-                ctx.prec,
-            )
+            return FAIL, {"index_i": prev_end, "index_j": start,
+                          "exponent_i": prev_e, "exponent_j": e}
         prev_end, prev_e = end, e
-    return Verdict(PASS, {"canonical": False, "non_increasing": True}, ctx.prec)
+    return PASS, {"canonical": False, "non_increasing": True}
 
 
 def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
@@ -481,9 +401,8 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     return m
 
 
-@_needs_table
-def _check_shape_b2(ctx: _AuditContext) -> Verdict:
-    c, prec = ctx.c, ctx.prec
+def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
+    c = ctx.c
 
     def bad(i: int, j: int) -> Optional[dict]:
         pred = _b2_pred(ctx, i, j)
@@ -495,96 +414,82 @@ def _check_shape_b2(ctx: _AuditContext) -> Verdict:
         return None
 
     bounds = list(c.run_bounds())
-    try:
-        if c.canonical:
-            # the floor grows with p_i and shrinks with p_j, so over a pair
-            # of runs it is extremal at two corners; within one run only the
-            # low side can violate
-            pairs = 0
-            for bi, (s_i, t_i, _e_i) in enumerate(bounds):
-                for s_j, t_j, _e_j in bounds[bi:]:
-                    if s_i == s_j:
-                        corners = [(s_i, t_i)] if t_i > s_i else []
-                    else:
-                        corners = [(t_i, s_j), (s_i, t_j)]
-                    pairs += len(corners)
-                    for i, j in corners:
-                        w = bad(i, j)
-                        if w:
-                            return Verdict(FAIL, w, prec)
-            return Verdict(PASS, {"corner_pairs_checked": pairs}, prec)
-        if c.r > _B2_PAIR_LIMIT:
-            return Verdict(
-                UNKNOWN,
-                {"reason": "non-canonical candidate too wide for the "
-                           "all-pairs cross-check", "r": c.r},
-                prec,
-            )
-        for i in range(1, c.r + 1):
-            if c.a(i) == 0:
+    if c.canonical:
+        # the floor grows with p_i and shrinks with p_j, so over a pair
+        # of runs it is extremal at two corners; within one run only the
+        # low side can violate
+        pairs = 0
+        for bi, (s_i, t_i, _e_i) in enumerate(bounds):
+            for s_j, t_j, _e_j in bounds[bi:]:
+                if s_i == s_j:
+                    corners = [(s_i, t_i)] if t_i > s_i else []
+                else:
+                    corners = [(t_i, s_j), (s_i, t_j)]
+                pairs += len(corners)
+                for i, j in corners:
+                    w = bad(i, j)
+                    if w:
+                        return FAIL, w
+        return PASS, {"corner_pairs_checked": pairs}
+    if c.r > _B2_PAIR_LIMIT:
+        return UNKNOWN, {"reason": "non-canonical candidate too wide for the "
+                                   "all-pairs cross-check", "r": c.r}
+    for i in range(1, c.r + 1):
+        if c.a(i) == 0:
+            continue
+        for j in range(i + 1, c.r + 1):
+            if c.a(j) == 0:
                 continue
-            for j in range(i + 1, c.r + 1):
-                if c.a(j) == 0:
-                    continue
-                w = bad(i, j)
-                if w:
-                    return Verdict(FAIL, w, prec)
-        return Verdict(PASS, {"pairs": c.r * (c.r - 1) // 2}, prec)
-    except _Indeterminate as e:
-        return Verdict(UNKNOWN, {"reason": str(e)}, prec)
+            w = bad(i, j)
+            if w:
+                return FAIL, w
+    return PASS, {"pairs": c.r * (c.r - 1) // 2}
 
 
-def _check_shape_b3(ctx: _AuditContext) -> Verdict:
+def _check_shape_b3(ctx: _AuditContext) -> tuple[str, dict]:
     c = ctx.c
     a_r = c.runs[-1].exponent
     if a_r == 1:
-        return Verdict(PASS, {"last_exponent": 1}, ctx.prec)
+        return PASS, {"last_exponent": 1}
     # the two known exceptions to a_r = 1: n = 4 and n = 36
     if c.runs in (((2, 1),), ((2, 2),)):
-        return Verdict(PASS, {"last_exponent": a_r, "exception": True}, ctx.prec)
-    return Verdict(FAIL, {"last_exponent": a_r, "index": c.r}, ctx.prec)
+        return PASS, {"last_exponent": a_r, "exception": True}
+    return FAIL, {"last_exponent": a_r, "index": c.r}
 
 
-@_needs_table
-def _check_shape_b4(ctx: _AuditContext) -> Verdict:
-    c, t, prec = ctx.c, ctx.t, ctx.prec
+def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
+    c, t = ctx.c, ctx.t
     if c.r < 2:
-        return Verdict(PASS, {"reason": "no index above 1"}, prec)
+        return PASS, {"reason": "no index above 1"}
     a1 = c.a(1)
-    try:
-        for start, end, e in c.run_bounds():
-            if e == 0 or end < 2:
-                continue
-            p = t.nth_prime(end)
-            # p^e < 2^(a1+2), worst within the run at its top prime
-            if not _power_below(ctx, p, e, 2, a1 + 2):
-                # violations form a suffix of the run; locate the first one
-                lo = max(start, 2)
-                idx = lo + bisect.bisect_left(
-                    range(lo, end), True,
-                    key=lambda i: not _power_below(ctx, t.nth_prime(i), e, 2,
-                                                   a1 + 2))
-                return Verdict(
-                    FAIL,
-                    {"index": idx, "prime": t.nth_prime(idx),
-                     "exponent": e, "bound_exponent": a1 + 2},
-                    prec,
-                )
-        return Verdict(PASS, {"bound_exponent": a1 + 2}, prec)
-    except _Indeterminate as e:
-        return Verdict(UNKNOWN, {"reason": str(e)}, prec)
+    for start, end, e in c.run_bounds():
+        if e == 0 or end < 2:
+            continue
+        p = t.nth_prime(end)
+        # p^e < 2^(a1+2), worst within the run at its top prime
+        if not _power_below(ctx, p, e, 2, a1 + 2):
+            # violations form a suffix of the run; locate the first one
+            lo = max(start, 2)
+            idx = lo + bisect.bisect_left(
+                range(lo, end), True,
+                key=lambda i: not _power_below(ctx, t.nth_prime(i), e, 2,
+                                               a1 + 2))
+            return FAIL, {"index": idx, "prime": t.nth_prime(idx),
+                          "exponent": e, "bound_exponent": a1 + 2}
+    return PASS, {"bound_exponent": a1 + 2}
 
 
-def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int) -> bool:
-    """Certified p^e < q^f; raises _Indeterminate when undecidable."""
+def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int,
+                 **witness) -> bool:
+    """Certified p^e < q^f; raises _Indeterminate, carrying ``witness``,
+    when undecidable."""
     below = power_below(p, e, q, f, ctx.prec)
     if below is None:
-        raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate")
+        raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate", **witness)
     return below
 
 
-@_needs_table
-def _check_density_b6(ctx: _AuditContext) -> Verdict:
+def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     lp = ctx.log_p_r
     inv = iv_div(iv_from_int(1), lp, prec)
@@ -601,28 +506,25 @@ def _check_density_b6(ctx: _AuditContext) -> Verdict:
         "bound": bound,
         "epsilon_p_r": eps,
     }
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness, prec)
+    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
 
 
-def _check_vojak_d1(ctx: _AuditContext) -> Verdict:
+def _check_vojak_d1(ctx: _AuditContext) -> tuple[str, dict]:
     floor = constants(ctx.prec).min_prime_count
     omega = ctx.c.omega
     status = PASS if omega > floor else FAIL
-    return Verdict(status, {"prime_factors": omega, "floor": floor}, ctx.prec)
+    return status, {"prime_factors": omega, "floor": floor}
 
 
-def _check_vojak_d2(ctx: _AuditContext) -> Verdict:
+def _check_vojak_d2(ctx: _AuditContext) -> tuple[str, dict]:
     c = ctx.c
     r = c.r
     count = sum(run.count for run in c.runs if run.exponent != 1)
     status = PASS if 14 * count < r else FAIL
-    return Verdict(
-        status, {"count_exponent_not_one": count, "r": r}, ctx.prec
-    )
+    return status, {"count_exponent_not_one": count, "r": r}
 
 
-@_needs_table
-def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
+def _check_vojak_d3(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     lower = iv_exp(iv_neg(iv_div(iv_from_int(1), ctx.log_p_r, prec)), prec)
     mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, prec)
@@ -633,72 +535,54 @@ def _check_vojak_d3(ctx: _AuditContext) -> Verdict:
         "lower": lower,
     }
     return _decide([(c1, Comparison.CERTAINLY_LESS),
-                    (c2, Comparison.CERTAINLY_LESS)], witness, prec)
+                    (c2, Comparison.CERTAINLY_LESS)], witness)
 
 
-@_needs_table
-def _check_vojak_d4(ctx: _AuditContext) -> Verdict:
+def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
     c, t, prec = ctx.c, ctx.t, ctx.prec
     if c.r < 2:
-        return Verdict(PASS, {"reason": "no index above 1"}, prec)
+        return PASS, {"reason": "no index above 1"}
     a1 = c.a(1)
     m_r = compute_m(c.r, t, prec)
-    try:
-        for start, end, e in c.run_bounds():
-            if e == 0 or end < 2:
-                continue
-            p = t.nth_prime(end)
-            ok1 = _power_below(ctx, p, e, 2, a1 + 2)
-            # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
-            lhs = iv_mul(iv_from_int(e - 1), iv_log(iv_from_int(p), prec), prec)
-            cmp2 = iv_compare(lhs, m_r)
-            if cmp2 is Comparison.OVERLAPPING:
-                raise _Indeterminate(f"(a-1) log p vs M(r) at index {end}")
-            ok2 = cmp2 is Comparison.CERTAINLY_LESS
-            if not (ok1 and ok2):
-                return Verdict(
-                    FAIL,
-                    {"index": end, "prime": p, "exponent": e,
-                     "below_power_bound": ok1, "below_m_bound": ok2,
-                     "m_r": m_r},
-                    prec,
-                )
-        return Verdict(PASS, {"m_r": m_r}, prec)
-    except _Indeterminate as e:
-        return Verdict(UNKNOWN, {"reason": str(e), "m_r": m_r}, prec)
+    for start, end, e in c.run_bounds():
+        if e == 0 or end < 2:
+            continue
+        p = t.nth_prime(end)
+        ok1 = _power_below(ctx, p, e, 2, a1 + 2, m_r=m_r)
+        # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
+        lhs = iv_mul(iv_from_int(e - 1), iv_log(iv_from_int(p), prec), prec)
+        cmp2 = iv_compare(lhs, m_r)
+        if cmp2 is Comparison.OVERLAPPING:
+            raise _Indeterminate(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)
+        ok2 = cmp2 is Comparison.CERTAINLY_LESS
+        if not (ok1 and ok2):
+            return FAIL, {"index": end, "prime": p, "exponent": e,
+                          "below_power_bound": ok1, "below_m_bound": ok2,
+                          "m_r": m_r}
+    return PASS, {"m_r": m_r}
 
 
-def _check_exponents_e(ctx: _AuditContext) -> Verdict:
+def _check_exponents_e(ctx: _AuditContext) -> tuple[str, dict]:
     c = ctx.c
     for i, floor in EXPONENT_FLOORS:
         if c.a(i) <= floor:
-            return Verdict(
-                FAIL,
-                {"index": i, "exponent": c.a(i), "strict_floor": floor},
-                ctx.prec,
-            )
-    return Verdict(PASS, {"floors": [f for _, f in EXPONENT_FLOORS]}, ctx.prec)
+            return FAIL, {"index": i, "exponent": c.a(i), "strict_floor": floor}
+    return PASS, {"floors": [f for _, f in EXPONENT_FLOORS]}
 
 
-@_needs_table
-def _check_two_squares(ctx: _AuditContext) -> Verdict:
+def _check_two_squares(ctx: _AuditContext) -> tuple[str, dict]:
     representable = is_sum_of_two_squares(ctx.c, ctx.t)
     # a least counterexample cannot be a sum of two squares
     status = FAIL if representable else PASS
-    return Verdict(status, {"sum_of_two_squares": representable}, ctx.prec)
+    return status, {"sum_of_two_squares": representable}
 
 
-@_needs_table
-def _check_s_window(ctx: _AuditContext) -> Verdict:
+def _check_s_window(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     s = ctx.c.s_index()
     if s is None or s >= ctx.r:
-        return Verdict(
-            NOT_APPLICABLE,
-            {"reason": "no index s < r with exponent >= 2",
-             "s": s, "r": ctx.r},
-            prec,
-        )
+        return NOT_APPLICABLE, {"reason": "no index s < r with exponent >= 2",
+                                "s": s, "r": ctx.r}
     p_s = ctx.t.nth_prime(s)
     root = iv_sqrt(iv_from_int(ctx.p_r), prec)
     cst = constants(prec)
@@ -711,10 +595,11 @@ def _check_s_window(ctx: _AuditContext) -> Verdict:
         "lower": lower, "upper": upper,
     }
     return _decide([(c1, Comparison.CERTAINLY_GREATER),
-                    (c2, Comparison.CERTAINLY_LESS)], witness, prec)
+                    (c2, Comparison.CERTAINLY_LESS)], witness)
 
 
-_CHECK_FUNCS: dict[str, Callable[[_AuditContext], Verdict]] = {
+# The ledger, in report order.
+_CHECK_FUNCS: dict[str, Callable[[_AuditContext], tuple[str, dict]]] = {
     "size_floor_C": _check_size_floor,
     "log_window_1": _check_log_window_1,
     "log_window_2": _check_log_window_2,
@@ -734,6 +619,32 @@ _CHECK_FUNCS: dict[str, Callable[[_AuditContext], Verdict]] = {
     "two_squares_F": _check_two_squares,
     "s_window_56": _check_s_window,
 }
+CHECK_IDS = tuple(_CHECK_FUNCS)
+
+# Checks that read no primes; every other check needs the table to cover
+# the candidate.
+_TABLE_FREE = frozenset({"shape_B1", "shape_B3", "vojak_D1", "vojak_D2",
+                         "exponents_E"})
+
+
+def _verdict(ctx: _AuditContext, check_id: str,
+             check: Callable[[_AuditContext], tuple[str, dict]]) -> Verdict:
+    """Run one check: Unknown when it reads primes the table does not
+    cover or its comparison stays indeterminate; every verdict is stamped
+    with the audit's precision."""
+    if not ctx.covered and check_id not in _TABLE_FREE:
+        status, witness = UNKNOWN, {
+            "reason": "prime table does not cover the candidate",
+            "needed_index": ctx.r,
+            "table_primes": len(ctx.t),
+        }
+    else:
+        try:
+            status, witness = check(ctx)
+        except _Indeterminate as e:
+            status, witness = UNKNOWN, {"reason": str(e), **e.witness}
+    return Verdict(status, witness, ctx.prec)
+
 
 SURVIVES = "survives_all_checks"
 EXCLUDED = "excluded"
@@ -794,7 +705,7 @@ def run_check(check_id: str, c: CandidateFactorization, t: PrimeTable,
     """Run a single check by id (mostly useful for tests and exploration)."""
     if check_id not in _CHECK_FUNCS:
         raise DomainError(f"unknown check id {check_id!r}")
-    return _CHECK_FUNCS[check_id](_AuditContext(c, t, prec))
+    return _verdict(_AuditContext(c, t, prec), check_id, _CHECK_FUNCS[check_id])
 
 
 def full_audit(c: CandidateFactorization, t: PrimeTable,
@@ -802,10 +713,12 @@ def full_audit(c: CandidateFactorization, t: PrimeTable,
                include_alt_log_window: bool = False) -> AuditReport:
     """Every necessary-condition check, in the fixed ledger order."""
     ctx = _AuditContext(c, t, prec)
-    checks = [(cid, _CHECK_FUNCS[cid](ctx)) for cid in CHECK_IDS]
+    # looked up per call, so a wrapper swapped into _CHECK_FUNCS runs
+    checks = [(cid, _verdict(ctx, cid, _CHECK_FUNCS[cid])) for cid in CHECK_IDS]
     extra = []
     if include_alt_log_window:
-        extra.append(("log_window_alt", _check_log_window_alt(ctx)))
+        extra.append(("log_window_alt",
+                      _verdict(ctx, "log_window_alt", _check_log_window_alt)))
     return AuditReport(
         candidate=c, precision_bits=prec, checks=checks, extra_checks=extra
     )
@@ -840,7 +753,7 @@ def _largest_upper_violation(ctx: _AuditContext) -> Optional[int]:
     for start, end, e in reversed(list(ctx.c.run_bounds())):
         if e == 0:
             continue
-        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end)):
+        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end), ctx.prec):
             return end  # violations are a suffix; the end is the largest
     return None
 

@@ -494,7 +494,8 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
     """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r; ``lg`` as for
     g_ratio_divide.
 
-    Requires a_r == 1 (the top prime is removed entirely) and s < r.
+    Requires a_r == 1 (the top prime is removed entirely) and s < r; a_s
+    may be 0, a swap into a hole.
     """
     r = c.r
     if r < 2:
@@ -503,8 +504,6 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
         raise DomainError(f"swap requires a_r == 1, got a_r = {c.a(r)}")
     if not 1 <= s < r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
-    if c.a(s) < 1:
-        raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
     return _g_ratio_edit(c, {s: 1, r: -1}, t, prec, lg)
 

@@ -126,17 +126,11 @@ class IntervalScalar:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, value: Union[int, Fraction, "IntervalScalar"]) -> bool:
         if isinstance(value, IntervalScalar):
             return self.lo <= value.lo and value.hi <= self.hi
         value = Fraction(value)
         return self.lo <= value <= self.hi
-
-    def is_point(self) -> bool:
-        return mpf_cmp(self._lo, self._hi) == 0
 
     def __repr__(self) -> str:
         return "IntervalScalar[%s, %s]" % (

@@ -133,17 +133,6 @@ class PrimeTable:
             )
         return int(self._primes[i - 1])
 
-    def prime_index(self, p: int) -> int:
-        """Inverse of nth_prime; raises if p is not prime or beyond limit."""
-        if p > self.limit:
-            raise TableTooSmallError(
-                f"{p} beyond table limit {self.limit}", needed=p
-            )
-        pos = int(np.searchsorted(self._primes, p))
-        if pos >= self._primes.size or int(self._primes[pos]) != p:
-            raise DomainError(f"{p} is not prime")
-        return pos + 1
-
     def slice(self, i: int, j: int) -> np.ndarray:
         """Primes p_i..p_j inclusive (1-based) as a read-only int64 view."""
         if i < 1 or j < i - 1:

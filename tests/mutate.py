@@ -59,6 +59,7 @@ SIGMA_RATIO_TESTS = (T_FAC + "test_sigma_ratio_on_both_sides_of_the_exact_cut",
 G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
                  "tests/test_golden.py")
 EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
+T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 
 MUTANTS = [
     # the abundancy bound of verify_range and the sparse exact sigma
@@ -131,6 +132,23 @@ MUTANTS = [
     Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
            "_edited(c, {s: 1, c.r: -1})", "_edited(c, {s: 1})",
            EDIT_TESTS + ("tests/test_golden.py",)),
+    Mutant("g ratio: swap into a hole refused again", "factored.py",
+           'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n',
+           'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n'
+           '    if c.a(s) < 1:\n'
+           '        raise DomainError(f"p_{s} does not divide the candidate")\n',
+           G_RATIO_TESTS),
+    # the check runner: coverage, indeterminacy and the comparison verdict
+    Mutant("runner: two_squares_F taken as table-free", "audit.py",
+           '"exponents_E"})', '"exponents_E", "two_squares_F"})',
+           (T_UNKNOWN + "test_uncovered_candidate",)),
+    Mutant("runner: the Unknown drops the exception's witness", "audit.py",
+           '{"reason": str(e), **e.witness}', '{"reason": str(e)}',
+           (T_UNKNOWN + "test_upper_window_bracket",
+            T_UNKNOWN + "test_power_comparisons_of_b4_and_d4")),
+    Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
+           "cmp is not side and cmp is not Comparison.OVERLAPPING",
+           "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
 ]
 
 

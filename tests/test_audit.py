@@ -5,7 +5,9 @@ exact integer power brackets) and frozen below before the implementation
 existed.
 """
 
+import json
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -24,13 +26,13 @@ from robinaudit.audit import (
     NOT_APPLICABLE,
     PASS,
     STEP_LIMIT,
+    UNKNOWN,
     BLOCKED_EXPONENT,
     BLOCKED_LOG_WINDOW,
     compute_l,
     compute_m,
     compute_u,
     compute_u_from_log,
-    check_log_window_alt,
     full_audit,
     int_log_floor,
     normalize,
@@ -105,7 +107,7 @@ class TestWindowBounds:
         except audit._Indeterminate:
             rounded = None
         try:
-            exact = audit._upper_bound(lg, p)
+            exact = audit._upper_bound(lg, p, prec)
         except audit._Indeterminate:
             exact = None
         if rounded is not None:
@@ -127,7 +129,7 @@ class TestWindowBounds:
         lg = IntervalScalar(t, t)
         with pytest.raises(audit._Indeterminate):
             upper_bound_rounded(lg, 2, 64)
-        assert audit._upper_bound(lg, 2) == 9
+        assert audit._upper_bound(lg, 2, 64) == 9
         assert compute_u_from_log(lg, 2, 64) == 9
         assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
 
@@ -321,10 +323,14 @@ class TestIndividualChecks:
         assert v.status == FAIL
 
     def test_alt_log_window_is_informational(self, table_1e6):
-        v = check_log_window_alt(cand(4, 2, 1, 1), table_1e6)
-        assert v.status == FAIL  # p_r = 7 sits below 8.503
-        v = check_log_window_alt(cand(1, 1, 1, 1, 1, 1), table_1e6)
-        assert v.status == PASS  # 13 above 10.26
+        def alt(c):
+            rep = full_audit(c, table_1e6, include_alt_log_window=True)
+            [(cid, v)] = rep.extra_checks
+            assert cid == "log_window_alt"
+            return v
+
+        assert alt(cand(4, 2, 1, 1)).status == FAIL  # p_r = 7 sits below 8.503
+        assert alt(cand(1, 1, 1, 1, 1, 1)).status == PASS  # 13 above 10.26
 
     def test_unknown_check_id_rejected(self, table_1e6):
         with pytest.raises(DomainError):
@@ -349,6 +355,12 @@ class TestFullAudit:
         rep = full_audit(cand(4, 2, 1, 1), table_1e6)
         assert [cid for cid, _ in rep.checks] == list(CHECK_IDS)
         assert len(CHECK_IDS) == 18
+
+    def test_schema_lists_the_ledger_in_order(self):
+        text = (resources.files("robinaudit")
+                .joinpath("schemas/audit_report.schema.json").read_text())
+        ids = json.loads(text)["properties"]["checks"]["items"]["properties"]["id"]
+        assert ids["enum"] == list(CHECK_IDS)
 
     def test_excluded_by_follows_check_order(self, table_1e6):
         rep = full_audit(cand(4, 2, 1, 1), table_1e6)
@@ -396,7 +408,7 @@ class TestFullAudit:
         monkeypatch.setattr(intervals, "iv_from_decimal", counting_decimal)
 
         def logs_of(x):
-            return sum(a.is_point() and a.lo == x for a in logs)
+            return sum(a.lo == a.hi == x for a in logs)
 
         # p_r = 7: one log for the context's log p_r (log window 2, B6,
         # D3) and one for D4 at the end of the last run
@@ -478,6 +490,71 @@ class TestFullAudit:
 
 
 _HYP_TABLE = PrimeTable.build(100)
+
+
+def _unknown(reason, prec=128, **witness):
+    return {"status": UNKNOWN, "witness": {"reason": reason, **witness},
+            "precision_used": prec}
+
+
+# M(4) at 128 bits, rounded outward, as D4 reports it
+_M_4_JSON = {
+    "lo": "6.315470310101542113285278193406834511803545239391213867369242460959"
+          "8127122233303062416587270178069957182742655277252197265625",
+    "hi": "6.315470310101542113285278193406834512438312188835249121672360191059"
+          "82537824540970689858598863253291710861958563327789306640625",
+}
+
+
+class TestUnknownWitnesses:
+    """The Unknown verdicts that no golden file holds, each forced by
+    making one comparison indeterminate."""
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_upper_window_bracket(self, table_1e6, monkeypatch, prec):
+        # log n in [340, 342]: 2^12 = 4096 lies between 12 * 340 and 12 * 342
+        monkeypatch.setattr(audit, "log_n",
+                            lambda *args, **kwargs: iv_make(340, 342, prec))
+        v = run_check("upper_window_3", cand(4, 2, 1, 1), table_1e6, prec)
+        assert v.to_json() == _unknown("2^12 vs 12 log n indeterminate", prec,
+                                       suggested_precision_bits=2 * prec)
+
+    def test_overlapping_comparison(self, table_1e6, monkeypatch):
+        # log n in [6, 8] against p_r = 7: neither side is certain
+        lg = iv_make(6, 8)
+        monkeypatch.setattr(audit, "log_n", lambda *args, **kwargs: lg)
+        v = run_check("log_window_1", cand(4, 2, 1, 1), table_1e6)
+        assert (v.status, v.witness) == (UNKNOWN, {"log_n": lg, "p_r": 7})
+
+    def test_shape_b2_floor(self, table_1e6, monkeypatch):
+        monkeypatch.setattr(audit, "escalate", lambda *args: None)
+        c = CandidateFactorization.from_runs(
+            [(150_000_000_000_000, 1), (2, 1), (1, 3)])
+        assert run_check("shape_B2", c, table_1e6).to_json() == _unknown(
+            "floor(a_1 log p_1 / log p_2) straddles an integer")
+
+    def test_power_comparisons_of_b4_and_d4(self, table_1e6, monkeypatch):
+        monkeypatch.setattr(audit, "power_below", lambda *args: None)
+        c = cand(4, 2, 1, 1)
+        reason = "3^2 vs 2^6 indeterminate"
+        assert run_check("shape_B4", c, table_1e6).to_json() == _unknown(reason)
+        assert run_check("vojak_D4", c, table_1e6).to_json() == _unknown(
+            reason, m_r=_M_4_JSON)
+
+    def test_uncovered_candidate(self, table_1e5):
+        # only the five checks that read no primes decide
+        c = CandidateFactorization.from_runs([(1, 10**6 + 1)])
+        rep = full_audit(c, table_1e5, include_alt_log_window=True)
+        decided = {"shape_B1": PASS, "shape_B3": PASS, "vojak_D1": FAIL,
+                   "vojak_D2": PASS, "exponents_E": FAIL}
+        uncovered = _unknown("prime table does not cover the candidate",
+                             needed_index=10**6 + 1, table_primes=9592)
+        for cid, v in rep.checks + rep.extra_checks:
+            if cid in decided:
+                assert v.status == decided[cid], cid
+            else:
+                assert v.to_json() == uncovered, cid
+        assert len(rep.unknown_checks) == 13
 
 
 class TestNormalize:
@@ -602,7 +679,7 @@ _SCAN_TABLE = PrimeTable.build(1000)
 def _scan_upper(lg, primes):
     """U(p_i) at every position, or None when one bracket is undecided."""
     try:
-        return [audit._upper_bound(lg, p) for p in primes]
+        return [audit._upper_bound(lg, p, 128) for p in primes]
     except audit._Indeterminate:
         return None
 

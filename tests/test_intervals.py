@@ -60,7 +60,6 @@ EXP_GAMMA = Fraction(
 def test_point_interval_is_exact():
     a = iv_from_int(5)
     assert a.lo == a.hi == 5
-    assert a.is_point()
     assert a.width() == 0
 
 

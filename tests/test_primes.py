@@ -41,14 +41,8 @@ def test_nth_prime_and_index_inverse(table_1e6):
     t = table_1e6
     assert t.nth_prime(1) == 2
     assert t.nth_prime(25) == 97
-    assert t.prime_index(97) == 25
     for i in (1, 2, 100, 9592, 78498):
-        assert t.prime_index(t.nth_prime(i)) == i
-
-
-def test_index_of_composite_rejected(table_1e6):
-    with pytest.raises(DomainError):
-        table_1e6.prime_index(100)
+        assert sympy.primepi(t.nth_prime(i)) == i
 
 
 def test_out_of_range_raises_table_too_small(table_1e6):
@@ -56,7 +50,7 @@ def test_out_of_range_raises_table_too_small(table_1e6):
     with pytest.raises(TableTooSmallError):
         t.nth_prime(len(t) + 1)
     with pytest.raises(TableTooSmallError):
-        t.prime_index(10**6 + 3)
+        t.primes_in(2, 10**6 + 3)
 
 
 def test_slice_is_one_based_inclusive(table_1e6):
