@@ -23,7 +23,7 @@ import bisect
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     DomainError,
@@ -58,6 +58,7 @@ from .intervals import (
     iv_floor,
     iv_from_int,
     iv_log,
+    iv_log_int,
     iv_mul,
     iv_neg,
     iv_round,
@@ -211,10 +212,53 @@ def compute_m(k: int, t: PrimeTable,
     return t._memoized(("m", k, prec), fresh)
 
 
+class _TopPrimeBounds(NamedTuple):
+    """The enclosures of the audit that depend only on p_r and the
+    precision."""
+
+    log_p_r: IntervalScalar
+    # log_window_2: p_r (1 + c / log p_r)
+    log_window_2_upper: IntervalScalar
+    # density_B6: epsilon(p_r) = (1 / log p_r)(1 + (3/2) / log p_r)
+    epsilon: IntervalScalar
+    # vojak_D3: exp(-1 / log p_r)
+    d3_lower: IntervalScalar
+    # s_window_56: lower and upper constant times sqrt(p_r)
+    s_lower: IntervalScalar
+    s_upper: IntervalScalar
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
+    """The bounds at top prime p_r and ``prec`` bits, formed once per pair
+    while it stays among the 1024 most recently used."""
+    cst = constants(prec)
+    lp = iv_log_int(p_r, prec)
+    inv = iv_div(iv_from_int(1), lp, prec)
+    root = iv_sqrt(iv_from_int(p_r), prec)
+    return _TopPrimeBounds(
+        log_p_r=lp,
+        log_window_2_upper=iv_mul(
+            iv_from_int(p_r),
+            iv_add(iv_from_int(1),
+                   iv_div(cst.log_window_slack_iv, lp, prec), prec),
+            prec,
+        ),
+        epsilon=iv_mul(
+            inv,
+            iv_add(iv_from_int(1), iv_div(cst.three_halves, lp, prec), prec),
+            prec,
+        ),
+        d3_lower=iv_exp(iv_neg(inv), prec),
+        s_lower=iv_mul(cst.s_window_lower_iv, root, prec),
+        s_upper=iv_mul(cst.s_window_upper_iv, root, prec),
+    )
+
+
 class _AuditContext:
     """Shared lazily-computed quantities for one audit run: log n, rho,
-    n/phi and log p_r.  ``products`` holds the exact cell products behind
-    them."""
+    n/phi and the bounds at p_r.  ``products`` holds the exact cell
+    products behind them."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int):
         self.c = c
@@ -238,8 +282,8 @@ class _AuditContext:
         return n_over_phi(self.c, self.t, self.prec, products=self.products)
 
     @functools.cached_property
-    def log_p_r(self) -> IntervalScalar:
-        return iv_log(iv_from_int(self.p_r), self.prec)
+    def top(self) -> _TopPrimeBounds:
+        return _top_prime_bounds(self.p_r, self.prec)
 
 
 def _decide(pairs: list[tuple[Comparison, Comparison]],
@@ -279,13 +323,7 @@ def _check_log_window_1(ctx: _AuditContext) -> tuple[str, dict]:
 
 
 def _check_log_window_2(ctx: _AuditContext) -> tuple[str, dict]:
-    prec = ctx.prec
-    slack = constants(prec).log_window_slack_iv
-    bound = iv_mul(
-        iv_from_int(ctx.p_r),
-        iv_add(iv_from_int(1), iv_div(slack, ctx.log_p_r, prec), prec),
-        prec,
-    )
+    bound = ctx.top.log_window_2_upper
     cmp = iv_compare(ctx.log_n, bound)
     witness = {
         "log_n": ctx.log_n,
@@ -390,8 +428,8 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     # interval route for astronomically large exponents
     def attempt(prec: int) -> Optional[int]:
         return iv_floor(iv_div(
-            iv_mul(iv_from_int(a_i), iv_log(iv_from_int(p_i), prec), prec),
-            iv_log(iv_from_int(p_j), prec),
+            iv_mul(iv_from_int(a_i), iv_log_int(p_i, prec), prec),
+            iv_log_int(p_j, prec),
             prec,
         ))
 
@@ -491,14 +529,7 @@ def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int,
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
-    lp = ctx.log_p_r
-    inv = iv_div(iv_from_int(1), lp, prec)
-    eps = iv_mul(
-        inv,
-        iv_add(iv_from_int(1),
-               iv_div(constants(prec).three_halves, lp, prec), prec),
-        prec,
-    )
+    eps = ctx.top.epsilon
     bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), ctx.nphi, prec)
     cmp = iv_compare(ctx.rho, bound)
     witness = {
@@ -525,9 +556,8 @@ def _check_vojak_d2(ctx: _AuditContext) -> tuple[str, dict]:
 
 
 def _check_vojak_d3(ctx: _AuditContext) -> tuple[str, dict]:
-    prec = ctx.prec
-    lower = iv_exp(iv_neg(iv_div(iv_from_int(1), ctx.log_p_r, prec)), prec)
-    mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, prec)
+    lower = ctx.top.d3_lower
+    mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, ctx.prec)
     c1 = iv_compare(lower, mid)
     c2 = iv_compare(mid, 1)
     witness = {
@@ -550,7 +580,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
         p = t.nth_prime(end)
         ok1 = _power_below(ctx, p, e, 2, a1 + 2, m_r=m_r)
         # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
-        lhs = iv_mul(iv_from_int(e - 1), iv_log(iv_from_int(p), prec), prec)
+        lhs = iv_mul(iv_from_int(e - 1), iv_log_int(p, prec), prec)
         cmp2 = iv_compare(lhs, m_r)
         if cmp2 is Comparison.OVERLAPPING:
             raise _Indeterminate(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)
@@ -578,16 +608,12 @@ def _check_two_squares(ctx: _AuditContext) -> tuple[str, dict]:
 
 
 def _check_s_window(ctx: _AuditContext) -> tuple[str, dict]:
-    prec = ctx.prec
     s = ctx.c.s_index()
     if s is None or s >= ctx.r:
         return NOT_APPLICABLE, {"reason": "no index s < r with exponent >= 2",
                                 "s": s, "r": ctx.r}
     p_s = ctx.t.nth_prime(s)
-    root = iv_sqrt(iv_from_int(ctx.p_r), prec)
-    cst = constants(prec)
-    lower = iv_mul(cst.s_window_lower_iv, root, prec)
-    upper = iv_mul(cst.s_window_upper_iv, root, prec)
+    lower, upper = ctx.top.s_lower, ctx.top.s_upper
     c1 = iv_compare(p_s, lower)
     c2 = iv_compare(p_s, upper)
     witness = {

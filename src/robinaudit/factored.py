@@ -10,11 +10,14 @@ one outward-rounded logarithm or division per cell.  Because cells sit at
 fixed positions, the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do
 not depend on the exponents: one audit context forms each of them at
 most once and shares it between log n, rho and n/phi.  The enclosures
-made from them (the log of a cell's Pi p, a cell's rho and n/phi ratio
-blocks, keyed by the cell, the precision and for rho the exponent) are
-memoized on the PrimeTable.  That memo serves the primorial margin M(r),
-every normalize step and later calls on the same table, which form a
-product only for a cell piece no earlier call has evaluated.
+made from them (the log of a cell's Pi p and that log times an exponent
+e, a cell's rho and n/phi ratio blocks, keyed by the cell, the precision
+and for e log and rho the exponent) are memoized on the PrimeTable.  That
+memo serves the primorial margin M(r), every normalize step and later
+calls on the same table, which form a product only for a cell piece no
+earlier call has evaluated.  The log of one prime, which the sigma-power
+ratio and the G ratios need, comes from the process cache
+``iv_log_int``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
 exponents too large for exact powers and the G ratios of normalize steps,
 where one map of exponent edits describes a divide or a swap.  It is exact
@@ -48,6 +51,7 @@ from .intervals import (
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
+    iv_log_int,
     iv_mul,
     iv_neg,
     iv_sub,
@@ -337,13 +341,17 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
         if e == 0:
             continue
         for i, j in _chunks(start, end):
-            block = t._memoized(
-                ("log", i, j, prec),
-                lambda: iv_log(iv_from_int_rounded(products.get(t, i, j), prec),
-                               prec),
+            def cell_log() -> IntervalScalar:
+                return t._memoized(
+                    ("log", i, j, prec),
+                    lambda: iv_log(iv_from_int_rounded(products.get(t, i, j),
+                                                       prec), prec),
+                )
+
+            block = cell_log() if e == 1 else t._memoized(
+                ("elog", i, j, e, prec),
+                lambda: iv_mul(iv_from_int(e), cell_log(), prec),
             )
-            if e != 1:
-                block = iv_mul(iv_from_int(e), block, prec)
             total = iv_add(total, block, prec)
     if not c.runs:
         raise DomainError("empty candidate has no factorization")
@@ -436,7 +444,7 @@ def _sigma_ratio(p: int, a: int, b: int,
     """
     if _pow_bits(p, max(a, b) + 1) <= _EXACT_POW_BITS:
         return Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
-    lp = iv_log(iv_from_int(p), prec)
+    lp = iv_log_int(p, prec)
 
     def side(e: int) -> IntervalScalar:
         if e == 0:
@@ -468,7 +476,7 @@ def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
             num, den = num * f.numerator, den * f.denominator
         else:
             parts.append(f)
-        lp = iv_log(iv_from_int(p), prec)
+        lp = iv_log_int(p, prec)
         lg1 = iv_add(lg1, lp, prec) if delta > 0 else iv_sub(lg1, lp, prec)
     sig = iv_from_fraction(Fraction(num, den), prec)
     for f in parts:

@@ -2,8 +2,10 @@
 
 A PrimeTable is an immutable sorted array of all primes up to a limit,
 built with a segmented sieve of Eratosthenes.  Each table keeps a bounded
-memo of enclosures derived from its primes alone (see
-``PrimeTable._memoized``), which lives and dies with the table.
+memo of enclosures derived from its cells of primes (see
+``PrimeTable._memoized``), which lives and dies with the table; values
+that depend on one prime and the precision alone (its log, the audit's
+top-prime bounds) sit in bounded process caches instead.
 dusart_gap_holds verifies that a short interval above x contains a prime,
 using a conservatively rounded window end so a True answer is a
 certificate.
@@ -36,9 +38,10 @@ DUSART_GAP_COEFF = Fraction(1, 5000)
 _SEGMENT = 1 << 20
 
 # Entries a table's memo holds before it is emptied.  A corpus pass of the
-# benchmark stores about 700 and a full_audit at r = 10^6 about 6,000 per
-# precision, so this covers an audit at 128 bits and its 256-bit recheck
-# (11,760 entries, 6.6 MB).
+# benchmark (seed 1) stores 778, and a power-form full_audit at r = 10^6
+# (exponents >= 2 throughout, so every cell also has its e log entry)
+# stores 7,859 per precision, so this covers that audit at 128 bits and
+# its 256-bit recheck (15,718 entries, 7.6 MB).
 _MEMO_CAP = 1 << 14
 
 

@@ -60,6 +60,8 @@ G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
                  "tests/test_golden.py")
 EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
+T_MEMO = "tests/test_memo.py::"
+CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
 
 MUTANTS = [
     # the abundancy bound of verify_range and the sparse exact sigma
@@ -149,6 +151,23 @@ MUTANTS = [
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
            "cmp is not side and cmp is not Comparison.OVERLAPPING",
            "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
+    # the process caches of prime logs and top-prime bounds, and the
+    # table memo of exponent-scaled cell logs
+    Mutant("prime log: formed at the default precision", "intervals.py",
+           "return iv_log(iv_from_int(n), prec)",
+           "return iv_log(iv_from_int(n), DEFAULT_PRECISION_BITS)", CACHE_TESTS),
+    Mutant("top-prime bounds: D3 lower bound as exp(+1/log p_r)", "audit.py",
+           "d3_lower=iv_exp(iv_neg(inv), prec)", "d3_lower=iv_exp(inv, prec)",
+           CACHE_TESTS),
+    Mutant("top-prime bounds: s-window bounds swapped", "audit.py",
+           "s_lower=iv_mul(cst.s_window_lower_iv, root, prec),\n"
+           "        s_upper=iv_mul(cst.s_window_upper_iv, root, prec),",
+           "s_lower=iv_mul(cst.s_window_upper_iv, root, prec),\n"
+           "        s_upper=iv_mul(cst.s_window_lower_iv, root, prec),",
+           CACHE_TESTS),
+    Mutant("cell memo: exponent-scaled log keyed without the exponent",
+           "factored.py", '("elog", i, j, e, prec)', '("elog", i, j, prec)',
+           (T_MEMO + "test_exponent_scaled_cell_logs_answer_only_their_key",)),
 ]
 
 

@@ -410,19 +410,21 @@ class TestFullAudit:
         def logs_of(x):
             return sum(a.lo == a.hi == x for a in logs)
 
-        # p_r = 7: one log for the context's log p_r (log window 2, B6,
-        # D3) and one for D4 at the end of the last run
+        # p_r = 7: one log, shared by the top-prime bounds (log window 2,
+        # B6, D3) and D4 at the end of the last run; none on a second audit
         c = cand(4, 2, 1, 1)
         intervals.constants.cache_clear()
+        intervals.iv_log_int.cache_clear()
+        audit._top_prime_bounds.cache_clear()
         first = full_audit(c, table_1e6, include_alt_log_window=True)
         assert first.verdict_for("vojak_D4").status == PASS
-        assert logs_of(7) == 2
+        assert logs_of(7) == 1
         assert logs_of(10) == 1 and decimals  # the constants, formed once
         logs.clear()
         decimals.clear()
         again = full_audit(c, table_1e6, include_alt_log_window=True)
         assert report_to_json_str(again) == report_to_json_str(first)
-        assert logs_of(7) == 2
+        assert logs_of(7) == 0
         assert logs_of(10) == 0 and decimals == []
 
     def test_witnesses_formatted_only_when_serialized(self, table_1e6,

@@ -1,6 +1,7 @@
-"""The PrimeTable memo of cell enclosures and M(k): a hit must return
-exactly what fresh work returns, at the precision asked for, and the memo
-must stay within its cap."""
+"""The PrimeTable memo of cell enclosures and M(k), and the process caches
+of prime logs and top-prime bounds: a hit must return exactly what fresh
+work returns, at the precision asked for, and the memo must stay within
+its cap."""
 
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from robinaudit import factored, primes
 from robinaudit.audit import (
+    _top_prime_bounds,
     compute_m,
     compute_u,
     full_audit,
@@ -17,7 +19,18 @@ from robinaudit.audit import (
     report_to_json_str,
 )
 from robinaudit.factored import CandidateFactorization, log_n, n_over_phi, rho
-from robinaudit.intervals import iv_from_int
+from robinaudit.intervals import (
+    constants,
+    iv_add,
+    iv_div,
+    iv_exp,
+    iv_from_int,
+    iv_log,
+    iv_log_int,
+    iv_mul,
+    iv_neg,
+    iv_sqrt,
+)
 from robinaudit.primes import PrimeTable
 
 # p_30 = 113: audit and normalize read no table position above r
@@ -136,3 +149,49 @@ def test_repeated_audit_and_normalize_form_no_product(formed):
             for prec in (128, 256)] == first
     assert normalize(WIDE, t, 128, step_limit=8).to_json() == steps
     assert formed == []
+
+
+def test_exponent_scaled_cell_logs_answer_only_their_key():
+    # the pieces 1..300, 301..512 and 513..600 under exponents 4, 3 and
+    # then 3, 2: the second candidate meets cells the first one scaled
+    cands = [CandidateFactorization.from_runs([(e + 1, 300), (e, 300), (1, 5)])
+             for e in (3, 2)]
+    t = PrimeTable.build(10**4)
+    warm = {(k, prec): log_n(c, t, prec)
+            for prec in (128, 256) for k, c in enumerate(cands)}
+    assert {key[3] for key in t._memo if key[0] == "elog"} == {2, 3, 4}
+    for (k, prec), v in warm.items():
+        t._memo.clear()
+        assert log_n(cands[k], t, prec) == v, (k, prec)
+
+
+def _old_top_prime_bounds(p_r, prec):
+    """The bounds as the checks formed them inline, field by field."""
+    cst = constants(prec)
+    lp = iv_log(iv_from_int(p_r), prec)
+    root = iv_sqrt(iv_from_int(p_r), prec)
+    return (
+        lp,
+        iv_mul(iv_from_int(p_r),
+               iv_add(iv_from_int(1),
+                      iv_div(cst.log_window_slack_iv, lp, prec), prec), prec),
+        iv_mul(iv_div(iv_from_int(1), lp, prec),
+               iv_add(iv_from_int(1),
+                      iv_div(cst.three_halves, lp, prec), prec), prec),
+        iv_exp(iv_neg(iv_div(iv_from_int(1), lp, prec)), prec),
+        iv_mul(cst.s_window_lower_iv, root, prec),
+        iv_mul(cst.s_window_upper_iv, root, prec),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 7, 10, 113, 7919, 1_000_003])
+def test_process_caches_answer_only_their_precision(n):
+    # 256 bits first after a clear: a key that ignored prec would hand
+    # the 256-bit enclosure to the 128- and 64-bit requests; the second
+    # round reads the caches
+    iv_log_int.cache_clear()
+    _top_prime_bounds.cache_clear()
+    for prec in (256, 128, 64) * 2:
+        assert iv_log_int(n, prec) == iv_log(iv_from_int(n), prec), prec
+        assert tuple(_top_prime_bounds(n, prec)) == \
+            _old_top_prime_bounds(n, prec), prec
