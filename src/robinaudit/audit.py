@@ -58,7 +58,7 @@ from .intervals import (
     iv_floor,
     iv_from_int,
     iv_log,
-    iv_log_int,
+    iv_log_rational,
     iv_mul,
     iv_neg,
     iv_round,
@@ -233,7 +233,7 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
     """The bounds at top prime p_r and ``prec`` bits, formed once per pair
     while it stays among the 1024 most recently used."""
     cst = constants(prec)
-    lp = iv_log_int(p_r, prec)
+    lp = iv_log_rational(p_r, prec)
     inv = iv_div(iv_from_int(1), lp, prec)
     root = iv_sqrt(iv_from_int(p_r), prec)
     return _TopPrimeBounds(
@@ -428,8 +428,8 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     # interval route for astronomically large exponents
     def attempt(prec: int) -> Optional[int]:
         return iv_floor(iv_div(
-            iv_mul(iv_from_int(a_i), iv_log_int(p_i, prec), prec),
-            iv_log_int(p_j, prec),
+            iv_mul(iv_from_int(a_i), iv_log_rational(p_i, prec), prec),
+            iv_log_rational(p_j, prec),
             prec,
         ))
 
@@ -580,7 +580,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
         p = t.nth_prime(end)
         ok1 = _power_below(ctx, p, e, 2, a1 + 2, m_r=m_r)
         # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
-        lhs = iv_mul(iv_from_int(e - 1), iv_log_int(p, prec), prec)
+        lhs = iv_mul(iv_from_int(e - 1), iv_log_rational(p, prec), prec)
         cmp2 = iv_compare(lhs, m_r)
         if cmp2 is Comparison.OVERLAPPING:
             raise _Indeterminate(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)

@@ -17,7 +17,7 @@ memo serves the primorial margin M(r), every normalize step and later
 calls on the same table, which form a product only for a cell piece no
 earlier call has evaluated.  The log of one prime, which the sigma-power
 ratio and the G ratios need, comes from the process cache
-``iv_log_int``.
+``iv_log_rational``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
 exponents too large for exact powers and the G ratios of normalize steps,
 where one map of exponent edits describes a divide or a swap.  It is exact
@@ -51,7 +51,7 @@ from .intervals import (
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
-    iv_log_int,
+    iv_log_rational,
     iv_mul,
     iv_neg,
     iv_sub,
@@ -444,7 +444,7 @@ def _sigma_ratio(p: int, a: int, b: int,
     """
     if _pow_bits(p, max(a, b) + 1) <= _EXACT_POW_BITS:
         return Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
-    lp = iv_log_int(p, prec)
+    lp = iv_log_rational(p, prec)
 
     def side(e: int) -> IntervalScalar:
         if e == 0:
@@ -476,7 +476,7 @@ def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
             num, den = num * f.numerator, den * f.denominator
         else:
             parts.append(f)
-        lp = iv_log_int(p, prec)
+        lp = iv_log_rational(p, prec)
         lg1 = iv_add(lg1, lp, prec) if delta > 0 else iv_sub(lg1, lp, prec)
     sig = iv_from_fraction(Fraction(num, den), prec)
     for f in parts:

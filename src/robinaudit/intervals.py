@@ -270,12 +270,14 @@ def iv_log(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScala
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def iv_log_int(n: int, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    """iv_log(iv_from_int(n), prec), formed once per (n, prec) and kept
-    while it stays among the 4096 most recently used: for the logs of
-    primes and other small ints that checks and normalize steps ask for
-    again and again, not for one-off arguments."""
-    return iv_log(iv_from_int(n), prec)
+def iv_log_rational(x: Union[int, Fraction],
+                    prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+    """iv_log(x, prec) for an int or Fraction x, formed once per (x, prec)
+    and kept while it stays among the 4096 most recently used: for the
+    logs of primes and other small ints that checks and normalize steps
+    ask for again and again, and of the rationals that CA exponent probes
+    compare p^eps with, not for one-off arguments."""
+    return iv_log(x, prec)
 
 
 def iv_exp(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
@@ -359,12 +361,9 @@ def power_below(x: Union[int, Fraction], a: Union[int, Fraction],
             and _pow_bits(max(y.numerator, y.denominator), b.numerator) <= _EXACT_POW_BITS):
         return x ** a.numerator < y ** b.numerator
 
-    def log(v: Union[int, Fraction], work: int) -> IntervalScalar:
-        return iv_log_int(v, work) if isinstance(v, int) else iv_log(v, work)
-
     def attempt(work: int) -> Optional[bool]:
-        cmp = iv_compare(iv_mul(a, log(x, work), work),
-                         iv_mul(b, log(y, work), work))
+        cmp = iv_compare(iv_mul(a, iv_log_rational(x, work), work),
+                         iv_mul(b, iv_log_rational(y, work), work))
         if cmp is Comparison.OVERLAPPING:
             return None
         return cmp is Comparison.CERTAINLY_LESS
@@ -481,7 +480,7 @@ def constants(prec: int = DEFAULT_PRECISION_BITS) -> Constants:
         gamma=g,
         exp_gamma=iv_exp(g, prec),
         exp_neg_gamma=iv_exp(iv_neg(g), prec),
-        ln10=iv_log_int(10, prec),
+        ln10=iv_log_rational(10, prec),
         three_halves=iv_from_fraction(Fraction(3, 2), prec),
         size_floor_log10_log10_iv=iv_from_decimal(
             Constants.size_floor_log10_log10, prec),

@@ -42,11 +42,15 @@ class Mutant(NamedTuple):
 
 GEN = "generators.py"
 T_GEN = "tests/test_generators.py::"
-SIGMA_TESTS = (T_GEN + "test_sigma_range_matches_naive",
-               T_GEN + "test_sigma_range_matches_divisor_pairs")
 SPARSE_TESTS = (T_GEN + "test_sigma_sparse_matches_divisor_pairs",
                 T_GEN + "test_sigma_sparse_near_1e14")
 BOUND_TESTS = (T_GEN + "test_abundancy_bound_exceeds_abundancy",)
+BOUND_BITS_TESTS = (T_GEN + "test_abundancy_bound_bits_match_per_prime_loop",)
+RECORD_TESTS = (T_GEN + "test_superabundant_prefix",
+                T_GEN + "test_superabundant_record_values",
+                T_GEN + "test_superabundant_exponents_do_not_increase",
+                "tests/test_acceptance.py::"
+                "test_criterion_3_abundance_records_match_brute_force")
 ORACLE_TESTS = (T_GEN + "test_verify_range_segment_sizes_agree",
                 T_GEN + "test_verify_range_matches_oracle_near_1e9")
 SCREEN_TESTS = (T_GEN + "test_tangent_screen_below_threshold",
@@ -68,13 +72,18 @@ MUTANTS = [
     Mutant("bound: cofactor factor dropped", GEN,
            "(1 + 1 / root) * (1 + 1e-9)", "1 + 1e-9", BOUND_TESTS),
     Mutant("bound: p/(p-1) replaced by (p+1)/p", GEN,
-           "(chunk / (chunk - 1)).tolist()", "((chunk + 1) / chunk).tolist()",
+           "ratios = chunk / (chunk - 1)", "ratios = (chunk + 1) / chunk",
            BOUND_TESTS + ORACLE_TESTS),
     Mutant("bound: p/(p-1) replaced by (p+1)/p for p <= 13", GEN,
            "*= p / (p - 1)", "*= (p + 1) / p", BOUND_TESTS + ORACLE_TESTS),
     Mutant("bound: 17 and 19, the primes after the wheel, skipped", GEN,
            "chunk[chunk > _WHEEL[-1]]", "chunk[chunk > 20]",
            BOUND_TESTS + ORACLE_TESTS),
+    Mutant("bound: scatter's hit count per prime rounded down", GEN,
+           "(size - first + p - 1) // p", "(size - first) // p",
+           BOUND_BITS_TESTS),
+    Mutant("bound: scatter index loses its first offset", GEN,
+           "        idx += np.repeat(first, hits)\n", "", BOUND_BITS_TESTS),
     Mutant("bound: c taken at the piece end", GEN,
            "c = math.ldexp(math.floor(iv_mul(eg, llg, prec)",
            "c = math.ldexp(math.floor(iv_mul(eg, iv_log(iv_log(iv_from_int("
@@ -87,15 +96,6 @@ MUTANTS = [
     Mutant("sparse sigma: valuation stops at p^1", GEN,
            "more = more[n[more] // power[more] % p[more] == 0]",
            "more = more[:0]", SPARSE_TESTS),
-    # the multiplicative sieve
-    Mutant("sieve: no division of the old p-factor", GEN,
-           "hits //= prev", "hits //= 1", SIGMA_TESTS),
-    Mutant("sieve: 1 + q for every cofactor", GEN,
-           "cofactor += cofactor > 1", "cofactor += 1", SIGMA_TESTS),
-    Mutant("sieve: sigma cap removed", GEN,
-           "    if hi > _MAX_N:\n        raise DomainError(f\"sigma range",
-           "    if False:\n        raise DomainError(f\"sigma range",
-           (T_GEN + "test_sigma_range_cap",)),
     # the tangent screen
     Mutant("screen: A rounded up", GEN,
            "math.floor(_threshold(b, prec).lo)", "math.ceil(_threshold(b, prec).lo)",
@@ -106,14 +106,16 @@ MUTANTS = [
            "        j *= B\n", "        j += b - a\n        j *= B\n", SCREEN_TESTS),
     Mutant("screen: segment cap removed", GEN,
            "if not 1 <= segment <= 1 << 26:", "if not 1 <= segment:",
-           (T_GEN + "test_sigma_range_cap",)),
-    # the record scan
-    Mutant("records: screen tightened to a 1e-3 gain", GEN,
-           "best *= 1.0 - 1e-9", "best *= 1.0 + 1e-3",
-           (T_GEN + "test_superabundant_prefix",
-            T_GEN + "test_superabundant_segments_agree",
-            "tests/test_acceptance.py::"
-            "test_criterion_3_abundance_records_match_brute_force")),
+           (T_GEN + "test_verify_range_caps",)),
+    # the abundancy records over non-increasing exponents
+    Mutant("records: exponents must strictly decrease", GEN,
+           "while e <= top and m <= limit:", "while e < top and m <= limit:",
+           RECORD_TESTS),
+    Mutant("records: a tie taken as a record", GEN,
+           "if s * best_den > best_num * n:", "if s * best_den >= best_num * n:",
+           RECORD_TESTS),
+    Mutant("records: sigma(p^e) recurrence off by one", GEN,
+           "term * p + 1", "term * p + 2", RECORD_TESTS),
     # the prime-gap window sieve
     Mutant("gap: fancy store removed", "primes.py",
            "flags[big[big < size]] = False", "pass", GAP_TESTS),
@@ -151,11 +153,11 @@ MUTANTS = [
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
            "cmp is not side and cmp is not Comparison.OVERLAPPING",
            "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
-    # the process caches of prime logs and top-prime bounds, and the
+    # the process caches of rational logs and top-prime bounds, and the
     # table memo of exponent-scaled cell logs
-    Mutant("prime log: formed at the default precision", "intervals.py",
-           "return iv_log(iv_from_int(n), prec)",
-           "return iv_log(iv_from_int(n), DEFAULT_PRECISION_BITS)", CACHE_TESTS),
+    Mutant("rational log: formed at the default precision", "intervals.py",
+           "return iv_log(x, prec)",
+           "return iv_log(x, DEFAULT_PRECISION_BITS)", CACHE_TESTS),
     Mutant("top-prime bounds: D3 lower bound as exp(+1/log p_r)", "audit.py",
            "d3_lower=iv_exp(iv_neg(inv), prec)", "d3_lower=iv_exp(inv, prec)",
            CACHE_TESTS),

@@ -3,8 +3,9 @@
 Exact rho(n) = sigma(n)/n and n/phi(n) as Fractions, multiplied out prime
 by prime, share no code with the certified aggregates of
 ``robinaudit.factored`` (no cells, no cached products).  sigma by divisor
-pairs shares no code with the multiplicative sieve of
-``robinaudit.generators.sigma_range``.  The upper window bound U and the
+pairs shares no code with the exact sigma of ``robinaudit.generators``
+(the survivors' prime powers in verify_range, the exponent walk of
+superabundant_up_to).  The upper window bound U and the
 colossally abundant exponent are restated from their definitions, with no
 code from ``robinaudit.audit`` or ``robinaudit.generators``.  The interval
 endpoint rule is stated in its plain form, with no code from

@@ -414,7 +414,7 @@ class TestFullAudit:
         # B6, D3) and D4 at the end of the last run; none on a second audit
         c = cand(4, 2, 1, 1)
         intervals.constants.cache_clear()
-        intervals.iv_log_int.cache_clear()
+        intervals.iv_log_rational.cache_clear()
         audit._top_prime_bounds.cache_clear()
         first = full_audit(c, table_1e6, include_alt_log_window=True)
         assert first.verdict_for("vojak_D4").status == PASS

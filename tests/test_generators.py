@@ -1,4 +1,4 @@
-"""Sigma sieve, range verification, abundancy records, CA construction."""
+"""Range verification, abundancy records, CA construction."""
 
 import math
 import random
@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robinaudit.errors import (
     DomainError,
@@ -27,11 +29,11 @@ from robinaudit.generators import (
     ca_candidate,
     ca_sweep,
     robin_exceptions,
-    sigma_range,
     superabundant_up_to,
     verify_range,
 )
 from robinaudit.intervals import Comparison, iv_compare, iv_log, iv_mul
+from robinaudit.primes import _prime_chunks
 
 from oracles import ca_exponent_oracle, sigma_divisor_pairs
 
@@ -44,26 +46,6 @@ ROBIN_EXCEPTIONS = [
 
 def _naive_sigma(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def test_sigma_range_matches_naive():
-    sig = sigma_range(1, 300)
-    for n in range(1, 301):
-        assert int(sig[n - 1]) == _naive_sigma(n)
-
-
-def test_sigma_range_offset_segment():
-    sig = sigma_range(9973, 10100)
-    for n in (9973, 10000, 10080, 10100):
-        assert int(sig[n - 9973]) == int(sympy.divisor_sigma(n))
-    assert int(sig[10080 - 9973]) == 39312
-
-
-def test_sigma_range_rejects_bad_bounds():
-    with pytest.raises(DomainError):
-        sigma_range(0, 5)
-    with pytest.raises(DomainError):
-        sigma_range(10, 5)
 
 
 _P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
@@ -84,11 +66,6 @@ _SIGMA_WINDOWS = [
     (_P * _P, _P * _P),
     (10**10, 10**10),
 ]
-
-
-@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
-def test_sigma_range_matches_divisor_pairs(lo, hi):
-    assert np.array_equal(sigma_range(lo, hi), sigma_divisor_pairs(lo, hi))
 
 
 @pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
@@ -138,6 +115,30 @@ def test_abundancy_bound_exceeds_abundancy(w):
             assert Fraction(b) > Fraction(s, lo + k), lo + k
 
 
+def _bound_per_prime(lo, size, root):
+    """_abundancy_bound with one strided multiply per prime, in increasing
+    order of p, and no wheel or scatter."""
+    bound = np.full(size, (1 + 1 / root) * (1 + 1e-9))
+    for chunk in _prime_chunks(root):
+        for p in chunk.tolist():
+            if -lo % p < size:
+                bound[-lo % p :: p] *= p / (p - 1)
+    return bound
+
+
+@pytest.mark.parametrize("size", [1, 7, 300, 4096, 1 << 16])
+@pytest.mark.parametrize("w", [10**4, 10**10, 10**12])
+def test_abundancy_bound_bits_match_per_prime_loop(w, size):
+    # sizes on both sides of the scatter's cut at p = size / 256, and
+    # offsets on, after and just before a multiple of a prime
+    rng = random.Random(w + size)
+    for lo in (w, w + 1, w + 17 * 19 - 1, w + rng.randrange(10**3)):
+        root = math.isqrt(lo + size - 1)
+        got = _abundancy_bound(lo, size, root)
+        want = _bound_per_prime(lo, size, root)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), lo
+
+
 _ORACLE_WINDOWS = [(720720 * 1388 - 1024, 720720 * 1388 + 1023),
                    (1441440 * 695 - 1024, 1441440 * 695 + 1023)]
 
@@ -166,9 +167,7 @@ def test_verify_range_matches_oracle_near_1e9(lo, hi):
     assert _found(res.violations + res.unknowns) == _screen_free(lo, hi)
 
 
-def test_sigma_range_cap():
-    with pytest.raises(DomainError):
-        sigma_range(10**18, 10**18 + 1)
+def test_verify_range_caps():
     with pytest.raises(DomainError):
         verify_range(10**18 + 1, 10**18 + 1)
     with pytest.raises(DomainError):
@@ -296,15 +295,35 @@ def test_superabundant_bad_limit():
     with pytest.raises(DomainError):
         superabundant_up_to(0)
     with pytest.raises(DomainError):
-        superabundant_up_to(10**15 + 1)  # sigma(n) would leave float64
+        superabundant_up_to(10**15 + 1)
 
 
-def test_superabundant_segments_agree():
-    # a record found in one segment must screen the next segment's start
-    want = [(r.n, r.sigma) for r in superabundant_up_to(60000)]
-    for segment in (7, 1000, 1 << 12):
-        got = superabundant_up_to(60000, segment=segment)
-        assert [(r.n, r.sigma) for r in got] == want
+@pytest.fixture(scope="module")
+def sa_to_1e6():
+    return [(r.n, r.sigma) for r in superabundant_up_to(10**6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(limit=st.integers(1, 10**6))
+@example(limit=1)
+@example(limit=2)
+@example(limit=3)
+@example(limit=5040)
+@example(limit=55440)
+def test_superabundant_lists_are_prefixes(sa_to_1e6, limit):
+    got = [(r.n, r.sigma) for r in superabundant_up_to(limit)]
+    assert got == [(n, s) for n, s in sa_to_1e6 if n <= limit]
+
+
+def test_superabundant_exponents_do_not_increase():
+    recs = superabundant_up_to(10**15)
+    assert len(recs) == 88
+    for r in recs:
+        f = sympy.factorint(r.n)
+        assert list(f) == list(sympy.primerange(2, max(f, default=1) + 1)), r.n
+        exps = list(f.values())
+        assert exps == sorted(exps, reverse=True), r.n
+        assert r.sigma == int(sympy.divisor_sigma(r.n)), r.n
 
 
 def test_ca_candidate_known_values(table_1e6):
@@ -348,11 +367,12 @@ def test_ca_sweep_distinct_and_exact_count(table_1e6):
 
 
 def test_ca_candidates_are_abundancy_records(table_1e6):
-    # every CA value <= 10^6 is superabundant
-    sa = {r.n for r in superabundant_up_to(10**6)}
-    for c in ca_sweep(14, table_1e6):
-        n = materialize(c, table_1e6)
-        if n <= 10**6:
+    # every CA value <= 10^15 is superabundant
+    sa = {r.n for r in superabundant_up_to(10**15)}
+    ca = [materialize(c, table_1e6) for c in ca_sweep(20, table_1e6)]
+    assert ca[-1] > 10**15
+    for n in ca:
+        if n <= 10**15:
             assert n in sa, n
 
 

@@ -4,6 +4,7 @@ work returns, at the precision asked for, and the memo must stay within
 its cap."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from robinaudit.intervals import (
     iv_exp,
     iv_from_int,
     iv_log,
-    iv_log_int,
+    iv_log_rational,
     iv_mul,
     iv_neg,
     iv_sqrt,
@@ -188,10 +189,13 @@ def _old_top_prime_bounds(p_r, prec):
 def test_process_caches_answer_only_their_precision(n):
     # 256 bits first after a clear: a key that ignored prec would hand
     # the 256-bit enclosure to the 128- and 64-bit requests; the second
-    # round reads the caches
-    iv_log_int.cache_clear()
+    # round reads the caches.  f is the rational a CA exponent probe at
+    # e = 1 compares n^eps with
+    f = Fraction(n * n - 1, n * n - n)
+    iv_log_rational.cache_clear()
     _top_prime_bounds.cache_clear()
     for prec in (256, 128, 64) * 2:
-        assert iv_log_int(n, prec) == iv_log(iv_from_int(n), prec), prec
+        assert iv_log_rational(n, prec) == iv_log(iv_from_int(n), prec), prec
+        assert iv_log_rational(f, prec) == iv_log(f, prec), prec
         assert tuple(_top_prime_bounds(n, prec)) == \
             _old_top_prime_bounds(n, prec), prec
