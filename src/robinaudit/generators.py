@@ -147,6 +147,15 @@ def _sigma_sparse(ns: np.ndarray, root: int) -> np.ndarray:
     return sigma
 
 
+def sigma_range(lo: int, hi: int) -> np.ndarray:
+    """sigma(n) for n in [lo, hi] inclusive, exact, as int64; hi <= 10^18."""
+    if lo < 1 or hi < lo:
+        raise DomainError(f"bad sigma range [{lo}, {hi}]")
+    if hi > _MAX_N:
+        raise DomainError(f"sigma range ends at {hi}, above the int64 cap 10^18")
+    return _sigma_sparse(np.arange(lo, hi + 1, dtype=np.int64), math.isqrt(hi))
+
+
 def _threshold(n: int, prec: int) -> IntervalScalar:
     """Enclosure of e^gamma * n * log log n."""
     lg = iv_log(iv_from_int(n), prec)

@@ -104,9 +104,16 @@ MUTANTS = [
            "yield (b, min(2 * b, end), c,", "yield (b, end, c,", SCREEN_TESTS),
     Mutant("screen: tangent taken at the segment offset", GEN,
            "        j *= B\n", "        j += b - a\n        j *= B\n", SCREEN_TESTS),
+    Mutant("sigma range: int64 cap removed", GEN,
+           'if hi > _MAX_N:\n        raise DomainError(f"sigma range',
+           'if False:\n        raise DomainError(f"sigma range',
+           (T_GEN + "test_sigma_range_cap",)),
+    Mutant("sigma range: root taken one below the square root", GEN,
+           "dtype=np.int64), math.isqrt(hi))", "dtype=np.int64), math.isqrt(hi) - 1)",
+           (T_GEN + "test_sigma_range_matches_divisor_pairs",)),
     Mutant("screen: segment cap removed", GEN,
            "if not 1 <= segment <= 1 << 26:", "if not 1 <= segment:",
-           (T_GEN + "test_verify_range_caps",)),
+           (T_GEN + "test_sigma_range_cap",)),
     # the abundancy records over non-increasing exponents
     Mutant("records: exponents must strictly decrease", GEN,
            "while e <= top and m <= limit:", "while e < top and m <= limit:",

@@ -29,6 +29,7 @@ from robinaudit.generators import (
     ca_candidate,
     ca_sweep,
     robin_exceptions,
+    sigma_range,
     superabundant_up_to,
     verify_range,
 )
@@ -46,6 +47,26 @@ ROBIN_EXCEPTIONS = [
 
 def _naive_sigma(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_sigma_range_matches_naive():
+    sig = sigma_range(1, 300)
+    for n in range(1, 301):
+        assert int(sig[n - 1]) == _naive_sigma(n)
+
+
+def test_sigma_range_offset_segment():
+    sig = sigma_range(9973, 10100)
+    for n in (9973, 10000, 10080, 10100):
+        assert int(sig[n - 9973]) == int(sympy.divisor_sigma(n))
+    assert int(sig[10080 - 9973]) == 39312
+
+
+def test_sigma_range_rejects_bad_bounds():
+    with pytest.raises(DomainError):
+        sigma_range(0, 5)
+    with pytest.raises(DomainError):
+        sigma_range(10, 5)
 
 
 _P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
@@ -66,6 +87,11 @@ _SIGMA_WINDOWS = [
     (_P * _P, _P * _P),
     (10**10, 10**10),
 ]
+
+
+@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
+def test_sigma_range_matches_divisor_pairs(lo, hi):
+    assert np.array_equal(sigma_range(lo, hi), sigma_divisor_pairs(lo, hi))
 
 
 @pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
@@ -167,7 +193,9 @@ def test_verify_range_matches_oracle_near_1e9(lo, hi):
     assert _found(res.violations + res.unknowns) == _screen_free(lo, hi)
 
 
-def test_verify_range_caps():
+def test_sigma_range_cap():
+    with pytest.raises(DomainError):
+        sigma_range(10**18, 10**18 + 1)
     with pytest.raises(DomainError):
         verify_range(10**18 + 1, 10**18 + 1)
     with pytest.raises(DomainError):
