@@ -12,9 +12,11 @@ rest: a check that reads primes the table does not cover is Unknown, an
 indeterminate comparison is Unknown, and every verdict carries the
 audit's precision.
 
-Per-index window checks run in O(#runs): inside a run the exponent is
-constant while the bounds U and L are monotone in the prime, so only run
-endpoints need testing and violations sit at a known end of the run.
+Per-index windows (L <= a_i <= U, and B4's p_i^(a_i) < 2^(a_1+2)) are
+decided in O(#runs) by one scan, ``_violation``, shared by the checks and
+``normalize``: inside a run the exponent is fixed while each bound is
+monotone in the prime, so a run's violations form a suffix (U, B4) or a
+prefix (L) of it.
 """
 
 from __future__ import annotations
@@ -268,6 +270,7 @@ class _AuditContext:
         self.r = c.r
         self.covered = self.r <= len(t)
         self.p_r = t.nth_prime(self.r) if self.covered else None
+        self._u: dict[int, int] = {}
 
     @functools.cached_property
     def log_n(self) -> IntervalScalar:
@@ -284,6 +287,49 @@ class _AuditContext:
     @functools.cached_property
     def top(self) -> _TopPrimeBounds:
         return _top_prime_bounds(self.p_r, self.prec)
+
+    def u(self, i: int) -> int:
+        """U(p_i), formed once per index; raises _Indeterminate."""
+        u = self._u.get(i)
+        if u is None:
+            u = self._u[i] = _upper_bound(self.log_n, self.t.nth_prime(i),
+                                          self.prec)
+        return u
+
+    def above_u(self, i: int, e: int) -> bool:
+        """a_i = e > U(p_i); U is not formed for e = 0."""
+        return e > 0 and e > self.u(i)
+
+    def below_l(self, i: int, e: int) -> bool:
+        """a_i = e < L(p_i), exact."""
+        return e < compute_l(self.p_r, self.t.nth_prime(i))
+
+
+def _violation(ctx: _AuditContext, bad: Callable[[int, int], bool], *,
+               suffix: bool, last: bool = False, lo: int = 1) -> Optional[int]:
+    """Least index i >= lo with bad(i, a_i), or the largest when ``last``;
+    None when there is none.
+
+    ``bad`` holds on a suffix of each run when ``suffix``, else on a
+    prefix, so each run is tested at the end where a violation shows
+    first, and bisected only when the wanted index is not that end."""
+    runs = ctx.c.run_bounds()
+    for start, end, e in reversed(list(runs)) if last else runs:
+        start = max(start, lo)
+        if start > end:
+            continue
+        probe = end if suffix else start
+        if not bad(probe, e):
+            continue
+        if suffix == last:
+            return probe
+        if suffix:  # the first index of the suffix
+            return start + bisect.bisect_left(range(start, end), True,
+                                              key=lambda i: bad(i, e))
+        # the last index of the prefix, walking down from the end
+        return end - bisect.bisect_left(range(end, start, -1), True,
+                                        key=lambda i: bad(i, e))
+    return None
 
 
 def _decide(pairs: list[tuple[Comparison, Comparison]],
@@ -304,7 +350,8 @@ def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
     cst = constants(prec)
     log10_n = iv_div(ctx.log_n, cst.ln10, prec)
     if iv_compare(log10_n, 1) is not Comparison.CERTAINLY_GREATER:
-        # n <= 10^10 is certainly below any double-exponential floor
+        # log10 n is not certainly > 1: n is about 10 or less, far below
+        # the double-exponential floor
         return FAIL, {"log_n": ctx.log_n,
                       "bound_log10_log10": str(cst.size_floor_log10_log10)}
     val = iv_div(iv_log(log10_n, prec), cst.ln10, prec)
@@ -360,48 +407,24 @@ def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
         return UNKNOWN, {"reason": "log n vs p_r indeterminate",
                          "log_n": ctx.log_n, "p_r": ctx.p_r}
 
-    @functools.cache
-    def u(i: int) -> int:
-        return _upper_bound(ctx.log_n, ctx.t.nth_prime(i), ctx.prec)
-
-    runs_checked = 0
-    for start, end, e in ctx.c.run_bounds():
-        if e == 0:
-            continue
-        runs_checked += 1
-        if e <= u(end):
-            continue
-        # violations form a suffix of the run; locate the first one
-        first = start + bisect.bisect_left(range(start, end), True,
-                                           key=lambda i: e > u(i))
-        return FAIL, {"index": first, "prime": ctx.t.nth_prime(first),
-                      "exponent": e, "upper_bound": u(first)}
-    return PASS, {"runs_checked": runs_checked}
-
-
-def _lower_violation(ctx: _AuditContext, first_index: int) -> Optional[tuple[int, int, int]]:
-    """First index >= first_index with a_i < L(p_i), else None.  Exact."""
-    for start, end, e in ctx.c.run_bounds():
-        if end < first_index:
-            continue
-        probe = max(start, first_index)
-        l_probe = compute_l(ctx.p_r, ctx.t.nth_prime(probe))
-        if e >= l_probe:
-            continue  # L only shrinks along the run
-        return probe, ctx.t.nth_prime(probe), l_probe
-    return None
+    i = _violation(ctx, ctx.above_u, suffix=True)
+    if i is None:
+        return PASS, {"runs_checked": sum(1 for run in ctx.c.runs
+                                          if run.exponent)}
+    return FAIL, {"index": i, "prime": ctx.t.nth_prime(i),
+                  "exponent": ctx.c.a(i), "upper_bound": ctx.u(i)}
 
 
 def _check_lower_window(ctx: _AuditContext, first_index: int) -> tuple[str, dict]:
     if ctx.r < 2:
         return NOT_APPLICABLE, {"reason": "needs at least two prime factors",
                                 "r": ctx.r}
-    hit = _lower_violation(ctx, first_index)
-    if hit is None:
+    i = _violation(ctx, ctx.below_l, suffix=False, lo=first_index)
+    if i is None:
         return PASS, {"first_index": first_index, "p_r": ctx.p_r}
-    i, p, l_val = hit
+    p = ctx.t.nth_prime(i)
     return FAIL, {"index": i, "prime": p, "exponent": ctx.c.a(i),
-                  "lower_bound": l_val}
+                  "lower_bound": compute_l(ctx.p_r, p)}
 
 
 def _check_shape_b1(ctx: _AuditContext) -> tuple[str, dict]:
@@ -500,21 +523,16 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
     if c.r < 2:
         return PASS, {"reason": "no index above 1"}
     a1 = c.a(1)
-    for start, end, e in c.run_bounds():
-        if e == 0 or end < 2:
-            continue
-        p = t.nth_prime(end)
-        # p^e < 2^(a1+2), worst within the run at its top prime
-        if not _power_below(ctx, p, e, 2, a1 + 2):
-            # violations form a suffix of the run; locate the first one
-            lo = max(start, 2)
-            idx = lo + bisect.bisect_left(
-                range(lo, end), True,
-                key=lambda i: not _power_below(ctx, t.nth_prime(i), e, 2,
-                                               a1 + 2))
-            return FAIL, {"index": idx, "prime": t.nth_prime(idx),
-                          "exponent": e, "bound_exponent": a1 + 2}
-    return PASS, {"bound_exponent": a1 + 2}
+
+    def bad(i: int, e: int) -> bool:
+        # p_i^e < 2^(a1+2) fails on a suffix of each run
+        return e > 0 and not _power_below(ctx, t.nth_prime(i), e, 2, a1 + 2)
+
+    i = _violation(ctx, bad, suffix=True, lo=2)
+    if i is None:
+        return PASS, {"bound_exponent": a1 + 2}
+    return FAIL, {"index": i, "prime": t.nth_prime(i), "exponent": c.a(i),
+                  "bound_exponent": a1 + 2}
 
 
 def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int,
@@ -775,27 +793,6 @@ class NormalizationResult:
         }
 
 
-def _largest_upper_violation(ctx: _AuditContext) -> Optional[int]:
-    for start, end, e in reversed(list(ctx.c.run_bounds())):
-        if e == 0:
-            continue
-        if e > _upper_bound(ctx.log_n, ctx.t.nth_prime(end), ctx.prec):
-            return end  # violations are a suffix; the end is the largest
-    return None
-
-
-def _largest_lower_violation(ctx: _AuditContext) -> Optional[int]:
-    for start, end, e in reversed(list(ctx.c.run_bounds())):
-        l_start = compute_l(ctx.p_r, ctx.t.nth_prime(start))
-        if e >= l_start:
-            continue  # no violation anywhere in this run
-        # violations are a prefix; walking down from end, find its last index
-        return end - bisect.bisect_left(
-            range(end, start, -1), True,
-            key=lambda i: e < compute_l(ctx.p_r, ctx.t.nth_prime(i)))
-    return None
-
-
 def normalize(c: CandidateFactorization, t: PrimeTable,
               prec: int = DEFAULT_PRECISION_BITS,
               step_limit: int = 10000) -> NormalizationResult:
@@ -821,21 +818,19 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
         s_div: Optional[int] = None
         if upper_ok:
             try:
-                s_div = _largest_upper_violation(ctx)
+                s_div = _violation(ctx, ctx.above_u, suffix=True, last=True)
             except _Indeterminate:
                 return NormalizationResult(cur, INDETERMINATE, trace)
         if s_div is not None:
-            step = _apply_divide(ctx, s_div, prec)
-            trace.append(step)
+            trace.append(_step_entry(ctx, "divide", s_div))
             cur = _divided(cur, s_div)
             continue
 
-        s_swap = _largest_lower_violation(ctx)
+        s_swap = _violation(ctx, ctx.below_l, suffix=False, last=True)
         if s_swap is not None:
             if cur.a(ctx.r) != 1:
                 return NormalizationResult(cur, BLOCKED_EXPONENT, trace)
-            step = _apply_swap(ctx, s_swap, prec)
-            trace.append(step)
+            trace.append(_step_entry(ctx, "swap", s_swap))
             cur = _swapped(cur, s_swap)
             continue
 
@@ -845,41 +840,23 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     return NormalizationResult(cur, STEP_LIMIT, trace)
 
 
-def _ratio_entry(ratio: Optional[IntervalScalar], prec: int) -> dict:
-    if ratio is None:
-        return {"ratio": None, "ratio_certainly_below_one": None}
-    below = iv_compare(ratio, 1) is Comparison.CERTAINLY_LESS
-    return {
-        "ratio": _interval_json(ratio, prec),
-        "ratio_certainly_below_one": below,
-    }
-
-
-def _apply_divide(ctx: _AuditContext, s: int, prec: int) -> dict:
+def _step_entry(ctx: _AuditContext, action: str, s: int) -> dict:
+    """Trace entry of a divide or swap step at index s, with the enclosure
+    of G(n)/G(n') when the ratio is defined."""
+    entry = {"action": action, "index": s, "prime": ctx.t.nth_prime(s)}
+    if action == "swap":
+        entry["removed_prime"] = ctx.p_r
+    # looked up per call, so a wrapper swapped into this module runs
+    g_ratio = g_ratio_divide if action == "divide" else g_ratio_swap
     try:
-        ratio = g_ratio_divide(ctx.c, s, ctx.t, prec, lg=ctx.log_n)
+        ratio = g_ratio(ctx.c, s, ctx.t, ctx.prec, lg=ctx.log_n)
     except DomainError:
-        ratio = None
-    return {
-        "action": "divide",
-        "index": s,
-        "prime": ctx.t.nth_prime(s),
-        **_ratio_entry(ratio, prec),
-    }
-
-
-def _apply_swap(ctx: _AuditContext, s: int, prec: int) -> dict:
-    try:
-        ratio = g_ratio_swap(ctx.c, s, ctx.t, prec, lg=ctx.log_n)
-    except DomainError:
-        ratio = None
-    return {
-        "action": "swap",
-        "index": s,
-        "prime": ctx.t.nth_prime(s),
-        "removed_prime": ctx.p_r,
-        **_ratio_entry(ratio, prec),
-    }
+        entry.update(ratio=None, ratio_certainly_below_one=None)
+        return entry
+    entry.update(ratio=_interval_json(ratio, ctx.prec),
+                 ratio_certainly_below_one=iv_compare(ratio, 1)
+                 is Comparison.CERTAINLY_LESS)
+    return entry
 
 
 def _edited(c: CandidateFactorization,

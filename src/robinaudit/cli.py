@@ -42,6 +42,8 @@ from .primes import PrimeTable
 
 _ENV_PRECISION = "ROBIN_PRECISION_BITS"
 _DEFAULT_PRIME_LIMIT = 1_000_000
+# CPython converts no int of more digits from or to a string.
+_MAX_DIGITS = 4300
 
 EX_OK = 0
 EX_NEGATIVE = 1
@@ -61,14 +63,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_arg(text: str) -> int:
+    """A decimal integer, digits or exponent form (1e7); at most
+    _MAX_DIGITS digits, checked before an exponent form is expanded."""
     try:
-        return int(text.replace("_", ""), 10)
-    except ValueError:
-        pass
-    try:
-        d = decimal.Decimal(text)
+        d = decimal.Decimal(text.replace("_", ""))
     except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not d.is_finite():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if d.adjusted() >= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits")
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(d)

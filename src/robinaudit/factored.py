@@ -5,11 +5,12 @@ exponents, so primorial-like numbers with millions of prime factors stay
 O(#runs) in memory.  Analytic quantities (log n, rho = sigma(n)/n, G,
 n/phi(n)) are certified enclosures built from exact big-integer products
 over cells of 512 consecutive prime positions on a fixed grid (positions
-1..512, 513..1024, ...; a run is cut at run ends and cell edges), taking
-one outward-rounded logarithm or division per cell.  Because cells sit at
-fixed positions, the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do
-not depend on the exponents: one audit context forms each of them at
-most once and shares it between log n, rho and n/phi.  The enclosures
+1..512, 513..1024, ...), taking one outward-rounded logarithm or division
+per cell; one walk, ``_cell_pieces``, cuts the positive-exponent runs at
+the cell edges for all of them.  Because cells sit at fixed positions,
+the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do not depend on
+the exponents: one audit context forms each of them at most once and
+shares it between log n, rho and n/phi.  The enclosures
 made from them (the log of a cell's Pi p and that log times an exponent
 e, a cell's rho and n/phi ratio blocks, keyed by the cell, the precision
 and for e log and rho the exponent) are memoized on the PrimeTable.  That
@@ -216,6 +217,11 @@ class CandidateFactorization:
                 obj = json.loads(obj)
             except json.JSONDecodeError as e:
                 raise CandidateFormatError("<document>", f"not valid JSON: {e}")
+            except ValueError:  # CPython parses no int of more than 4300 digits
+                raise CandidateFormatError(
+                    "<document>", "integer of more than 4300 digits")
+            except RecursionError:
+                raise CandidateFormatError("<document>", "nested too deeply")
         if not isinstance(obj, dict):
             raise CandidateFormatError("<document>", "candidate must be an object")
         for key in obj:
@@ -298,14 +304,17 @@ def _prod(values) -> int:
     return items[0]
 
 
-def _chunks(start: int, end: int) -> Iterator[tuple[int, int]]:
-    """Split positions start..end (1-based inclusive) at the cell edges
-    k * _CHUNK, yielding (i, j) per piece."""
-    i = start
-    while i <= end:
-        j = min((i - 1) // _CHUNK * _CHUNK + _CHUNK, end)
-        yield i, j
-        i = j + 1
+def _cell_pieces(c: CandidateFactorization) -> Iterator[tuple[int, int, int]]:
+    """Yield (i, j, e) per piece of each positive-exponent run, cut at the
+    cell edges k * _CHUNK; positions 1-based inclusive, in order."""
+    for start, end, e in c.run_bounds():
+        if e == 0:
+            continue
+        i = start
+        while i <= end:
+            j = min((i - 1) // _CHUNK * _CHUNK + _CHUNK, end)
+            yield i, j, e
+            i = j + 1
 
 
 class _Products:
@@ -337,22 +346,19 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
     _require_table(c, t)
     products = _Products() if products is None else products
     total = iv_from_int(0)
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        for i, j in _chunks(start, end):
-            def cell_log() -> IntervalScalar:
-                return t._memoized(
-                    ("log", i, j, prec),
-                    lambda: iv_log(iv_from_int_rounded(products.get(t, i, j),
-                                                       prec), prec),
-                )
-
-            block = cell_log() if e == 1 else t._memoized(
-                ("elog", i, j, e, prec),
-                lambda: iv_mul(iv_from_int(e), cell_log(), prec),
+    for i, j, e in _cell_pieces(c):
+        def cell_log() -> IntervalScalar:
+            return t._memoized(
+                ("log", i, j, prec),
+                lambda: iv_log(iv_from_int_rounded(products.get(t, i, j),
+                                                   prec), prec),
             )
-            total = iv_add(total, block, prec)
+
+        block = cell_log() if e == 1 else t._memoized(
+            ("elog", i, j, e, prec),
+            lambda: iv_mul(iv_from_int(e), cell_log(), prec),
+        )
+        total = iv_add(total, block, prec)
     if not c.runs:
         raise DomainError("empty candidate has no factorization")
     return total
@@ -371,22 +377,19 @@ def rho(c: CandidateFactorization, t: PrimeTable,
     _require_table(c, t)
     products = _Products() if products is None else products
     total = iv_from_int(1)
-    for start, end, e in c.run_bounds():
-        if e == 0:
+    for i, j, e in _cell_pieces(c):
+        if e != 1 and _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
+            for p in t.slice(i, j).tolist():
+                f = _sigma_ratio(p, e, 0, prec)
+                if isinstance(f, Fraction):
+                    f = iv_from_fraction(f, prec)
+                total = iv_mul(total, f, prec)
             continue
-        for i, j in _chunks(start, end):
-            if e != 1 and _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
-                for p in t.slice(i, j).tolist():
-                    f = _sigma_ratio(p, e, 0, prec)
-                    if isinstance(f, Fraction):
-                        f = iv_from_fraction(f, prec)
-                    total = iv_mul(total, f, prec)
-                continue
-            block = t._memoized(
-                ("rho", i, j, e, prec),
-                lambda: _rho_block(t, products, i, j, e, prec),
-            )
-            total = iv_mul(total, block, prec)
+        block = t._memoized(
+            ("rho", i, j, e, prec),
+            lambda: _rho_block(t, products, i, j, e, prec),
+        )
+        total = iv_mul(total, block, prec)
     return total
 
 
@@ -413,17 +416,14 @@ def n_over_phi(c: CandidateFactorization, t: PrimeTable,
     _require_table(c, t)
     products = _Products() if products is None else products
     total = iv_from_int(1)
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        for i, j in _chunks(start, end):
-            block = t._memoized(
-                ("nphi", i, j, prec),
-                lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
-                               iv_from_int_rounded(products.get(t, i, j, -1), prec),
-                               prec),
-            )
-            total = iv_mul(total, block, prec)
+    for i, j, _e in _cell_pieces(c):
+        block = t._memoized(
+            ("nphi", i, j, prec),
+            lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
+                           iv_from_int_rounded(products.get(t, i, j, -1), prec),
+                           prec),
+        )
+        total = iv_mul(total, block, prec)
     return total
 
 
@@ -532,11 +532,8 @@ def materialize(c: CandidateFactorization, t: PrimeTable,
                 f"materialized candidate would exceed {max_bits} bits"
             )
     n = 1
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        for i, j in _chunks(start, end):
-            n *= _prod(t.slice(i, j).tolist()) ** e
+    for i, j, e in _cell_pieces(c):
+        n *= _prod(t.slice(i, j).tolist()) ** e
     return n
 
 

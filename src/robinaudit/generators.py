@@ -57,10 +57,19 @@ from .intervals import (
 )
 from .primes import PrimeTable, _prime_chunks
 
+# At most 2^26, so the tangent screen's B j stays in int64 (_survivors).
 _SEGMENT = 1 << 20
 # sigma(n) < e^gamma n log log n + 0.6483 n / log log n < 6.9e18 up to here,
 # so sigma and the tangent screen fit int64
 _MAX_N = 10**18
+
+
+def _int_text(n: int) -> str:
+    """n in decimal for an error message, or only its size beyond 4096
+    bits: CPython formats no int of more than 4300 digits."""
+    if n.bit_length() <= 1 << 12:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 _WHEEL = (2, 3, 5, 7, 11, 13)
@@ -150,9 +159,10 @@ def _sigma_sparse(ns: np.ndarray, root: int) -> np.ndarray:
 def sigma_range(lo: int, hi: int) -> np.ndarray:
     """sigma(n) for n in [lo, hi] inclusive, exact, as int64; hi <= 10^18."""
     if lo < 1 or hi < lo:
-        raise DomainError(f"bad sigma range [{lo}, {hi}]")
+        raise DomainError(f"bad sigma range [{_int_text(lo)}, {_int_text(hi)}]")
     if hi > _MAX_N:
-        raise DomainError(f"sigma range ends at {hi}, above the int64 cap 10^18")
+        raise DomainError(f"sigma range ends at {_int_text(hi)}, above the "
+                          "int64 cap 10^18")
     return _sigma_sparse(np.arange(lo, hi + 1, dtype=np.int64), math.isqrt(hi))
 
 
@@ -252,27 +262,26 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     return rec if rec is not None else VerificationRecord(n, sigma, thr, "unknown")
 
 
-def verify_range(lo: int, hi: int, prec: int = DEFAULT_PRECISION_BITS,
-                 segment: int = _SEGMENT) -> RangeVerification:
+def verify_range(lo: int, hi: int,
+                 prec: int = DEFAULT_PRECISION_BITS) -> RangeVerification:
     """Certified verdict of sigma(n) < e^gamma n log log n over [lo, hi].
 
     Every n with a certified violation lands in ``violations``; n whose
     comparison stayed indeterminate after the retry ladder land in
-    ``unknowns`` (none are silently dropped).  hi may be at most 10^18 and
-    segment at most 2^26, where sigma(n) and the int64 screen still fit;
-    beyond either, DomainError.
+    ``unknowns`` (none are silently dropped).  hi may be at most 10^18,
+    where sigma(n) still fits int64; beyond, DomainError.
     """
     if lo < 3:
-        raise DomainError(f"range starts at {lo}; log log n needs n >= 3")
+        raise DomainError(f"range starts at {_int_text(lo)}; log log n needs "
+                          "n >= 3")
     if hi < lo:
-        raise DomainError(f"empty range [{lo}, {hi}]")
+        raise DomainError(f"empty range [{_int_text(lo)}, {_int_text(hi)}]")
     if hi > _MAX_N:
-        raise DomainError(f"range ends at {hi}, above the int64 cap 10^18")
-    if not 1 <= segment <= 1 << 26:
-        raise DomainError(f"segment must be in [1, 2^26], got {segment}")
+        raise DomainError(f"range ends at {_int_text(hi)}, above the int64 "
+                          "cap 10^18")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
-    for seg_lo in range(lo, hi + 1, segment):
-        size = min(segment, hi + 1 - seg_lo)
+    for seg_lo in range(lo, hi + 1, _SEGMENT):
+        size = min(_SEGMENT, hi + 1 - seg_lo)
         root = math.isqrt(seg_lo + size - 1)
         # n with bound[n] below the c of its piece certainly hold
         off, screen = _survivors(seg_lo, _abundancy_bound(seg_lo, size, root),
@@ -339,9 +348,10 @@ def superabundant_up_to(limit: int) -> list[AbundanceRecord]:
     Up to 10^15 that is 12,651 numbers and 88 records.
     """
     if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
+        raise DomainError(f"limit must be >= 1, got {_int_text(limit)}")
     if limit > 10**15:
-        raise DomainError(f"limit {limit} above 10^15, the largest supported")
+        raise DomainError(f"limit {_int_text(limit)} above 10^15, the largest "
+                          "supported")
     found = [(1, 1)]  # (n, sigma(n))
 
     def walk(i: int, n: int, sigma: int, top: int) -> None:
@@ -434,7 +444,7 @@ def ca_sweep(count: int, t: PrimeTable, prec: int = DEFAULT_PRECISION_BITS,
     (9/10)^j, j = 0, 1, 2, ...  (decreasing epsilon, growing candidates).
     """
     if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+        raise DomainError(f"count must be >= 1, got {_int_text(count)}")
     ratio = Fraction(9, 10)
     out: list[CandidateFactorization] = []
     seen = set()

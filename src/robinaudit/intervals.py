@@ -462,8 +462,6 @@ class Constants:
     log_window_slack: Decimal = Decimal("0.005589")
     # Alternative one-sided form: p_r > (log n)(1 - c' / log log n).
     log_window_slack_alt: Decimal = Decimal("0.005587")
-    # log n <= c * p_r once the size floor is known.
-    log_over_pr_bound: Decimal = Decimal("1.000235")
     # p_s must lie in (lower * sqrt(p_r), upper * sqrt(p_r)).
     s_window_upper: Decimal = Decimal("1.414342")
     s_window_lower: Decimal = Decimal("0.999999")

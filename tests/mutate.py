@@ -64,6 +64,7 @@ G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
                  "tests/test_golden.py")
 EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
+SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
 T_MEMO = "tests/test_memo.py::"
 CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
 
@@ -111,9 +112,6 @@ MUTANTS = [
     Mutant("sigma range: root taken one below the square root", GEN,
            "dtype=np.int64), math.isqrt(hi))", "dtype=np.int64), math.isqrt(hi) - 1)",
            (T_GEN + "test_sigma_range_matches_divisor_pairs",)),
-    Mutant("screen: segment cap removed", GEN,
-           "if not 1 <= segment <= 1 << 26:", "if not 1 <= segment:",
-           (T_GEN + "test_sigma_range_cap",)),
     # the abundancy records over non-increasing exponents
     Mutant("records: exponents must strictly decrease", GEN,
            "while e <= top and m <= limit:", "while e < top and m <= limit:",
@@ -149,6 +147,15 @@ MUTANTS = [
            '    if c.a(s) < 1:\n'
            '        raise DomainError(f"p_{s} does not divide the candidate")\n',
            G_RATIO_TESTS),
+    # the run scan of the window checks and normalize
+    Mutant("scan: suffix bisect replaced by the run end", "audit.py",
+           "return start + bisect.bisect_left(",
+           "return end + 0 * bisect.bisect_left(", SCAN_TESTS),
+    Mutant("scan: prefix-last bisect replaced by the run start", "audit.py",
+           "return end - bisect.bisect_left(",
+           "return start + 0 * bisect.bisect_left(", SCAN_TESTS),
+    Mutant("scan: lo ignored", "audit.py",
+           "start = max(start, lo)", "start = max(start, 1)", SCAN_TESTS),
     # the check runner: coverage, indeterminacy and the comparison verdict
     Mutant("runner: two_squares_F taken as table-free", "audit.py",
            '"exponents_E"})', '"exponents_E", "two_squares_F"})',

@@ -181,6 +181,17 @@ class TestAuditCommand:
         assert code == 66
         assert "exponents[1]" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"runs": [{"exponent": %s, "count": 1}]}' % ("9" * 5000),
+        '{"exponents": [%s]}' % ("9" * 5000),
+        "[" * 100000 + "]" * 100000,
+    ], ids=["runs", "exponents", "nested"])
+    def test_unparsable_candidate_is_format_error(self, text, capsys):
+        # json.loads raises ValueError or RecursionError, not JSONDecodeError
+        code, out, err = run_cli(["audit", text], capsys)
+        assert code == 66 and out == ""
+        assert "candidate format" in err and "internal error" not in err
+
     def test_inconclusive_with_small_table(self, capsys):
         cand = json.dumps({
             "runs": [
@@ -363,6 +374,21 @@ class TestUsage:
     def test_bad_integer(self, capsys):
         code, _, _ = run_cli(["verify", "--from", "x", "--to", "5"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("argv, said", [
+        (["verify", "--from", "5041", "--to", "1e5000"], "4300 digits"),
+        (["verify", "--from", "5041", "--to", "9" * 5000], "4300 digits"),
+        (["verify", "--from", "5041", "--to", "1e1000000"], "4300 digits"),
+        (["sa", "--limit", "1e200000"], "4300 digits"),
+        (["verify", "--from", "5041", "--to", "inf"], "not an integer"),
+        # 4300 digits pass, and the range check names only their size
+        (["verify", "--from", "5041", "--to", "1e4299"], "14281-bit integer"),
+        (["sa", "--limit", "9" * 4300], "14285-bit integer"),
+    ])
+    def test_huge_integer_is_usage_error(self, argv, said, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64 and out == ""
+        assert said in err and "internal error" not in err
 
     @pytest.mark.parametrize("exc", [InvariantError("cross-check failed"),
                                      RuntimeError("unexpected")])

@@ -21,7 +21,7 @@ from robinaudit.errors import (
 from robinaudit.factored import (
     _CHUNK,
     CandidateFactorization,
-    _chunks,
+    _cell_pieces,
     _Products,
     _sigma_ratio,
     big_g,
@@ -281,11 +281,22 @@ def _mp_log_n(c, t):
     return Fraction(man) * Fraction(2) ** exp
 
 
+def _pieces(start, end, e=1):
+    """The cell pieces of a candidate whose exponents are 0 before start
+    and e on start..end."""
+    c = CandidateFactorization._from_pieces([(0, start - 1), (e, end - start + 1)])
+    return list(_cell_pieces(c))
+
+
 def test_cells_sit_on_a_fixed_grid():
     assert _CHUNK == 512
-    assert list(_chunks(4, 600)) == [(4, 512), (513, 600)]
-    assert list(_chunks(601, 1300)) == [(601, 1024), (1025, 1300)]
-    assert list(_chunks(1024, 1025)) == [(1024, 1024), (1025, 1025)]
+    assert _pieces(4, 600) == [(4, 512, 1), (513, 600, 1)]
+    assert _pieces(601, 1300, 3) == [(601, 1024, 3), (1025, 1300, 3)]
+    assert _pieces(1024, 1025, 2) == [(1024, 1024, 2), (1025, 1025, 2)]
+    # run ends cut too, and a zero-exponent run yields nothing
+    c = CandidateFactorization._from_pieces([(2, 600), (0, 10), (1, 500)])
+    assert list(_cell_pieces(c)) == [(1, 512, 2), (513, 600, 2),
+                                     (611, 1024, 1), (1025, 1110, 1)]
 
 
 @pytest.mark.parametrize("c", [WIDE, HOLEY], ids=["canonical", "holes"])

@@ -196,14 +196,12 @@ def test_verify_range_matches_oracle_near_1e9(lo, hi):
 def test_sigma_range_cap():
     with pytest.raises(DomainError):
         sigma_range(10**18, 10**18 + 1)
+    with pytest.raises(DomainError, match="bit integer"):
+        sigma_range(1, 10**5000)
     with pytest.raises(DomainError):
         verify_range(10**18 + 1, 10**18 + 1)
     with pytest.raises(DomainError):
         verify_range(10**19, 10**19)
-    with pytest.raises(DomainError):  # B j of the screen would pass 2^63
-        verify_range(5041, 6000, segment=(1 << 26) + 1)
-    with pytest.raises(DomainError):
-        verify_range(5041, 6000, segment=0)
 
 
 def _tangent_screen(a, size, prec):
@@ -256,8 +254,9 @@ def test_verify_range_clean_above_5040():
 
 
 @pytest.mark.parametrize("segment", [7, 4096, 1 << 20])
-def test_verify_range_segment_sizes_agree(segment, oracle_to_20000):
-    res = verify_range(3, 20000, segment=segment)
+def test_verify_range_segment_sizes_agree(segment, oracle_to_20000, monkeypatch):
+    monkeypatch.setattr(generators, "_SEGMENT", segment)
+    res = verify_range(3, 20000)
     assert _found(res.violations + res.unknowns) == oracle_to_20000
     assert [r.n for r in res.violations] == ROBIN_EXCEPTIONS
     assert [(r.sigma, r.verdict) for r in res.violations] == [
@@ -271,6 +270,10 @@ def test_verify_range_preconditions():
         verify_range(1, 10)
     with pytest.raises(DomainError):
         verify_range(100, 10)
+    # no message formats an int of more than 4300 digits
+    for lo, hi in [(5041, 10**5000), (-10**5000, 10), (10**5000, 5041)]:
+        with pytest.raises(DomainError, match="bit integer"):
+            verify_range(lo, hi)
 
 
 def test_verify_record_fields():
@@ -324,6 +327,9 @@ def test_superabundant_bad_limit():
         superabundant_up_to(0)
     with pytest.raises(DomainError):
         superabundant_up_to(10**15 + 1)
+    for limit in (10**5000, -10**5000):
+        with pytest.raises(DomainError, match="bit integer"):
+            superabundant_up_to(limit)
 
 
 @pytest.fixture(scope="module")
