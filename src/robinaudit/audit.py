@@ -31,9 +31,11 @@ from .errors import (
     DomainError,
     InvariantError,
     PrecisionError,
+    _int_text,
 )
 from .factored import (
     CandidateFactorization,
+    _log_after,
     _Products,
     _require_table,
     g_ratio_divide,
@@ -119,7 +121,8 @@ def _interval_json(v: IntervalScalar, prec: int) -> dict:
 def int_log_floor(x: int, p: int) -> int:
     """Largest m >= 0 with p^m <= x, exact."""
     if x < 1 or p < 2:
-        raise DomainError(f"int_log_floor needs x >= 1 and p >= 2, got {x}, {p}")
+        raise DomainError("int_log_floor needs x >= 1 and p >= 2, got "
+                          f"{_int_text(x)}, {_int_text(p)}")
     m = 0
     v = p
     while v <= x:
@@ -131,7 +134,8 @@ def int_log_floor(x: int, p: int) -> int:
 def compute_l(p_r: int, p: int) -> int:
     """L(p) = floor(log p_r / log p), exact integer arithmetic."""
     if p < 2 or p_r < 2:
-        raise DomainError(f"compute_l needs primes >= 2, got p_r={p_r}, p={p}")
+        raise DomainError("compute_l needs primes >= 2, got "
+                          f"p_r={_int_text(p_r)}, p={_int_text(p)}")
     return int_log_floor(p_r, p)
 
 
@@ -151,15 +155,13 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
     (lo_m, lo_s), (hi_m, hi_s) = iv_dyadic(lg)
-    power = p
-    for k in range(1, 200):
-        power *= p
-        if power << hi_s > (k + 1) * hi_m:
-            return k
+    power, k = p * p, 1
+    while power << hi_s <= (k + 1) * hi_m:  # ends: p^(k+1) outgrows (k + 1) log n
         if power << lo_s >= (k + 1) * lo_m:
             raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate",
                                  suggested_precision_bits=prec * 2)
-    raise InvariantError(f"bracket walk for {p} did not terminate")
+        power, k = power * p, k + 1
+    return k
 
 
 def compute_u_from_log(lg: IntervalScalar, p: int,
@@ -201,7 +203,7 @@ def compute_m(k: int, t: PrimeTable,
     """M(k) = exp(e^(-gamma) f(N_k)) - log N_k for the k-th primorial N_k,
     with f(N_k) = prod_{i<=k} p_i/(p_i - 1); memoized on the table."""
     if k < 1:
-        raise DomainError(f"compute_m needs k >= 1, got {k}")
+        raise DomainError(f"compute_m needs k >= 1, got {_int_text(k)}")
 
     def fresh() -> IntervalScalar:
         primorial = CandidateFactorization.from_runs([(1, k)])
@@ -258,11 +260,14 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 
 
 class _AuditContext:
-    """Shared lazily-computed quantities for one audit run: log n, rho,
-    n/phi and the bounds at p_r.  ``products`` holds the exact cell
-    products behind them."""
+    """Shared lazily-computed quantities for one audit or normalize state:
+    log n (``lg`` when carried from the previous state), rho, n/phi and the
+    bounds at p_r.  ``products`` holds the exact cell products behind them."""
 
-    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int):
+    def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
+                 lg: Optional[IntervalScalar] = None):
+        if lg is not None:
+            self.log_n = lg  # over the cached_property, which has no setter
         self.c = c
         self.t = t
         self.prec = prec
@@ -793,6 +798,12 @@ class NormalizationResult:
         }
 
 
+# normalize re-sums log n from the memoized cells every this many steps: a
+# carried sum widens by about one ulp per step, so it stays within 2^8 times
+# the width of a fresh sum.
+_RESUM_STEPS = 256
+
+
 def normalize(c: CandidateFactorization, t: PrimeTable,
               prec: int = DEFAULT_PRECISION_BITS,
               step_limit: int = 10000) -> NormalizationResult:
@@ -802,42 +813,39 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     from the largest index; then swap steps (a_s < L(p_s), trading the top
     prime for one more factor of p_s, which needs a_r = 1).  Each step logs
     a certified enclosure of G(n)/G(n') and whether it is certainly < 1.
+    One audit context is the state: each step's edit map, {s: -1} or {s: +1,
+    r: -1}, moves its runs and a carried log n, re-summed every _RESUM_STEPS.
     """
     if step_limit < 1:
-        raise DomainError(f"step limit must be >= 1, got {step_limit}")
-    cur = c
+        raise DomainError(f"step limit must be >= 1, got {_int_text(step_limit)}")
+    _require_table(c, t)  # r never grows, so the table covers every state
+    ctx = _AuditContext(c, t, prec)
     trace: list[dict] = []
-    for _ in range(step_limit):
-        _require_table(cur, t)
-        ctx = _AuditContext(cur, t, prec)
+    for step in range(1, step_limit + 1):
         state = iv_compare(ctx.log_n, ctx.p_r)
         upper_ok = state is Comparison.CERTAINLY_GREATER
         if state is Comparison.OVERLAPPING:
-            return NormalizationResult(cur, INDETERMINATE, trace)
-
-        s_div: Optional[int] = None
+            return NormalizationResult(ctx.c, INDETERMINATE, trace)
+        s: Optional[int] = None
         if upper_ok:
             try:
-                s_div = _violation(ctx, ctx.above_u, suffix=True, last=True)
+                s = _violation(ctx, ctx.above_u, suffix=True, last=True)
             except _Indeterminate:
-                return NormalizationResult(cur, INDETERMINATE, trace)
-        if s_div is not None:
-            trace.append(_step_entry(ctx, "divide", s_div))
-            cur = _divided(cur, s_div)
-            continue
-
-        s_swap = _violation(ctx, ctx.below_l, suffix=False, last=True)
-        if s_swap is not None:
-            if cur.a(ctx.r) != 1:
-                return NormalizationResult(cur, BLOCKED_EXPONENT, trace)
-            trace.append(_step_entry(ctx, "swap", s_swap))
-            cur = _swapped(cur, s_swap)
-            continue
-
-        if upper_ok:
-            return NormalizationResult(cur, IN_WINDOW, trace)
-        return NormalizationResult(cur, BLOCKED_LOG_WINDOW, trace)
-    return NormalizationResult(cur, STEP_LIMIT, trace)
+                return NormalizationResult(ctx.c, INDETERMINATE, trace)
+        if s is not None:
+            action, edits = "divide", {s: -1}
+        else:
+            s = _violation(ctx, ctx.below_l, suffix=False, last=True)
+            if s is None:
+                status = IN_WINDOW if upper_ok else BLOCKED_LOG_WINDOW
+                return NormalizationResult(ctx.c, status, trace)
+            if ctx.c.a(ctx.r) != 1:
+                return NormalizationResult(ctx.c, BLOCKED_EXPONENT, trace)
+            action, edits = "swap", {s: 1, ctx.r: -1}
+        trace.append(_step_entry(ctx, action, s))
+        lg = _log_after(ctx.log_n, edits, t, prec) if step % _RESUM_STEPS else None
+        ctx = _AuditContext(_edited(ctx.c, edits), t, prec, lg)
+    return NormalizationResult(ctx.c, STEP_LIMIT, trace)
 
 
 def _step_entry(ctx: _AuditContext, action: str, s: int) -> dict:
@@ -863,33 +871,18 @@ def _edited(c: CandidateFactorization,
             edits: dict[int, int]) -> CandidateFactorization:
     """Add edits[i] to a_i at each edited position i <= r, by splitting the
     runs that hold them in O(#runs); ``_from_pieces`` merges and strips the
-    result as ``from_exponents`` would."""
+    result as ``from_exponents`` would.  Raises InvariantError for an edit
+    that empties a position below r, which would leave a hole."""
     pieces, todo = [], sorted(edits, reverse=True)
     for start, end, e in c.run_bounds():
         while todo and todo[-1] <= end:
             i = todo.pop()
+            if e + edits[i] == 0 and i < c.r:
+                raise InvariantError(f"edit at interior index {i} would leave a hole")
             pieces += [(e, i - start), (e + edits[i], 1)]
             start = i + 1
         pieces.append((e, end - start + 1))
     return CandidateFactorization._from_pieces(pieces)
-
-
-def _divided(c: CandidateFactorization, s: int) -> CandidateFactorization:
-    """n / p_s, for a_s >= 1."""
-    a = c.a(s)
-    if a < 1:
-        raise DomainError(f"p_{s} does not divide the candidate")
-    if a == 1 and s != c.r:
-        raise InvariantError(f"divide at interior index {s} would leave a hole")
-    return _edited(c, {s: -1})
-
-
-def _swapped(c: CandidateFactorization, s: int) -> CandidateFactorization:
-    """n * p_s / p_r, for 1 <= s < r; with a_r = 1, as normalize has it,
-    position r is removed."""
-    if not 1 <= s < c.r:
-        raise DomainError(f"swap index must satisfy 1 <= s < r = {c.r}")
-    return _edited(c, {s: 1, c.r: -1})
 
 
 def report_to_json_str(report: AuditReport) -> str:

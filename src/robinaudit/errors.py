@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def _int_text(n: int) -> str:
+    """n in decimal for an error message, or only its size beyond 4096
+    bits: CPython formats no int of more than 4300 digits."""
+    if n.bit_length() <= 1 << 12:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 class RobinAuditError(Exception):
     """Base class for errors raised by this package."""
 

@@ -14,11 +14,11 @@ shares it between log n, rho and n/phi.  The enclosures
 made from them (the log of a cell's Pi p and that log times an exponent
 e, a cell's rho and n/phi ratio blocks, keyed by the cell, the precision
 and for e log and rho the exponent) are memoized on the PrimeTable.  That
-memo serves the primorial margin M(r), every normalize step and later
-calls on the same table, which form a product only for a cell piece no
-earlier call has evaluated.  The log of one prime, which the sigma-power
-ratio and the G ratios need, comes from the process cache
-``iv_log_rational``.
+memo serves the primorial margin M(r), normalize's re-sums of log n and
+later calls on the same table, which form a product only for a cell piece
+no earlier call has evaluated.  The log of one prime, which the sigma-power
+ratio, the G ratios and normalize's carried log n (``_log_after``) need,
+comes from the process cache ``iv_log_rational``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
 exponents too large for exact powers and the G ratios of normalize steps,
 where one map of exponent edits describes a divide or a swap.  It is exact
@@ -37,6 +37,8 @@ from .errors import (
     CandidateFormatError,
     DomainError,
     ResourceBudgetError,
+    TableTooSmallError,
+    _int_text,
 )
 from .intervals import (
     _EXACT_POW_BITS,
@@ -85,7 +87,7 @@ class CandidateFactorization:
     def __post_init__(self):
         for k, run in enumerate(self.runs):
             if run.count < 1:
-                raise DomainError(f"run {k} has count {run.count}")
+                raise DomainError(f"run {k} has count {_int_text(run.count)}")
             if run.exponent < 0:
                 raise DomainError(f"run {k} has negative exponent")
         if self.runs and self.runs[-1].exponent == 0:
@@ -97,16 +99,13 @@ class CandidateFactorization:
         runs = tuple(Run(int(e), int(c)) for e, c in pairs)
         for k, run in enumerate(runs):
             if run.exponent < 1:
-                raise DomainError(
-                    f"run {k} exponent {run.exponent} < 1; use from_exponents "
-                    "for non-canonical shapes"
-                )
+                raise DomainError(f"run {k} exponent {_int_text(run.exponent)} < 1; "
+                                  "use from_exponents for non-canonical shapes")
             if k and runs[k - 1].exponent <= run.exponent:
                 raise DomainError(
-                    f"run exponents must strictly decrease, got "
-                    f"{runs[k - 1].exponent} then {run.exponent}; use "
-                    "from_exponents for non-canonical shapes"
-                )
+                    "run exponents must strictly decrease, got "
+                    f"{_int_text(runs[k - 1].exponent)} then {_int_text(run.exponent)}"
+                    "; use from_exponents for non-canonical shapes")
         return cls(runs=runs, canonical=True)
 
     @classmethod
@@ -165,7 +164,7 @@ class CandidateFactorization:
     def a(self, i: int) -> int:
         """Exponent a_i, 1-based; 0 beyond the last position."""
         if i < 1:
-            raise DomainError(f"position must be >= 1, got {i}")
+            raise DomainError(f"position must be >= 1, got {_int_text(i)}")
         seen = 0
         for run in self.runs:
             seen += run.count
@@ -284,11 +283,8 @@ class CandidateFactorization:
 def _require_table(c: CandidateFactorization, t: PrimeTable) -> None:
     r = c.r
     if r > len(t):
-        from .errors import TableTooSmallError
-
         raise TableTooSmallError(
-            f"candidate spans {r} primes, table holds {len(t)}", needed=r
-        )
+            f"candidate spans {_int_text(r)} primes, table holds {len(t)}", needed=r)
 
 
 def _prod(values) -> int:
@@ -455,6 +451,16 @@ def _sigma_ratio(p: int, a: int, b: int,
     return iv_div(side(a), side(b), prec)
 
 
+def _log_after(lg: IntervalScalar, edits: dict[int, int], t: PrimeTable,
+               prec: int) -> IntervalScalar:
+    """log n' for n' = n * Pi p_i^edits[i], each edit +1 or -1, from an
+    enclosure ``lg`` of log n: each cached log p_i added in decreasing i."""
+    for i in sorted(edits, reverse=True):
+        lp = iv_log_rational(t.nth_prime(i), prec)
+        lg = iv_add(lg, lp, prec) if edits[i] > 0 else iv_sub(lg, lp, prec)
+    return lg
+
+
 def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
                   t: PrimeTable, prec: int,
                   lg: Optional[IntervalScalar]) -> IntervalScalar:
@@ -468,19 +474,18 @@ def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
     """
     if lg is None:
         lg = log_n(c, t, prec)
-    lg1, num, den, parts = lg, 1, 1, []
-    for i in sorted(edits, reverse=True):
-        p, a, delta = t.nth_prime(i), c.a(i), edits[i]
-        f = _sigma_ratio(p, a, a + delta, prec)
+    num, den, parts = 1, 1, []
+    for i, delta in edits.items():
+        a = c.a(i)
+        f = _sigma_ratio(t.nth_prime(i), a, a + delta, prec)
         if isinstance(f, Fraction):
             num, den = num * f.numerator, den * f.denominator
         else:
             parts.append(f)
-        lp = iv_log_rational(p, prec)
-        lg1 = iv_add(lg1, lp, prec) if delta > 0 else iv_sub(lg1, lp, prec)
     sig = iv_from_fraction(Fraction(num, den), prec)
     for f in parts:
         sig = iv_mul(sig, f, prec)
+    lg1 = _log_after(lg, edits, t, prec)
     ratio_loglog = iv_div(_loglog_from(lg1, prec), _loglog_from(lg, prec), prec)
     return iv_mul(sig, ratio_loglog, prec)
 
@@ -509,7 +514,7 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
     if r < 2:
         raise DomainError("swap needs at least two prime factors")
     if c.a(r) != 1:
-        raise DomainError(f"swap requires a_r == 1, got a_r = {c.a(r)}")
+        raise DomainError(f"swap requires a_r == 1, got a_r = {_int_text(c.a(r))}")
     if not 1 <= s < r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
     _require_table(c, t)

@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError, TableTooSmallError
+from .errors import DomainError, ResourceBudgetError, TableTooSmallError, _int_text
 from .factored import CandidateFactorization
 from .intervals import (
     DEFAULT_PRECISION_BITS,
@@ -62,14 +62,6 @@ _SEGMENT = 1 << 20
 # sigma(n) < e^gamma n log log n + 0.6483 n / log log n < 6.9e18 up to here,
 # so sigma and the tangent screen fit int64
 _MAX_N = 10**18
-
-
-def _int_text(n: int) -> str:
-    """n in decimal for an error message, or only its size beyond 4096
-    bits: CPython formats no int of more than 4300 digits."""
-    if n.bit_length() <= 1 << 12:
-        return str(n)
-    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 _WHEEL = (2, 3, 5, 7, 11, 13)

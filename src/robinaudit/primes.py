@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError, TableTooSmallError
+from .errors import DomainError, TableTooSmallError, _int_text
 from .intervals import (
     DEFAULT_PRECISION_BITS,
     iv_add,
@@ -128,10 +128,11 @@ class PrimeTable:
     def nth_prime(self, i: int) -> int:
         """The i-th prime, 1-based: nth_prime(1) == 2."""
         if i < 1:
-            raise DomainError(f"prime index must be >= 1, got {i}")
+            raise DomainError(f"prime index must be >= 1, got {_int_text(i)}")
         if i > self._primes.size:
             raise TableTooSmallError(
-                f"table holds {self._primes.size} primes, index {i} requested",
+                f"table holds {self._primes.size} primes, "
+                f"index {_int_text(i)} requested",
                 needed=i,
             )
         return int(self._primes[i - 1])
@@ -139,7 +140,7 @@ class PrimeTable:
     def slice(self, i: int, j: int) -> np.ndarray:
         """Primes p_i..p_j inclusive (1-based) as a read-only int64 view."""
         if i < 1 or j < i - 1:
-            raise DomainError(f"bad prime index range [{i}, {j}]")
+            raise DomainError(f"bad prime index range [{_int_text(i)}, {_int_text(j)}]")
         if j > self._primes.size:
             raise TableTooSmallError(
                 f"table holds {self._primes.size} primes, index {j} requested",

@@ -63,6 +63,8 @@ SIGMA_RATIO_TESTS = (T_FAC + "test_sigma_ratio_on_both_sides_of_the_exact_cut",
 G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
                  "tests/test_golden.py")
 EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
+WALK_TESTS = ("tests/test_audit.py::test_carried_log_n_meets_a_fresh_sum",
+              "tests/test_audit.py::test_carried_log_n_stays_narrow_on_a_long_walk")
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
 T_MEMO = "tests/test_memo.py::"
@@ -135,18 +137,29 @@ MUTANTS = [
            "return iv_from_int(p - 1)", "return iv_from_int(p)",
            SIGMA_RATIO_TESTS),
     Mutant("g ratio: log-part sign flipped", "factored.py",
-           "if delta > 0 else", "if delta < 0 else", G_RATIO_TESTS),
+           "if edits[i] > 0 else", "if edits[i] < 0 else", G_RATIO_TESTS),
     Mutant("g ratio: swap adds log p_s before it subtracts log p_r", "factored.py",
            "sorted(edits, reverse=True)", "sorted(edits)", ("tests/test_golden.py",)),
     Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
-           "_edited(c, {s: 1, c.r: -1})", "_edited(c, {s: 1})",
-           EDIT_TESTS + ("tests/test_golden.py",)),
+           '"swap", {s: 1, ctx.r: -1}', '"swap", {s: 1}',
+           ("tests/test_audit.py::TestNormalize::test_swap_steps_on_primorial",
+            "tests/test_golden.py")),
+    Mutant("edit map: an interior hole let through", "audit.py",
+           "if e + edits[i] == 0 and i < c.r:", "if False:", EDIT_TESTS),
     Mutant("g ratio: swap into a hole refused again", "factored.py",
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n',
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n'
            '    if c.a(s) < 1:\n'
            '        raise DomainError(f"p_{s} does not divide the candidate")\n',
            G_RATIO_TESTS),
+    # the walk state of normalize: runs and a carried log n
+    Mutant("walk: the next state reuses the old log n", "audit.py",
+           "lg = _log_after(ctx.log_n, edits, t, prec) if", "lg = ctx.log_n if",
+           WALK_TESTS),
+    Mutant("walk: _log_after's sign flipped", "factored.py",
+           "if edits[i] > 0 else", "if edits[i] < 0 else", WALK_TESTS),
+    Mutant("walk: the re-sum dropped", "audit.py",
+           "if step % _RESUM_STEPS else None", "if True else None", WALK_TESTS),
     # the run scan of the window checks and normalize
     Mutant("scan: suffix bisect replaced by the run end", "audit.py",
            "return start + bisect.bisect_left(",

@@ -18,8 +18,7 @@ from mpmath.libmp import from_man_exp
 from oracles import u_oracle, upper_bound_rounded
 
 from robinaudit.audit import (
-    _divided,
-    _swapped,
+    _edited,
     CHECK_IDS,
     FAIL,
     IN_WINDOW,
@@ -133,6 +132,13 @@ class TestWindowBounds:
         assert compute_u_from_log(lg, 2, 64) == 9
         assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_upper_bound_far_past_two_hundred_brackets(self, p):
+        x = 2**300 + 12345
+        want = max(k for k in range(1, 400) if p**k <= k * x)
+        assert want > 150  # the walk used to stop at 199 brackets
+        assert audit._upper_bound(iv_from_int(x), p, 128) == want
+
     def test_upper_bound_candidate(self, table_1e6):
         c = CandidateFactorization.from_runs([(1, 1000)])
         u1 = compute_u(c, 1, table_1e6)
@@ -176,6 +182,25 @@ class TestWindowBounds:
     def test_m_rejects_nonpositive(self, table_1e6):
         with pytest.raises(DomainError):
             compute_m(0, table_1e6)
+
+
+_HUGE = 10**5000  # CPython formats no int of more than 4300 digits
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: CandidateFactorization.from_runs([(_HUGE, 1), (_HUGE, 1)]),
+    lambda t: CandidateFactorization.from_runs([(1, -_HUGE)]),
+    lambda t: cand(2, 1).a(-_HUGE),
+    lambda t: t.nth_prime(-_HUGE),
+    lambda t: compute_m(-_HUGE, t),
+    lambda t: compute_l(-_HUGE, 3),
+    lambda t: normalize(cand(2, 1), t, step_limit=-_HUGE),
+], ids=["from_runs_order", "from_runs_count", "a", "nth_prime", "compute_m",
+        "compute_l", "normalize"])
+def test_huge_argument_is_domain_error(call):
+    # the message gives the size of a huge int, not a ValueError
+    with pytest.raises(DomainError, match="bit integer"):
+        call(_SCAN_TABLE)
 
 
 class TestIndividualChecks:
@@ -665,17 +690,71 @@ def test_run_edits_match_exponent_list_path(exps):
             except (InvariantError, DomainError) as e:
                 # an interior hole, or nothing left after the last factor
                 with pytest.raises(type(e)):
-                    _divided(c, s)
+                    _edited(c, {s: -1})
             else:
-                got = _divided(c, s)
+                got = _edited(c, {s: -1})
                 assert (got.runs, got.canonical) == (want.runs, want.canonical)
         if s < c.r:
             want = _edit_by_list(c, {s: 1, c.r: -1})
-            got = _swapped(c, s)
+            got = _edited(c, {s: 1, c.r: -1})
             assert (got.runs, got.canonical) == (want.runs, want.canonical)
 
 
 _SCAN_TABLE = PrimeTable.build(1000)
+
+
+def _recorded_states(mp):
+    """(candidate, carried log n or None) of every state normalize builds."""
+    states = []
+
+    class Recording(audit._AuditContext):
+        def __init__(self, c, t, prec, lg=None):
+            super().__init__(c, t, prec, lg)
+            states.append((c, lg))
+
+    mp.setattr(audit, "_AuditContext", Recording)
+    return states
+
+
+def _intersect(a, b):
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+       st.sampled_from([None, 8190, 20000]), st.sampled_from([3, 256]),
+       st.sampled_from([64, 128]))
+def test_carried_log_n_meets_a_fresh_sum(exps, a_1, resum, prec):
+    # a divide at 2 takes the sigma ratio's exact form just below its cut from
+    # a_1 = 8190, and its interval form from a_1 = 20000
+    exps = exps if a_1 is None else [a_1] + exps
+    c = CandidateFactorization.from_exponents(exps if any(exps) else exps + [1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "_RESUM_STEPS", resum)
+        states = _recorded_states(mp)
+        normalize(c, _SCAN_TABLE, prec, step_limit=40)
+    for state, lg in states:
+        if lg is not None:
+            assert _intersect(lg, log_n(state, _SCAN_TABLE, prec)), state
+
+
+def test_carried_log_n_stays_narrow_on_a_long_walk():
+    # criterion 7's 2^(1.5e14) 3^2 5 7 11 divides out one 2 per step; with
+    # no re-sum the carried width would reach about 375 fresh widths here
+    steps = 1500
+    with pytest.MonkeyPatch.context() as mp:
+        states = _recorded_states(mp)
+        sums = []
+        mp.setattr(audit, "log_n", lambda *a, **k: sums.append(a[0]) or log_n(*a, **k))
+        res = normalize(cand(15 * 10**13, 2, 1, 1, 1), _SCAN_TABLE, 128,
+                        step_limit=steps)
+    assert res.status == STEP_LIMIT and res.steps == steps
+    # log n is summed for the first state and at each re-sum, never else
+    assert len(sums) == 1 + steps // audit._RESUM_STEPS
+    final, lg = states[-1]
+    fresh = log_n(final, _SCAN_TABLE, 128)
+    assert _intersect(lg, fresh)
+    assert lg.width() <= 2**8 * fresh.width()
 
 
 def _scan_upper(lg, primes):

@@ -192,6 +192,12 @@ class TestAuditCommand:
         assert code == 66 and out == ""
         assert "candidate format" in err and "internal error" not in err
 
+    def test_huge_exponents_are_excluded(self, capsys):
+        # log n near 2^206: U's bracket walk for 2 passes 199 brackets
+        text = '{"runs": [{"exponent": 1%s, "count": 2}]}' % ("0" * 62)
+        code, out, _ = run_cli(["audit", text], capsys)
+        assert code == 1 and json.loads(out)["summary"]["result"] == "excluded"
+
     def test_inconclusive_with_small_table(self, capsys):
         cand = json.dumps({
             "runs": [

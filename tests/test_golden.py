@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from robinaudit import cli
+from robinaudit import audit, cli
 from robinaudit.audit import full_audit, normalize, report_to_json_str
 from robinaudit.errors import RobinAuditError
 from robinaudit.factored import CandidateFactorization
@@ -117,6 +117,29 @@ def test_matches_golden(name, current):
     assert actual == expected, _first_difference(
         expected.decode("utf-8"), current[name]
     )
+
+
+def _ratio_endpoints_dropped(text: str):
+    if text.startswith("error: "):
+        return text
+    doc = json.loads(text)
+    for step in doc["trace"]:
+        if step["ratio"] is not None:
+            step["ratio"] = sorted(step["ratio"])
+    return doc
+
+
+def test_carried_log_n_moves_only_ratio_endpoints(monkeypatch):
+    # a fresh log n at every step is what normalize computed before it
+    # carried log n from step to step
+    t = PrimeTable.build(10**6)
+    cases = [c for corpus in _corpora(t).values() for c in corpus]
+    carried = [_normalized(c, t) for c in cases]
+    monkeypatch.setattr(audit, "_RESUM_STEPS", 1)
+    fresh = [_normalized(c, t) for c in cases]
+    assert carried != fresh  # the criterion 7 walk carries log n 63 times
+    assert ([_ratio_endpoints_dropped(x) for x in carried]
+            == [_ratio_endpoints_dropped(x) for x in fresh])
 
 
 if __name__ == "__main__":
