@@ -815,6 +815,8 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     a certified enclosure of G(n)/G(n') and whether it is certainly < 1.
     One audit context is the state: each step's edit map, {s: -1} or {s: +1,
     r: -1}, moves its runs and a carried log n, re-summed every _RESUM_STEPS.
+    The step's ratio forms log n' and log log n' once, and the next state
+    reads them back from ``_log_after``'s and ``_loglog_from``'s caches.
     """
     if step_limit < 1:
         raise DomainError(f"step limit must be >= 1, got {_int_text(step_limit)}")

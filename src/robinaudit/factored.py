@@ -18,7 +18,10 @@ memo serves the primorial margin M(r), normalize's re-sums of log n and
 later calls on the same table, which form a product only for a cell piece
 no earlier call has evaluated.  The log of one prime, which the sigma-power
 ratio, the G ratios and normalize's carried log n (``_log_after``) need,
-comes from the process cache ``iv_log_rational``.
+comes from the process cache ``iv_log_rational``.  ``_log_after`` and
+``_loglog_from`` keep their 64 latest results, keyed by the value of the
+enclosure of log n, so a normalize step's G ratio and its next state share
+log n' and log log n'.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
 exponents too large for exact powers and the G ratios of normalize steps,
 where one map of exponent edits describes a divide or a swap.  It is exact
@@ -28,6 +31,7 @@ while the powers fit and an interval form beyond, so candidates like
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,7 +279,8 @@ class CandidateFactorization:
 
     def __str__(self) -> str:
         return "*".join(
-            f"p[{start}..{end}]^{e}" if start != end else f"p[{start}]^{e}"
+            (f"p[{_int_text(start)}..{_int_text(end)}]" if start != end
+             else f"p[{_int_text(start)}]") + f"^{_int_text(e)}"
             for start, end, e in self.run_bounds()
         )
 
@@ -360,7 +365,16 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
     return total
 
 
+# Bound of the process caches of log n' and log log n, keyed by enclosure
+# value: a normalize walk reads back only what its last step formed.
+_STEP_CACHE = 1 << 6
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE)
 def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
+    """log log n from an enclosure ``lg`` of log n.  A normalize step
+    forms log log n' for its G ratio; the next step's ratio reads it back
+    here as its own state's log log n."""
     if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("log log n requires log n certainly > 1")
     return iv_log(lg, prec)
@@ -454,10 +468,19 @@ def _sigma_ratio(p: int, a: int, b: int,
 def _log_after(lg: IntervalScalar, edits: dict[int, int], t: PrimeTable,
                prec: int) -> IntervalScalar:
     """log n' for n' = n * Pi p_i^edits[i], each edit +1 or -1, from an
-    enclosure ``lg`` of log n: each cached log p_i added in decreasing i."""
-    for i in sorted(edits, reverse=True):
-        lp = iv_log_rational(t.nth_prime(i), prec)
-        lg = iv_add(lg, lp, prec) if edits[i] > 0 else iv_sub(lg, lp, prec)
+    enclosure ``lg`` of log n: each cached log p_i added in decreasing i.
+    A normalize step's G ratio and its next state share one result."""
+    return _log_edited(lg, tuple((t.nth_prime(i), edits[i])
+                                 for i in sorted(edits, reverse=True)), prec)
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE)
+def _log_edited(lg: IntervalScalar, edits: tuple[tuple[int, int], ...],
+                prec: int) -> IntervalScalar:
+    """_log_after over (p, edit) pairs, keyed by value, not by table."""
+    for p, delta in edits:
+        lp = iv_log_rational(p, prec)
+        lg = iv_add(lg, lp, prec) if delta > 0 else iv_sub(lg, lp, prec)
     return lg
 
 

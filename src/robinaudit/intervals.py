@@ -6,6 +6,14 @@ always stays inside the computed interval, and comparisons issue a strict
 verdict only when the enclosures are disjoint.  Endpoints are raw mpmath
 mpf tuples (sign, mantissa, exponent, bitcount); the exponent is an
 unbounded Python int, so no operation here can overflow to infinity.
+
+Sums, differences and the unary ops (log, exp, sqrt, re-rounding) call
+their mpf function once per endpoint, rounding lo down and hi up, which is
+all libmpi's interval functions do for them.  Products and quotients do
+the same when both lower ends are positive, the only case the hot paths
+form; every other sign case goes through libmpi's case analysis
+(``mpi_mul``, ``mpi_div``).  Either way every result is validated, and the
+bits are those libmpi gives.
 """
 
 from __future__ import annotations
@@ -25,10 +33,17 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     from_str,
-    fzero,
+    mpf_add,
     mpf_cmp,
+    mpf_div,
     mpf_euler,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
     mpf_neg,
+    mpf_pos,
+    mpf_sqrt,
+    mpf_sub,
     to_rational,
     to_str,
 )
@@ -65,6 +80,8 @@ class Comparison(Enum):
 def _cmp(s: tuple, t: tuple) -> int:
     """mpf_cmp(s, t), exactly, for any raw tuples.
 
+    Two same-sign values with nonzero mantissas and one exponent compare
+    as their mantissas, as mpf_cmp compares them after its own checks.
     mpf_cmp settles two same-sign values whose leading bits sit at the
     same position with a rounded subtraction.  When both are finite and
     normalized (odd mantissa, bit count = mantissa bit length) and their
@@ -74,7 +91,12 @@ def _cmp(s: tuple, t: tuple) -> int:
     that are not normalized."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
-    if (sexp != texp and sbc + sexp == tbc + texp and ssign == tsign
+    if sexp == texp:
+        if ssign == tsign and sman and tman:
+            if sman == tman:
+                return 0
+            return -1 if (sman > tman) == ssign else 1
+    elif (sbc + sexp == tbc + texp and ssign == tsign
             and sman > 0 and tman > 0 and sman & tman & 1
             and sbc == sman.bit_length() and tbc == tman.bit_length()):
         if sexp > texp:
@@ -154,14 +176,6 @@ def _iv(lo: tuple, hi: tuple) -> IntervalScalar:
     return a
 
 
-def _as_mpi(a: IntervalScalar) -> tuple:
-    return (a._lo, a._hi)
-
-
-def _from_mpi(t: tuple) -> IntervalScalar:
-    return _iv(t[0], t[1])
-
-
 IntervalLike = Union[IntervalScalar, int, Fraction]
 T = TypeVar("T")
 
@@ -210,52 +224,61 @@ def iv_make(lo: Union[int, Fraction], hi: Union[int, Fraction],
     )
 
 
-def _coerce(x: IntervalLike, prec: int) -> IntervalScalar:
-    if isinstance(x, IntervalScalar):
-        return x
-    if isinstance(x, int):
-        return iv_from_int(x)
-    if isinstance(x, Fraction):
-        return iv_from_fraction(x, prec)
-    raise TypeError(f"cannot treat {type(x).__name__} as an interval")
-
-
 def _endpoints(x: IntervalLike, prec: int) -> tuple[tuple, tuple]:
-    """(lo, hi) of x; an int is its own exact endpoint, with no interval
-    built for it."""
+    """(lo, hi) of x, with no interval built for an int or a Fraction: an
+    int is its own exact endpoint, and a Fraction is rounded outward to
+    ``prec`` bits."""
     if isinstance(x, IntervalScalar):
         return x._lo, x._hi
     if isinstance(x, int):
         t = from_int(x)
         return t, t
-    a = _coerce(x, prec)
-    return a._lo, a._hi
+    if isinstance(x, Fraction):
+        return (from_rational(x.numerator, x.denominator, prec, _ROUND_DOWN),
+                from_rational(x.numerator, x.denominator, prec, _ROUND_UP))
+    raise TypeError(f"cannot treat {type(x).__name__} as an interval")
 
 
 def iv_add(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    b = _coerce(b, prec)
-    return _from_mpi(_mpi.mpi_add(_as_mpi(a), _as_mpi(b), prec))
+    a_lo, a_hi = _endpoints(a, prec)
+    b_lo, b_hi = _endpoints(b, prec)
+    return _iv(mpf_add(a_lo, b_lo, prec, _ROUND_DOWN),
+               mpf_add(a_hi, b_hi, prec, _ROUND_UP))
 
 
 def iv_sub(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    b = _coerce(b, prec)
-    return _from_mpi(_mpi.mpi_sub(_as_mpi(a), _as_mpi(b), prec))
+    a_lo, a_hi = _endpoints(a, prec)
+    b_lo, b_hi = _endpoints(b, prec)
+    return _iv(mpf_sub(a_lo, b_hi, prec, _ROUND_DOWN),
+               mpf_sub(a_hi, b_lo, prec, _ROUND_UP))
 
+
+# An endpoint x is a raw tuple whose x[0] is the sign bit and x[1] the
+# mantissa, 0 for a zero: x > 0 exactly when ``not x[0] and x[1]``, and
+# x < 0 exactly when ``x[0] and x[1]``.  mul and div with positive lower
+# ends round two endpoint products or quotients, as libmpi's own case for
+# them does; every other sign case, zero ends included, keeps libmpi's case
+# analysis.
 
 def iv_mul(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    b = _coerce(b, prec)
-    return _from_mpi(_mpi.mpi_mul(_as_mpi(a), _as_mpi(b), prec))
+    a_lo, a_hi = _endpoints(a, prec)
+    b_lo, b_hi = _endpoints(b, prec)
+    if a_lo[0] or b_lo[0] or not (a_lo[1] and b_lo[1]):
+        return _iv(*_mpi.mpi_mul((a_lo, a_hi), (b_lo, b_hi), prec))
+    return _iv(mpf_mul(a_lo, b_lo, prec, _ROUND_DOWN),
+               mpf_mul(a_hi, b_hi, prec, _ROUND_UP))
 
 
 def iv_div(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    b = _coerce(b, prec)
-    if mpf_cmp(b._lo, fzero) <= 0 <= mpf_cmp(b._hi, fzero):
-        raise DomainError("division by an interval containing zero")
-    return _from_mpi(_mpi.mpi_div(_as_mpi(a), _as_mpi(b), prec))
+    a_lo, a_hi = _endpoints(a, prec)
+    b_lo, b_hi = _endpoints(b, prec)
+    if b_lo[0] or not b_lo[1]:  # b_lo <= 0
+        if not (b_hi[0] and b_hi[1]):  # b_hi >= 0
+            raise DomainError("division by an interval containing zero")
+    elif not a_lo[0] and a_lo[1]:
+        return _iv(mpf_div(a_lo, b_hi, prec, _ROUND_DOWN),
+                   mpf_div(a_hi, b_lo, prec, _ROUND_UP))
+    return _iv(*_mpi.mpi_div((a_lo, a_hi), (b_lo, b_hi), prec))
 
 
 def iv_neg(a: IntervalScalar) -> IntervalScalar:
@@ -263,10 +286,10 @@ def iv_neg(a: IntervalScalar) -> IntervalScalar:
 
 
 def iv_log(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    if mpf_cmp(a._lo, fzero) <= 0:
+    lo, hi = _endpoints(a, prec)
+    if lo[0] or not lo[1]:
         raise DomainError("log of an interval not certainly positive")
-    return _from_mpi(_mpi.mpi_log(_as_mpi(a), prec))
+    return _iv(mpf_log(lo, prec, _ROUND_DOWN), mpf_log(hi, prec, _ROUND_UP))
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -281,20 +304,20 @@ def iv_log_rational(x: Union[int, Fraction],
 
 
 def iv_exp(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    return _from_mpi(_mpi.mpi_exp(_as_mpi(a), prec))
+    lo, hi = _endpoints(a, prec)
+    return _iv(mpf_exp(lo, prec, _ROUND_DOWN), mpf_exp(hi, prec, _ROUND_UP))
 
 
 def iv_sqrt(a: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    a = _coerce(a, prec)
-    if mpf_cmp(a._lo, fzero) < 0:
+    lo, hi = _endpoints(a, prec)
+    if lo[0] and lo[1]:
         raise DomainError("sqrt of an interval not certainly nonnegative")
-    return _from_mpi(_mpi.mpi_sqrt(_as_mpi(a), prec))
+    return _iv(mpf_sqrt(lo, prec, _ROUND_DOWN), mpf_sqrt(hi, prec, _ROUND_UP))
 
 
 def iv_round(a: IntervalScalar, prec: int) -> IntervalScalar:
     """Outward re-rounding of both endpoints to ``prec`` mantissa bits."""
-    return _from_mpi(_mpi.mpi_pos(_as_mpi(a), prec))
+    return _iv(mpf_pos(a._lo, prec, _ROUND_DOWN), mpf_pos(a._hi, prec, _ROUND_UP))
 
 
 def iv_compare(a: IntervalLike, b: IntervalLike,

@@ -143,7 +143,8 @@ class PrimeTable:
             raise DomainError(f"bad prime index range [{_int_text(i)}, {_int_text(j)}]")
         if j > self._primes.size:
             raise TableTooSmallError(
-                f"table holds {self._primes.size} primes, index {j} requested",
+                f"table holds {self._primes.size} primes, "
+                f"index {_int_text(j)} requested",
                 needed=j,
             )
         return self._primes[i - 1 : j]
@@ -152,7 +153,7 @@ class PrimeTable:
         """Primes in [lo, hi] as a read-only int64 view."""
         if hi > self.limit:
             raise TableTooSmallError(
-                f"{hi} beyond table limit {self.limit}", needed=hi
+                f"{_int_text(hi)} beyond table limit {self.limit}", needed=hi
             )
         a = int(np.searchsorted(self._primes, lo, side="left"))
         b = int(np.searchsorted(self._primes, hi, side="right"))

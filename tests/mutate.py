@@ -68,6 +68,11 @@ WALK_TESTS = ("tests/test_audit.py::test_carried_log_n_meets_a_fresh_sum",
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
 T_MEMO = "tests/test_memo.py::"
+T_IV = "tests/test_intervals.py::"
+KERNEL_TESTS = (T_IV + "test_binary_ops_equal_libmpi_bit_for_bit",)
+UNARY_TESTS = (T_IV + "test_unary_ops_equal_libmpi_bit_for_bit",)
+STEP_TESTS = ("tests/test_audit.py::test_one_log_per_step_and_per_sum",
+              "tests/test_audit.py::test_trace_ratios_match_each_state_on_its_own")
 CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
 
 MUTANTS = [
@@ -137,7 +142,7 @@ MUTANTS = [
            "return iv_from_int(p - 1)", "return iv_from_int(p)",
            SIGMA_RATIO_TESTS),
     Mutant("g ratio: log-part sign flipped", "factored.py",
-           "if edits[i] > 0 else", "if edits[i] < 0 else", G_RATIO_TESTS),
+           "if delta > 0 else", "if delta < 0 else", G_RATIO_TESTS),
     Mutant("g ratio: swap adds log p_s before it subtracts log p_r", "factored.py",
            "sorted(edits, reverse=True)", "sorted(edits)", ("tests/test_golden.py",)),
     Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
@@ -157,7 +162,7 @@ MUTANTS = [
            "lg = _log_after(ctx.log_n, edits, t, prec) if", "lg = ctx.log_n if",
            WALK_TESTS),
     Mutant("walk: _log_after's sign flipped", "factored.py",
-           "if edits[i] > 0 else", "if edits[i] < 0 else", WALK_TESTS),
+           "if delta > 0 else", "if delta < 0 else", WALK_TESTS),
     Mutant("walk: the re-sum dropped", "audit.py",
            "if step % _RESUM_STEPS else None", "if True else None", WALK_TESTS),
     # the run scan of the window checks and normalize
@@ -180,6 +185,48 @@ MUTANTS = [
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
            "cmp is not side and cmp is not Comparison.OVERLAPPING",
            "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
+    # the interval kernel: direct endpoint roundings where both lower ends
+    # are positive, libmpi's case analysis elsewhere
+    Mutant("kernel: iv_add's upper end rounded down", "intervals.py",
+           "mpf_add(a_hi, b_hi, prec, _ROUND_UP)",
+           "mpf_add(a_hi, b_hi, prec, _ROUND_DOWN)", KERNEL_TESTS),
+    Mutant("kernel: iv_sub's upper end rounded down", "intervals.py",
+           "mpf_sub(a_hi, b_lo, prec, _ROUND_UP)",
+           "mpf_sub(a_hi, b_lo, prec, _ROUND_DOWN)", KERNEL_TESTS),
+    Mutant("kernel: iv_mul's positive-case guard dropped", "intervals.py",
+           "if a_lo[0] or b_lo[0] or not (a_lo[1] and b_lo[1]):", "if False:",
+           KERNEL_TESTS),
+    Mutant("kernel: iv_div's positive-numerator guard dropped", "intervals.py",
+           "elif not a_lo[0] and a_lo[1]:", "elif True:", KERNEL_TESTS),
+    Mutant("kernel: iv_div's lower end divided by the wrong endpoint",
+           "intervals.py", "mpf_div(a_lo, b_hi, prec, _ROUND_DOWN)",
+           "mpf_div(a_lo, b_lo, prec, _ROUND_DOWN)", KERNEL_TESTS),
+    Mutant("kernel: a zero-touching divisor let through", "intervals.py",
+           "if not (b_hi[0] and b_hi[1]):  # b_hi >= 0", "if False:",
+           KERNEL_TESTS),
+    Mutant("kernel: iv_log's upper end rounded down", "intervals.py",
+           "mpf_log(hi, prec, _ROUND_UP)", "mpf_log(hi, prec, _ROUND_DOWN)",
+           UNARY_TESTS),
+    Mutant("cmp: same-exponent mantissa order reversed", "intervals.py",
+           "return -1 if (sman > tman) == ssign else 1",
+           "return 1 if (sman > tman) == ssign else -1",
+           (T_IV + "test_cmp_agrees_with_mpf_cmp",)),
+    # the step caches that share log n' and log log n' between a normalize
+    # step's ratio and the next state
+    Mutant("walk: a stale log log n reused after a re-sum", "factored.py",
+           "@functools.lru_cache(maxsize=_STEP_CACHE)\ndef _loglog_from(",
+           # keyed by the float of log n, which a fresh sum shares with the
+           # carried sum it replaces
+           "def _float_keyed(f):\n"
+           "    seen = {}\n"
+           "    def g(lg, prec):\n"
+           "        key = (lg.hi_float, prec)\n"
+           "        if key not in seen:\n"
+           "            seen[key] = f(lg, prec)\n"
+           "        return seen[key]\n"
+           "    g.cache_clear = seen.clear\n"
+           "    return g\n\n\n"
+           "@_float_keyed\ndef _loglog_from(", STEP_TESTS),
     # the process caches of rational logs and top-prime bounds, and the
     # table memo of exponent-scaled cell logs
     Mutant("rational log: formed at the default precision", "intervals.py",

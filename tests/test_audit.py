@@ -45,8 +45,19 @@ from robinaudit.errors import (
     TableTooSmallError,
 )
 from robinaudit import audit, factored, intervals
-from robinaudit.factored import CandidateFactorization, log_n
-from robinaudit.intervals import IntervalScalar, iv_from_int, iv_make
+from robinaudit.factored import (
+    CandidateFactorization,
+    g_ratio_divide,
+    g_ratio_swap,
+    log_n,
+)
+from robinaudit.intervals import (
+    IntervalScalar,
+    interval_to_json,
+    iv_from_int,
+    iv_make,
+    iv_round,
+)
 from robinaudit.primes import PrimeTable
 
 # exp(exp(-gamma) * f(N_k)) - log N_k, 45 digits, independent computation
@@ -755,6 +766,71 @@ def test_carried_log_n_stays_narrow_on_a_long_walk():
     fresh = log_n(final, _SCAN_TABLE, 128)
     assert _intersect(lg, fresh)
     assert lg.width() <= 2**8 * fresh.width()
+
+
+# covers the swap walk of [3] + [1]*5000 (the bench's wide normalize, 81
+# steps); criterion 7's divide walk is cut after two re-sums
+_WALK_TABLE = PrimeTable.build(50_000)
+_WALKS = {
+    "criterion_7": cand(15 * 10**13, 2, 1, 1, 1),
+    "swaps_5001": CandidateFactorization.from_exponents([3] + [1] * 5000),
+}
+_WALK_STEPS = 600
+_STEP_CACHES = (factored._loglog_from, factored._log_edited)
+
+
+def _clear_step_caches():
+    for f in _STEP_CACHES:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_one_log_per_step_and_per_sum(walk):
+    # a state's log log n is formed once: by the step that formed its log n,
+    # or after a fresh sum (the first state and each re-sum); a second walk
+    # on the same table reads every cell log and prime log from the caches
+    c = _WALKS[walk]
+    normalize(c, _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+    _clear_step_caches()
+    logs = []
+    real_log = intervals.iv_log
+
+    def counting_log(a, prec=128):
+        logs.append(a)
+        return real_log(a, prec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (audit, factored, intervals):
+            mp.setattr(mod, "iv_log", counting_log)
+        states = _recorded_states(mp)
+        res = normalize(c, _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+    assert res.steps > 80
+    sums = sum(lg is None for _, lg in states[:res.steps])
+    assert sums == 1 + (res.steps - 1) // audit._RESUM_STEPS
+    assert len(logs) == res.steps + sums
+
+
+@pytest.mark.parametrize("resum", [1, audit._RESUM_STEPS])
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_trace_ratios_match_each_state_on_its_own(walk, resum):
+    # each step's ratio, endpoints included, is what g_ratio_* gives its
+    # state with empty step caches: from the state's carried log n, or from
+    # a fresh sum, which at resum = 1 every state has
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "_RESUM_STEPS", resum)
+        states = _recorded_states(mp)
+        res = normalize(_WALKS[walk], _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+    assert res.steps > 80
+    for (state, lg), step in zip(states, res.trace):
+        _clear_step_caches()
+        g = g_ratio_divide if step["action"] == "divide" else g_ratio_swap
+        ratio = g(state, step["index"], _WALK_TABLE, 128, lg=lg)
+        assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]
+
+
+def test_step_caches_are_bounded():
+    for f in _STEP_CACHES:
+        assert f.cache_info().maxsize == factored._STEP_CACHE <= 1 << 8
 
 
 def _scan_upper(lg, primes):

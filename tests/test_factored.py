@@ -64,6 +64,16 @@ def test_runs_constructor_rejects_non_decreasing():
         CandidateFactorization.from_runs([(0, 1)])
 
 
+def test_text_form_names_huge_ints_by_size():
+    huge = 10**5000  # CPython formats no int of more than 4300 digits
+    c = CandidateFactorization.from_runs([(huge + 1, 1), (huge, 1)])
+    assert str(c) == "p[1]^<16610-bit integer>*p[2]^<16610-bit integer>"
+    wide = CandidateFactorization.from_runs([(2, 1), (1, huge)])
+    assert str(wide) == "p[1]^2*p[2..<16610-bit integer>]^1"
+    small = CandidateFactorization.from_runs([(4, 1), (2, 1), (1, 2)])
+    assert str(small) == "p[1]^4*p[2]^2*p[3..4]^1"
+
+
 def test_explicit_constructor_flags_shape():
     good = CandidateFactorization.from_exponents([4, 2, 1, 1])
     assert good.canonical

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import finf, fnan, fninf, from_int, from_rational, fzero, mpf_cmp
+from mpmath.libmp import libmpi
 from oracles import check_interval_endpoints
 
 from robinaudit.errors import DomainError
@@ -226,8 +227,17 @@ def _same_top_bit(sign, top, bc1, bc2, m1, m2):
     return make(bc1, m1), make(bc2, m2)
 
 
+def _same_exponent(s1, s2, m1, m2, exp):
+    """Two values at one exponent, normalized or not, zero mantissas
+    included."""
+    return (s1, m1, exp, m1.bit_length()), (s2, m2, exp, m2.bit_length())
+
+
 _CMP_PAIR = st.one_of(
     st.tuples(_RAW_ENDPOINT, _RAW_ENDPOINT),
+    st.builds(_same_exponent, st.integers(0, 1), st.integers(0, 1),
+              st.integers(0, 2**140), st.integers(0, 2**140),
+              st.integers(-300, 300)),
     st.builds(_equal_forms, st.integers(0, 1),
               st.integers(0, 2**64).map(lambda m: m | 1),
               st.integers(-300, 300), st.integers(1, 80)),
@@ -249,6 +259,97 @@ def _result(f, s, t):
 def test_cmp_agrees_with_mpf_cmp(pair, swap):
     s, t = pair[::-1] if swap else pair
     assert _result(_cmp, s, t) == _result(mpf_cmp, s, t)
+
+
+def _shaped(shape, m, w):
+    """Endpoints of one sign case, from magnitudes m > 0 and w > 0."""
+    return {
+        "positive": (m, m + w),
+        "negative": (-m - w, -m),
+        "mixed": (-m, w),
+        "zero_lo": (0, w),
+        "zero_hi": (-w, 0),
+        "zero": (0, 0),
+        "degenerate_positive": (m, m),
+        "degenerate_negative": (-m, -m),
+    }[shape]
+
+
+_SHAPES = ("positive", "negative", "mixed", "zero_lo", "zero_hi", "zero",
+           "degenerate_positive", "degenerate_negative")
+_MAGNITUDE = st.one_of(
+    st.integers(1, 10**6).map(Fraction),
+    st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**12)
+    .filter(lambda x: x > 0),
+)
+# intervals of every sign case with endpoints rounded to 53..256 bits,
+# ints, and Fractions (which an op rounds outward at its own precision)
+_OPERAND = st.one_of(
+    st.builds(lambda shape, m, w, bits: iv_make(*_shaped(shape, m, w), bits),
+              st.sampled_from(_SHAPES), _MAGNITUDE, _MAGNITUDE,
+              st.sampled_from([53, 64, 128, 256])),
+    st.integers(-10**40, 10**40),
+    st.fractions(-10**6, 10**6, max_denominator=10**12),
+)
+_OP_BITS = st.sampled_from([64, 128, 256])
+
+
+def _mpi_operand(x, prec):
+    """x as libmpi's (lo, hi) pair, formed without the interval layer."""
+    if isinstance(x, IntervalScalar):
+        return x._lo, x._hi
+    if isinstance(x, int):
+        return from_int(x), from_int(x)
+    return (from_rational(x.numerator, x.denominator, prec, "f"),
+            from_rational(x.numerator, x.denominator, prec, "c"))
+
+
+def _bits(f, *args):
+    """The raw endpoints of f(*args), or the error it raised."""
+    try:
+        r = f(*args)
+    except Exception as e:  # any error is an outcome to compare
+        return f"{type(e).__name__}: {e}"
+    return r._lo, r._hi
+
+
+_BINARY = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "div": iv_div}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(op=st.sampled_from(sorted(_BINARY)), a=_OPERAND, b=_OPERAND,
+       prec=_OP_BITS)
+def test_binary_ops_equal_libmpi_bit_for_bit(op, a, b, prec):
+    # the direct endpoint roundings of the positive cases and libmpi's case
+    # analysis elsewhere give the bits libmpi gives, in every sign case
+    got = _bits(_BINARY[op], a, b, prec)
+    sa, sb = _mpi_operand(a, prec), _mpi_operand(b, prec)
+    if op == "div" and mpf_cmp(sb[0], fzero) <= 0 <= mpf_cmp(sb[1], fzero):
+        # exactly when the divisor encloses 0
+        assert got == "DomainError: division by an interval containing zero"
+        return
+    assert got == getattr(libmpi, "mpi_" + op)(sa, sb, prec)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_OPERAND, prec=_OP_BITS)
+def test_unary_ops_equal_libmpi_bit_for_bit(a, prec):
+    sa = _mpi_operand(a, prec)
+    lo = sa[0]
+    log = _bits(iv_log, a, prec)
+    if mpf_cmp(lo, fzero) <= 0:
+        assert log == "DomainError: log of an interval not certainly positive"
+    else:
+        assert log == libmpi.mpi_log(sa, prec)
+    sqrt = _bits(iv_sqrt, a, prec)
+    if mpf_cmp(lo, fzero) < 0:
+        assert sqrt == ("DomainError: sqrt of an interval not certainly "
+                        "nonnegative")
+    else:
+        assert sqrt == libmpi.mpi_sqrt(sa, prec)
+    assert _bits(iv_exp, a, prec) == libmpi.mpi_exp(sa, prec)
+    if isinstance(a, IntervalScalar):
+        assert _bits(iv_round, a, prec) == libmpi.mpi_pos(sa, prec)
 
 
 def _near(n):

@@ -53,6 +53,23 @@ def test_out_of_range_raises_table_too_small(table_1e6):
         t.primes_in(2, 10**6 + 3)
 
 
+_HUGE = 10**5000  # CPython formats no int of more than 4300 digits
+
+
+@pytest.mark.parametrize("i, j", [(1, _HUGE), (_HUGE, _HUGE + 1)],
+                         ids=["from_one", "from_huge"])
+def test_huge_slice_end_is_table_too_small(i, j):
+    # the message gives the size of the huge index, not a ValueError
+    t = PrimeTable.build(100)
+    with pytest.raises(TableTooSmallError, match="16610-bit integer") as e:
+        t.slice(i, j)
+    assert e.value.needed == j
+    with pytest.raises(TableTooSmallError, match="16610-bit integer"):
+        t.primes_in(2, j)
+    with pytest.raises(TableTooSmallError, match="index 26 requested"):
+        t.slice(1, 26)
+
+
 def test_slice_is_one_based_inclusive(table_1e6):
     s = table_1e6.slice(1, 4)
     assert list(s) == [2, 3, 5, 7]
