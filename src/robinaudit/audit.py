@@ -35,11 +35,11 @@ from .errors import (
 )
 from .factored import (
     CandidateFactorization,
+    _g_ratio_edit,
     _log_after,
+    _loglog_from,
     _Products,
     _require_table,
-    g_ratio_divide,
-    g_ratio_swap,
     is_sum_of_two_squares,
     log_n,
     n_over_phi,
@@ -80,8 +80,6 @@ PASS = "pass"
 FAIL = "fail"
 UNKNOWN = "unknown"
 NOT_APPLICABLE = "not_applicable"
-
-_B2_PAIR_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,8 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
-    log n (``lg`` when carried from the previous state), rho, n/phi and the
-    bounds at p_r.  ``products`` holds the exact cell products behind them."""
+    log n (``lg`` when carried from the previous state), log log n, rho,
+    n/phi and the bounds at p_r.  ``products`` holds the exact cell products behind them."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
                  lg: Optional[IntervalScalar] = None):
@@ -280,6 +278,10 @@ class _AuditContext:
     @functools.cached_property
     def log_n(self) -> IntervalScalar:
         return log_n(self.c, self.t, self.prec, products=self.products)
+
+    @functools.cached_property
+    def loglog(self) -> IntervalScalar:
+        return _loglog_from(self.log_n, self.prec)
 
     @functools.cached_property
     def rho(self) -> IntervalScalar:
@@ -468,48 +470,30 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
 
 
 def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
-    c = ctx.c
+    """|a_j - floor(a_i log p_i / log p_j)| <= 1 for all i < j with a_i,
+    a_j >= 1, decided at the corners of each pair of runs.
 
-    def bad(i: int, j: int) -> Optional[dict]:
-        pred = _b2_pred(ctx, i, j)
-        if abs(c.a(j) - pred) > 1:
-            return {
-                "index_i": i, "index_j": j, "exponent_j": c.a(j),
-                "predicted": pred,
-            }
-        return None
-
-    bounds = list(c.run_bounds())
-    if c.canonical:
-        # the floor grows with p_i and shrinks with p_j, so over a pair
-        # of runs it is extremal at two corners; within one run only the
-        # low side can violate
-        pairs = 0
-        for bi, (s_i, t_i, _e_i) in enumerate(bounds):
-            for s_j, t_j, _e_j in bounds[bi:]:
-                if s_i == s_j:
-                    corners = [(s_i, t_i)] if t_i > s_i else []
-                else:
-                    corners = [(t_i, s_j), (s_i, t_j)]
-                pairs += len(corners)
-                for i, j in corners:
-                    w = bad(i, j)
-                    if w:
-                        return FAIL, w
-        return PASS, {"corner_pairs_checked": pairs}
-    if c.r > _B2_PAIR_LIMIT:
-        return UNKNOWN, {"reason": "non-canonical candidate too wide for the "
-                                   "all-pairs cross-check", "r": c.r}
-    for i in range(1, c.r + 1):
-        if c.a(i) == 0:
-            continue
-        for j in range(i + 1, c.r + 1):
-            if c.a(j) == 0:
-                continue
-            w = bad(i, j)
-            if w:
-                return FAIL, w
-    return PASS, {"pairs": c.r * (c.r - 1) // 2}
+    For runs I < J of fixed exponents, the floor never decreases in i and
+    never increases in j, so over I x J its extremes are the corners
+    (s_I, t_J) and (t_I, s_J).  Inside one run of exponent e, p_i < p_j
+    puts it at most e - 1, so only its least value, at (s, t), can
+    violate.  Runs of exponent 0 hold no index of a pair.  Canonical order
+    is never used."""
+    runs = [bounds for bounds in ctx.c.run_bounds() if bounds[2]]
+    pairs = 0
+    for k, (s_i, t_i, _e_i) in enumerate(runs):
+        for s_j, t_j, e_j in runs[k:]:
+            if s_i == s_j:
+                corners = [(s_i, t_i)] if t_i > s_i else []
+            else:
+                corners = [(t_i, s_j), (s_i, t_j)]
+            pairs += len(corners)
+            for i, j in corners:
+                pred = _b2_pred(ctx, i, j)
+                if abs(e_j - pred) > 1:
+                    return FAIL, {"index_i": i, "index_j": j,
+                                  "exponent_j": e_j, "predicted": pred}
+    return PASS, {"corner_pairs_checked": pairs}
 
 
 def _check_shape_b3(ctx: _AuditContext) -> tuple[str, dict]:
@@ -815,8 +799,9 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     a certified enclosure of G(n)/G(n') and whether it is certainly < 1.
     One audit context is the state: each step's edit map, {s: -1} or {s: +1,
     r: -1}, moves its runs and a carried log n, re-summed every _RESUM_STEPS.
-    The step's ratio forms log n' and log log n' once, and the next state
-    reads them back from ``_log_after``'s and ``_loglog_from``'s caches.
+    The step's ratio is its sigma part times the next state's log log n over
+    this state's, so each state forms log log n once; a re-sum step's ratio
+    reads the carried log n', and its next state is a fresh sum.
     """
     if step_limit < 1:
         raise DomainError(f"step limit must be >= 1, got {_int_text(step_limit)}")
@@ -844,23 +829,27 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
             if ctx.c.a(ctx.r) != 1:
                 return NormalizationResult(ctx.c, BLOCKED_EXPONENT, trace)
             action, edits = "swap", {s: 1, ctx.r: -1}
-        trace.append(_step_entry(ctx, action, s))
-        lg = _log_after(ctx.log_n, edits, t, prec) if step % _RESUM_STEPS else None
-        ctx = _AuditContext(_edited(ctx.c, edits), t, prec, lg)
+        lg = _log_after(ctx.log_n, edits, t, prec)
+        carried = step % _RESUM_STEPS != 0
+        nxt = _AuditContext(_edited(ctx.c, edits), t, prec, lg if carried else None)
+        try:
+            loglog_after = nxt.loglog if carried else _loglog_from(lg, prec)
+            ratio = _g_ratio_edit(ctx.c, edits, t, prec, ctx.loglog, loglog_after)
+        except DomainError:  # log n or log n' is not certainly > 1
+            ratio = None
+        trace.append(_step_entry(ctx, action, s, ratio))
+        ctx = nxt
     return NormalizationResult(ctx.c, STEP_LIMIT, trace)
 
 
-def _step_entry(ctx: _AuditContext, action: str, s: int) -> dict:
+def _step_entry(ctx: _AuditContext, action: str, s: int,
+                ratio: Optional[IntervalScalar]) -> dict:
     """Trace entry of a divide or swap step at index s, with the enclosure
-    of G(n)/G(n') when the ratio is defined."""
+    ``ratio`` of G(n)/G(n'), or None where the ratio is undefined."""
     entry = {"action": action, "index": s, "prime": ctx.t.nth_prime(s)}
     if action == "swap":
         entry["removed_prime"] = ctx.p_r
-    # looked up per call, so a wrapper swapped into this module runs
-    g_ratio = g_ratio_divide if action == "divide" else g_ratio_swap
-    try:
-        ratio = g_ratio(ctx.c, s, ctx.t, ctx.prec, lg=ctx.log_n)
-    except DomainError:
+    if ratio is None:
         entry.update(ratio=None, ratio_certainly_below_one=None)
         return entry
     entry.update(ratio=_interval_json(ratio, ctx.prec),

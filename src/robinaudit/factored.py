@@ -18,20 +18,17 @@ memo serves the primorial margin M(r), normalize's re-sums of log n and
 later calls on the same table, which form a product only for a cell piece
 no earlier call has evaluated.  The log of one prime, which the sigma-power
 ratio, the G ratios and normalize's carried log n (``_log_after``) need,
-comes from the process cache ``iv_log_rational``.  ``_log_after`` and
-``_loglog_from`` keep their 64 latest results, keyed by the value of the
-enclosure of log n, so a normalize step's G ratio and its next state share
-log n' and log log n'.
+comes from the process cache ``iv_log_rational``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
 exponents too large for exact powers and the G ratios of normalize steps,
 where one map of exponent edits describes a divide or a swap.  It is exact
 while the powers fit and an interval form beyond, so candidates like
-2^(10^14) still evaluate.
+2^(10^14) still evaluate.  A G ratio is that sigma part times the quotient
+of the two states' log log n, which a normalize walk holds already.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,7 +91,9 @@ class CandidateFactorization:
                 raise DomainError(f"run {k} has count {_int_text(run.count)}")
             if run.exponent < 0:
                 raise DomainError(f"run {k} has negative exponent")
-        if self.runs and self.runs[-1].exponent == 0:
+        if not self.runs:
+            raise DomainError("empty candidate (no positive exponent)")
+        if self.runs[-1].exponent == 0:
             raise DomainError("trailing zero-exponent run")
 
     @classmethod
@@ -149,8 +148,6 @@ class CandidateFactorization:
                 runs.append([e, count])
         while runs and runs[-1][0] == 0:
             runs.pop()
-        if not runs:
-            raise DomainError("empty candidate (all exponents zero)")
         canonical = all(runs[k][0] > runs[k + 1][0] for k in range(len(runs) - 1))
         return cls(runs=tuple(Run(e, count) for e, count in runs),
                    canonical=canonical)
@@ -360,21 +357,11 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
             lambda: iv_mul(iv_from_int(e), cell_log(), prec),
         )
         total = iv_add(total, block, prec)
-    if not c.runs:
-        raise DomainError("empty candidate has no factorization")
     return total
 
 
-# Bound of the process caches of log n' and log log n, keyed by enclosure
-# value: a normalize walk reads back only what its last step formed.
-_STEP_CACHE = 1 << 6
-
-
-@functools.lru_cache(maxsize=_STEP_CACHE)
 def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
-    """log log n from an enclosure ``lg`` of log n.  A normalize step
-    forms log log n' for its G ratio; the next step's ratio reads it back
-    here as its own state's log log n."""
+    """log log n from an enclosure ``lg`` of log n."""
     if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("log log n requires log n certainly > 1")
     return iv_log(lg, prec)
@@ -468,35 +455,24 @@ def _sigma_ratio(p: int, a: int, b: int,
 def _log_after(lg: IntervalScalar, edits: dict[int, int], t: PrimeTable,
                prec: int) -> IntervalScalar:
     """log n' for n' = n * Pi p_i^edits[i], each edit +1 or -1, from an
-    enclosure ``lg`` of log n: each cached log p_i added in decreasing i.
-    A normalize step's G ratio and its next state share one result."""
-    return _log_edited(lg, tuple((t.nth_prime(i), edits[i])
-                                 for i in sorted(edits, reverse=True)), prec)
-
-
-@functools.lru_cache(maxsize=_STEP_CACHE)
-def _log_edited(lg: IntervalScalar, edits: tuple[tuple[int, int], ...],
-                prec: int) -> IntervalScalar:
-    """_log_after over (p, edit) pairs, keyed by value, not by table."""
-    for p, delta in edits:
-        lp = iv_log_rational(p, prec)
+    enclosure ``lg`` of log n: each cached log p_i added in decreasing i."""
+    for i, delta in sorted(edits.items(), reverse=True):
+        lp = iv_log_rational(t.nth_prime(i), prec)
         lg = iv_add(lg, lp, prec) if delta > 0 else iv_sub(lg, lp, prec)
     return lg
 
 
 def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
-                  t: PrimeTable, prec: int,
-                  lg: Optional[IntervalScalar]) -> IntervalScalar:
+                  t: PrimeTable, prec: int, loglog: IntervalScalar,
+                  loglog_after: IntervalScalar) -> IntervalScalar:
     """Enclosure of G(n) / G(n') for n' = n * Pi p_i^edits[i], each edit
-    +1 or -1; ``lg`` is an enclosure of log n at ``prec`` or None.
+    +1 or -1, from enclosures of log log n and log log n'.
 
     Computed from local data: the sigma ratios at the edited primes are
     exact rationals unless an exponent is huge, and only the two log log
     factors need enclosures, so the result is far tighter than dividing
     two independently computed G values.
     """
-    if lg is None:
-        lg = log_n(c, t, prec)
     num, den, parts = 1, 1, []
     for i, delta in edits.items():
         a = c.a(i)
@@ -508,27 +484,29 @@ def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
     sig = iv_from_fraction(Fraction(num, den), prec)
     for f in parts:
         sig = iv_mul(sig, f, prec)
-    lg1 = _log_after(lg, edits, t, prec)
-    ratio_loglog = iv_div(_loglog_from(lg1, prec), _loglog_from(lg, prec), prec)
-    return iv_mul(sig, ratio_loglog, prec)
+    return iv_mul(sig, iv_div(loglog_after, loglog, prec), prec)
+
+
+def _g_ratio_fresh(c: CandidateFactorization, edits: dict[int, int],
+                   t: PrimeTable, prec: int) -> IntervalScalar:
+    """_g_ratio_edit from a fresh sum of log n."""
+    lg = log_n(c, t, prec)
+    return _g_ratio_edit(c, edits, t, prec, _loglog_from(lg, prec),
+                         _loglog_from(_log_after(lg, edits, t, prec), prec))
 
 
 def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
-                   prec: int = DEFAULT_PRECISION_BITS, *,
-                   lg: Optional[IntervalScalar] = None) -> IntervalScalar:
-    """Enclosure of G(n) / G(n / p_s); ``lg`` is an enclosure of log n at
-    ``prec`` when the caller already has one."""
+                   prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+    """Enclosure of G(n) / G(n / p_s)."""
     if c.a(s) < 1:
         raise DomainError(f"p_{s} does not divide the candidate")
     _require_table(c, t)
-    return _g_ratio_edit(c, {s: -1}, t, prec, lg)
+    return _g_ratio_fresh(c, {s: -1}, t, prec)
 
 
 def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
-                 prec: int = DEFAULT_PRECISION_BITS, *,
-                 lg: Optional[IntervalScalar] = None) -> IntervalScalar:
-    """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r; ``lg`` as for
-    g_ratio_divide.
+                 prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
+    """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r.
 
     Requires a_r == 1 (the top prime is removed entirely) and s < r; a_s
     may be 0, a swap into a hole.
@@ -541,7 +519,7 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
     if not 1 <= s < r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
     _require_table(c, t)
-    return _g_ratio_edit(c, {s: 1, r: -1}, t, prec, lg)
+    return _g_ratio_fresh(c, {s: 1, r: -1}, t, prec)
 
 
 def materialize(c: CandidateFactorization, t: PrimeTable,

@@ -137,14 +137,6 @@ class IntervalScalar:
         p, q = to_rational(self._hi)
         return Fraction(int(p), int(q))
 
-    @property
-    def lo_float(self) -> float:
-        return float(self.lo)
-
-    @property
-    def hi_float(self) -> float:
-        return float(self.hi)
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError, TableTooSmallError, _int_text
+from .errors import DomainError, ResourceBudgetError, TableTooSmallError, _int_text
 from .intervals import (
     DEFAULT_PRECISION_BITS,
     iv_add,
@@ -43,6 +43,9 @@ _SEGMENT = 1 << 20
 # stores 7,859 per precision, so this covers that audit at 128 bits and
 # its 256-bit recheck (15,718 entries, 7.6 MB).
 _MEMO_CAP = 1 << 14
+
+# Largest limit a table is built for: 203,280,221 primes, 1.6 GB as int64.
+_MAX_LIMIT = 1 << 32
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -118,6 +121,10 @@ class PrimeTable:
 
     @classmethod
     def build(cls, limit: int) -> "PrimeTable":
+        """All primes up to ``limit``; refuses a limit above 2^32."""
+        if limit > _MAX_LIMIT:
+            raise ResourceBudgetError(
+                f"prime limit {_int_text(limit)} is above 2^32")
         if limit < 2:
             return cls(max(limit, 0), np.empty(0, dtype=np.int64))
         return cls(limit, np.concatenate(list(_prime_chunks(limit))))

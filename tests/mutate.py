@@ -67,6 +67,7 @@ WALK_TESTS = ("tests/test_audit.py::test_carried_log_n_meets_a_fresh_sum",
               "tests/test_audit.py::test_carried_log_n_stays_narrow_on_a_long_walk")
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
+B2_TESTS = ("tests/test_audit.py::test_shape_b2_corners_match_all_pairs",)
 T_MEMO = "tests/test_memo.py::"
 T_IV = "tests/test_intervals.py::"
 KERNEL_TESTS = (T_IV + "test_binary_ops_equal_libmpi_bit_for_bit",)
@@ -141,10 +142,12 @@ MUTANTS = [
     Mutant("sigma ratio: exponent-0 side taken as p", "factored.py",
            "return iv_from_int(p - 1)", "return iv_from_int(p)",
            SIGMA_RATIO_TESTS),
-    Mutant("g ratio: log-part sign flipped", "factored.py",
-           "if delta > 0 else", "if delta < 0 else", G_RATIO_TESTS),
+    Mutant("g ratio: log log quotient inverted", "factored.py",
+           "iv_div(loglog_after, loglog, prec)", "iv_div(loglog, loglog_after, prec)",
+           G_RATIO_TESTS),
     Mutant("g ratio: swap adds log p_s before it subtracts log p_r", "factored.py",
-           "sorted(edits, reverse=True)", "sorted(edits)", ("tests/test_golden.py",)),
+           "sorted(edits.items(), reverse=True)", "sorted(edits.items())",
+           ("tests/test_golden.py",)),
     Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
            '"swap", {s: 1, ctx.r: -1}', '"swap", {s: 1}',
            ("tests/test_audit.py::TestNormalize::test_swap_steps_on_primorial",
@@ -157,14 +160,16 @@ MUTANTS = [
            '    if c.a(s) < 1:\n'
            '        raise DomainError(f"p_{s} does not divide the candidate")\n',
            G_RATIO_TESTS),
-    # the walk state of normalize: runs and a carried log n
+    # the walk state of normalize: runs, a carried log n and its log log n
     Mutant("walk: the next state reuses the old log n", "audit.py",
-           "lg = _log_after(ctx.log_n, edits, t, prec) if", "lg = ctx.log_n if",
+           "lg if carried else None", "ctx.log_n if carried else None",
            WALK_TESTS),
     Mutant("walk: _log_after's sign flipped", "factored.py",
            "if delta > 0 else", "if delta < 0 else", WALK_TESTS),
     Mutant("walk: the re-sum dropped", "audit.py",
-           "if step % _RESUM_STEPS else None", "if True else None", WALK_TESTS),
+           "carried = step % _RESUM_STEPS != 0", "carried = True", WALK_TESTS),
+    Mutant("walk: the ratio's log log n' read from the current state", "audit.py",
+           "nxt.loglog if carried", "ctx.loglog if carried", STEP_TESTS),
     # the run scan of the window checks and normalize
     Mutant("scan: suffix bisect replaced by the run end", "audit.py",
            "return start + bisect.bisect_left(",
@@ -174,6 +179,13 @@ MUTANTS = [
            "return start + 0 * bisect.bisect_left(", SCAN_TESTS),
     Mutant("scan: lo ignored", "audit.py",
            "start = max(start, lo)", "start = max(start, 1)", SCAN_TESTS),
+    # the corner scan of shape B2
+    Mutant("B2: a zero-exponent run scanned", "audit.py",
+           "[bounds for bounds in ctx.c.run_bounds() if bounds[2]]",
+           "list(ctx.c.run_bounds())", B2_TESTS),
+    Mutant("B2: the low corner of two runs skipped", "audit.py",
+           "corners = [(t_i, s_j), (s_i, t_j)]", "corners = [(t_i, s_j)]",
+           B2_TESTS),
     # the check runner: coverage, indeterminacy and the comparison verdict
     Mutant("runner: two_squares_F taken as table-free", "audit.py",
            '"exponents_E"})', '"exponents_E", "two_squares_F"})',
@@ -211,22 +223,6 @@ MUTANTS = [
            "return -1 if (sman > tman) == ssign else 1",
            "return 1 if (sman > tman) == ssign else -1",
            (T_IV + "test_cmp_agrees_with_mpf_cmp",)),
-    # the step caches that share log n' and log log n' between a normalize
-    # step's ratio and the next state
-    Mutant("walk: a stale log log n reused after a re-sum", "factored.py",
-           "@functools.lru_cache(maxsize=_STEP_CACHE)\ndef _loglog_from(",
-           # keyed by the float of log n, which a fresh sum shares with the
-           # carried sum it replaces
-           "def _float_keyed(f):\n"
-           "    seen = {}\n"
-           "    def g(lg, prec):\n"
-           "        key = (lg.hi_float, prec)\n"
-           "        if key not in seen:\n"
-           "            seen[key] = f(lg, prec)\n"
-           "        return seen[key]\n"
-           "    g.cache_clear = seen.clear\n"
-           "    return g\n\n\n"
-           "@_float_keyed\ndef _loglog_from(", STEP_TESTS),
     # the process caches of rational logs and top-prime bounds, and the
     # table memo of exponent-scaled cell logs
     Mutant("rational log: formed at the default precision", "intervals.py",

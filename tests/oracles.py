@@ -7,7 +7,8 @@ pairs shares no code with the exact sigma of ``robinaudit.generators``
 (the survivors' prime powers in verify_range, the exponent walk of
 superabundant_up_to).  The upper window bound U and the
 colossally abundant exponent are restated from their definitions, with no
-code from ``robinaudit.audit`` or ``robinaudit.generators``.  The interval
+code from ``robinaudit.audit`` or ``robinaudit.generators``; so is the shape
+rule B2, tried at every pair of indices instead of at run corners.  The interval
 endpoint rule is stated in its plain form, with no code from
 ``robinaudit.intervals``.  ``upper_bound_rounded`` is the exception: it
 keeps the bracket walk that compared p^(k+1) with a rounded product
@@ -72,6 +73,27 @@ def u_oracle(x: int, p: int) -> int:
     """U(p) when log n = x exactly: the largest k with p^k <= k x, found by
     trying every k in exact integers (p < x, x <= 10^12)."""
     return max(k for k in range(1, 100) if p**k <= k * x)
+
+
+def b2_violations(exps: list, primes: list) -> dict:
+    """{(i, j): floor(a_i log p_i / log p_j)} over every pair i < j of
+    positions with positive exponents where a_j differs from that floor by
+    more than 1; the floor is the largest m with p_j^m <= p_i^(a_i), found
+    in exact integers."""
+    out = {}
+    for i in range(1, len(exps) + 1):
+        if exps[i - 1] == 0:
+            continue
+        power = primes[i - 1] ** exps[i - 1]
+        for j in range(i + 1, len(exps) + 1):
+            if exps[j - 1] == 0:
+                continue
+            m = 0
+            while primes[j - 1] ** (m + 1) <= power:
+                m += 1
+            if abs(exps[j - 1] - m) > 1:
+                out[(i, j)] = m
+    return out
 
 
 def upper_bound_rounded(lg, p: int, prec: int) -> int:

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
-from oracles import u_oracle, upper_bound_rounded
+from oracles import b2_violations, u_oracle, upper_bound_rounded
 
 from robinaudit.audit import (
     _edited,
@@ -283,6 +283,17 @@ class TestIndividualChecks:
         v = run_check("shape_B2", cand(2, 2, 2, 2), table_1e6)
         assert v.status == FAIL
         assert v.witness["index_i"] == 1
+
+    @pytest.mark.parametrize("exps, status", [
+        ([1] * 300 + [0] + [1] * 300, PASS),
+        ([9, 0] + [1] * 600, FAIL),  # floor(9 log 2 / log 5) = 3 at (1, 3)
+    ])
+    def test_shape_b2_wide_non_canonical(self, exps, status, table_1e6):
+        # a hole makes these non-canonical; the corner scan decides them
+        # at any width
+        c = cand(*exps)
+        assert not c.canonical and c.r > 600
+        assert run_check("shape_B2", c, table_1e6).status == status
 
     def test_shape_b3_exceptions(self, table_1e6):
         assert run_check("shape_B3", cand(2), table_1e6).status == PASS      # 4
@@ -714,6 +725,28 @@ def test_run_edits_match_exponent_list_path(exps):
 _SCAN_TABLE = PrimeTable.build(1000)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=1, max_value=6)),
+                min_size=1, max_size=12),
+       st.sampled_from([[], [2], [4, 3], [12, 7]]))
+def test_shape_b2_corners_match_all_pairs(pieces, head):
+    # runs of equal exponents, holes and any order: B2 tests two corners
+    # per pair of runs, the oracle every pair of positions
+    exps = (head + [e for e, count in pieces for _ in range(count)])[:40]
+    if not any(exps):
+        exps.append(1)
+    c = CandidateFactorization.from_exponents(exps)
+    a = c.exponents_list()
+    bad = b2_violations(a, _SCAN_TABLE.slice(1, c.r).tolist())
+    v = run_check("shape_B2", c, _SCAN_TABLE)
+    assert v.status == (FAIL if bad else PASS)
+    if bad:
+        w = v.witness
+        assert bad.get((w["index_i"], w["index_j"])) == w["predicted"]
+        assert w["exponent_j"] == a[w["index_j"] - 1]
+
+
 def _recorded_states(mp):
     """(candidate, carried log n or None) of every state normalize builds."""
     states = []
@@ -776,22 +809,16 @@ _WALKS = {
     "swaps_5001": CandidateFactorization.from_exponents([3] + [1] * 5000),
 }
 _WALK_STEPS = 600
-_STEP_CACHES = (factored._loglog_from, factored._log_edited)
-
-
-def _clear_step_caches():
-    for f in _STEP_CACHES:
-        f.cache_clear()
 
 
 @pytest.mark.parametrize("walk", sorted(_WALKS))
 def test_one_log_per_step_and_per_sum(walk):
-    # a state's log log n is formed once: by the step that formed its log n,
-    # or after a fresh sum (the first state and each re-sum); a second walk
-    # on the same table reads every cell log and prime log from the caches
+    # each step forms one log log n', which a carried next state keeps as
+    # its log log n; a fresh sum (the first state and each re-sum) forms its
+    # own; a second walk on the same table reads every cell log and prime log
+    # from the caches
     c = _WALKS[walk]
     normalize(c, _WALK_TABLE, 128, step_limit=_WALK_STEPS)
-    _clear_step_caches()
     logs = []
     real_log = intervals.iv_log
 
@@ -813,24 +840,27 @@ def test_one_log_per_step_and_per_sum(walk):
 @pytest.mark.parametrize("resum", [1, audit._RESUM_STEPS])
 @pytest.mark.parametrize("walk", sorted(_WALKS))
 def test_trace_ratios_match_each_state_on_its_own(walk, resum):
-    # each step's ratio, endpoints included, is what g_ratio_* gives its
-    # state with empty step caches: from the state's carried log n, or from
-    # a fresh sum, which at resum = 1 every state has
+    # each step's ratio, endpoints included, is what its state gives on its
+    # own: from the state's carried log n, or from a fresh sum, which at
+    # resum = 1 every state has and the public g_ratio_* form
+    t = _WALK_TABLE
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audit, "_RESUM_STEPS", resum)
         states = _recorded_states(mp)
-        res = normalize(_WALKS[walk], _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+        res = normalize(_WALKS[walk], t, 128, step_limit=_WALK_STEPS)
     assert res.steps > 80
+    assert (resum == 1) == all(lg is None for _, lg in states)
     for (state, lg), step in zip(states, res.trace):
-        _clear_step_caches()
-        g = g_ratio_divide if step["action"] == "divide" else g_ratio_swap
-        ratio = g(state, step["index"], _WALK_TABLE, 128, lg=lg)
+        s, divide = step["index"], step["action"] == "divide"
+        if lg is None:
+            ratio = (g_ratio_divide if divide else g_ratio_swap)(state, s, t, 128)
+        else:
+            edits = {s: -1} if divide else {s: 1, state.r: -1}
+            after = factored._log_after(lg, edits, t, 128)
+            ratio = factored._g_ratio_edit(
+                state, edits, t, 128, factored._loglog_from(lg, 128),
+                factored._loglog_from(after, 128))
         assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]
-
-
-def test_step_caches_are_bounded():
-    for f in _STEP_CACHES:
-        assert f.cache_info().maxsize == factored._STEP_CACHE <= 1 << 8
 
 
 def _scan_upper(lg, primes):

@@ -396,6 +396,17 @@ class TestUsage:
         assert code == 64 and out == ""
         assert said in err and "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ca", "--count", "1", "--prime-limit", "1e40"],
+        # the table sized to this candidate would reach about 10^42
+        ["audit", '{"runs": [{"exponent": 1, "count": %d}]}' % 10**40,
+         "--prime-limit", "1e60"],
+    ])
+    def test_prime_limit_above_2_to_32_is_resource_budget(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 65 and out == ""
+        assert "is above 2^32" in err and "internal error" not in err
+
     @pytest.mark.parametrize("exc", [InvariantError("cross-check failed"),
                                      RuntimeError("unexpected")])
     def test_internal_error_exits_70(self, capsys, monkeypatch, exc):

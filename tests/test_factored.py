@@ -91,6 +91,17 @@ def test_trailing_zeros_stripped():
     assert c.a(3) == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CandidateFactorization(runs=(), canonical=True),
+    lambda: CandidateFactorization.from_runs([]),
+    lambda: CandidateFactorization.from_exponents([0, 0]),
+], ids=["direct", "from_runs", "from_exponents"])
+def test_empty_candidate_rejected(make):
+    # it has no factorization, so no rho, JSON form or audit either
+    with pytest.raises(DomainError, match="empty candidate"):
+        make()
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(DomainError):
         CandidateFactorization.from_exponents([2, -1])

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from robinaudit import primes
-from robinaudit.errors import DomainError, TableTooSmallError
+from robinaudit.errors import DomainError, ResourceBudgetError, TableTooSmallError
 from robinaudit.primes import (
     DUSART_GAP_THRESHOLD,
     PrimeTable,
@@ -54,6 +54,15 @@ def test_out_of_range_raises_table_too_small(table_1e6):
 
 
 _HUGE = 10**5000  # CPython formats no int of more than 4300 digits
+
+
+@pytest.mark.parametrize("limit, text", [(2**32 + 1, "4294967297"),
+                                         (10**60, "1" + "0" * 60),
+                                         (_HUGE, "<16610-bit integer>")],
+                         ids=["2^32+1", "1e60", "1e5000"])
+def test_build_refuses_limits_above_2_to_32(limit, text):
+    with pytest.raises(ResourceBudgetError, match=f"limit {text} is above"):
+        PrimeTable.build(limit)
 
 
 @pytest.mark.parametrize("i, j", [(1, _HUGE), (_HUGE, _HUGE + 1)],
