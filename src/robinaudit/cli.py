@@ -29,16 +29,18 @@ from .errors import (
     DomainError,
     PrecisionError,
     ResourceBudgetError,
+    _int_text,
 )
 from .factored import CandidateFactorization, materialize
 from .generators import ca_candidate, ca_sweep, superabundant_up_to, verify_range
 from .intervals import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
+    _MAX_SERIAL_FRACTION_BITS,
     interval_to_json,
     iv_round,
 )
-from .primes import PrimeTable
+from .primes import _MAX_LIMIT, PrimeTable
 
 _ENV_PRECISION = "ROBIN_PRECISION_BITS"
 _DEFAULT_PRIME_LIMIT = 1_000_000
@@ -86,6 +88,16 @@ def _positive_int(text: str) -> int:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """p/q, a decimal or an exponent form (5e-2); a numerator or denominator
+    past _MAX_DIGITS digits is refused, before an exponent is expanded."""
+    try:
+        _, digits, exp = decimal.Decimal(text).as_tuple()
+    except decimal.InvalidOperation:
+        digits, exp = (), 0  # p/q: int() refuses either side past the limit
+    if not isinstance(exp, int):  # infinity or NaN
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if max(len(digits) + max(exp, 0), 1 - min(exp, 0)) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -96,7 +108,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--precision", type=_positive_int, default=None, metavar="BITS",
         help=f"working precision in bits (default {DEFAULT_PRECISION_BITS}, "
-             f"or the {_ENV_PRECISION} environment variable)",
+             f"at most {_MAX_SERIAL_FRACTION_BITS}, or the {_ENV_PRECISION} "
+             f"environment variable)",
     )
     p.add_argument(
         "--prime-limit", type=_positive_int, default=None, metavar="N",
@@ -180,10 +193,11 @@ def _resolve_precision(args, parser: _Parser) -> int:
                 parser.error(f"{_ENV_PRECISION} is not an integer: {raw!r}")
         else:
             prec = DEFAULT_PRECISION_BITS
-    if prec < MIN_PRECISION_BITS:
-        parser.error(
-            f"precision must be at least {MIN_PRECISION_BITS} bits, got {prec}"
-        )
+    # past the maximum, endpoints in [1, 2) can no longer be written exactly
+    if not MIN_PRECISION_BITS <= prec <= _MAX_SERIAL_FRACTION_BITS:
+        parser.error(f"precision must be at least {MIN_PRECISION_BITS} and "
+                     f"at most {_MAX_SERIAL_FRACTION_BITS} bits, "
+                     f"got {_int_text(prec)}")
     return prec
 
 
@@ -199,12 +213,14 @@ def _table_for(r: int, limit: int) -> PrimeTable:
     """Primes up to min(limit, bound on p_r): audit and normalize read no
     table position above r.  When that table misses p_r, the full table,
     so coverage never rests on the bound and an uncovered candidate
-    reports pi(limit)."""
-    bound = _prime_bound(r)
-    if bound < limit:
-        t = PrimeTable.build(bound)
-        if len(t) >= r:
-            return t
+    reports pi(limit).  p_r > r, so from r = min(limit, 2^32) on no table
+    holds p_r; the bound, a float product that overflows, is skipped."""
+    if r < min(limit, _MAX_LIMIT):
+        bound = _prime_bound(r)
+        if bound < limit:
+            t = PrimeTable.build(bound)
+            if len(t) >= r:
+                return t
     return PrimeTable.build(limit)
 
 

@@ -1,24 +1,17 @@
 """Range verification, abundancy records, and candidate generators.
 
 verify_range checks sigma(n) < e^gamma n log log n for every n in a range
-with certified thresholds, in two passes per segment.  Pass 1 bounds the
-abundancy from above with one float multiply per prime p <= sqrt(hi)
-at each of its multiples, hi the segment's end (the primes up to 13 are
-tiled from one period of 30030, and the primes that hit a segment at most
-a few hundred times are applied in one scatter): sigma(n)/n is below
-(1 + 1/isqrt(hi)) prod_{p | n, p <= sqrt(hi)} p/(p-1), because n has at
-most one prime factor above sqrt(hi) and its factor 1 + 1/q is below
-1 + 1/isqrt(hi); a relative slack of 1e-9 covers the float64 roundings
-(at most 15 distinct primes, so under 40 roundings of 2^-53).
-On each doubling piece [b, 2b) of a segment, n whose bound is below a
-float c <= e^gamma log log b certainly hold, which discards all but a few
-in 10^4 of the integers.  Pass 2 computes sigma(n) exactly for the rest,
-from the primes dividing each and the cofactor.  The threshold is convex
-for n > e, so its tangent at a piece's start, rounded down to exact int64
-arithmetic, is a lower bound over the piece: it discards most survivors,
-and only what is left gets a per-n interval comparison (escalating
-precision until the comparison is strict or the retry ladder is
-exhausted).  Ranges end at 10^18, where sigma(n) still fits int64.
+with certified thresholds, segment by segment.  A segment [b, h] never
+spans more than one doubling (h < 2b), so one float c <= e^gamma log log b
+bounds T(n)/n from below on it, T the threshold.  Pass 1 discards the n
+whose proven float bound on sigma(n)/n (_abundancy_bound) is below c, all
+but a few in 10^4 of the integers.  Pass 2 computes sigma(n) exactly for
+the rest, from the primes dividing each and the cofactor, and discards
+the n whose float sigma(n)/n with the same slack (_abundancy) is below c.
+Only what is left, about one integer in 10^7, gets a per-n interval
+comparison (escalating precision until the comparison is strict or the
+retry ladder is exhausted).  Ranges end at 10^18, where sigma(n) still
+fits int64.
 
 superabundant_up_to finds the records of sigma(n)/n, exactly, among the n
 with non-increasing exponents over 2, 3, 5, ..., and ca_candidate builds
@@ -34,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,9 +39,7 @@ from .intervals import (
     IntervalScalar,
     constants,
     escalate,
-    iv_add,
     iv_compare,
-    iv_div,
     iv_from_int,
     iv_log,
     iv_mul,
@@ -57,10 +48,9 @@ from .intervals import (
 )
 from .primes import PrimeTable, _prime_chunks
 
-# At most 2^26, so the tangent screen's B j stays in int64 (_survivors).
 _SEGMENT = 1 << 20
 # sigma(n) < e^gamma n log log n + 0.6483 n / log log n < 6.9e18 up to here,
-# so sigma and the tangent screen fit int64
+# so sigma fits int64
 _MAX_N = 10**18
 
 
@@ -160,59 +150,18 @@ def sigma_range(lo: int, hi: int) -> np.ndarray:
 
 def _threshold(n: int, prec: int) -> IntervalScalar:
     """Enclosure of e^gamma * n * log log n."""
-    lg = iv_log(iv_from_int(n), prec)
-    return iv_mul(
-        iv_mul(constants(prec).exp_gamma, iv_from_int(n), prec),
-        iv_log(lg, prec),
-        prec,
-    )
+    llg = iv_log(iv_log(iv_from_int(n), prec), prec)
+    return iv_mul(iv_mul(constants(prec).exp_gamma, iv_from_int(n), prec),
+                  llg, prec)
 
 
-def _pieces(a: int, end: int,
-            prec: int) -> Iterator[tuple[int, int, float, int, int]]:
-    """(b, piece end, c, A, B) for the doubling pieces [b, min(2b, end)) of
-    [a, end), a >= 3.
-
-    c is a float at most e^gamma log log b: the lower end of its enclosure,
-    floored to a multiple of 2^-40 (exact in float64, since c < 8 for
-    b <= 10^18).  log log is increasing, so c <= T(n)/n over the piece.
-    A and B are the piece's tangent to the threshold T: T is convex for
-    n > e, so T(b) + T'(b) j lies below it, with
-    T'(b) = e^gamma (log log b + 1/log b).  A = floor(T(b).lo) and
-    B = floor(T'(b).lo 2^32) round both down, so A + ((B j) >> 32) is at
-    most T(b + j) (see _survivors).
-    """
-    eg = constants(prec).exp_gamma
-    b = a
-    while b < end:
-        lg = iv_log(iv_from_int(b), prec)
-        llg = iv_log(lg, prec)
-        c = math.ldexp(math.floor(iv_mul(eg, llg, prec).lo * (1 << 40)), -40)
-        slope = iv_mul(eg, iv_add(llg, iv_div(1, lg, prec), prec), prec)
-        yield (b, min(2 * b, end), c, math.floor(_threshold(b, prec).lo),
-               math.floor(slope.lo * (1 << 32)))
-        b *= 2
-
-
-def _survivors(a: int, bound: np.ndarray,
-               prec: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets k, increasing, of the n = a + k whose bound[k] is not below
-    the c of their piece (see _pieces), and the tangent screen at each:
-    the integer A + ((B j) >> 32) <= e^gamma n log log n, with j = n - b.
-    That is exact int64 arithmetic, since B < 2^35 for b <= 10^18 and
-    j < 2^26 keep B j below 2^63.  On pieces [b, 2b) each tangent stays
-    within 1 % of the threshold from b = 5041 on, and from b = 2^20 on a
-    2^20 segment is one piece.
-    """
-    offs, screens = [], []
-    for b, end, c, A, B in _pieces(a, a + bound.size, prec):
-        j = np.flatnonzero(bound[b - a : end - a] >= c)
-        offs.append(j + (b - a))
-        j *= B
-        j >>= 32
-        j += A
-        screens.append(j)
-    return np.concatenate(offs), np.concatenate(screens)
+def _abundancy(sigma: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Floats at least sigma(n)/n, from the exact int64 sigma(n) and n:
+    fl(fl(fl(sigma) / fl(n)) * fl(1 + 1e-9)) takes 4 roundings of relative
+    size 2^-53 at most, and fl(1 + 1e-9) > 1 + 1e-9 - 2^-52, so the result
+    is at least sigma(n)/n (1 - 2^-53)^4 (1 + 1e-9 - 2^-52) > sigma(n)/n.
+    An n whose entry is below a c <= T(n)/n certainly holds."""
+    return sigma / ns * (1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -272,22 +221,30 @@ def verify_range(lo: int, hi: int,
         raise DomainError(f"range ends at {_int_text(hi)}, above the int64 "
                           "cap 10^18")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
-    for seg_lo in range(lo, hi + 1, _SEGMENT):
-        size = min(_SEGMENT, hi + 1 - seg_lo)
-        root = math.isqrt(seg_lo + size - 1)
-        # n with bound[n] below the c of its piece certainly hold
-        off, screen = _survivors(seg_lo, _abundancy_bound(seg_lo, size, root),
-                                 prec)
-        if not off.size:
-            continue
-        sig = _sigma_sparse(seg_lo + off, root)
-        # sigma(n) below the tangent screen certainly holds
-        for k in np.flatnonzero(sig >= screen).tolist():
-            rec = _classify(seg_lo + int(off[k]), int(sig[k]), prec)
-            if rec.verdict == "fails":
-                result.violations.append(rec)
-            elif rec.verdict == "unknown":
-                result.unknowns.append(rec)
+    eg = constants(prec).exp_gamma
+    b = lo
+    while b <= hi:
+        end = min(b + _SEGMENT, 2 * b, hi + 1)
+        root = math.isqrt(end - 1)
+        # c <= e^gamma log log n for every n >= b: the lower end of the
+        # enclosure at b, floored to a multiple of 2^-40 (exact in float64,
+        # since c < 8 for b <= 10^18)
+        llg = iv_log(iv_log(iv_from_int(b), prec), prec)
+        c = math.ldexp(math.floor(iv_mul(eg, llg, prec).lo * (1 << 40)), -40)
+        # n whose bound is below c certainly hold
+        bound = _abundancy_bound(b, end - b, root)
+        off = np.flatnonzero(bound >= c)
+        if off.size:
+            ns = b + off
+            sig = _sigma_sparse(ns, root)
+            # and so do the n whose sigma(n)/n is below c
+            for k in np.flatnonzero(_abundancy(sig, ns) >= c).tolist():
+                rec = _classify(int(ns[k]), int(sig[k]), prec)
+                if rec.verdict == "fails":
+                    result.violations.append(rec)
+                elif rec.verdict == "unknown":
+                    result.unknowns.append(rec)
+        b = end
     return result
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
@@ -399,7 +399,8 @@ def iv_floor(a: IntervalScalar) -> Optional[int]:
 
 
 def _mpf_to_decimal_str(t: tuple) -> str:
-    """Exact decimal expansion of a finite dyadic mpf value."""
+    """Exact decimal expansion of a finite dyadic mpf value.  Digits go
+    through Decimal, which, unlike str(int), has no digit limit."""
     sign, man, exp, _bc = t
     man = int(man)
     if man == 0:
@@ -408,7 +409,7 @@ def _mpf_to_decimal_str(t: tuple) -> str:
         man = -man
     exp = int(exp)
     if exp >= 0:
-        return str(man << exp)
+        return str(Decimal(man << exp))
     k = -exp
     if k > _MAX_SERIAL_FRACTION_BITS:
         raise DomainError(
@@ -417,14 +418,21 @@ def _mpf_to_decimal_str(t: tuple) -> str:
         )
     digits = man * 5**k
     neg = digits < 0
-    s = str(abs(digits)).rjust(k + 1, "0")
+    s = str(Decimal(abs(digits))).rjust(k + 1, "0")
     whole, frac = s[:-k], s[-k:]
     frac = frac.rstrip("0") or "0"
     return ("-" if neg else "") + whole + "." + frac
 
 
 def _decimal_str_to_mpf(s: str, rnd: str, prec: int) -> tuple:
-    x = Fraction(s)
+    """Decimal, unlike Fraction(str), reads an endpoint of any length."""
+    try:
+        sign, digits, exp = Decimal(s).as_tuple()
+        if abs(exp) > _MAX_SERIAL_FRACTION_BITS:  # TypeError: inf or NaN
+            raise InvalidOperation
+    except (InvalidOperation, TypeError) as e:
+        raise DomainError(f"interval endpoint is not a decimal: {s!r}") from e
+    x = Fraction(int(Decimal((sign, digits, max(exp, 0)))), 10 ** max(-exp, 0))
     den = x.denominator
     # Dyadic decimals (the ones we emit) convert exactly.
     if den & (den - 1) == 0:

@@ -53,8 +53,7 @@ RECORD_TESTS = (T_GEN + "test_superabundant_prefix",
                 "test_criterion_3_abundance_records_match_brute_force")
 ORACLE_TESTS = (T_GEN + "test_verify_range_segment_sizes_agree",
                 T_GEN + "test_verify_range_matches_oracle_near_1e9")
-SCREEN_TESTS = (T_GEN + "test_tangent_screen_below_threshold",
-                T_GEN + "test_tangent_screen_exhaustive_short_segments")
+STRENGTH_TESTS = (T_GEN + "test_screens_leave_almost_nothing",)
 GAP_TESTS = ("tests/test_primes.py::test_gap_window_matches_nextprime",
              "tests/test_primes.py::test_gap_window_sieve_sees_prime_gaps")
 T_FAC = "tests/test_factored.py::"
@@ -93,26 +92,22 @@ MUTANTS = [
            BOUND_BITS_TESTS),
     Mutant("bound: scatter index loses its first offset", GEN,
            "        idx += np.repeat(first, hits)\n", "", BOUND_BITS_TESTS),
-    Mutant("bound: c taken at the piece end", GEN,
-           "c = math.ldexp(math.floor(iv_mul(eg, llg, prec)",
-           "c = math.ldexp(math.floor(iv_mul(eg, iv_log(iv_log(iv_from_int("
-           "min(2 * b, end)), prec), prec), prec)", ORACLE_TESTS),
-    Mutant("bound: survivor offsets not shifted to the piece", GEN,
-           "offs.append(j + (b - a))", "offs.append(j)", ORACLE_TESTS),
+    Mutant("segment: c taken at the segment end", GEN,
+           "iv_log(iv_log(iv_from_int(b), prec), prec)",
+           "iv_log(iv_log(iv_from_int(end - 1), prec), prec)", ORACLE_TESTS),
+    Mutant("segment: survivor offsets not shifted to the segment", GEN,
+           "ns = b + off", "ns = lo + off", ORACLE_TESTS),
+    Mutant("segment: spans two doublings", GEN,
+           "min(b + _SEGMENT, 2 * b, hi + 1)", "min(b + _SEGMENT, hi + 1)",
+           STRENGTH_TESTS),
+    Mutant("pass 2: tests the bound instead of sigma", GEN,
+           "_abundancy(sig, ns) >= c", "bound[off] >= c", STRENGTH_TESTS),
     Mutant("sparse sigma: cofactor missing", GEN,
            "sigma *= np.where(cofactor > 1, cofactor + 1, 1)", "sigma *= 1",
            SPARSE_TESTS),
     Mutant("sparse sigma: valuation stops at p^1", GEN,
            "more = more[n[more] // power[more] % p[more] == 0]",
            "more = more[:0]", SPARSE_TESTS),
-    # the tangent screen
-    Mutant("screen: A rounded up", GEN,
-           "math.floor(_threshold(b, prec).lo)", "math.ceil(_threshold(b, prec).lo)",
-           SCREEN_TESTS),
-    Mutant("screen: one tangent per segment", GEN,
-           "yield (b, min(2 * b, end), c,", "yield (b, end, c,", SCREEN_TESTS),
-    Mutant("screen: tangent taken at the segment offset", GEN,
-           "        j *= B\n", "        j += b - a\n        j *= B\n", SCREEN_TESTS),
     Mutant("sigma range: int64 cap removed", GEN,
            'if hi > _MAX_N:\n        raise DomainError(f"sigma range',
            'if False:\n        raise DomainError(f"sigma range',

@@ -730,6 +730,7 @@ _SCAN_TABLE = PrimeTable.build(1000)
                           st.integers(min_value=1, max_value=6)),
                 min_size=1, max_size=12),
        st.sampled_from([[], [2], [4, 3], [12, 7]]))
+@example(pieces=[(0, 1), (2, 1), (0, 1), (2, 2)], head=[])  # low corner only
 def test_shape_b2_corners_match_all_pairs(pieces, head):
     # runs of equal exponents, holes and any order: B2 tests two corners
     # per pair of runs, the oracle every pair of positions
@@ -883,6 +884,7 @@ def _expect(status_if_none, index):
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=30),
                           st.integers(min_value=1, max_value=12)),
                 min_size=1, max_size=40))
+@example(pieces=[(0, 2)])  # a run of zeros: prefix-last bisect inside it
 def test_window_indices_match_linear_scan(pieces):
     # runs of equal exponents put violations inside multi-position runs,
     # where the checks and normalize bisect instead of testing each index

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -137,6 +138,13 @@ class TestCaCommand:
         assert code == 64
         code, _, _ = run_cli(["ca", "--epsilon", "-1/2"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("eps", ["1e-5000", "1e300000", "1e20000000"])
+    def test_epsilon_of_too_many_digits_is_usage_error(self, eps, capsys):
+        # refused before 10^exponent is formed
+        code, out, err = run_cli(["ca", "--epsilon", eps], capsys)
+        assert code == 64 and out == ""
+        assert "4300 digits" in err and "internal error" not in err
 
     def test_epsilon_and_count_exclusive(self, capsys):
         code, _, _ = run_cli(
@@ -286,6 +294,12 @@ class TestTableSizing:
                 code, _, err = sized[2]
                 assert code == 65 and f"table holds {pi}" in err
 
+    @pytest.mark.parametrize("command, code", [("audit", 1), ("normalize", 65)])
+    def test_run_count_past_float_range(self, command, code, capsys):
+        # p_r > r, so no bound is formed; a float product of 10^400 overflows
+        for r in (10**300, 10**400):
+            assert run_cli([command, _runs_spanning(r)], capsys)[0] == code, r
+
     def test_prime_bound_covers_the_default_table(self, table_1e6):
         primes = table_1e6.slice(1, len(table_1e6)).tolist()
         assert all(cli._prime_bound(r) >= p for r, p in enumerate(primes, 1))
@@ -362,6 +376,24 @@ class TestPrecisionResolution:
         monkeypatch.setenv("ROBIN_PRECISION_BITS", "plenty")
         code, _, err = run_cli(["audit", CAND_5040], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("bits", ["65537", "10000000", "1" + "0" * 4000])
+    def test_high_precision_rejected(self, bits, capsys, monkeypatch):
+        # past 2^16 bits an endpoint in [1, 2) can no longer be written
+        code, out, err = run_cli(["selftest", "--precision", bits], capsys)
+        assert code == 64 and out == "" and "at most 65536" in err
+        monkeypatch.setenv("ROBIN_PRECISION_BITS", bits)
+        code, out, err = run_cli(["selftest"], capsys)
+        assert code == 64 and out == "" and "at most 65536" in err
+
+    def test_audit_at_8192_bits_writes_long_endpoints(self, capsys):
+        # endpoints of more than 4300 digits, which str(int) refuses
+        code, out, _ = run_cli(["audit", CAND_5040, "--precision", "8192"],
+                               capsys)
+        assert code == 1
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("audit_report.schema.json"))
+        assert max(map(len, re.findall(r'"-?[0-9]+\.[0-9]+"', out))) > 4300
 
 
 class TestUsage:

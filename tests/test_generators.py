@@ -21,11 +21,10 @@ from robinaudit import generators
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
+    _abundancy,
     _abundancy_bound,
     _classify,
     _sigma_sparse,
-    _survivors,
-    _threshold,
     ca_candidate,
     ca_sweep,
     robin_exceptions,
@@ -204,37 +203,50 @@ def test_sigma_range_cap():
         verify_range(10**19, 10**19)
 
 
-def _tangent_screen(a, size, prec):
-    """The tangent screen at every n in [a, a + size), as _survivors
-    gives it for a bound that excludes nothing."""
-    off, screen = _survivors(a, np.full(size, np.inf), prec)
-    assert np.array_equal(off, np.arange(size))
-    return screen
+def _capped_product(ps):
+    n = 1
+    for p in ps:
+        if n * p <= 10**18:
+            n *= p
+    return n
 
 
-@pytest.mark.parametrize("a", [3, 5041, 10**10])
-def test_tangent_screen_below_threshold(a):
-    size = 1 << 20
-    screen = _tangent_screen(a, size, 128)
-    assert screen.dtype == np.int64 and screen.size == size
-    rng = random.Random(a)
-    ks = [0, 1, 2, 3, size // 2, size - 2, size - 1]
-    ks += [rng.randrange(size) for _ in range(40)]
-    for k in ks:
-        assert int(screen[k]) <= math.floor(_threshold(a + k, 128).lo), k
-    # non-decreasing, and within 1 % of the threshold from 5041 on
-    assert np.all(np.diff(screen) >= 0)
-    assert int(screen[0]) == math.floor(_threshold(a, 128).lo)
-    if a >= 5041:
-        for k in ks:
-            assert int(screen[k]) >= 0.99 * _threshold(a + k, 128).lo, k
+# n up to 10^18, uniform or smooth (so sigma(n)/n reaches up to about 6)
+_N_UP_TO_1E18 = st.one_of(
+    st.integers(1, 10**18),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+             max_size=70).map(_capped_product),
+)
 
 
-def test_tangent_screen_exhaustive_short_segments():
-    for a in range(3, 200, 7):
-        screen = _tangent_screen(a, 7, 128)
-        for k in range(7):
-            assert int(screen[k]) <= math.floor(_threshold(a + k, 128).lo)
+@given(_N_UP_TO_1E18)
+@settings(max_examples=200, deadline=None)
+@example(897612484786617600)  # highly composite
+@example(963761198400)
+@example(10**18)
+@example(2**59)
+@example(999999999999999989)  # the largest prime below 10^18
+@example(999999937**2)
+@example(1)
+def test_pass_2_value_bounds_abundancy(n):
+    sigma = int(sympy.divisor_sigma(n))
+    got = _abundancy(np.array([sigma], np.int64), np.array([n], np.int64))
+    assert Fraction(float(got[0])) >= Fraction(sigma, n)
+
+
+def test_screens_leave_almost_nothing(monkeypatch):
+    # pass 1 alone leaves thousands of n in these ranges; the exact sigma
+    # screen against the same c leaves one
+    calls = []
+
+    def counting(n, sigma, prec):
+        calls.append(n)
+        return _classify(n, sigma, prec)
+
+    monkeypatch.setattr(generators, "_classify", counting)
+    verify_range(5041, 10**7)
+    verify_range(10**10 - 2**19, 10**10 + 2**19 - 1)
+    assert len(calls) <= 2, calls
 
 
 def test_verify_range_finds_all_exceptions():

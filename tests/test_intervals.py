@@ -398,6 +398,23 @@ def test_json_round_trip_exact():
     assert c.lo == a.lo and c.hi == a.hi
 
 
+@pytest.mark.parametrize("prec", [8192, 16384])
+def test_json_round_trip_past_the_int_digit_limit(prec):
+    # the endpoints have more than 4300 digits, the most str(int) and
+    # Fraction(str) convert
+    a = iv_log(iv_from_int(5040), prec)
+    j = interval_to_json(a)
+    assert min(len(j["lo"]), len(j["hi"])) > 4300
+    b = interval_from_json(json.loads(json.dumps(j)), prec)
+    assert b.lo == a.lo and b.hi == a.hi
+
+
+@pytest.mark.parametrize("text", ["abc", "1/3", "inf", "nan", "1e99999"])
+def test_json_endpoint_that_is_no_decimal_is_refused(text):
+    with pytest.raises(DomainError):
+        interval_from_json({"lo": text, "hi": "1"})
+
+
 def test_json_foreign_decimal_rounded_outward():
     a = interval_from_json({"lo": "0.1", "hi": "0.2"})
     assert a.lo < Fraction("0.1") and a.hi > Fraction("0.2")
