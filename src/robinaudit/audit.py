@@ -25,6 +25,7 @@ import bisect
 import functools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -35,6 +36,8 @@ from .errors import (
 )
 from .factored import (
     CandidateFactorization,
+    _cell_pieces,
+    _density_piece,
     _g_ratio_edit,
     _log_after,
     _loglog_from,
@@ -43,7 +46,6 @@ from .factored import (
     is_sum_of_two_squares,
     log_n,
     n_over_phi,
-    rho,
 )
 from .intervals import (
     _EXACT_POW_BITS,
@@ -259,8 +261,9 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
-    log n (``lg`` when carried from the previous state), log log n, rho,
-    n/phi and the bounds at p_r.  ``products`` holds the exact cell products behind them."""
+    log n (``lg`` when carried from the previous state), log log n and the
+    bounds at p_r.  ``products`` holds the exact cell products behind log n
+    and B6's density pieces."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
                  lg: Optional[IntervalScalar] = None):
@@ -282,14 +285,6 @@ class _AuditContext:
     @functools.cached_property
     def loglog(self) -> IntervalScalar:
         return _loglog_from(self.log_n, self.prec)
-
-    @functools.cached_property
-    def rho(self) -> IntervalScalar:
-        return rho(self.c, self.t, self.prec, products=self.products)
-
-    @functools.cached_property
-    def nphi(self) -> IntervalScalar:
-        return n_over_phi(self.c, self.t, self.prec, products=self.products)
 
     @functools.cached_property
     def top(self) -> _TopPrimeBounds:
@@ -535,16 +530,39 @@ def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int,
 
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
+    """rho(n) > (1 - eps(p_r)) n/phi(n), decided as P > 1 - eps(p_r) for
+    P = rho / (n/phi) = Pi_{p | n} (1 - p^-(a_p+1)), folded one cell piece
+    at a time and stopped at the first piece that certifies the verdict.
+
+    After a piece, the unread tail T of P lies in ((q - 2)/(q - 1), 1],
+    where q >= 3 is the first prime of the next piece: every a_p >= 1 and
+    Pi (1 - x_k) >= 1 - Sum x_k, so T >= 1 - Sum_{m >= q} m^-2 >
+    1 - 1/(q - 1).  So a prefix certainly below the bound fails, and one
+    whose product with (q - 2)/(q - 1) is certainly above it passes."""
     prec = ctx.prec
     eps = ctx.top.epsilon
-    bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), ctx.nphi, prec)
-    cmp = iv_compare(ctx.rho, bound)
-    witness = {
-        "rho": ctx.rho,
-        "bound": bound,
-        "epsilon_p_r": eps,
-    }
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
+    bound = iv_sub(iv_from_int(1), eps, prec)
+    pieces = list(_cell_pieces(ctx.c))
+    product = iv_from_int(1)
+    for k, (i, j, e) in enumerate(pieces, 1):
+        product = iv_mul(
+            product, _density_piece(ctx.t, ctx.products, i, j, e, prec), prec)
+        q = ctx.t.nth_prime(pieces[k][0]) if k < len(pieces) else None
+        witness = {
+            "product": product,
+            "bound": bound,
+            "epsilon_p_r": eps,
+            "pieces_read": k,
+            "tail_from_prime": q,
+        }
+        if q is None:
+            return _decide([(iv_compare(product, bound),
+                             Comparison.CERTAINLY_GREATER)], witness)
+        if iv_compare(product, bound) is Comparison.CERTAINLY_LESS:
+            return FAIL, witness
+        low = iv_mul(product, Fraction(q - 2, q - 1), prec)
+        if iv_compare(low, bound) is Comparison.CERTAINLY_GREATER:
+            return PASS, witness
 
 
 def _check_vojak_d1(ctx: _AuditContext) -> tuple[str, dict]:

@@ -3,20 +3,21 @@
 A candidate n = p_1^{a_1} ... p_r^{a_r} is stored as runs of equal
 exponents, so primorial-like numbers with millions of prime factors stay
 O(#runs) in memory.  Analytic quantities (log n, rho = sigma(n)/n, G,
-n/phi(n)) are certified enclosures built from exact big-integer products
-over cells of 512 consecutive prime positions on a fixed grid (positions
-1..512, 513..1024, ...), taking one outward-rounded logarithm or division
-per cell; one walk, ``_cell_pieces``, cuts the positive-exponent runs at
-the cell edges for all of them.  Because cells sit at fixed positions,
-the products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do not depend on
-the exponents: one audit context forms each of them at most once and
-shares it between log n, rho and n/phi.  The enclosures
-made from them (the log of a cell's Pi p and that log times an exponent
-e, a cell's rho and n/phi ratio blocks, keyed by the cell, the precision
-and for e log and rho the exponent) are memoized on the PrimeTable.  That
-memo serves the primorial margin M(r), normalize's re-sums of log n and
-later calls on the same table, which form a product only for a cell piece
-no earlier call has evaluated.  The log of one prime, which the sigma-power
+n/phi(n) and B6's density product rho / (n/phi) = Pi (1 - p^-(a+1))) are
+certified enclosures built from exact big-integer products over cells of
+512 consecutive prime positions on a fixed grid (positions 1..512,
+513..1024, ...), taking one outward-rounded logarithm or division per
+cell; one walk, ``_cell_pieces``, cuts the positive-exponent runs at the
+cell edges for all of them.  Because cells sit at fixed positions, the
+products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do not depend on the
+exponents: one audit context forms each of them at most once and shares
+it between log n and the density pieces.  The enclosures made from them
+(the log of a cell's Pi p and that log times an exponent e, a cell's rho,
+n/phi and density blocks, keyed by the cell, the precision and for e log,
+rho and density the exponent) are memoized on the PrimeTable.  That memo
+serves the primorial margin M(r), normalize's re-sums of log n and later
+calls on the same table, which form a product only for a cell piece no
+earlier call has evaluated.  The log of one prime, which the sigma-power
 ratio, the G ratios and normalize's carried log n (``_log_after``) need,
 comes from the process cache ``iv_log_rational``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
@@ -404,6 +405,33 @@ def _rho_block(t: PrimeTable, products: _Products, i: int, j: int, e: int,
     return iv_div(
         iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
     )
+
+
+def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
+                   prec: int) -> IntervalScalar:
+    """Enclosure of Pi (1 - p^-(e+1)) = Pi (p^(e+1) - 1) / Pi p^(e+1) over
+    p_i..p_j, the piece's share of rho / (n/phi), memoized on the table.
+    From exact products while p_j^(e+1) fits _EXACT_POW_BITS, per prime
+    with intervals beyond."""
+
+    def fresh() -> IntervalScalar:
+        if _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
+            total = iv_from_int(1)
+            for p in t.slice(i, j).tolist():
+                tiny = iv_exp(iv_neg(iv_mul(iv_from_int(e + 1),
+                                            iv_log_rational(p, prec), prec)), prec)
+                total = iv_mul(total, iv_sub(iv_from_int(1), tiny, prec), prec)
+            return total
+        if e == 1:  # Pi (p - 1) Pi (p + 1) / (Pi p)^2
+            num = products.get(t, i, j, -1) * products.get(t, i, j, 1)
+        else:
+            num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
+        den = products.get(t, i, j) ** (e + 1)
+        return iv_div(
+            iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
+        )
+
+    return t._memoized(("b6", i, j, e, prec), fresh)
 
 
 def n_over_phi(c: CandidateFactorization, t: PrimeTable,

@@ -340,6 +340,19 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     return below
 
 
+def _ca_exponent_of_2(eps: Fraction, prec: int) -> int:
+    """a(2) at eps in O(log a(2)) probes: e is doubled while a(2) >= e,
+    then the largest e below the first failing double is bisected."""
+    if not _ca_at_least(2, 1, eps, prec):
+        return 0
+    top = 1  # a(2) >= top
+    while _ca_at_least(2, 2 * top, eps, prec):
+        top *= 2
+    return top + bisect.bisect_left(
+        range(top + 1, 2 * top), True,
+        key=lambda e: not _ca_at_least(2, e, eps, prec))
+
+
 def ca_candidate(eps: EpsilonLike, t: PrimeTable,
                  prec: int = DEFAULT_PRECISION_BITS) -> CandidateFactorization:
     """The candidate whose exponent at each prime p is
@@ -347,18 +360,16 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
 
     Each exponent is decided by one certified comparison per probe,
     a(p) >= e exactly when p^eps < (p^(e+1) - 1)/(p^(e+1) - p).  a(2) is
-    found by walking e upward; exponents are non-increasing in p, so every
-    lower level is located by binary search over the prime table.  Raises
-    DomainError when the vector is empty (eps too large) and
-    TableTooSmallError when the table cannot bracket the last prime with
-    exponent 1.
+    found by doubling e, then bisecting; exponents are non-increasing in
+    p, so every lower level is located by binary search over the prime
+    table.  Raises DomainError when the vector is empty (eps too large)
+    and TableTooSmallError when the table cannot bracket the last prime
+    with exponent 1.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
-    a2 = 0
-    while _ca_at_least(2, a2 + 1, eps, prec):
-        a2 += 1
+    a2 = _ca_exponent_of_2(eps, prec)
     if a2 < 1:
         raise DomainError(
             f"epsilon {eps} gives an empty exponent vector (a(2) = {a2})"

@@ -38,10 +38,10 @@ DUSART_GAP_COEFF = Fraction(1, 5000)
 _SEGMENT = 1 << 20
 
 # Entries a table's memo holds before it is emptied.  A corpus pass of the
-# benchmark (seed 1) stores 778, and a power-form full_audit at r = 10^6
+# benchmark (seed 1) stores 418, and a power-form full_audit at r = 10^6
 # (exponents >= 2 throughout, so every cell also has its e log entry)
-# stores 7,859 per precision, so this covers that audit at 128 bits and
-# its 256-bit recheck (15,718 entries, 7.6 MB).
+# stores 5,887 per precision, so this covers that audit at 128 bits and
+# its 256-bit recheck (11,774 entries, about 6.2 MB).
 _MEMO_CAP = 1 << 14
 
 # Largest limit a table is built for: 203,280,221 primes, 1.6 GB as int64.

@@ -74,6 +74,8 @@ UNARY_TESTS = (T_IV + "test_unary_ops_equal_libmpi_bit_for_bit",)
 STEP_TESTS = ("tests/test_audit.py::test_one_log_per_step_and_per_sum",
               "tests/test_audit.py::test_trace_ratios_match_each_state_on_its_own")
 CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
+B6_TESTS = ("tests/test_audit.py::test_density_b6_matches_exact_product",)
+JSON_TESTS = (T_FAC + "test_json_refusals_name_field_and_reason",)
 
 MUTANTS = [
     # the abundancy bound of verify_range and the sparse exact sigma
@@ -235,6 +237,38 @@ MUTANTS = [
     Mutant("cell memo: exponent-scaled log keyed without the exponent",
            "factored.py", '("elog", i, j, e, prec)', '("elog", i, j, prec)',
            (T_MEMO + "test_exponent_scaled_cell_logs_answer_only_their_key",)),
+    # B6 as the density product, folded one cell piece at a time
+    Mutant("B6: tail factor dropped", "audit.py",
+           "low = iv_mul(product, Fraction(q - 2, q - 1), prec)", "low = product",
+           B6_TESTS),
+    Mutant("B6: fail tested against 1 - eps's upper end", "audit.py",
+           "if iv_compare(product, bound) is Comparison.CERTAINLY_LESS:",
+           "if iv_compare(product, bound.hi) is Comparison.CERTAINLY_LESS:",
+           B6_TESTS),
+    Mutant("B6: zero-exponent piece folded", "factored.py",
+           "if e == 0:\n            continue\n        i = start",
+           "if False:\n            continue\n        i = start", B6_TESTS),
+    Mutant("B6: piece key without prec", "factored.py",
+           '("b6", i, j, e, prec)', '("b6", i, j, e)',
+           (T_MEMO + "test_entries_answer_only_their_precision",)),
+    # the refusals of CandidateFactorization.from_json, one per group
+    Mutant("json: a non-object document let through", "factored.py",
+           "if not isinstance(obj, dict):", "if False:", JSON_TESTS),
+    Mutant("json: an empty runs array let through", "factored.py",
+           "if not isinstance(runs, list) or not runs:",
+           "if not isinstance(runs, list):", JSON_TESTS),
+    Mutant("json: a non-object run let through", "factored.py",
+           "if not isinstance(item, dict):", "if False:", JSON_TESTS),
+    Mutant("json: a bool run field taken as an integer", "factored.py",
+           "if not isinstance(v, int) or isinstance(v, bool):",
+           "if not isinstance(v, int):", JSON_TESTS),
+    Mutant("json: a run count of 0 let through", "factored.py",
+           'if item["count"] < 1:', 'if item["count"] < 0:', JSON_TESTS),
+    Mutant("json: a negative exponent let through", "factored.py",
+           "if a < 0:\n                    raise CandidateFormatError",
+           "if False:\n                    raise CandidateFormatError", JSON_TESTS),
+    Mutant("json: all-zero exponents let through", "factored.py",
+           "if not any(exps):", "if False:", JSON_TESTS),
 ]
 
 

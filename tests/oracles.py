@@ -1,8 +1,9 @@
 """Independent oracles for the tests.
 
-Exact rho(n) = sigma(n)/n and n/phi(n) as Fractions, multiplied out prime
-by prime, share no code with the certified aggregates of
-``robinaudit.factored`` (no cells, no cached products).  sigma by divisor
+Exact rho(n) = sigma(n)/n, n/phi(n) and their quotient, the density
+product of B6, as Fractions, multiplied out prime by prime, share no code
+with the certified aggregates of ``robinaudit.factored`` (no cells, no
+cached products).  sigma by divisor
 pairs shares no code with the exact sigma of ``robinaudit.generators``
 (the survivors' prime powers in verify_range, the exponent walk of
 superabundant_up_to).  The upper window bound U and the
@@ -67,6 +68,17 @@ def n_over_phi_exact(c, t) -> Fraction:
             num *= p
             den *= p - 1
     return Fraction(num, den)
+
+
+def density_product_exact(c, t) -> Fraction:
+    """rho(n) / (n/phi(n)) = Pi_{p | n} (1 - p^-(a_p+1)), prime by prime."""
+    out = Fraction(1)
+    for start, end, e in c.run_bounds():
+        if e == 0:
+            continue
+        for p in t.slice(start, end).tolist():
+            out *= 1 - Fraction(1, p ** (e + 1))
+    return out
 
 
 def u_oracle(x: int, p: int) -> int:

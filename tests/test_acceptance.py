@@ -196,16 +196,16 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
     assert failures == [], failures[:10]
 
 
-def _interval_widths(node, path, out):
+def _intervals(node, path, out):
     if isinstance(node, dict):
         if set(node) == {"lo", "hi"}:
-            out[path] = Fraction(node["hi"]) - Fraction(node["lo"])
+            out[path] = Fraction(node["lo"]), Fraction(node["hi"])
             return
         for key in node:
-            _interval_widths(node[key], f"{path}/{key}", out)
+            _intervals(node[key], f"{path}/{key}", out)
     elif isinstance(node, list):
         for idx, item in enumerate(node):
-            _interval_widths(item, f"{path}/{idx}", out)
+            _intervals(item, f"{path}/{idx}", out)
 
 
 def _precision_corpus(t):
@@ -239,15 +239,18 @@ def test_criterion_7_precision_doubling(table_1e6):
             if v_lo.status == v_hi.status:
                 stable.append((cid, v_lo, v_hi))
         for cid, v_lo, v_hi in stable:
-            w_lo: dict = {}
-            w_hi: dict = {}
-            _interval_widths(v_lo.to_json()["witness"], cid, w_lo)
-            _interval_widths(v_hi.to_json()["witness"], cid, w_hi)
-            for path in set(w_lo) & set(w_hi):
-                assert w_lo[path] > 0, f"degenerate witness at {path} on {c}"
-                assert w_hi[path] < w_lo[path], (
-                    f"width did not shrink at {path} on {c}"
-                )
+            iv_lo: dict = {}
+            iv_hi: dict = {}
+            _intervals(v_lo.to_json()["witness"], cid, iv_lo)
+            _intervals(v_hi.to_json()["witness"], cid, iv_hi)
+            for path in set(iv_lo) & set(iv_hi):
+                (a, b), (x, y) = iv_lo[path], iv_hi[path]
+                if a == b:
+                    # an exact dyadic value, such as B6's product 31/32
+                    # after the piece 2^4: the same point at both precisions
+                    assert x == y == a, f"exact witness moved at {path} on {c}"
+                    continue
+                assert y - x < b - a, f"width did not shrink at {path} on {c}"
 
 
 def test_criterion_8_gap_certificates_in_budget():

@@ -15,7 +15,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
-from oracles import b2_violations, u_oracle, upper_bound_rounded
+from oracles import (
+    b2_violations,
+    density_product_exact,
+    u_oracle,
+    upper_bound_rounded,
+)
 
 from robinaudit.audit import (
     _edited,
@@ -50,13 +55,19 @@ from robinaudit.factored import (
     g_ratio_divide,
     g_ratio_swap,
     log_n,
+    n_over_phi,
+    rho,
 )
 from robinaudit.intervals import (
+    Comparison,
     IntervalScalar,
     interval_to_json,
+    iv_compare,
     iv_from_int,
     iv_make,
+    iv_mul,
     iv_round,
+    iv_sub,
 )
 from robinaudit.primes import PrimeTable
 
@@ -312,7 +323,33 @@ class TestIndividualChecks:
     def test_density_b6(self, table_1e6):
         v = run_check("density_B6", cand(4, 2, 1, 1), table_1e6)
         assert v.status == PASS
-        assert set(v.witness) == {"rho", "bound", "epsilon_p_r"}
+        assert set(v.witness) == {"product", "bound", "epsilon_p_r",
+                                  "pieces_read", "tail_from_prime"}
+
+    @pytest.mark.parametrize("runs, status, read, q", [
+        # 31/32 times the tail floor 1/2 is above 1 - eps(7) < 0.1
+        ([(4, 1), (2, 1), (1, 2)], PASS, 1, 3),
+        # the piece 1 - 2^-(1.5e14 + 1), enclosed per prime
+        ([(150_000_000_000_000, 1), (2, 1), (1, 3)], PASS, 1, 3),
+        # 28 primes of exponent 1 already fall below 1 - eps(p_30)
+        ([(1, 28), (2, 1), (1, 1)], FAIL, 1, 109),
+        # neither test decides before the last piece
+        ([(2, 1), (1, 29)], FAIL, 2, None),
+        ([(3, 1), (1, 29)], PASS, 2, None),
+        ([(1, 6)], PASS, 1, None),
+        # a squarefree shape fails on its first cell; p_513 = 3673
+        ([(1, 50_000)], FAIL, 1, 3673),
+    ])
+    def test_density_b6_stops_at_the_first_certified_piece(
+            self, table_1e6, runs, status, read, q):
+        c = CandidateFactorization._from_pieces(runs)
+        v = run_check("density_B6", c, table_1e6)
+        assert v.status == status
+        w = v.witness
+        assert (w["pieces_read"], w["tail_from_prime"]) == (read, q)
+        if q is None:
+            assert w["product"].contains(
+                density_product_exact(c, table_1e6))
 
     def test_vojak_d1_exact_count(self, table_1e6):
         v = run_check("vojak_D1", cand(4, 2, 1, 1), table_1e6)
@@ -746,6 +783,47 @@ def test_shape_b2_corners_match_all_pairs(pieces, head):
         w = v.witness
         assert bad.get((w["index_i"], w["index_j"])) == w["predicted"]
         assert w["exponent_j"] == a[w["index_j"] - 1]
+
+
+def _old_density_status(c, t, prec):
+    """B6 as rho > (1 - eps) n/phi over the whole support, the form the
+    product replaced."""
+    eps = audit._top_prime_bounds(t.nth_prime(c.r), prec).epsilon
+    bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), n_over_phi(c, t, prec), prec)
+    cmp = iv_compare(rho(c, t, prec), bound)
+    return {Comparison.CERTAINLY_GREATER: PASS,
+            Comparison.CERTAINLY_LESS: FAIL}.get(cmp, UNKNOWN)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=30)
+       .filter(any),
+       st.sampled_from([64, 128, 256]))
+@example(exps=[2] + [1] * 29, prec=128)  # prefix 7/8 passes, the tail fails
+@example(exps=[0] + [1] * 29, prec=128)  # the hole at 2 holds no factor 1/2
+def test_density_b6_matches_exact_product(exps, prec):
+    c = CandidateFactorization.from_exponents(exps)
+    t = _SCAN_TABLE
+    exact = density_product_exact(c, t)
+    eps = audit._top_prime_bounds(t.nth_prime(c.r), prec).epsilon
+    v = run_check("density_B6", c, t, prec)
+    # a decided B6 holds for every eps in its enclosure
+    if v.status == PASS:
+        assert exact > 1 - eps.lo
+    elif v.status == FAIL:
+        assert exact < 1 - eps.hi
+    old = _old_density_status(c, t, prec)
+    assert old in (UNKNOWN, v.status)
+    q = v.witness["tail_from_prime"]
+    read = CandidateFactorization.from_exponents(
+        [a if q is None or p < q else 0
+         for a, p in zip(exps, t.slice(1, len(exps)).tolist())])
+    assert v.witness["product"].contains(density_product_exact(read, t))
+    # an eps enclosure that holds 1 - P leaves B6 undecided at every piece
+    ctx = audit._AuditContext(c, t, prec)
+    ctx.top = ctx.top._replace(
+        epsilon=iv_make(0, 1 - exact + Fraction(1, 2**20), prec))
+    assert audit._check_density_b6(ctx)[0] == UNKNOWN
 
 
 def _recorded_states(mp):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from robinaudit import cli, intervals
 from robinaudit.cli import main
 from robinaudit.errors import InvariantError
 from robinaudit.primes import PrimeTable
+from test_factored import REFUSALS
 
 CAND_5040 = '{"exponents": [4, 2, 1, 1]}'
 CAND_30030 = '{"exponents": [1, 1, 1, 1, 1, 1]}'
@@ -146,6 +148,15 @@ class TestCaCommand:
         assert code == 64 and out == ""
         assert "4300 digits" in err and "internal error" not in err
 
+    def test_tiny_epsilon_answers_quickly(self, capsys):
+        # a(2) is near 14,000 here: its probes above about 2,000 stay
+        # indeterminate at the top of the precision ladder, and doubling
+        # reaches one in a dozen probes instead of walking there
+        t0 = time.monotonic()
+        code, _, err = run_cli(["ca", "--epsilon", "1e-4299"], capsys)
+        assert time.monotonic() - t0 < 2
+        assert code == 2 and "straddles a power boundary" in err
+
     def test_epsilon_and_count_exclusive(self, capsys):
         code, _, _ = run_cli(
             ["ca", "--epsilon", "1/2", "--count", "3"], capsys
@@ -188,6 +199,13 @@ class TestAuditCommand:
         code, _, err = run_cli(["audit", '{"exponents": [1, "x"]}'], capsys)
         assert code == 66
         assert "exponents[1]" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        (doc, field) for doc, field, _ in REFUSALS.values()], ids=REFUSALS.keys())
+    def test_refused_candidate_is_format_error(self, doc, field, capsys):
+        code, out, err = run_cli(["audit", json.dumps(doc)], capsys)
+        assert code == 66 and out == ""
+        assert f"candidate format error: {field}: " in err
 
     @pytest.mark.parametrize("text", [
         '{"runs": [{"exponent": %s, "count": 1}]}' % ("9" * 5000),

@@ -161,6 +161,49 @@ def test_json_errors_name_offending_field():
     assert e.value.field == "runs[1].p"
 
 
+# (document, field, message) of each refusal at the JSON trust boundary
+REFUSALS = {
+    "document is a list": ([], "<document>", "must be an object"),
+    "document is a number": (3, "<document>", "must be an object"),
+    "neither form": ({}, "<document>", 'needs a "runs" or "exponents"'),
+    "runs empty": ({"runs": []}, "runs", "non-empty array"),
+    "runs an object": ({"runs": {"exponent": 1, "count": 1}}, "runs",
+                       "non-empty array"),
+    "exponents empty": ({"exponents": []}, "exponents", "non-empty array"),
+    "exponents a number": ({"exponents": 4}, "exponents", "non-empty array"),
+    "run a list": ({"runs": [[1, 1]]}, "runs[0]", "must be an object"),
+    "run exponent a float": ({"runs": [{"exponent": 1.5, "count": 1}]},
+                             "runs[0].exponent", "must be an integer"),
+    "run count a bool": ({"runs": [{"exponent": 1, "count": True}]},
+                         "runs[0].count", "must be an integer"),
+    "run count missing": ({"runs": [{"exponent": 1}]},
+                          "runs[0].count", "must be an integer"),
+    "exponent a bool": ({"exponents": [True]}, "exponents[0]",
+                        "must be an integer"),
+    "exponent a float": ({"exponents": [1, 2.0]}, "exponents[1]",
+                         "must be an integer"),
+    "run count 0": ({"runs": [{"exponent": 1, "count": 0}]},
+                    "runs[0].count", "must be >= 1"),
+    "run exponent negative": ({"runs": [{"exponent": -1, "count": 1}]},
+                              "runs[0].exponent", "must be non-negative"),
+    "exponent negative": ({"exponents": [2, -1]}, "exponents[1]",
+                          "must be non-negative"),
+    "runs all zero": ({"runs": [{"exponent": 0, "count": 3}]}, "runs",
+                      "needs a positive exponent"),
+    "exponents all zero": ({"exponents": [0, 0]}, "exponents",
+                           "needs a positive exponent"),
+}
+
+
+@pytest.mark.parametrize("doc, field, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_json_refusals_name_field_and_reason(doc, field, message):
+    for form in (doc, json.dumps(doc)):
+        with pytest.raises(CandidateFormatError) as e:
+            CandidateFactorization.from_json(form)
+        assert e.value.field == field and message in str(e.value)
+
+
 def test_json_non_canonical_runs_expand():
     c = CandidateFactorization.from_json(
         {"runs": [{"exponent": 1, "count": 1}, {"exponent": 2, "count": 1}]}

@@ -399,6 +399,29 @@ def test_ca_candidate_table_budget():
         ca_candidate(Fraction(1, 10**6), small)
 
 
+def _linear_exponent(p, eps, prec=128):
+    """a(p) by walking e upward one probe at a time."""
+    e = 0
+    while generators._ca_at_least(p, e + 1, eps, prec):
+        e += 1
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 40))
+@example(1, 0)   # a(2) = 0
+@example(3, 1)   # a(2) = 1, no doubling
+def test_exponent_of_2_matches_linear_walk(table_1e5, m, k):
+    eps = Fraction(m, 10**k)
+    a2 = _linear_exponent(2, eps)
+    assert generators._ca_exponent_of_2(eps, 128) == a2
+    if a2 and k <= 3:
+        # the whole vector: each prime's exponent walked on its own
+        exps = ca_candidate(eps, table_1e5).exponents_list()
+        primes = table_1e5.slice(1, len(exps) + 1).tolist()
+        assert exps + [0] == [_linear_exponent(p, eps) for p in primes]
+
+
 def test_ca_sweep_known_prefix(table_1e6):
     got = [materialize(c, table_1e6) for c in ca_sweep(8, table_1e6)]
     assert got == [2, 6, 12, 60, 120, 360, 2520, 5040]
