@@ -12,20 +12,21 @@ cell edges for all of them.  Because cells sit at fixed positions, the
 products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do not depend on the
 exponents: one audit context forms each of them at most once and shares
 it between log n and the density pieces.  The enclosures made from them
-(the log of a cell's Pi p and that log times an exponent e, a cell's rho,
-n/phi and density blocks, keyed by the cell, the precision and for e log,
-rho and density the exponent) are memoized on the PrimeTable.  That memo
+(the log of a cell's Pi p and that log times an exponent e, a cell's
+n/phi and density blocks, keyed by the cell, the precision and for e log
+and density the exponent) are memoized on the PrimeTable; rho is folded
+from them as P * n/phi, so it has no cell path of its own.  That memo
 serves the primorial margin M(r), normalize's re-sums of log n and later
 calls on the same table, which form a product only for a cell piece no
 earlier call has evaluated.  The log of one prime, which the sigma-power
 ratio, the G ratios and normalize's carried log n (``_log_after``) need,
 comes from the process cache ``iv_log_rational``.
-One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves rho at
-exponents too large for exact powers and the G ratios of normalize steps,
-where one map of exponent edits describes a divide or a swap.  It is exact
-while the powers fit and an interval form beyond, so candidates like
-2^(10^14) still evaluate.  A G ratio is that sigma part times the quotient
-of the two states' log log n, which a normalize walk holds already.
+One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves the G
+ratios of normalize steps, where one map of exponent edits describes a
+divide or a swap.  It is exact while the powers fit and an interval form
+beyond, so candidates like 2^(10^14) still evaluate.  A G ratio is that
+sigma part times the quotient of the two states' log log n, which a
+normalize walk holds already.
 """
 
 from __future__ import annotations
@@ -371,40 +372,16 @@ def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
 def rho(c: CandidateFactorization, t: PrimeTable,
         prec: int = DEFAULT_PRECISION_BITS, *,
         products: Optional[_Products] = None) -> IntervalScalar:
-    """Enclosure of rho(n) = sigma(n)/n."""
+    """Enclosure of rho(n) = sigma(n)/n, folded as P * n/phi(n) with
+    P = Pi (1 - p^-(a+1)): each cell piece's density block times its
+    n/phi block."""
     _require_table(c, t)
     products = _Products() if products is None else products
     total = iv_from_int(1)
     for i, j, e in _cell_pieces(c):
-        if e != 1 and _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
-            for p in t.slice(i, j).tolist():
-                f = _sigma_ratio(p, e, 0, prec)
-                if isinstance(f, Fraction):
-                    f = iv_from_fraction(f, prec)
-                total = iv_mul(total, f, prec)
-            continue
-        block = t._memoized(
-            ("rho", i, j, e, prec),
-            lambda: _rho_block(t, products, i, j, e, prec),
-        )
-        total = iv_mul(total, block, prec)
+        total = iv_mul(total, _density_piece(t, products, i, j, e, prec), prec)
+        total = iv_mul(total, _nphi_block(t, products, i, j, prec), prec)
     return total
-
-
-def _rho_block(t: PrimeTable, products: _Products, i: int, j: int, e: int,
-               prec: int) -> IntervalScalar:
-    """Enclosure of Pi sigma(p^e)/p^e over p_i..p_j from exact products;
-    needs p_j^(e+1) within _EXACT_POW_BITS when e > 1."""
-    if e == 1:
-        num = products.get(t, i, j, 1)
-        den = products.get(t, i, j)
-    else:
-        num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
-        # Pi p^e (p - 1)
-        den = products.get(t, i, j) ** e * products.get(t, i, j, -1)
-    return iv_div(
-        iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
-    )
 
 
 def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
@@ -434,6 +411,17 @@ def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
     return t._memoized(("b6", i, j, e, prec), fresh)
 
 
+def _nphi_block(t: PrimeTable, products: _Products, i: int, j: int,
+                prec: int) -> IntervalScalar:
+    """Enclosure of Pi p/(p - 1) over p_i..p_j, memoized on the table."""
+    return t._memoized(
+        ("nphi", i, j, prec),
+        lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
+                       iv_from_int_rounded(products.get(t, i, j, -1), prec),
+                       prec),
+    )
+
+
 def n_over_phi(c: CandidateFactorization, t: PrimeTable,
                prec: int = DEFAULT_PRECISION_BITS, *,
                products: Optional[_Products] = None) -> IntervalScalar:
@@ -442,13 +430,7 @@ def n_over_phi(c: CandidateFactorization, t: PrimeTable,
     products = _Products() if products is None else products
     total = iv_from_int(1)
     for i, j, _e in _cell_pieces(c):
-        block = t._memoized(
-            ("nphi", i, j, prec),
-            lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
-                           iv_from_int_rounded(products.get(t, i, j, -1), prec),
-                           prec),
-        )
-        total = iv_mul(total, block, prec)
+        total = iv_mul(total, _nphi_block(t, products, i, j, prec), prec)
     return total
 
 

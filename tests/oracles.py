@@ -70,11 +70,14 @@ def n_over_phi_exact(c, t) -> Fraction:
     return Fraction(num, den)
 
 
-def density_product_exact(c, t) -> Fraction:
-    """rho(n) / (n/phi(n)) = Pi_{p | n} (1 - p^-(a_p+1)), prime by prime."""
+def density_product_exact(c, t, upto=None) -> Fraction:
+    """rho(n) / (n/phi(n)) = Pi_{p | n} (1 - p^-(a_p+1)), prime by prime;
+    with ``upto``, only over the primes p_1..p_upto."""
     out = Fraction(1)
     for start, end, e in c.run_bounds():
-        if e == 0:
+        if upto is not None:
+            end = min(end, upto)
+        if e == 0 or start > end:
             continue
         for p in t.slice(start, end).tolist():
             out *= 1 - Fraction(1, p ** (e + 1))

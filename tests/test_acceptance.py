@@ -23,6 +23,7 @@ from robinaudit.audit import (
 )
 from robinaudit.factored import (
     CandidateFactorization,
+    _cell_pieces,
     big_g,
     g_ratio_divide,
     g_ratio_swap,
@@ -35,14 +36,16 @@ from robinaudit.generators import (
     verify_range,
 )
 from robinaudit.intervals import (
+    _EXACT_POW_BITS,
     Comparison,
+    _pow_bits,
     constants,
     iv_compare,
     iv_from_int,
 )
 from robinaudit.primes import dusart_gap_holds, DUSART_GAP_THRESHOLD
 
-from oracles import sigma_divisor_pairs
+from oracles import density_product_exact, sigma_divisor_pairs
 
 # the 26 classical exceptions below 5041, frozen from the literature
 EXCEPTIONS_ORACLE = [
@@ -245,12 +248,23 @@ def test_criterion_7_precision_doubling(table_1e6):
             _intervals(v_hi.to_json()["witness"], cid, iv_hi)
             for path in set(iv_lo) & set(iv_hi):
                 (a, b), (x, y) = iv_lo[path], iv_hi[path]
-                if a == b:
-                    # an exact dyadic value, such as B6's product 31/32
-                    # after the piece 2^4: the same point at both precisions
+                if a == b and path == "density_B6/product":
+                    _assert_exact_b6_prefix(c, table_1e6, v_lo, a)
                     assert x == y == a, f"exact witness moved at {path} on {c}"
                     continue
+                assert a < b, f"degenerate witness at {path} on {c}"
                 assert y - x < b - a, f"width did not shrink at {path} on {c}"
+
+
+def _assert_exact_b6_prefix(c, t, verdict, point):
+    """B6's product may be a point, such as 31/32 after the piece 2^4, only
+    where it equals the exact product over the pieces read, all of them
+    from exact powers."""
+    read = list(_cell_pieces(c))[:verdict.to_json()["witness"]["pieces_read"]]
+    assert all(_pow_bits(t.nth_prime(j), e + 1) <= _EXACT_POW_BITS
+               for _, j, e in read), f"point product from a huge power on {c}"
+    assert point == density_product_exact(c, t, upto=read[-1][1]), \
+        f"point product is not the exact prefix on {c}"
 
 
 def test_criterion_8_gap_certificates_in_budget():
