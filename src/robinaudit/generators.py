@@ -48,6 +48,7 @@ from .intervals import (
 )
 from .primes import PrimeTable, _prime_chunks
 
+# The longest verify_range segment; see _segment_length.
 _SEGMENT = 1 << 20
 # sigma(n) < e^gamma n log log n + 0.6483 n / log log n < 6.9e18 up to here,
 # so sigma fits int64
@@ -56,11 +57,15 @@ _MAX_N = 10**18
 
 _WHEEL = (2, 3, 5, 7, 11, 13)
 _WHEEL_PERIOD = 30030
+# Hits of the larger primes scattered at a time by _abundancy_bound.
+_HIT_BLOCK = 1 << 16
 
 
-def _abundancy_bound(lo: int, size: int, root: int) -> np.ndarray:
+def _abundancy_bound(lo: int, size: int, root: int,
+                     out: np.ndarray) -> np.ndarray:
     """Floats bound[k] > sigma(n)/n for n = lo + k, 0 <= k < size, given
-    that every such n is below (root + 1)^2.
+    that every such n is below (root + 1)^2, written to out[:size], a
+    view that is returned.
 
     bound[k] = slack * prod fl(p/(p-1)) over the primes p <= root dividing
     n, with slack = (1 + 1/root)(1 + 1e-9).  Exactly, sigma(n)/n is below
@@ -73,14 +78,19 @@ def _abundancy_bound(lo: int, size: int, root: int) -> np.ndarray:
 
     The factors of the primes up to 13 repeat with period 30030, so they
     are formed over one period and tiled; primes from size / 256 on are
-    applied by one np.multiply.at per sieve chunk, prime-major.  Every
-    entry still multiplies the slack by its factors in increasing p.
+    applied by np.multiply.at, prime-major, one run of primes with about
+    _HIT_BLOCK hits at a time.  Every entry still multiplies the slack by
+    its factors in increasing p.
     """
-    wheel = np.full(min(size, _WHEEL_PERIOD), (1 + 1 / root) * (1 + 1e-9))
+    bound = out[:size]
+    w = min(size, _WHEEL_PERIOD)
+    bound[:w] = (1 + 1 / root) * (1 + 1e-9)
     for p in _WHEEL:
         if p <= root:
-            wheel[(-lo) % p :: p] *= p / (p - 1)
-    bound = np.resize(wheel, size)
+            bound[(-lo) % p : w : p] *= p / (p - 1)
+    reps = size // w
+    bound[w : reps * w].reshape(reps - 1, w)[:] = bound[:w]
+    bound[reps * w :] = bound[: size - reps * w]
     for chunk in _prime_chunks(root):
         chunk = chunk[chunk > _WHEEL[-1]]
         firsts = (-lo) % chunk
@@ -90,13 +100,19 @@ def _abundancy_bound(lo: int, size: int, root: int) -> np.ndarray:
                                    ratios[:k].tolist()):
             if first < size:
                 bound[first::p] *= ratio
-        p, first = chunk[k:], firsts[k:]
+        p, first, ratio = chunk[k:], firsts[k:], ratios[k:]
         hits = (size - first + p - 1) // p  # 0 when first >= size
-        # hit j of each prime is entry first + p j, listed prime-major
-        idx = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
-        idx *= np.repeat(p, hits)
-        idx += np.repeat(first, hits)
-        np.multiply.at(bound, idx, np.repeat(ratios[k:], hits))
+        # hit j of each prime is entry first + p j, listed prime-major, for
+        # runs of primes with about _HIT_BLOCK hits each, so the index
+        # arrays stay small
+        cuts = np.searchsorted(np.cumsum(hits), np.arange(
+            _HIT_BLOCK, hits.sum(), _HIT_BLOCK)).tolist()
+        for a, b in zip([0] + cuts, cuts + [p.size]):
+            h = hits[a:b]
+            idx = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h, h)
+            idx *= np.repeat(p[a:b], h)
+            idx += np.repeat(first[a:b], h)
+            np.multiply.at(bound, idx, np.repeat(ratio[a:b], h))
     return bound
 
 
@@ -203,6 +219,15 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     return rec if rec is not None else VerificationRecord(n, sigma, thr, "unknown")
 
 
+def _segment_length(b: int) -> int:
+    """Length of the verify_range segment that starts at b, before its
+    caps at 2b and hi: half of _SEGMENT, which halves the float64 bound's
+    memory, or twice the root sqrt(b), whose primes each segment walks
+    once or twice, whichever is longer, up to _SEGMENT.  It grows with b,
+    so the segment starting at hi is the longest."""
+    return min(_SEGMENT, max(_SEGMENT >> 1, 2 * math.isqrt(b)))
+
+
 def verify_range(lo: int, hi: int,
                  prec: int = DEFAULT_PRECISION_BITS) -> RangeVerification:
     """Certified verdict of sigma(n) < e^gamma n log log n over [lo, hi].
@@ -222,9 +247,12 @@ def verify_range(lo: int, hi: int,
                           "cap 10^18")
     result = RangeVerification(lo=lo, hi=hi, checked=hi - lo + 1)
     eg = constants(prec).exp_gamma
+    # one buffer for every segment's bound, at the longest segment's size,
+    # so no segment maps fresh pages
+    buf = np.empty(min(_segment_length(hi), hi + 1 - lo))
     b = lo
     while b <= hi:
-        end = min(b + _SEGMENT, 2 * b, hi + 1)
+        end = min(b + _segment_length(b), 2 * b, hi + 1)
         root = math.isqrt(end - 1)
         # c <= e^gamma log log n for every n >= b: the lower end of the
         # enclosure at b, floored to a multiple of 2^-40 (exact in float64,
@@ -232,7 +260,7 @@ def verify_range(lo: int, hi: int,
         llg = iv_log(iv_log(iv_from_int(b), prec), prec)
         c = math.ldexp(math.floor(iv_mul(eg, llg, prec).lo * (1 << 40)), -40)
         # n whose bound is below c certainly hold
-        bound = _abundancy_bound(b, end - b, root)
+        bound = _abundancy_bound(b, end - b, root, buf)
         off = np.flatnonzero(bound >= c)
         if off.size:
             ns = b + off

@@ -6,9 +6,11 @@ memo of enclosures derived from its cells of primes (see
 ``PrimeTable._memoized``), which lives and dies with the table; values
 that depend on one prime and the precision alone (its log, the audit's
 top-prime bounds) sit in bounded process caches instead.
-dusart_gap_holds verifies that a short interval above x contains a prime,
-using a conservatively rounded window end so a True answer is a
-certificate.
+dusart_gap_holds verifies that a short interval above x contains a prime:
+it sieves 64-integer blocks from x + 1 up to the first prime p and checks
+p against an exact integer end below the window's true end, forming the
+outward-rounded interval end only when p lies past the integer one, so a
+True answer is a certificate.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ DUSART_GAP_THRESHOLD = 468991632
 DUSART_GAP_COEFF = Fraction(1, 5000)
 
 _SEGMENT = 1 << 20
+
+# dusart_gap_holds sieves this many integers at a time; the mean prime gap
+# near 10^9 is about 21.
+_GAP_BLOCK = 64
+# ln 2 < _LN2_UP / 10^6
+_LN2_UP = 693148
+# Below it the next prime lies below 2^63 (Bertrand), so sieve positions
+# fit int64.
+_GAP_MAX_X = 1 << 62
 
 # Entries a table's memo holds before it is emptied.  A corpus pass of the
 # benchmark (seed 1) stores 418, and a power-form full_audit at r = 10^6
@@ -192,27 +203,73 @@ def dusart_window_end(x: int, prec: int = DEFAULT_PRECISION_BITS) -> int:
     return end_int
 
 
-def dusart_gap_holds(x: int, prec: int = DEFAULT_PRECISION_BITS) -> bool:
-    """True iff a prime lies in (x, end] with end the certified window bound.
+def _next_prime_above(x: int) -> int:
+    """The least prime above x, for 64 <= x < 2^62.
 
-    True is a certificate.  False only means no prime was found in the
-    conservatively shortened window, not that the underlying bound fails.
+    Sieves the blocks [lo, lo + 64) from lo = x + 1 with the primes up to
+    the square root of each block's end, until a block holds a prime.
+    Those primes lie below lo, so each multiple struck is composite.  A
+    prime p >= 64 hits a block at most once, so one fancy store clears
+    those and only the few smaller p loop.  Bertrand's postulate puts the
+    prime below 2x < 2^63, so every position fits int64."""
+    lo = x + 1
+    while True:
+        base = _gap_base_primes(isqrt(lo + _GAP_BLOCK - 1))
+        flags = np.ones(_GAP_BLOCK, dtype=bool)
+        first = (-lo) % base
+        small = int(np.searchsorted(base, _GAP_BLOCK))
+        for p, f in zip(base[:small].tolist(), first[:small].tolist()):
+            flags[f::p] = False
+        big = first[small:]
+        flags[big[big < _GAP_BLOCK]] = False
+        hit = np.flatnonzero(flags)
+        if hit.size:
+            return lo + int(hit[0])
+        lo += _GAP_BLOCK
+
+
+def _integer_window_end(x: int) -> int:
+    """x + floor(x 10^12 / (5000 (bl 693148)^2)) with bl = x.bit_length(),
+    an integer below x(1 + (1/5000)/log^2 x) for every x >= 2.
+
+    Proof: x < 2^bl and ln 2 = 0.6931471805... < 0.693148, so
+    0 < log x < bl ln 2 < bl 693148 / 10^6, and squaring gives
+    log^2 x < (bl 693148)^2 / 10^12.  So x / (5000 log^2 x) exceeds
+    x 10^12 / (5000 (bl 693148)^2), which exceeds its floor."""
+    lg = x.bit_length() * _LN2_UP
+    c = DUSART_GAP_COEFF
+    return x + x * 10**12 * c.numerator // (c.denominator * lg * lg)
+
+
+def dusart_gap_holds(x: int, prec: int = DEFAULT_PRECISION_BITS) -> bool:
+    """True iff the least prime p above x lies in (x, end], with end the
+    exact integer bound ``_integer_window_end(x)`` or, only when p lies
+    past that, the certified interval bound ``dusart_window_end(x, prec)``.
+
+    Both ends are below x(1 + (1/5000)/log^2 x), so True is a
+    certificate.  The integer end falls short of the true end by at least
+    2.3e-6 of the window, far more than the interval end's rounding at
+    64 bits or more, so it is never above the interval end, and the
+    answer is exactly whether p <= dusart_window_end(x, prec).  The
+    fallback is needed: at x = DUSART_GAP_THRESHOLD, p = x + 235 lies
+    past the integer end x + 232 and at the interval end x + 235, and
+    so it does at the next two x.  False only means no prime was found
+    in the conservatively shortened window, not that the underlying
+    bound fails.
+
+    Supports DUSART_GAP_THRESHOLD <= x < 2^62 and refuses larger x with
+    ResourceBudgetError.  The sieving primes, up to sqrt(p) < 2^31.5,
+    come from one cached PrimeTable (whose build refuses limits above
+    2^32), so memory grows as sqrt(x): 1.95 M primes (15.6 MB) at
+    x = 10^15 and 50.8 M (406 MB) at 10^18.
     """
     if x < DUSART_GAP_THRESHOLD:
         raise DomainError(
-            f"gap bound applies for x >= {DUSART_GAP_THRESHOLD}, got {x}"
+            f"gap bound applies for x >= {DUSART_GAP_THRESHOLD}, "
+            f"got {_int_text(x)}"
         )
-    end = dusart_window_end(x, prec)
-    # Sieve just the window (x, end]: a prime p >= size hits it at most once,
-    # so one fancy store clears those and only the few smaller p loop.
-    base = _gap_base_primes(isqrt(end))
-    lo = x + 1
-    size = end - lo + 1
-    flags = np.ones(size, dtype=bool)
-    first = np.maximum(base * base, lo + (-lo) % base) - lo
-    small = int(np.searchsorted(base, size))
-    for p, f in zip(base[:small].tolist(), first[:small].tolist()):
-        flags[f::p] = False
-    big = first[small:]
-    flags[big[big < size]] = False
-    return bool(flags.any())
+    if x >= _GAP_MAX_X:
+        raise ResourceBudgetError(
+            f"gap window at {_int_text(x)} is above the supported 2^62")
+    p = _next_prime_above(x)
+    return p <= _integer_window_end(x) or p <= dusart_window_end(x, prec)

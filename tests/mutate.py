@@ -54,8 +54,12 @@ RECORD_TESTS = (T_GEN + "test_superabundant_prefix",
 ORACLE_TESTS = (T_GEN + "test_verify_range_segment_sizes_agree",
                 T_GEN + "test_verify_range_matches_oracle_near_1e9")
 STRENGTH_TESTS = (T_GEN + "test_screens_leave_almost_nothing",)
-GAP_TESTS = ("tests/test_primes.py::test_gap_window_matches_nextprime",
-             "tests/test_primes.py::test_gap_window_sieve_sees_prime_gaps")
+MEMORY_TESTS = (T_GEN + "test_verify_range_memory_stays_small",)
+T_PRIMES = "tests/test_primes.py::"
+GAP_TESTS = (T_PRIMES + "test_gap_window_matches_nextprime",
+             T_PRIMES + "test_gap_window_sieve_sees_prime_gaps")
+GAP_END_TESTS = (T_PRIMES + "test_integer_window_end_is_below_interval_end",)
+GAP_FALLBACK_TESTS = (T_PRIMES + "test_threshold_takes_the_interval_fallback",)
 T_FAC = "tests/test_factored.py::"
 SIGMA_RATIO_TESTS = (T_FAC + "test_sigma_ratio_on_both_sides_of_the_exact_cut",
                      T_FAC + "test_rho_beyond_the_exact_cut")
@@ -89,19 +93,32 @@ MUTANTS = [
     Mutant("bound: 17 and 19, the primes after the wheel, skipped", GEN,
            "chunk[chunk > _WHEEL[-1]]", "chunk[chunk > 20]",
            BOUND_TESTS + ORACLE_TESTS),
+    Mutant("bound: wheel tile's last partial period left unset", GEN,
+           "bound[reps * w :] = bound[: size - reps * w]", "pass",
+           BOUND_BITS_TESTS),
     Mutant("bound: scatter's hit count per prime rounded down", GEN,
            "(size - first + p - 1) // p", "(size - first) // p",
            BOUND_BITS_TESTS),
+    Mutant("bound: scatter runs overlap by one prime", GEN,
+           "zip([0] + cuts, cuts + [p.size])",
+           "zip([0] + cuts, [c + 1 for c in cuts] + [p.size])",
+           BOUND_BITS_TESTS),
     Mutant("bound: scatter index loses its first offset", GEN,
-           "        idx += np.repeat(first, hits)\n", "", BOUND_BITS_TESTS),
+           "            idx += np.repeat(first[a:b], h)\n", "", BOUND_BITS_TESTS),
     Mutant("segment: c taken at the segment end", GEN,
            "iv_log(iv_log(iv_from_int(b), prec), prec)",
            "iv_log(iv_log(iv_from_int(end - 1), prec), prec)", ORACLE_TESTS),
     Mutant("segment: survivor offsets not shifted to the segment", GEN,
            "ns = b + off", "ns = lo + off", ORACLE_TESTS),
     Mutant("segment: spans two doublings", GEN,
-           "min(b + _SEGMENT, 2 * b, hi + 1)", "min(b + _SEGMENT, hi + 1)",
+           "min(b + _segment_length(b), 2 * b, hi + 1)",
+           "min(b + _segment_length(b), hi + 1)",
            STRENGTH_TESTS),
+    Mutant("segment: never shorter than 2^20", GEN,
+           "max(_SEGMENT >> 1, 2 * math.isqrt(b))",
+           "max(_SEGMENT, 2 * math.isqrt(b))", MEMORY_TESTS),
+    Mutant("bound: scatter in one run of primes", GEN,
+           "_HIT_BLOCK = 1 << 16", "_HIT_BLOCK = 1 << 40", MEMORY_TESTS),
     Mutant("pass 2: tests the bound instead of sigma", GEN,
            "_abundancy(sig, ns) >= c", "bound[off] >= c", STRENGTH_TESTS),
     Mutant("sparse sigma: cofactor missing", GEN,
@@ -126,11 +143,21 @@ MUTANTS = [
            RECORD_TESTS),
     Mutant("records: sigma(p^e) recurrence off by one", GEN,
            "term * p + 1", "term * p + 2", RECORD_TESTS),
-    # the prime-gap window sieve
+    # the prime-gap window: next-prime block search, integer end, fallback
     Mutant("gap: fancy store removed", "primes.py",
-           "flags[big[big < size]] = False", "pass", GAP_TESTS),
+           "flags[big[big < _GAP_BLOCK]] = False", "pass", GAP_TESTS),
     Mutant("gap: small-prime split removed", "primes.py",
-           "small = int(np.searchsorted(base, size))", "small = 0", GAP_TESTS),
+           "small = int(np.searchsorted(base, _GAP_BLOCK))", "small = 0",
+           GAP_TESTS),
+    Mutant("gap: search stops after the first block without a prime",
+           "primes.py", "    while True:\n        base = _gap_base_primes(",
+           "    for _ in range(1):\n        base = _gap_base_primes(",
+           GAP_TESTS),
+    Mutant("integer bound: ln 2 rounded down to 0.693147", "primes.py",
+           "_LN2_UP = 693148", "_LN2_UP = 693147", GAP_END_TESTS),
+    Mutant("gap: interval fallback dropped", "primes.py",
+           "return p <= _integer_window_end(x) or p <= dusart_window_end(x, prec)",
+           "return p <= _integer_window_end(x)", GAP_FALLBACK_TESTS),
     # the sigma-power ratio and the edit map of normalize steps
     Mutant("sigma ratio: p^a and p^b swapped in the exact branch", "factored.py",
            "(p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a",

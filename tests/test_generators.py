@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -133,8 +134,9 @@ def _bound_windows(w):
 def test_abundancy_bound_exceeds_abundancy(w):
     root, windows = _bound_windows(w)
     for lo, hi in windows:
-        bound = _abundancy_bound(lo, hi - lo + 1, root)
-        assert bound.dtype == np.float64 and bound.size == hi - lo + 1
+        size = hi - lo + 1
+        bound = _abundancy_bound(lo, size, root, np.empty(size))
+        assert bound.dtype == np.float64 and bound.size == size
         sig = sigma_divisor_pairs(lo, hi)
         for k, (b, s) in enumerate(zip(bound.tolist(), sig.tolist())):
             assert Fraction(b) > Fraction(s, lo + k), lo + k
@@ -151,15 +153,20 @@ def _bound_per_prime(lo, size, root):
     return bound
 
 
+@pytest.mark.parametrize("hit_block", [generators._HIT_BLOCK, 1000])
 @pytest.mark.parametrize("size", [1, 7, 300, 4096, 1 << 16])
 @pytest.mark.parametrize("w", [10**4, 10**10, 10**12])
-def test_abundancy_bound_bits_match_per_prime_loop(w, size):
+def test_abundancy_bound_bits_match_per_prime_loop(w, size, hit_block,
+                                                   monkeypatch):
     # sizes on both sides of the scatter's cut at p = size / 256, and
-    # offsets on, after and just before a multiple of a prime
+    # offsets on, after and just before a multiple of a prime; the buffer
+    # is longer than the segment and holds stale values, as in verify_range.
+    # A short hit block cuts the scatter into many runs of primes.
+    monkeypatch.setattr(generators, "_HIT_BLOCK", hit_block)
     rng = random.Random(w + size)
     for lo in (w, w + 1, w + 17 * 19 - 1, w + rng.randrange(10**3)):
         root = math.isqrt(lo + size - 1)
-        got = _abundancy_bound(lo, size, root)
+        got = _abundancy_bound(lo, size, root, np.full(size + 3, np.nan))
         want = _bound_per_prime(lo, size, root)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), lo
 
@@ -247,6 +254,40 @@ def test_screens_leave_almost_nothing(monkeypatch):
     verify_range(5041, 10**7)
     verify_range(10**10 - 2**19, 10**10 + 2**19 - 1)
     assert len(calls) <= 2, calls
+
+
+def test_classify_escalates_past_an_overlap_at_64_bits():
+    # near 10^18 the 64-bit enclosure of T(n) is 3 wide, so the integers
+    # inside it are undecided there; 128 bits decides each, as 512 do
+    n = 10**18 - 1
+    thr = generators._threshold(n, 64)
+    fine = generators._threshold(n, 512)
+    sigmas = range(math.ceil(thr.lo), math.floor(thr.hi) + 1)
+    assert {s < fine.lo for s in sigmas} == {True, False}
+    for s in sigmas:
+        assert iv_compare(s, thr) is Comparison.OVERLAPPING
+        rec = _classify(n, s, 64)
+        assert rec.verdict == ("holds" if s < fine.lo else "fails")
+        assert rec.threshold.width() < 2**-60
+
+
+@pytest.mark.parametrize("lo, hi, mb", [
+    (5041, 10**7, 8),
+    (10**10 - 2**19, 10**10 + 2**19 - 1, 8),
+    (10**12, 10**12 + 2**20 - 1, 15),
+])
+def test_verify_range_memory_stays_small(lo, hi, mb):
+    # one float64 bound buffer per call, 4 MB for the 2^19 segments below
+    # about 6.9e10 and 8 MB for 2^20 ones, and scatter index arrays near
+    # 1.5 MB; 2^20 segments everywhere, with the scatter in one run, peak
+    # at 16, 14 and 19 MB on these ranges
+    tracemalloc.start()
+    try:
+        verify_range(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mb * 2**20, peak
 
 
 def test_verify_range_finds_all_exceptions():

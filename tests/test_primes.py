@@ -1,12 +1,15 @@
 """Prime table construction, lookups, gap windows."""
 
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 import sympy
 
 from robinaudit import primes
 from robinaudit.errors import DomainError, ResourceBudgetError, TableTooSmallError
+from robinaudit.intervals import iv_from_int, iv_log
 from robinaudit.primes import (
     DUSART_GAP_THRESHOLD,
     PrimeTable,
@@ -35,6 +38,9 @@ def test_prime_counts():
     t = PrimeTable.build(10**6)
     assert len(t) == 78498  # pi(10^6)
     assert len(PrimeTable.build(100)) == 25
+    for limit in (1, 0, -7):
+        t = PrimeTable.build(limit)
+        assert len(t) == 0 and t.limit == max(limit, 0)
 
 
 def test_nth_prime_and_index_inverse(table_1e6):
@@ -83,6 +89,9 @@ def test_slice_is_one_based_inclusive(table_1e6):
     s = table_1e6.slice(1, 4)
     assert list(s) == [2, 3, 5, 7]
     assert table_1e6.slice(5, 4).size == 0  # empty range allowed
+    for i, j in [(0, 3), (5, 3)]:
+        with pytest.raises(DomainError, match="bad prime index range"):
+            table_1e6.slice(i, j)
 
 
 def test_table_is_read_only():
@@ -107,6 +116,13 @@ def test_against_sympy_spot_checks(table_1e6):
 def test_gap_below_threshold_rejected():
     with pytest.raises(DomainError):
         dusart_gap_holds(DUSART_GAP_THRESHOLD - 1)
+    with pytest.raises(DomainError, match="got -<16610-bit integer>"):
+        dusart_gap_holds(-_HUGE)
+    # (3, 3.0005] holds no integer
+    with pytest.raises(DomainError, match="degenerate gap window at 3"):
+        dusart_window_end(3)
+    with pytest.raises(ResourceBudgetError, match="above the supported 2\\^62"):
+        dusart_gap_holds(2**62)
 
 
 def test_gap_window_is_conservative():
@@ -133,18 +149,64 @@ def test_gap_window_matches_nextprime():
         assert dusart_gap_holds(x) == (sympy.nextprime(x) <= dusart_window_end(x))
 
 
-def test_gap_window_sieve_sees_prime_gaps(monkeypatch):
-    # shortened windows (x, x + w] that may hold no prime: the window sieve
-    # must answer exactly whether the next prime falls inside
-    rng = random.Random(7)
-    cases = []
-    for _ in range(40):
-        x = rng.randrange(DUSART_GAP_THRESHOLD, 10**9 + 1)
-        gap = sympy.nextprime(x) - x
-        cases += [(x, gap - 1), (x, gap), (x, rng.randrange(1, 2000))]
-    for x, w in cases:
-        if w < 1:
-            continue
-        monkeypatch.setattr(primes, "dusart_window_end", lambda x, prec, w=w: x + w)
-        assert dusart_gap_holds(x) == (sympy.nextprime(x) <= x + w), (x, w)
+# The least prime above the threshold, 235 past it; the prime before it
+# lies below the threshold.
+_P_TH = DUSART_GAP_THRESHOLD + 235
+# next prime 1 away (x + 1 prime), then at the edges of the 64-integer
+# blocks: last but one and last of the first block, first and last of the
+# second
+_BLOCK_EDGE_GAPS = (1, 63, 64, 65, 128)
 
+
+def _gap_cases():
+    rng = random.Random(7)
+    xs = [rng.randrange(DUSART_GAP_THRESHOLD, 10**9 + 1) for _ in range(40)]
+    xs += [_P_TH - g for g in _BLOCK_EDGE_GAPS]
+    return xs + [2**29 - 1, 2**29, 2**30 - 1]
+
+
+GAP_CASES = _gap_cases()
+
+
+def test_gap_window_sieve_sees_prime_gaps():
+    # the block search returns exactly the next prime, wherever it falls
+    for g in _BLOCK_EDGE_GAPS:
+        assert sympy.nextprime(_P_TH - g) == _P_TH
+    for x in GAP_CASES:
+        assert primes._next_prime_above(x) == sympy.nextprime(x), x
+
+
+def test_integer_window_end_is_below_interval_end():
+    # bl * ln 2's upper bound exceeds log x, so the integer end stays
+    # inside the certified window; 2^30 - 1 and 2^50 - 1 sit just below a
+    # power of two, where log x is closest to bl ln 2
+    for x in GAP_CASES + [DUSART_GAP_THRESHOLD, 2**50 - 1]:
+        assert x < primes._integer_window_end(x) <= dusart_window_end(x), x
+        upper = Fraction(x.bit_length() * primes._LN2_UP, 10**6)
+        assert upper >= iv_log(iv_from_int(x)).hi, x
+
+
+def test_threshold_takes_the_interval_fallback():
+    # a scan of every prime gap of at least 220 in [threshold, 2^31] found
+    # three x whose next prime lies past the integer end, x + 232: the
+    # threshold and the two integers after it; the interval end takes them
+    for x in range(DUSART_GAP_THRESHOLD, DUSART_GAP_THRESHOLD + 4):
+        assert primes._next_prime_above(x) == _P_TH == sympy.nextprime(x)
+        fallback = x < DUSART_GAP_THRESHOLD + 3
+        assert (primes._integer_window_end(x) < _P_TH) == fallback, x
+        assert _P_TH <= dusart_window_end(x)
+        assert dusart_gap_holds(x)
+
+
+def test_gap_at_1e15_needs_little_memory(monkeypatch):
+    # the window at 10^15 holds 167,654,841 integers, a 168 MB array if it
+    # were sieved whole; the block search needs the sieving primes up to
+    # 3.2e7 (15.6 MB), built afresh here, and little more
+    monkeypatch.setattr(primes, "_GAP_BASE_TABLE", None)
+    tracemalloc.start()
+    try:
+        assert dusart_gap_holds(10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 10**6, peak
