@@ -45,7 +45,8 @@ T_GEN = "tests/test_generators.py::"
 SPARSE_TESTS = (T_GEN + "test_sigma_sparse_matches_divisor_pairs",
                 T_GEN + "test_sigma_sparse_near_1e14")
 BOUND_TESTS = (T_GEN + "test_abundancy_bound_exceeds_abundancy",)
-BOUND_BITS_TESTS = (T_GEN + "test_abundancy_bound_bits_match_per_prime_loop",)
+BOUND_BITS_TESTS = (T_GEN + "test_abundancy_bound_bits_match_per_prime_loop",
+                    T_GEN + "test_abundancy_bound_bits_match_with_short_hit_block")
 RECORD_TESTS = (T_GEN + "test_superabundant_prefix",
                 T_GEN + "test_superabundant_record_values",
                 T_GEN + "test_superabundant_exponents_do_not_increase",

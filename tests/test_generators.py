@@ -153,22 +153,31 @@ def _bound_per_prime(lo, size, root):
     return bound
 
 
-@pytest.mark.parametrize("hit_block", [generators._HIT_BLOCK, 1000])
-@pytest.mark.parametrize("size", [1, 7, 300, 4096, 1 << 16])
-@pytest.mark.parametrize("w", [10**4, 10**10, 10**12])
-def test_abundancy_bound_bits_match_per_prime_loop(w, size, hit_block,
-                                                   monkeypatch):
-    # sizes on both sides of the scatter's cut at p = size / 256, and
-    # offsets on, after and just before a multiple of a prime; the buffer
-    # is longer than the segment and holds stale values, as in verify_range.
-    # A short hit block cuts the scatter into many runs of primes.
-    monkeypatch.setattr(generators, "_HIT_BLOCK", hit_block)
+def _check_bound_bits_match(w, size):
     rng = random.Random(w + size)
     for lo in (w, w + 1, w + 17 * 19 - 1, w + rng.randrange(10**3)):
         root = math.isqrt(lo + size - 1)
         got = _abundancy_bound(lo, size, root, np.full(size + 3, np.nan))
         want = _bound_per_prime(lo, size, root)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), lo
+
+
+@pytest.mark.parametrize("size", [1, 7, 300, 4096, 1 << 16])
+@pytest.mark.parametrize("w", [10**4, 10**10, 10**12])
+def test_abundancy_bound_bits_match_per_prime_loop(w, size):
+    # sizes on both sides of the scatter's cut at p = size / 256, and
+    # offsets on, after and just before a multiple of a prime; the buffer
+    # is longer than the segment and holds stale values, as in verify_range.
+    _check_bound_bits_match(w, size)
+
+
+@pytest.mark.parametrize("size", [1, 7, 300, 4096, 1 << 16])
+@pytest.mark.parametrize("w", [10**4, 10**10, 10**12])
+def test_abundancy_bound_bits_match_with_short_hit_block(w, size,
+                                                         monkeypatch):
+    # a short hit block cuts the scatter into many runs of primes
+    monkeypatch.setattr(generators, "_HIT_BLOCK", 1000)
+    _check_bound_bits_match(w, size)
 
 
 _ORACLE_WINDOWS = [(720720 * 1388 - 1024, 720720 * 1388 + 1023),
