@@ -430,16 +430,15 @@ def _check_lower_window(ctx: _AuditContext, first_index: int) -> tuple[str, dict
 
 
 def _check_shape_b1(ctx: _AuditContext) -> tuple[str, dict]:
-    c = ctx.c
-    if c.canonical:
-        return PASS, {"canonical": True}
+    """Exponents never rise.  Neighbouring runs differ and the last is
+    positive, so a candidate without a rise is canonical."""
     prev_end, prev_e = 0, None
-    for start, end, e in c.run_bounds():
+    for start, end, e in ctx.c.run_bounds():
         if prev_e is not None and e > prev_e:
             return FAIL, {"index_i": prev_end, "index_j": start,
                           "exponent_i": prev_e, "exponent_j": e}
         prev_end, prev_e = end, e
-    return PASS, {"canonical": False, "non_increasing": True}
+    return PASS, {"canonical": True}
 
 
 def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
@@ -573,11 +572,9 @@ def _check_vojak_d1(ctx: _AuditContext) -> tuple[str, dict]:
 
 
 def _check_vojak_d2(ctx: _AuditContext) -> tuple[str, dict]:
-    c = ctx.c
-    r = c.r
-    count = sum(run.count for run in c.runs if run.exponent != 1)
-    status = PASS if 14 * count < r else FAIL
-    return status, {"count_exponent_not_one": count, "r": r}
+    count = sum(run.count for run in ctx.c.runs if run.exponent != 1)
+    status = PASS if 14 * count < ctx.r else FAIL
+    return status, {"count_exponent_not_one": count, "r": ctx.r}
 
 
 def _check_vojak_d3(ctx: _AuditContext) -> tuple[str, dict]:

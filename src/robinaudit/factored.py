@@ -80,12 +80,12 @@ class Run(NamedTuple):
 @dataclass(frozen=True)
 class CandidateFactorization:
     """Exponent vector over consecutive primes 2, 3, 5, ... as (exponent,
-    count) runs.  ``canonical`` means exponents are non-increasing and
-    positive, the shape every superabundant and colossally abundant number
-    has; other shapes are representable but flagged."""
+    count) runs.  Neighbouring runs never share an exponent, so each
+    integer has one run list.  ``canonical`` means the run exponents
+    strictly decrease, the shape every superabundant and colossally
+    abundant number has; other shapes are representable but flagged."""
 
     runs: tuple[Run, ...]
-    canonical: bool
 
     def __post_init__(self):
         for k, run in enumerate(self.runs):
@@ -93,33 +93,40 @@ class CandidateFactorization:
                 raise DomainError(f"run {k} has count {_int_text(run.count)}")
             if run.exponent < 0:
                 raise DomainError(f"run {k} has negative exponent")
+            if k and self.runs[k - 1].exponent == run.exponent:
+                raise DomainError(f"runs {k - 1} and {k} share exponent "
+                                  f"{_int_text(run.exponent)}; merge them")
         if not self.runs:
             raise DomainError("empty candidate (no positive exponent)")
         if self.runs[-1].exponent == 0:
             raise DomainError("trailing zero-exponent run")
 
+    @property
+    def canonical(self) -> bool:
+        """Run exponents strictly decrease; the last is positive, so all
+        are."""
+        return all(a.exponent > b.exponent for a, b in zip(self.runs, self.runs[1:]))
+
     @classmethod
     def from_runs(cls, pairs: Sequence[tuple[int, int]]) -> "CandidateFactorization":
         """Canonical constructor: exponents strictly decreasing, all >= 1."""
-        runs = tuple(Run(int(e), int(c)) for e, c in pairs)
-        for k, run in enumerate(runs):
-            if run.exponent < 1:
-                raise DomainError(f"run {k} exponent {_int_text(run.exponent)} < 1; "
-                                  "use from_exponents for non-canonical shapes")
-            if k and runs[k - 1].exponent <= run.exponent:
-                raise DomainError(
-                    "run exponents must strictly decrease, got "
-                    f"{_int_text(runs[k - 1].exponent)} then {_int_text(run.exponent)}"
-                    "; use from_exponents for non-canonical shapes")
-        return cls(runs=runs, canonical=True)
+        c = cls(runs=tuple(Run(int(e), int(n)) for e, n in pairs))
+        if not c.canonical:
+            a, b = next((a, b) for a, b in zip(c.runs, c.runs[1:])
+                        if a.exponent < b.exponent)
+            raise DomainError(
+                "run exponents must strictly decrease, got "
+                f"{_int_text(a.exponent)} then {_int_text(b.exponent)}"
+                "; use from_exponents for non-canonical shapes")
+        return c
 
     @classmethod
     def from_exponents(cls, exponents: Sequence[int]) -> "CandidateFactorization":
         """Explicit exponent list a_1, a_2, ...; any non-negative shape.
 
         Trailing zeros are stripped (a_i = 0 beyond the last prime factor by
-        convention); the result is flagged non-canonical unless it happens
-        to have the canonical shape.
+        convention); the result is canonical only when it happens to have
+        the canonical shape.
         """
         exps = [int(a) for a in exponents]
         if len(exps) > _EXPLICIT_LIMIT:
@@ -137,9 +144,7 @@ class CandidateFactorization:
         """Consecutive (exponent, count) pieces, any non-negative shape.
 
         Equal neighbours merge into one run, pieces of count 0 vanish and
-        trailing zero exponents are stripped; the result is flagged
-        canonical exactly when its run exponents strictly decrease (the last
-        one is positive, so all are)."""
+        trailing zero exponents are stripped."""
         runs: list[list[int]] = []
         for e, count in pieces:
             if not count:
@@ -150,9 +155,7 @@ class CandidateFactorization:
                 runs.append([e, count])
         while runs and runs[-1][0] == 0:
             runs.pop()
-        canonical = all(runs[k][0] > runs[k + 1][0] for k in range(len(runs) - 1))
-        return cls(runs=tuple(Run(e, count) for e, count in runs),
-                   canonical=canonical)
+        return cls(runs=tuple(Run(e, count) for e, count in runs))
 
     @property
     def r(self) -> int:
@@ -188,21 +191,11 @@ class CandidateFactorization:
             raise ResourceBudgetError(
                 f"candidate spans {self.r} positions; too wide to expand"
             )
-        out = []
-        for run in self.runs:
-            out.extend([run.exponent] * run.count)
-        return out
+        return [a for run in self.runs for a in [run.exponent] * run.count]
 
     def s_index(self) -> Optional[int]:
         """Largest position with exponent >= 2, or None (squarefree)."""
-        start = 1
-        best = None
-        for run in self.runs:
-            end = start + run.count - 1
-            if run.exponent >= 2:
-                best = end
-            start = end + 1
-        return best
+        return max((end for _, end, e in self.run_bounds() if e >= 2), default=None)
 
     def to_json(self) -> dict:
         return {
@@ -292,10 +285,8 @@ def _require_table(c: CandidateFactorization, t: PrimeTable) -> None:
 
 
 def _prod(values) -> int:
-    """Balanced product of a list of Python ints."""
+    """Balanced product of a non-empty list of Python ints."""
     items = list(values)
-    if not items:
-        return 1
     while len(items) > 1:
         nxt = [items[i] * items[i + 1] for i in range(0, len(items) - 1, 2)]
         if len(items) % 2:
@@ -539,10 +530,7 @@ def materialize(c: CandidateFactorization, t: PrimeTable,
     _require_table(c, t)
     bits = 0
     for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        p_hi = t.nth_prime(end)
-        bits += e * (end - start + 1) * p_hi.bit_length()
+        bits += e * (end - start + 1) * t.nth_prime(end).bit_length()
         if bits > max_bits:
             raise ResourceBudgetError(
                 f"materialized candidate would exceed {max_bits} bits"

@@ -42,6 +42,7 @@ from .intervals import (
     iv_compare,
     iv_from_int,
     iv_log,
+    iv_log_rational,
     iv_mul,
     ladder_exhausted,
     power_below,
@@ -359,9 +360,22 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     With u = p^eps, a(p) >= e means (p u - 1)/(u - 1) >= p^(e+1), that is
     u <= F = (p^(e+1) - 1)/(p^(e+1) - p).  Equality never holds: F is a
     rational strictly between 1 and 2, while p^eps is an integer or
-    irrational.  So one certified comparison p^eps < F decides it."""
+    irrational.  So one certified comparison p^eps < F decides it.
+    power_below rounds F to the working precision before its log; where
+    that leaves it undecided, eps log p is placed against the exact bracket
+    x/(1 + x) < log F < x, x = F - 1, at escalating precision."""
     q = p ** (e + 1)
     below = power_below(p, eps, Fraction(q - 1, q - p), 1, prec)
+    if below is None:
+        def bracket(work: int) -> Optional[bool]:
+            lhs = iv_mul(eps, iv_log_rational(p, work), work)
+            if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:
+                return True  # below x/(1 + x)
+            if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:
+                return False  # above x
+            return None
+
+        below = escalate(bracket, prec)
     if below is None:
         raise ladder_exhausted(
             f"exponent of {p} straddles a power boundary at eps={eps}", prec)
@@ -386,13 +400,12 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
     """The candidate whose exponent at each prime p is
     a(p) = floor(log((p^(1+eps)-1)/(p^eps-1))/log p) - 1.
 
-    Each exponent is decided by one certified comparison per probe,
-    a(p) >= e exactly when p^eps < (p^(e+1) - 1)/(p^(e+1) - p).  a(2) is
-    found by doubling e, then bisecting; exponents are non-increasing in
-    p, so every lower level is located by binary search over the prime
-    table.  Raises DomainError when the vector is empty (eps too large)
-    and TableTooSmallError when the table cannot bracket the last prime
-    with exponent 1.
+    Each exponent is decided by _ca_at_least probes: a(2) by doubling e,
+    then bisecting; exponents are non-increasing in p, so every lower
+    level is located by binary search over the prime table.  Raises
+    DomainError when the vector is empty (eps too large) and
+    TableTooSmallError when the table cannot bracket the last prime with
+    exponent 1.
     """
     eps = Fraction(eps)
     if eps <= 0:

@@ -81,6 +81,15 @@ STEP_TESTS = ("tests/test_audit.py::test_one_log_per_step_and_per_sum",
 CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
 B6_TESTS = ("tests/test_audit.py::test_density_b6_matches_exact_product",)
 JSON_TESTS = (T_FAC + "test_json_refusals_name_field_and_reason",)
+RUN_LIST_TESTS = (T_FAC + "test_constructor_refuses_all_but_one_run_list",
+                  T_FAC + "test_runs_constructor_rejects_non_decreasing")
+B1_TESTS = ("tests/test_audit.py::TestIndividualChecks::test_shape_b1",
+            "tests/test_audit.py::TestIndividualChecks::"
+            "test_shape_checks_read_the_one_run_list")
+CA_TESTS = (T_GEN + "test_exponent_of_2_past_the_rounding_of_f",
+            T_GEN + "test_exponent_inside_the_bracket_is_reported")
+T_BOUNDS = "tests/test_audit.py::TestWindowBounds::"
+USAGE_TESTS = ("tests/test_cli.py::TestUsage::test_refused_argument_is_usage_error",)
 
 MUTANTS = [
     # the abundancy bound of verify_range and the sparse exact sigma
@@ -297,6 +306,75 @@ MUTANTS = [
            "if False:\n                    raise CandidateFormatError", JSON_TESTS),
     Mutant("json: all-zero exponents let through", "factored.py",
            "if not any(exps):", "if False:", JSON_TESTS),
+    # one run list per candidate, and B1 read from it
+    Mutant("run list: equal-neighbour refusal dropped", "factored.py",
+           "if k and self.runs[k - 1].exponent == run.exponent:", "if False:",
+           RUN_LIST_TESTS),
+    Mutant("run list: a negative exponent let through", "factored.py",
+           'if run.exponent < 0:\n                raise DomainError(f"run {k} has',
+           'if False:\n                raise DomainError(f"run {k} has',
+           RUN_LIST_TESTS),
+    Mutant("run list: a trailing zero run let through", "factored.py",
+           "if self.runs[-1].exponent == 0:", "if False:", RUN_LIST_TESTS),
+    Mutant("run list: from_runs accepts a non-canonical list", "factored.py",
+           "if not c.canonical:", "if False:", RUN_LIST_TESTS),
+    Mutant("B1 allows a rise of one", "audit.py",
+           "if prev_e is not None and e > prev_e:",
+           "if prev_e is not None and e > prev_e + 1:", B1_TESTS),
+    # the width budgets of the explicit exponent list
+    Mutant("budget: from_exponents takes any length", "factored.py",
+           "if len(exps) > _EXPLICIT_LIMIT:", "if False:",
+           (T_FAC + "test_explicit_forms_have_a_width_budget",)),
+    Mutant("budget: exponents_list expands any width", "factored.py",
+           "if self.r > _EXPLICIT_LIMIT:", "if False:",
+           (T_FAC + "test_explicit_forms_have_a_width_budget",)),
+    # the CA exponent: power_below first, the exact bracket of log F after
+    Mutant("CA bracket bounds swapped", GEN,
+           "Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS",
+           "Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_LESS",
+           CA_TESTS),
+    Mutant("CA bracket dropped", GEN,
+           "below = escalate(bracket, prec)", "pass", CA_TESTS),
+    Mutant("ca_sweep: a count of 0 let through", GEN,
+           "    if count < 1:", "    if count < 0:",
+           (T_GEN + "test_ca_sweep_needs_a_positive_count",)),
+    # the refusals of U, L and the report lookup
+    Mutant("int_log_floor: x below 1 let through", "audit.py",
+           "if x < 1 or p < 2:", "if p < 2:",
+           (T_BOUNDS + "test_int_log_floor_refuses_x_below_one",)),
+    Mutant("U: log n at most 2 let through", "audit.py",
+           "if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:", "if False:",
+           (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
+    Mutant("U: p at or above log n let through", "audit.py",
+           'if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:\n        raise',
+           'if False:\n        raise',
+           (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
+    Mutant("verdict_for: an unknown id read as None", "audit.py",
+           "raise KeyError(check_id)", "return None",
+           ("tests/test_audit.py::TestFullAudit::"
+            "test_verdict_for_reads_only_the_ledger",)),
+    # the refusals of CLI arguments, one per parser
+    Mutant("cli: a fractional integer truncated", "cli.py",
+           "if d != d.to_integral_value():", "if False:", USAGE_TESTS),
+    Mutant("cli: a count of 0 let through", "cli.py",
+           "    if v < 1:", "    if v < 0:", USAGE_TESTS),
+    Mutant("cli: an infinite epsilon let through", "cli.py",
+           "if not isinstance(exp, int):  # infinity or NaN",
+           "if False:  # infinity or NaN", USAGE_TESTS),
+    Mutant("cli: a zero denominator let through", "cli.py",
+           "except (ValueError, ZeroDivisionError):", "except ValueError:",
+           USAGE_TESTS),
+    # the refusals of the interval layer
+    Mutant("interval: a str operand let through", "intervals.py",
+           '    raise TypeError(f"cannot treat {type(x).__name__} as an interval")',
+           "    return _endpoints(Fraction(x), prec)",
+           (T_IV + "test_str_operand_refused",)),
+    Mutant("interval: a too fine endpoint serialized", "intervals.py",
+           "if k > _MAX_SERIAL_FRACTION_BITS:", "if False:",
+           (T_IV + "test_json_endpoint_finer_than_the_serial_limit_is_refused",)),
+    Mutant("interval: a missing endpoint let through", "intervals.py",
+           "except (TypeError, KeyError) as e:", "except TypeError as e:",
+           (T_IV + "test_json_missing_endpoint_is_refused",)),
 ]
 
 

@@ -130,13 +130,29 @@ def upper_bound_rounded(lg, p: int, prec: int) -> int:
     raise InvariantError(f"bracket walk for {p} did not terminate")
 
 
-def ca_exponent_oracle(p: int, eps: Fraction) -> int:
+def ca_exponent_oracle(p: int, eps: Fraction, bits: int = 1024) -> int:
     """floor(log((p^(1+eps) - 1)/(p^eps - 1)) / log p) - 1, the published
-    colossally abundant exponent, in mpmath at 1024 bits."""
-    with mpmath.workprec(1024):
+    colossally abundant exponent, in mpmath at ``bits`` bits."""
+    with mpmath.workprec(bits):
         e = mpmath.mpf(eps.numerator) / eps.denominator
         x = (mpmath.power(p, 1 + e) - 1) / (mpmath.power(p, e) - 1)
         return int(mpmath.floor(mpmath.log(x) / mpmath.log(p))) - 1
+
+
+def eps_inside_ca_bracket(e: int, side: int) -> Fraction:
+    """An eps with eps log 2 strictly inside x/(1 + x) < log F < x, where
+    F = 1 + x, x = 1/(2^(e+1) - 2) is the rational of the probe a(2) >= e:
+    halfway between log F and x/(1 + x) for side < 0, between log F and x
+    for side > 0, to about e + 100 bits."""
+    x = Fraction(1, 2 ** (e + 1) - 2)
+    end = x / (1 + x) if side < 0 else x
+    with mpmath.workprec(8 * e):
+        log_f = mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator)
+        target = (log_f + mpmath.mpf(end.numerator) / end.denominator) / 2
+        ratio = target / mpmath.log(2)
+    with mpmath.workprec(e + 100):
+        man, exp = (+ratio).man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def check_interval_endpoints(lo: tuple, hi: tuple) -> None:

@@ -52,6 +52,7 @@ from robinaudit.errors import (
 from robinaudit import audit, factored, intervals
 from robinaudit.factored import (
     CandidateFactorization,
+    Run,
     g_ratio_divide,
     g_ratio_swap,
     log_n,
@@ -182,6 +183,16 @@ class TestWindowBounds:
         with pytest.raises(DomainError):
             compute_u(c, 5, table_1e6)  # p_5 = 11 > log n
 
+    def test_upper_bound_refuses_a_log_too_small(self):
+        with pytest.raises(DomainError, match="log n certainly > 2"):
+            compute_u_from_log(iv_from_int(2), 2)
+        with pytest.raises(DomainError, match="101 not certainly below log n"):
+            compute_u_from_log(iv_from_int(100), 101)
+
+    def test_int_log_floor_refuses_x_below_one(self):
+        with pytest.raises(DomainError, match="x >= 1 and p >= 2, got 0, 2"):
+            int_log_floor(0, 2)
+
     def test_lower_bound_exact(self):
         assert compute_l(97, 2) == 6    # 64 <= 97 < 128
         assert compute_l(97, 3) == 4    # 81 <= 97 < 243
@@ -277,10 +288,26 @@ class TestIndividualChecks:
         assert v5.status == PASS
 
     def test_shape_b1(self, table_1e6):
-        assert run_check("shape_B1", cand(4, 2, 1, 1), table_1e6).status == PASS
+        v = run_check("shape_B1", cand(4, 2, 1, 1), table_1e6)
+        assert v.status == PASS and v.witness == {"canonical": True}
         v = run_check("shape_B1", cand(1, 2), table_1e6)
         assert v.status == FAIL
         assert run_check("shape_B1", cand(2, 0, 1), table_1e6).status == FAIL
+
+    def test_shape_checks_read_the_one_run_list(self, table_1e6):
+        # 18 = 2 * 3^2 built directly: B1 scans its runs for the rise
+        rising = CandidateFactorization(runs=(Run(1, 1), Run(2, 1)))
+        v = run_check("shape_B1", rising, table_1e6)
+        assert v.status == FAIL
+        assert v.witness == {"index_i": 1, "index_j": 2,
+                             "exponent_i": 1, "exponent_j": 2}
+        # 36 = 2^2 3^2 cannot be split into two runs, so it is always B3's
+        # listed exception
+        with pytest.raises(DomainError, match="share exponent 2"):
+            CandidateFactorization(runs=(Run(2, 1), Run(2, 1)))
+        merged = CandidateFactorization(runs=(Run(2, 2),))
+        assert run_check("shape_B3", merged, table_1e6).status == PASS
+        assert run_check("shape_B1", merged, table_1e6).status == PASS
 
     def test_shape_b2_boundary(self, table_1e6):
         # floor(20 log 2 / log 3) = 12: allowed against 13, not against 14
@@ -445,6 +472,13 @@ class TestFullAudit:
                 .joinpath("schemas/audit_report.schema.json").read_text())
         ids = json.loads(text)["properties"]["checks"]["items"]["properties"]["id"]
         assert ids["enum"] == list(CHECK_IDS)
+
+    def test_verdict_for_reads_only_the_ledger(self, table_1e6):
+        rep = full_audit(cand(4, 2, 1, 1), table_1e6,
+                         include_alt_log_window=True)
+        assert rep.verdict_for("shape_B1").status == PASS
+        with pytest.raises(KeyError):
+            rep.verdict_for("log_window_alt")  # an extra check
 
     def test_excluded_by_follows_check_order(self, table_1e6):
         rep = full_audit(cand(4, 2, 1, 1), table_1e6)

@@ -18,6 +18,7 @@ from robinaudit import cli, intervals
 from robinaudit.cli import main
 from robinaudit.errors import InvariantError
 from robinaudit.primes import PrimeTable
+from oracles import eps_inside_ca_bracket
 from test_factored import REFUSALS
 
 CAND_5040 = '{"exponents": [4, 2, 1, 1]}'
@@ -149,13 +150,33 @@ class TestCaCommand:
         assert "4300 digits" in err and "internal error" not in err
 
     def test_tiny_epsilon_answers_quickly(self, capsys):
-        # a(2) is near 14,000 here: its probes above about 2,000 stay
-        # indeterminate at the top of the precision ladder, and doubling
-        # reaches one in a dozen probes instead of walking there
+        # a(2) = 14,280 here: its probes above about 2,000 are decided by
+        # the exact bracket of log F, doubling reaches it in a few dozen
+        # probes, and every prime of the default table has exponent >= 1
         t0 = time.monotonic()
         code, _, err = run_cli(["ca", "--epsilon", "1e-4299"], capsys)
         assert time.monotonic() - t0 < 2
-        assert code == 2 and "straddles a power boundary" in err
+        assert code == 65 and "enlarge the table" in err
+
+    def test_undecided_probe_is_inconclusive(self, capsys):
+        # eps log 2 lies inside the bracket of log F for the probe
+        # a(2) >= 1500, where 2048 bits cannot place it; the suggested
+        # 4096 bits decide power_below's comparison itself
+        eps = eps_inside_ca_bracket(1500, 1)
+        argv = ["ca", "--epsilon", f"{eps.numerator}/{eps.denominator}"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "straddles a power boundary" in err
+        assert "retry with --precision 4096" in err
+        code, _, err = run_cli(argv + ["--precision", "4096"], capsys)
+        assert code == 65 and "enlarge the table" in err
+
+    def test_wide_candidate_has_no_integer(self, capsys):
+        # the candidate's n has more than 4,096 bits, so only its runs print
+        code, out, _ = run_cli(["ca", "--epsilon", "1e-5"], capsys)
+        assert code == 0
+        candidate = json.loads(out)["candidate"]
+        assert candidate["n"] is None and candidate["r"] == 1311
 
     def test_epsilon_and_count_exclusive(self, capsys):
         code, _, _ = run_cli(
@@ -430,6 +451,18 @@ class TestUsage:
     def test_bad_integer(self, capsys):
         code, _, _ = run_cli(["verify", "--from", "x", "--to", "5"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("argv, said", [
+        (["verify", "--from", "1.5", "--to", "10"], "not an integer: '1.5'"),
+        (["sa", "--limit", "0"], "must be positive: '0'"),
+        (["ca", "--epsilon", "inf"], "not a number: 'inf'"),
+        (["ca", "--epsilon", "1/0"], "not a number: '1/0'"),
+    ], ids=["fractional_integer", "zero_count", "infinite_epsilon",
+            "zero_denominator"])
+    def test_refused_argument_is_usage_error(self, argv, said, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64 and out == ""
+        assert said in err and "internal error" not in err
 
     @pytest.mark.parametrize("argv, said", [
         (["verify", "--from", "5041", "--to", "1e5000"], "4300 digits"),

@@ -21,6 +21,7 @@ from robinaudit.errors import (
 from robinaudit.factored import (
     _CHUNK,
     CandidateFactorization,
+    Run,
     _cell_pieces,
     _Products,
     _sigma_ratio,
@@ -56,12 +57,50 @@ def test_runs_constructor_canonical():
 
 
 def test_runs_constructor_rejects_non_decreasing():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="runs 0 and 1 share exponent 2"):
         CandidateFactorization.from_runs([(2, 1), (2, 1)])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="strictly decrease, got 1 then 2"):
         CandidateFactorization.from_runs([(1, 1), (2, 1)])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="strictly decrease, got 0 then 1"):
+        CandidateFactorization.from_runs([(2, 1), (0, 1), (1, 1)])
+    with pytest.raises(DomainError, match="trailing zero-exponent run"):
         CandidateFactorization.from_runs([(0, 1)])
+
+
+@pytest.mark.parametrize("runs, message", [
+    ((Run(2, 1), Run(-1, 1), Run(1, 1)), "run 1 has negative exponent"),
+    ((Run(2, 1), Run(0, 1)), "trailing zero-exponent run"),
+    ((Run(2, 1), Run(2, 1)), "runs 0 and 1 share exponent 2"),
+    ((Run(1, 1), Run(0, 2), Run(0, 1), Run(1, 1)),
+     "runs 1 and 2 share exponent 0"),
+    ((Run(1, 0),), "run 0 has count 0"),
+], ids=["negative", "trailing_zero", "equal_neighbours", "equal_zero_runs",
+        "zero_count"])
+def test_constructor_refuses_all_but_one_run_list(runs, message):
+    # each integer has one run list, the one _from_pieces builds
+    with pytest.raises(DomainError, match=message):
+        CandidateFactorization(runs=runs)
+
+
+def test_shape_is_read_from_the_runs():
+    # 18 = 2 * 3^2 rises; no stored flag can call it canonical
+    with pytest.raises(TypeError):
+        CandidateFactorization(runs=(Run(1, 1), Run(2, 1)), canonical=True)
+    rising = CandidateFactorization(runs=(Run(1, 1), Run(2, 1)))
+    assert not rising.canonical
+    assert rising == CandidateFactorization.from_exponents([1, 2])
+    # 36 = 2^2 3^2 has the one run list [(2, 2)], however it is built
+    assert (CandidateFactorization(runs=(Run(2, 2),))
+            == CandidateFactorization.from_exponents([2, 2]))
+    assert CandidateFactorization.from_exponents([2, 2]).canonical
+
+
+def test_explicit_forms_have_a_width_budget():
+    with pytest.raises(ResourceBudgetError, match="explicit exponent list"):
+        CandidateFactorization.from_exponents([1] * (10**6 + 1))
+    wide = CandidateFactorization.from_runs([(1, 10**6 + 1)])
+    with pytest.raises(ResourceBudgetError, match="too wide to expand"):
+        wide.exponents_list()
 
 
 def test_text_form_names_huge_ints_by_size():
@@ -92,7 +131,7 @@ def test_trailing_zeros_stripped():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: CandidateFactorization(runs=(), canonical=True),
+    lambda: CandidateFactorization(runs=()),
     lambda: CandidateFactorization.from_runs([]),
     lambda: CandidateFactorization.from_exponents([0, 0]),
 ], ids=["direct", "from_runs", "from_exponents"])

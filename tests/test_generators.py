@@ -36,7 +36,7 @@ from robinaudit.generators import (
 from robinaudit.intervals import Comparison, iv_compare, iv_log, iv_mul
 from robinaudit.primes import _prime_chunks
 
-from oracles import ca_exponent_oracle, sigma_divisor_pairs
+from oracles import ca_exponent_oracle, eps_inside_ca_bracket, sigma_divisor_pairs
 
 # The complete list of failures below 5041 (classical; frozen as oracle).
 ROBIN_EXCEPTIONS = [
@@ -470,6 +470,34 @@ def test_exponent_of_2_matches_linear_walk(table_1e5, m, k):
         exps = ca_candidate(eps, table_1e5).exponents_list()
         primes = table_1e5.slice(1, len(exps) + 1).tolist()
         assert exps + [0] == [_linear_exponent(p, eps) for p in primes]
+
+
+def test_exponent_of_2_past_the_rounding_of_f():
+    # a(2) = 14,280: probes above about e = 2,046 round F = 1 + x, with
+    # x about 2^-e, to 1 at every precision of the ladder, so they are
+    # decided by the exact bracket x/(1 + x) < log F < x
+    eps = Fraction(1, 10**4299)
+    assert ca_exponent_oracle(2, eps, bits=50_000) == 14_280
+    assert generators._ca_exponent_of_2(eps, 128) == 14_280
+    assert generators._ca_at_least(2, 14_280, eps, 128)
+    assert not generators._ca_at_least(2, 14_281, eps, 128)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below_log_f", "above_log_f"])
+@pytest.mark.parametrize("e", [1500, 3000])
+def test_exponent_inside_the_bracket_is_reported(e, side):
+    # eps log 2 strictly inside x/(1 + x) < log F < x, on either side of
+    # log F: the bracket cannot place it, and the probe says so.  At
+    # e = 1500 the top of the ladder, 2048 bits, tells eps log 2 from
+    # both ends of the bracket; at e = 3000 from neither.
+    eps = eps_inside_ca_bracket(e, side)
+    with pytest.raises(PrecisionError, match="straddles a power boundary"):
+        generators._ca_at_least(2, e, eps, 128)
+
+
+def test_ca_sweep_needs_a_positive_count(table_1e5):
+    with pytest.raises(DomainError, match="count must be >= 1, got 0"):
+        ca_sweep(0, table_1e5)
 
 
 def test_ca_sweep_known_prefix(table_1e6):

@@ -380,6 +380,22 @@ def test_dyadic_endpoints_are_exact(lo, width, prec):
         assert s >= 0 and Fraction(m, 2**s) == end
 
 
+def test_contains_an_interval():
+    outer = iv_make(1, 3)
+    assert outer.contains(iv_make(1, 2)) and outer.contains(outer)
+    assert not outer.contains(iv_make(2, 4))
+
+
+def test_fraction_constructor_takes_an_int_exactly():
+    a = iv_from_fraction(3)
+    assert a.lo == a.hi == 3
+
+
+def test_str_operand_refused():
+    with pytest.raises(TypeError, match="cannot treat str as an interval"):
+        iv_add("1", 1)
+
+
 def test_big_int_rounded_enclosure():
     n = 10**100 + 12345
     a = iv_from_int_rounded(n, 128)
@@ -413,6 +429,27 @@ def test_json_round_trip_past_the_int_digit_limit(prec):
 def test_json_endpoint_that_is_no_decimal_is_refused(text):
     with pytest.raises(DomainError):
         interval_from_json({"lo": text, "hi": "1"})
+
+
+def test_json_zero_endpoint():
+    j = interval_to_json(iv_make(0, 1))
+    assert j == {"lo": "0", "hi": "1"}
+    b = interval_from_json(j)
+    assert b.lo == 0 and b.hi == 1
+
+
+def test_json_endpoint_finer_than_the_serial_limit_is_refused():
+    fine = iv_from_fraction(Fraction(1, 2 ** 65537))
+    with pytest.raises(DomainError, match="too fine"):
+        interval_to_json(fine)
+    assert interval_to_json(iv_from_fraction(Fraction(1, 2 ** 65536)))
+
+
+@pytest.mark.parametrize("obj", [{"lo": "1"}, {"hi": "1"}, None, "1"],
+                         ids=["no_hi", "no_lo", "none", "str"])
+def test_json_missing_endpoint_is_refused(obj):
+    with pytest.raises(DomainError, match="missing endpoint"):
+        interval_from_json(obj)
 
 
 def test_json_foreign_decimal_rounded_outward():
