@@ -13,10 +13,10 @@ indeterminate comparison is Unknown, and every verdict carries the
 audit's precision.
 
 Per-index windows (L <= a_i <= U, and B4's p_i^(a_i) < 2^(a_1+2)) are
-decided in O(#runs) by one scan, ``_violation``, shared by the checks and
-``normalize``: inside a run the exponent is fixed while each bound is
-monotone in the prime, so a run's violations form a suffix (U, B4) or a
-prefix (L) of it.
+decided in O(#runs) by two scans shared by the checks and ``normalize``:
+inside a run the exponent is fixed while each bound is monotone in the
+prime, so a run's violations form a suffix (U, B4; ``_violation``) or a
+prefix (L; ``_below_l``, which reads the prefix end from one integer root).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .factored import (
     CandidateFactorization,
+    Run,
     _cell_pieces,
     _density_piece,
     _g_ratio_edit,
@@ -262,18 +263,18 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
     log n (``lg`` when carried from the previous state), log log n and the
-    bounds at p_r.  ``products`` holds the exact cell products behind log n
-    and B6's density pieces."""
+    bounds at p_r, with r = c.r given when the caller has it.  ``products``
+    holds the exact cell products behind log n and B6's density pieces."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
-                 lg: Optional[IntervalScalar] = None):
+                 lg: Optional[IntervalScalar] = None, r: Optional[int] = None):
         if lg is not None:
             self.log_n = lg  # over the cached_property, which has no setter
         self.c = c
         self.t = t
         self.prec = prec
         self.products = _Products()
-        self.r = c.r
+        self.r = c.r if r is None else r
         self.covered = self.r <= len(t)
         self.p_r = t.nth_prime(self.r) if self.covered else None
         self._u: dict[int, int] = {}
@@ -302,35 +303,48 @@ class _AuditContext:
         """a_i = e > U(p_i); U is not formed for e = 0."""
         return e > 0 and e > self.u(i)
 
-    def below_l(self, i: int, e: int) -> bool:
-        """a_i = e < L(p_i), exact."""
-        return e < compute_l(self.p_r, self.t.nth_prime(i))
-
 
 def _violation(ctx: _AuditContext, bad: Callable[[int, int], bool], *,
-               suffix: bool, last: bool = False, lo: int = 1) -> Optional[int]:
+               last: bool = False, lo: int = 1) -> Optional[int]:
     """Least index i >= lo with bad(i, a_i), or the largest when ``last``;
     None when there is none.
 
-    ``bad`` holds on a suffix of each run when ``suffix``, else on a
-    prefix, so each run is tested at the end where a violation shows
-    first, and bisected only when the wanted index is not that end."""
+    ``bad`` holds on a suffix of each run, so each run is tested at its
+    end, and bisected only for the least index."""
     runs = ctx.c.run_bounds()
     for start, end, e in reversed(list(runs)) if last else runs:
         start = max(start, lo)
-        if start > end:
+        if start > end or not bad(end, e):
             continue
-        probe = end if suffix else start
-        if not bad(probe, e):
+        if last:
+            return end
+        return start + bisect.bisect_left(range(start, end), True,
+                                          key=lambda i: bad(i, e))
+    return None
+
+
+def _below_l(ctx: _AuditContext, *, last: bool = False,
+             lo: int = 1) -> Optional[int]:
+    """Least index i >= lo with a_i < L(p_i), or the largest when ``last``;
+    None when there is none.
+
+    e < L(p) = floor(log p_r / log p) means p^(e+1) <= p_r, that is
+    p <= floor(p_r^(1/(e+1))) for an integer p.  The primes rise with the
+    index, so a run of exponent e holds a violation when its first prime
+    does, and its violations end at the run end or at the last prime up to
+    that root, found by one search of the table.  No prime does when
+    e + 1 is at least the bit length of p_r, and no power is formed."""
+    t, p_r, runs = ctx.t, ctx.p_r, ctx.c.run_bounds()
+    for start, end, e in reversed(list(runs)) if last else runs:
+        start, k = max(start, lo), e + 1
+        if start > end or k >= p_r.bit_length() or t.nth_prime(start) ** k > p_r:
             continue
-        if suffix == last:
-            return probe
-        if suffix:  # the first index of the suffix
-            return start + bisect.bisect_left(range(start, end), True,
-                                              key=lambda i: bad(i, e))
-        # the last index of the prefix, walking down from the end
-        return end - bisect.bisect_left(range(end, start, -1), True,
-                                        key=lambda i: bad(i, e))
+        if not last:
+            return start
+        root = int(p_r ** (1 / k)) + 1  # float root + 1 >= the exact floor
+        while root**k > p_r:
+            root -= 1
+        return int(t.slice(1, end).searchsorted(root, side="right"))
     return None
 
 
@@ -409,7 +423,7 @@ def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
         return UNKNOWN, {"reason": "log n vs p_r indeterminate",
                          "log_n": ctx.log_n, "p_r": ctx.p_r}
 
-    i = _violation(ctx, ctx.above_u, suffix=True)
+    i = _violation(ctx, ctx.above_u)
     if i is None:
         return PASS, {"runs_checked": sum(1 for run in ctx.c.runs
                                           if run.exponent)}
@@ -421,7 +435,7 @@ def _check_lower_window(ctx: _AuditContext, first_index: int) -> tuple[str, dict
     if ctx.r < 2:
         return NOT_APPLICABLE, {"reason": "needs at least two prime factors",
                                 "r": ctx.r}
-    i = _violation(ctx, ctx.below_l, suffix=False, lo=first_index)
+    i = _below_l(ctx, lo=first_index)
     if i is None:
         return PASS, {"first_index": first_index, "p_r": ctx.p_r}
     p = ctx.t.nth_prime(i)
@@ -511,7 +525,7 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
         # p_i^e < 2^(a1+2) fails on a suffix of each run
         return e > 0 and not _power_below(ctx, t.nth_prime(i), e, 2, a1 + 2)
 
-    i = _violation(ctx, bad, suffix=True, lo=2)
+    i = _violation(ctx, bad, lo=2)
     if i is None:
         return PASS, {"bound_exponent": a1 + 2}
     return FAIL, {"index": i, "prime": t.nth_prime(i), "exponent": c.a(i),
@@ -831,25 +845,28 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
         s: Optional[int] = None
         if upper_ok:
             try:
-                s = _violation(ctx, ctx.above_u, suffix=True, last=True)
+                s = _violation(ctx, ctx.above_u, last=True)
             except _Indeterminate:
                 return NormalizationResult(ctx.c, INDETERMINATE, trace)
         if s is not None:
             action, edits = "divide", {s: -1}
         else:
-            s = _violation(ctx, ctx.below_l, suffix=False, last=True)
+            s = _below_l(ctx, last=True)
             if s is None:
                 status = IN_WINDOW if upper_ok else BLOCKED_LOG_WINDOW
                 return NormalizationResult(ctx.c, status, trace)
-            if ctx.c.a(ctx.r) != 1:
+            if ctx.c.runs[-1].exponent != 1:  # a_r
                 return NormalizationResult(ctx.c, BLOCKED_EXPONENT, trace)
             action, edits = "swap", {s: 1, ctx.r: -1}
         lg = _log_after(ctx.log_n, edits, t, prec)
         carried = step % _RESUM_STEPS != 0
-        nxt = _AuditContext(_edited(ctx.c, edits), t, prec, lg if carried else None)
+        c_after, r_after, before = _edited(ctx.c, edits, ctx.r)
+        nxt = _AuditContext(c_after, t, prec, lg if carried else None, r_after)
         try:
-            loglog_after = nxt.loglog if carried else _loglog_from(lg, prec)
-            ratio = _g_ratio_edit(ctx.c, edits, t, prec, ctx.loglog, loglog_after)
+            loglog_after = _loglog_from(lg, prec)
+            if carried:  # the next state's log n is lg
+                nxt.loglog = loglog_after
+            ratio = _g_ratio_edit(before, edits, t, prec, ctx.loglog, loglog_after)
         except DomainError:  # log n or log n' is not certainly > 1
             ratio = None
         trace.append(_step_entry(ctx, action, s, ratio))
@@ -867,28 +884,40 @@ def _step_entry(ctx: _AuditContext, action: str, s: int,
     if ratio is None:
         entry.update(ratio=None, ratio_certainly_below_one=None)
         return entry
-    entry.update(ratio=_interval_json(ratio, ctx.prec),
+    entry.update(ratio=interval_to_json(ratio),  # iv_mul rounds to prec
                  ratio_certainly_below_one=iv_compare(ratio, 1)
                  is Comparison.CERTAINLY_LESS)
     return entry
 
 
-def _edited(c: CandidateFactorization,
-            edits: dict[int, int]) -> CandidateFactorization:
-    """Add edits[i] to a_i at each edited position i <= r, by splitting the
-    runs that hold them in O(#runs); ``_from_pieces`` merges and strips the
-    result as ``from_exponents`` would.  Raises InvariantError for an edit
-    that empties a position below r, which would leave a hole."""
-    pieces, todo = [], sorted(edits, reverse=True)
-    for start, end, e in c.run_bounds():
-        while todo and todo[-1] <= end:
-            i = todo.pop()
-            if e + edits[i] == 0 and i < c.r:
-                raise InvariantError(f"edit at interior index {i} would leave a hole")
-            pieces += [(e, i - start), (e + edits[i], 1)]
-            start = i + 1
-        pieces.append((e, end - start + 1))
-    return CandidateFactorization._from_pieces(pieces)
+def _edited(c: CandidateFactorization, edits: dict[int, int], r: int
+            ) -> tuple[CandidateFactorization, int, dict[int, int]]:
+    """Add edits[i] to a_i at each edited position i <= r = c.r; returns
+    the result, its r and each old a_i.  Only the run holding i, found from
+    the end, is split; a_i + edits[i] merges into an equal neighbour run,
+    trailing zeros are stripped, and a hole below r is an InvariantError."""
+    runs, before = list(c.runs), {}
+    for i in sorted(edits, reverse=True):
+        k, start = len(runs), r + 1  # runs[k] starts at position start
+        while start > i:
+            k -= 1
+            start -= runs[k].count
+        e, count = runs[k]
+        before[i], new_e, end = e, e + edits[i], start + count - 1
+        if new_e == 0 and i < r:
+            raise InvariantError(f"edit at interior index {i} would leave a hole")
+        lo, hi, mid = k, k + 1, 1
+        if i == start and lo and runs[lo - 1].exponent == new_e:
+            lo -= 1
+            mid += runs[lo].count
+        if i == end and hi < len(runs) and runs[hi].exponent == new_e:
+            mid += runs[hi].count
+            hi += 1
+        pieces = (Run(e, i - start), Run(new_e, mid), Run(e, end - i))
+        runs[lo:hi] = [run for run in pieces if run.count]
+    while runs and runs[-1].exponent == 0:
+        r -= runs.pop().count
+    return CandidateFactorization(tuple(runs)), r, before
 
 
 def report_to_json_str(report: AuditReport) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -53,7 +52,6 @@ from .intervals import (
     iv_compare,
     iv_div,
     iv_exp,
-    iv_from_fraction,
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
@@ -434,14 +432,15 @@ def big_g(c: CandidateFactorization, t: PrimeTable,
 
 
 def _sigma_ratio(p: int, a: int, b: int,
-                 prec: int) -> Union[Fraction, IntervalScalar]:
+                 prec: int) -> Union[tuple[int, int], IntervalScalar]:
     """(sigma(p^a)/p^a) / (sigma(p^b)/p^b) = (p - p^(-a)) / (p - p^(-b)).
 
-    Exact while p^(max(a, b) + 1) fits _EXACT_POW_BITS; otherwise an
-    enclosure of the second form, whose exponent-0 side is the exact p - 1.
+    The first form's (numerator, denominator), unreduced, while
+    p^(max(a, b) + 1) fits _EXACT_POW_BITS; otherwise an enclosure of the
+    second form, whose exponent-0 side is the exact p - 1.
     """
     if _pow_bits(p, max(a, b) + 1) <= _EXACT_POW_BITS:
-        return Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
+        return (p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a
     lp = iv_log_rational(p, prec)
 
     def side(e: int) -> IntervalScalar:
@@ -463,26 +462,25 @@ def _log_after(lg: IntervalScalar, edits: dict[int, int], t: PrimeTable,
     return lg
 
 
-def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
+def _g_ratio_edit(before: dict[int, int], edits: dict[int, int],
                   t: PrimeTable, prec: int, loglog: IntervalScalar,
                   loglog_after: IntervalScalar) -> IntervalScalar:
     """Enclosure of G(n) / G(n') for n' = n * Pi p_i^edits[i], each edit
-    +1 or -1, from enclosures of log log n and log log n'.
-
-    Computed from local data: the sigma ratios at the edited primes are
-    exact rationals unless an exponent is huge, and only the two log log
-    factors need enclosures, so the result is far tighter than dividing
-    two independently computed G values.
+    +1 or -1, from n's exponents before[i] and enclosures of log log n and
+    log log n'.  The sigma ratios at the edited primes multiply into one
+    exact integer fraction unless an exponent is huge, and only the two
+    log log factors need enclosures, so the result is far tighter than
+    dividing two independently computed G values.
     """
     num, den, parts = 1, 1, []
     for i, delta in edits.items():
-        a = c.a(i)
+        a = before[i]
         f = _sigma_ratio(t.nth_prime(i), a, a + delta, prec)
-        if isinstance(f, Fraction):
-            num, den = num * f.numerator, den * f.denominator
+        if isinstance(f, tuple):
+            num, den = num * f[0], den * f[1]
         else:
             parts.append(f)
-    sig = iv_from_fraction(Fraction(num, den), prec)
+    sig = iv_div(num, den, prec)  # num / den rounded outward once
     for f in parts:
         sig = iv_mul(sig, f, prec)
     return iv_mul(sig, iv_div(loglog_after, loglog, prec), prec)
@@ -491,8 +489,8 @@ def _g_ratio_edit(c: CandidateFactorization, edits: dict[int, int],
 def _g_ratio_fresh(c: CandidateFactorization, edits: dict[int, int],
                    t: PrimeTable, prec: int) -> IntervalScalar:
     """_g_ratio_edit from a fresh sum of log n."""
-    lg = log_n(c, t, prec)
-    return _g_ratio_edit(c, edits, t, prec, _loglog_from(lg, prec),
+    lg, before = log_n(c, t, prec), {i: c.a(i) for i in edits}
+    return _g_ratio_edit(before, edits, t, prec, _loglog_from(lg, prec),
                          _loglog_from(_log_after(lg, edits, t, prec), prec))
 
 

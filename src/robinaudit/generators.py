@@ -354,6 +354,12 @@ def superabundant_up_to(limit: int) -> list[AbundanceRecord]:
 EpsilonLike = Union[int, float, str, Fraction, Decimal]
 
 
+def _eps_text(eps: Fraction) -> str:
+    """eps as str() writes it, each side through _int_text."""
+    text = _int_text(eps.numerator)
+    return text if eps.denominator == 1 else f"{text}/{_int_text(eps.denominator)}"
+
+
 def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     """a(p) >= e for e >= 1, where a(p) is the CA exponent at eps.
 
@@ -377,8 +383,8 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
 
         below = escalate(bracket, prec)
     if below is None:
-        raise ladder_exhausted(
-            f"exponent of {p} straddles a power boundary at eps={eps}", prec)
+        raise ladder_exhausted(f"exponent of {p} straddles a power boundary "
+                               f"at eps={_eps_text(eps)}", prec)
     return below
 
 
@@ -409,16 +415,16 @@ def ca_candidate(eps: EpsilonLike, t: PrimeTable,
     """
     eps = Fraction(eps)
     if eps <= 0:
-        raise DomainError(f"epsilon must be positive, got {eps}")
+        raise DomainError(f"epsilon must be positive, got {_eps_text(eps)}")
     a2 = _ca_exponent_of_2(eps, prec)
     if a2 < 1:
         raise DomainError(
-            f"epsilon {eps} gives an empty exponent vector (a(2) = {a2})"
+            f"epsilon {_eps_text(eps)} gives an empty exponent vector (a(2) = {a2})"
         )
     if _ca_at_least(t.nth_prime(len(t)), 1, eps, prec):
         raise TableTooSmallError(
             f"every prime up to {t.limit} has a positive exponent at "
-            f"eps={eps}; enlarge the table",
+            f"eps={_eps_text(eps)}; enlarge the table",
             needed=t.limit + 1,
         )
 

@@ -178,14 +178,18 @@ class PrimeTable:
         return self._primes[a:b]
 
 
+_GAP_BASE_LIMIT = 40000  # reaches every x < 1.6e9, range_sweep's x <= 10^9
 _GAP_BASE_TABLE: Optional[PrimeTable] = None
 
 
-def _gap_base_primes(root: int) -> np.ndarray:
+def _gap_base_table(root: int) -> PrimeTable:
+    """Primes up to at least ``root``, shared up to _GAP_BASE_LIMIT."""
     global _GAP_BASE_TABLE
-    if _GAP_BASE_TABLE is None or _GAP_BASE_TABLE.limit < root:
-        _GAP_BASE_TABLE = PrimeTable.build(max(root, 40000))
-    return _GAP_BASE_TABLE.primes_in(2, root)
+    if root > _GAP_BASE_LIMIT:
+        return PrimeTable.build(root + _GAP_BLOCK)
+    if _GAP_BASE_TABLE is None:
+        _GAP_BASE_TABLE = PrimeTable.build(_GAP_BASE_LIMIT)
+    return _GAP_BASE_TABLE
 
 
 def dusart_window_end(x: int, prec: int = DEFAULT_PRECISION_BITS) -> int:
@@ -212,9 +216,12 @@ def _next_prime_above(x: int) -> int:
     prime p >= 64 hits a block at most once, so one fancy store clears
     those and only the few smaller p loop.  Bertrand's postulate puts the
     prime below 2x < 2^63, so every position fits int64."""
-    lo = x + 1
+    lo, table = x + 1, None
     while True:
-        base = _gap_base_primes(isqrt(lo + _GAP_BLOCK - 1))
+        root = isqrt(lo + _GAP_BLOCK - 1)
+        if table is None or table.limit < root:
+            table = _gap_base_table(root)
+        base = table.primes_in(2, root)
         flags = np.ones(_GAP_BLOCK, dtype=bool)
         first = (-lo) % base
         small = int(np.searchsorted(base, _GAP_BLOCK))
@@ -259,9 +266,9 @@ def dusart_gap_holds(x: int, prec: int = DEFAULT_PRECISION_BITS) -> bool:
 
     Supports DUSART_GAP_THRESHOLD <= x < 2^62 and refuses larger x with
     ResourceBudgetError.  The sieving primes, up to sqrt(p) < 2^31.5,
-    come from one cached PrimeTable (whose build refuses limits above
-    2^32), so memory grows as sqrt(x): 1.95 M primes (15.6 MB) at
-    x = 10^15 and 50.8 M (406 MB) at 10^18.
+    come from a shared table up to _GAP_BASE_LIMIT, or from a PrimeTable
+    built for the call alone (whose build refuses limits above 2^32), of
+    1.95 M primes (15.6 MB) at x = 10^15 and 50.8 M (406 MB) at 10^18.
     """
     if x < DUSART_GAP_THRESHOLD:
         raise DomainError(

@@ -66,11 +66,15 @@ SIGMA_RATIO_TESTS = (T_FAC + "test_sigma_ratio_on_both_sides_of_the_exact_cut",
                      T_FAC + "test_rho_beyond_the_exact_cut")
 G_RATIO_TESTS = (T_FAC + "test_g_ratio_edits_contain_oracle",
                  "tests/test_golden.py")
+SIGMA_PART_TESTS = (T_FAC + "test_integer_sigma_part_matches_the_fraction_path",)
+GAP_TABLE_TESTS = (T_PRIMES + "test_gap_at_1e15_needs_little_memory",
+                   T_PRIMES + "test_gap_tables_past_the_shared_limit_are_the_calls_own")
 EDIT_TESTS = ("tests/test_audit.py::test_run_edits_match_exponent_list_path",)
 WALK_TESTS = ("tests/test_audit.py::test_carried_log_n_meets_a_fresh_sum",
               "tests/test_audit.py::test_carried_log_n_stays_narrow_on_a_long_walk")
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
+L_SCAN_TESTS = SCAN_TESTS + ("tests/test_audit.py::test_l_violations_match_a_linear_scan",)
 B2_TESTS = ("tests/test_audit.py::test_shape_b2_corners_match_all_pairs",)
 T_MEMO = "tests/test_memo.py::"
 T_IV = "tests/test_intervals.py::"
@@ -160,9 +164,12 @@ MUTANTS = [
            "small = int(np.searchsorted(base, _GAP_BLOCK))", "small = 0",
            GAP_TESTS),
     Mutant("gap: search stops after the first block without a prime",
-           "primes.py", "    while True:\n        base = _gap_base_primes(",
-           "    for _ in range(1):\n        base = _gap_base_primes(",
-           GAP_TESTS),
+           "primes.py", "    while True:\n        root = isqrt(",
+           "    for _ in range(1):\n        root = isqrt(", GAP_TESTS),
+    Mutant("gap: a call's own table kept as the shared one", "primes.py",
+           "        return PrimeTable.build(root + _GAP_BLOCK)\n",
+           "        _GAP_BASE_TABLE = PrimeTable.build(root + _GAP_BLOCK)\n"
+           "        return _GAP_BASE_TABLE\n", GAP_TABLE_TESTS),
     Mutant("integer bound: ln 2 rounded down to 0.693147", "primes.py",
            "_LN2_UP = 693148", "_LN2_UP = 693147", GAP_END_TESTS),
     Mutant("gap: interval fallback dropped", "primes.py",
@@ -172,7 +179,10 @@ MUTANTS = [
     Mutant("sigma ratio: p^a and p^b swapped in the exact branch", "factored.py",
            "(p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a",
            "(p ** (a + 1) - 1) * p**a, (p ** (b + 1) - 1) * p**b",
-           SIGMA_RATIO_TESTS + G_RATIO_TESTS),
+           SIGMA_RATIO_TESTS + SIGMA_PART_TESTS + G_RATIO_TESTS),
+    Mutant("g ratio: the integer sigma part inverted", "factored.py",
+           "num, den = num * f[0], den * f[1]", "num, den = num * f[1], den * f[0]",
+           SIGMA_PART_TESTS),
     Mutant("sigma ratio: exponent-0 side taken as p", "factored.py",
            "return iv_from_int(p - 1)", "return iv_from_int(p)",
            SIGMA_RATIO_TESTS),
@@ -187,7 +197,16 @@ MUTANTS = [
            ("tests/test_audit.py::TestNormalize::test_swap_steps_on_primorial",
             "tests/test_golden.py")),
     Mutant("edit map: an interior hole let through", "audit.py",
-           "if e + edits[i] == 0 and i < c.r:", "if False:", EDIT_TESTS),
+           "if new_e == 0 and i < r:", "if False:", EDIT_TESTS),
+    Mutant("edit map: r kept through the strip of trailing zeros", "audit.py",
+           "        r -= runs.pop().count\n", "        runs.pop()\n",
+           EDIT_TESTS + STEP_TESTS),
+    Mutant("edit map: a split skips the merge with the run before", "audit.py",
+           "if i == start and lo and runs[lo - 1].exponent == new_e:", "if False:",
+           EDIT_TESTS),
+    Mutant("edit map: a split skips the merge with the run after", "audit.py",
+           "if i == end and hi < len(runs) and runs[hi].exponent == new_e:",
+           "if False:", EDIT_TESTS),
     Mutant("g ratio: swap into a hole refused again", "factored.py",
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n',
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n'
@@ -203,16 +222,34 @@ MUTANTS = [
     Mutant("walk: the re-sum dropped", "audit.py",
            "carried = step % _RESUM_STEPS != 0", "carried = True", WALK_TESTS),
     Mutant("walk: the ratio's log log n' read from the current state", "audit.py",
-           "nxt.loglog if carried", "ctx.loglog if carried", STEP_TESTS),
+           "            loglog_after = _loglog_from(lg, prec)\n",
+           "            loglog_after = ctx.loglog\n", STEP_TESTS),
+    Mutant("walk: the next state forms its log log n again", "audit.py",
+           "                nxt.loglog = loglog_after\n", "                pass\n",
+           STEP_TESTS),
     # the run scan of the window checks and normalize
     Mutant("scan: suffix bisect replaced by the run end", "audit.py",
            "return start + bisect.bisect_left(",
            "return end + 0 * bisect.bisect_left(", SCAN_TESTS),
-    Mutant("scan: prefix-last bisect replaced by the run start", "audit.py",
-           "return end - bisect.bisect_left(",
-           "return start + 0 * bisect.bisect_left(", SCAN_TESTS),
+    Mutant("L scan: boundary searched with side='left'", "audit.py",
+           'searchsorted(root, side="right")', 'searchsorted(root, side="left")',
+           L_SCAN_TESTS),
+    Mutant("L scan: root boundary one too high", "audit.py",
+           'searchsorted(root, side="right")', 'searchsorted(root + 1, side="right")',
+           L_SCAN_TESTS),
+    Mutant("L scan: root boundary one too low", "audit.py",
+           'searchsorted(root, side="right")', 'searchsorted(root - 1, side="right")',
+           L_SCAN_TESTS),
+    Mutant("L scan: the least violation read at the run end", "audit.py",
+           "if not last:\n            return start",
+           "if not last:\n            return end", L_SCAN_TESTS),
     Mutant("scan: lo ignored", "audit.py",
-           "start = max(start, lo)", "start = max(start, 1)", SCAN_TESTS),
+           "start = max(start, lo)", "start = max(start, 1)",
+           ("tests/test_audit.py::TestIndividualChecks::"
+            "test_shape_b4_reads_no_index_below_2",)),
+    Mutant("L scan: lo ignored", "audit.py",
+           "start, k = max(start, lo), e + 1", "start, k = start, e + 1",
+           L_SCAN_TESTS),
     # the corner scan of shape B2
     Mutant("B2: a zero-exponent run scanned", "audit.py",
            "[bounds for bounds in ctx.c.run_bounds() if bounds[2]]",
@@ -335,6 +372,10 @@ MUTANTS = [
            CA_TESTS),
     Mutant("CA bracket dropped", GEN,
            "below = escalate(bracket, prec)", "pass", CA_TESTS),
+    Mutant("CA messages: epsilon formatted by str()", GEN,
+           'return text if eps.denominator == 1 else f"{text}/{_int_text(eps.denominator)}"',
+           "return str(eps)",
+           (T_GEN + "test_epsilon_past_4300_digits_is_named_by_its_size",)),
     Mutant("ca_sweep: a count of 0 let through", GEN,
            "    if count < 1:", "    if count < 0:",
            (T_GEN + "test_ca_sweep_needs_a_positive_count",)),

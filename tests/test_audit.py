@@ -347,6 +347,14 @@ class TestIndividualChecks:
         assert v.witness["index"] == 5 and v.witness["prime"] == 11
         assert run_check("shape_B4", cand(4, 2, 1, 1), table_1e6).status == PASS
 
+    def test_shape_b4_reads_no_index_below_2(self, table_1e6):
+        # p_1^(a_1) < 2^(a_1 + 2) always holds, yet at a_1 = 2^2100 no
+        # precision of the ladder decides it; B4 starts at index 2
+        a_1 = 2**2100
+        v = run_check("shape_B4", CandidateFactorization.from_runs([(a_1, 1), (1, 5)]),
+                      table_1e6)
+        assert (v.status, v.witness) == (PASS, {"bound_exponent": a_1 + 2})
+
     def test_density_b6(self, table_1e6):
         v = run_check("density_B6", cand(4, 2, 1, 1), table_1e6)
         assert v.status == PASS
@@ -783,14 +791,16 @@ def test_run_edits_match_exponent_list_path(exps):
             except (InvariantError, DomainError) as e:
                 # an interior hole, or nothing left after the last factor
                 with pytest.raises(type(e)):
-                    _edited(c, {s: -1})
+                    _edited(c, {s: -1}, c.r)
             else:
-                got = _edited(c, {s: -1})
+                got, r, before = _edited(c, {s: -1}, c.r)
                 assert (got.runs, got.canonical) == (want.runs, want.canonical)
+                assert (r, before) == (got.r, {s: c.a(s)})
         if s < c.r:
             want = _edit_by_list(c, {s: 1, c.r: -1})
-            got = _edited(c, {s: 1, c.r: -1})
+            got, r, before = _edited(c, {s: 1, c.r: -1}, c.r)
             assert (got.runs, got.canonical) == (want.runs, want.canonical)
+            assert (r, before) == (got.r, {s: c.a(s), c.r: c.a(c.r)})
 
 
 _SCAN_TABLE = PrimeTable.build(1000)
@@ -865,8 +875,9 @@ def _recorded_states(mp):
     states = []
 
     class Recording(audit._AuditContext):
-        def __init__(self, c, t, prec, lg=None):
-            super().__init__(c, t, prec, lg)
+        def __init__(self, c, t, prec, lg=None, r=None):
+            super().__init__(c, t, prec, lg, r)
+            assert self.r == c.r
             states.append((c, lg))
 
     mp.setattr(audit, "_AuditContext", Recording)
@@ -971,7 +982,8 @@ def test_trace_ratios_match_each_state_on_its_own(walk, resum):
             edits = {s: -1} if divide else {s: 1, state.r: -1}
             after = factored._log_after(lg, edits, t, 128)
             ratio = factored._g_ratio_edit(
-                state, edits, t, 128, factored._loglog_from(lg, 128),
+                {i: state.a(i) for i in edits}, edits, t, 128,
+                factored._loglog_from(lg, 128),
                 factored._loglog_from(after, 128))
         assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]
 
@@ -996,7 +1008,7 @@ def _expect(status_if_none, index):
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=30),
                           st.integers(min_value=1, max_value=12)),
                 min_size=1, max_size=40))
-@example(pieces=[(0, 2)])  # a run of zeros: prefix-last bisect inside it
+@example(pieces=[(0, 2)])  # a run of zeros: the L prefix ends inside it
 def test_window_indices_match_linear_scan(pieces):
     # runs of equal exponents put violations inside multi-position runs,
     # where the checks and normalize bisect instead of testing each index
@@ -1051,3 +1063,47 @@ def test_window_indices_match_linear_scan(pieces):
         assert steps == [("swap", max(low))]
     else:
         assert steps == []
+
+
+# top primes next to a power of 2, where the integer root of p_r sits next
+# to a prime: 127 = 2^7 - 1 (isqrt 11), 257 = 2^8 + 1, 8191 = 2^13 - 1,
+# 65537 = 2^16 + 1 and 131071 = 2^17 - 1 (cube root 50, isqrt 362)
+_L_TABLE = PrimeTable.build(131071)
+_NEAR_POWERS = (127, 257, 8191, 65537, 131071)
+_L_BY_TOP: dict = {}
+
+
+def _l_values(r):
+    """L(p_i) at every position up to r, by compute_l."""
+    if r not in _L_BY_TOP:
+        p_r = _L_TABLE.nth_prime(r)
+        _L_BY_TOP[r] = [compute_l(p_r, p) for p in _L_TABLE.slice(1, r).tolist()]
+    return _L_BY_TOP[r]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=8)
+                          | st.just(15 * 10**13),
+                          st.integers(min_value=1, max_value=60)),
+                min_size=1, max_size=10),
+       st.sampled_from((None,) + _NEAR_POWERS), st.integers(min_value=1, max_value=80))
+@example(pieces=[(1, 30)], top=127, lo=1)  # L ends at p = 11 = isqrt(127)
+@example(pieces=[(2, 40), (0, 20)], top=131071, lo=1)  # at 47, the cube root's prime
+@example(pieces=[(15 * 10**13, 1), (0, 5)], top=None, lo=1)
+def test_l_violations_match_a_linear_scan(pieces, top, lo):
+    # the least violation from lo and the largest, which normalize swaps
+    # into, against compute_l at every position; runs of exponent 0 and a
+    # huge exponent included
+    t = _L_TABLE
+    r = len(t.primes_in(2, top)) if top else sum(n for _, n in pieces) + 1
+    runs, room = [], r - 1
+    for e, n in pieces:
+        runs.append((e, min(n, room)))
+        room -= runs[-1][1]
+    c = CandidateFactorization._from_pieces(runs + [(1, room + 1)])
+    assert c.r == r
+    a = [run.exponent for run in c.runs for _ in range(run.count)]
+    low = [i for i, (e, l) in enumerate(zip(a, _l_values(r)), 1) if e < l]
+    ctx = audit._AuditContext(c, t, 128)
+    assert audit._below_l(ctx, last=True) == (max(low) if low else None)
+    assert audit._below_l(ctx, lo=lo) == next((i for i in low if i >= lo), None)

@@ -157,6 +157,8 @@ class TestCaCommand:
         code, _, err = run_cli(["ca", "--epsilon", "1e-4299"], capsys)
         assert time.monotonic() - t0 < 2
         assert code == 65 and "enlarge the table" in err
+        # the denominator's 4,300 digits are named by their bit count
+        assert "eps=1/<14281-bit integer>" in err and len(err) < 400
 
     def test_undecided_probe_is_inconclusive(self, capsys):
         # eps log 2 lies inside the bracket of log F for the probe

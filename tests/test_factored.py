@@ -23,6 +23,7 @@ from robinaudit.factored import (
     CandidateFactorization,
     Run,
     _cell_pieces,
+    _g_ratio_edit,
     _Products,
     _sigma_ratio,
     big_g,
@@ -35,7 +36,15 @@ from robinaudit.factored import (
     rho,
 )
 from robinaudit.audit import full_audit, normalize
-from robinaudit.intervals import _EXACT_POW_BITS, _pow_bits, iv_compare, Comparison
+from robinaudit.intervals import (
+    _EXACT_POW_BITS,
+    Comparison,
+    _pow_bits,
+    iv_compare,
+    iv_from_fraction,
+    iv_from_int,
+    iv_mul,
+)
 from robinaudit.primes import PrimeTable
 
 LN_5040 = Fraction(
@@ -588,10 +597,42 @@ def test_sigma_ratio_on_both_sides_of_the_exact_cut(p):
             want = Fraction((p ** (a + 1) - 1) * p**b, (p ** (b + 1) - 1) * p**a)
             got = _sigma_ratio(p, a, b, 128)
             if max(a, b) < cut:
-                assert got == want, (a, b)
+                assert Fraction(*got) == want, (a, b)
             else:
                 assert got.contains(want), (a, b)
                 assert got.width() < Fraction(1, 2**120), (a, b)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_integer_sigma_part_matches_the_fraction_path(s):
+    # with both log log factors exactly 1, _g_ratio_edit is its sigma part:
+    # the exact ratios as one unreduced integer fraction, rounded outward
+    # once, bit for bit what the reduced Fraction gives; past the cut the
+    # edited prime's interval ratio multiplies in
+    t, r, one = _HYP_TABLE, 3, iv_from_int(1)
+    p = t.nth_prime(s)
+    cut = next(a for a in range(1, 10**5) if _pow_bits(p, a + 1) > _EXACT_POW_BITS)
+    for a in (0, 1, 2, cut - 2, cut - 1, cut, cut + 1):
+        for edits in ({s: -1}, {s: 1, r: -1}):
+            if a + edits[s] < 0:
+                continue
+            before = {s: a, r: 1}
+            exact, parts = Fraction(1), []
+            for i, delta in edits.items():
+                q, x = t.nth_prime(i), before[i]
+                y = x + delta
+                if _pow_bits(q, max(x, y) + 1) <= _EXACT_POW_BITS:
+                    exact *= Fraction((q ** (x + 1) - 1) * q**y,
+                                      (q ** (y + 1) - 1) * q**x)
+                else:
+                    parts.append(_sigma_ratio(q, x, y, 128))
+            assert (max(a, a + edits[s]) + 1 > cut) == bool(parts), (a, edits)
+            want = iv_from_fraction(exact, 128)
+            for f in parts:
+                want = iv_mul(want, f, 128)
+            got = _g_ratio_edit({i: before[i] for i in edits}, edits, t, 128,
+                                one, one)
+            assert (got._lo, got._hi) == (want._lo, want._hi), (a, edits)
 
 
 def test_rho_beyond_the_exact_cut(table_1e6):

@@ -495,6 +495,19 @@ def test_exponent_inside_the_bracket_is_reported(e, side):
         generators._ca_at_least(2, e, eps, 128)
 
 
+def test_epsilon_past_4300_digits_is_named_by_its_size(table_1e5):
+    # str() of such an epsilon raises ValueError; the refusals name each
+    # side's bit count instead
+    with pytest.raises(DomainError, match=r"got -1/<14617-bit integer>$"):
+        ca_candidate(Fraction(-1, 10**4400), table_1e5)
+    with pytest.raises(TableTooSmallError, match=r"eps=3/<14617-bit integer>;"):
+        ca_candidate(Fraction(3, 10**4400), table_1e5)
+    with pytest.raises(DomainError, match=r"got -3/7$"):
+        ca_candidate(Fraction(-3, 7), table_1e5)
+    with pytest.raises(DomainError, match=r"^epsilon 5 gives an empty"):
+        ca_candidate(5, table_1e5)
+
+
 def test_ca_sweep_needs_a_positive_count(table_1e5):
     with pytest.raises(DomainError, match="count must be >= 1, got 0"):
         ca_sweep(0, table_1e5)

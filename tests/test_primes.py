@@ -1,5 +1,6 @@
 """Prime table construction, lookups, gap windows."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -198,11 +199,11 @@ def test_threshold_takes_the_interval_fallback():
         assert dusart_gap_holds(x)
 
 
-def test_gap_at_1e15_needs_little_memory(monkeypatch):
+def test_gap_at_1e15_needs_little_memory():
     # the window at 10^15 holds 167,654,841 integers, a 168 MB array if it
     # were sieved whole; the block search needs the sieving primes up to
-    # 3.2e7 (15.6 MB), built afresh here, and little more
-    monkeypatch.setattr(primes, "_GAP_BASE_TABLE", None)
+    # 3.2e7 (15.6 MB), built for the call, and little more
+    assert dusart_gap_holds(10**9)  # the shared table, built first if need be
     tracemalloc.start()
     try:
         assert dusart_gap_holds(10**15)
@@ -210,3 +211,17 @@ def test_gap_at_1e15_needs_little_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 10**6, peak
+    # that table went with the call: the shared one keeps its fixed size
+    assert primes._GAP_BASE_TABLE.limit == primes._GAP_BASE_LIMIT
+
+
+def test_gap_tables_past_the_shared_limit_are_the_calls_own(monkeypatch):
+    monkeypatch.setattr(primes, "_GAP_BASE_TABLE", None)
+    assert dusart_gap_holds(10**9)  # range_sweep's largest x
+    shared = primes._GAP_BASE_TABLE
+    assert shared.limit == primes._GAP_BASE_LIMIT >= math.isqrt(10**9 + 63)
+    # blocks on both sides of the shared table's reach, and far past it
+    edge = (primes._GAP_BASE_LIMIT + 1) ** 2
+    for x in (edge - 200, edge - 70, edge, 10**12 + 39):
+        assert primes._next_prime_above(x) == sympy.nextprime(x), x
+    assert primes._GAP_BASE_TABLE is shared
