@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,8 +264,8 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
     log n (``lg`` when carried from the previous state), log log n and the
-    bounds at p_r, with r = c.r given when the caller has it.  ``products``
-    holds the exact cell products behind log n and B6's density pieces."""
+    bounds at p_r, with r = c.r given when the caller has it.  ``products``,
+    made on first read, holds the cell products of a fresh log n and B6."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
                  lg: Optional[IntervalScalar] = None, r: Optional[int] = None):
@@ -273,11 +274,14 @@ class _AuditContext:
         self.c = c
         self.t = t
         self.prec = prec
-        self.products = _Products()
         self.r = c.r if r is None else r
         self.covered = self.r <= len(t)
         self.p_r = t.nth_prime(self.r) if self.covered else None
         self._u: dict[int, int] = {}
+
+    @functools.cached_property
+    def products(self) -> _Products:
+        return _Products()
 
     @functools.cached_property
     def log_n(self) -> IntervalScalar:
@@ -555,12 +559,12 @@ def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     eps = ctx.top.epsilon
     bound = iv_sub(iv_from_int(1), eps, prec)
-    pieces = list(_cell_pieces(ctx.c))
     product = iv_from_int(1)
-    for k, (i, j, e) in enumerate(pieces, 1):
+    pieces = itertools.pairwise(itertools.chain(_cell_pieces(ctx.c), [None]))
+    for k, ((i, j, e), after) in enumerate(pieces, 1):  # one piece read ahead
         product = iv_mul(
             product, _density_piece(ctx.t, ctx.products, i, j, e, prec), prec)
-        q = ctx.t.nth_prime(pieces[k][0]) if k < len(pieces) else None
+        q = ctx.t.nth_prime(after[0]) if after else None
         witness = {
             "product": product,
             "bound": bound,
@@ -858,7 +862,8 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
             if ctx.c.runs[-1].exponent != 1:  # a_r
                 return NormalizationResult(ctx.c, BLOCKED_EXPONENT, trace)
             action, edits = "swap", {s: 1, ctx.r: -1}
-        lg = _log_after(ctx.log_n, edits, t, prec)
+        primes = {s: t.nth_prime(s), ctx.r: ctx.p_r}
+        lg = _log_after(ctx.log_n, edits, primes, prec)
         carried = step % _RESUM_STEPS != 0
         c_after, r_after, before = _edited(ctx.c, edits, ctx.r)
         nxt = _AuditContext(c_after, t, prec, lg if carried else None, r_after)
@@ -866,19 +871,20 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
             loglog_after = _loglog_from(lg, prec)
             if carried:  # the next state's log n is lg
                 nxt.loglog = loglog_after
-            ratio = _g_ratio_edit(before, edits, t, prec, ctx.loglog, loglog_after)
+            ratio = _g_ratio_edit(before, edits, primes, prec, ctx.loglog,
+                                  loglog_after)
         except DomainError:  # log n or log n' is not certainly > 1
             ratio = None
-        trace.append(_step_entry(ctx, action, s, ratio))
+        trace.append(_step_entry(ctx, action, s, primes[s], ratio))
         ctx = nxt
     return NormalizationResult(ctx.c, STEP_LIMIT, trace)
 
 
-def _step_entry(ctx: _AuditContext, action: str, s: int,
+def _step_entry(ctx: _AuditContext, action: str, s: int, p_s: int,
                 ratio: Optional[IntervalScalar]) -> dict:
-    """Trace entry of a divide or swap step at index s, with the enclosure
-    ``ratio`` of G(n)/G(n'), or None where the ratio is undefined."""
-    entry = {"action": action, "index": s, "prime": ctx.t.nth_prime(s)}
+    """Trace entry of a divide or swap step at index s, prime p_s, with the
+    enclosure ``ratio`` of G(n)/G(n'), or None where it is undefined."""
+    entry = {"action": action, "index": s, "prime": p_s}
     if action == "swap":
         entry["removed_prime"] = ctx.p_r
     if ratio is None:

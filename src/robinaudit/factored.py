@@ -18,9 +18,19 @@ and density the exponent) are memoized on the PrimeTable; rho is folded
 from them as P * n/phi, so it has no cell path of its own.  That memo
 serves the primorial margin M(r), normalize's re-sums of log n and later
 calls on the same table, which form a product only for a cell piece no
-earlier call has evaluated.  The log of one prime, which the sigma-power
-ratio, the G ratios and normalize's carried log n (``_log_after``) need,
-comes from the process cache ``iv_log_rational``.
+earlier call has evaluated.  Per precision it also holds the prefix
+Lambda_k of cell logs over the whole cells 1..k, built in order as
+Lambda_{k-1} + cell k's log at 32 bits above the precision, so log n takes
+a run over whole cells lo+1..hi, hi - lo >= 2, as e (Lambda_hi - Lambda_lo)
+in O(1).  Such a span is about as wide as hi cell logs, against hi - lo
+cell logs and (hi - lo)^2 / 2 roundings for a walk: narrower, except near
+the end of a table (76 times wider over the last two cells of a 10^6 table
+at 64 bits).  Cold, Lambda_hi reads the log of every whole cell up to hi: a
+canonical candidate covers those cells anyway and pays one more log per
+cell its runs split; a run past a long zero run pays once, per table and
+precision, for the cells below it.  The log of one prime, which the
+sigma-power ratio, the G ratios and normalize's carried log n
+(``_log_after``) need, comes from the process cache ``iv_log_rational``.
 One sigma-power ratio, (sigma(p^a)/p^a) / (sigma(p^b)/p^b), serves the G
 ratios of normalize steps, where one map of exponent edits describes a
 divide or a swap.  It is exact while the powers fit and an interval form
@@ -293,17 +303,19 @@ def _prod(values) -> int:
     return items[0]
 
 
+def _cut(i: int, end: int) -> Iterator[tuple[int, int]]:
+    """Yield (i, j) per piece of positions i..end cut at the cell edges."""
+    while i <= end:
+        j = min((i - 1) // _CHUNK * _CHUNK + _CHUNK, end)
+        yield i, j
+        i = j + 1
+
+
 def _cell_pieces(c: CandidateFactorization) -> Iterator[tuple[int, int, int]]:
     """Yield (i, j, e) per piece of each positive-exponent run, cut at the
-    cell edges k * _CHUNK; positions 1-based inclusive, in order."""
-    for start, end, e in c.run_bounds():
-        if e == 0:
-            continue
-        i = start
-        while i <= end:
-            j = min((i - 1) // _CHUNK * _CHUNK + _CHUNK, end)
-            yield i, j, e
-            i = j + 1
+    cell edges; positions 1-based inclusive, in order."""
+    return ((i, j, e) for start, end, e in c.run_bounds() if e
+            for i, j in _cut(start, end))
 
 
 class _Products:
@@ -328,26 +340,45 @@ class _Products:
         return v
 
 
+def _log_cells(total: Union[IntervalScalar, int], t: PrimeTable, products: _Products,
+               start: int, end: int, e: int, prec: int) -> IntervalScalar:
+    """total + e Sum log p_i over start <= i <= end, one block per cell
+    piece, memoized on the table."""
+    for i, j in _cut(start, end):
+        def cell_log() -> IntervalScalar:
+            return t._memoized(("log", i, j, prec), lambda: iv_log(
+                iv_from_int_rounded(products.get(t, i, j), prec), prec))
+
+        block = cell_log() if e == 1 else t._memoized(
+            ("elog", i, j, e, prec), lambda: iv_mul(iv_from_int(e), cell_log(), prec))
+        total = iv_add(total, block, prec)
+    return total
+
+
 def log_n(c: CandidateFactorization, t: PrimeTable,
           prec: int = DEFAULT_PRECISION_BITS, *,
           products: Optional[_Products] = None) -> IntervalScalar:
-    """Enclosure of log n = sum a_i log p_i (natural log)."""
+    """Enclosure of log n = sum a_i log p_i (natural log).
+
+    A run over the whole cells lo+1..hi, hi - lo >= 2, adds e (Lambda_hi -
+    Lambda_lo) (module docstring) and walks its end pieces; others walk."""
     _require_table(c, t)
     products = _Products() if products is None else products
     total = iv_from_int(0)
-    for i, j, e in _cell_pieces(c):
-        def cell_log() -> IntervalScalar:
-            return t._memoized(
-                ("log", i, j, prec),
-                lambda: iv_log(iv_from_int_rounded(products.get(t, i, j),
-                                                   prec), prec),
-            )
-
-        block = cell_log() if e == 1 else t._memoized(
-            ("elog", i, j, e, prec),
-            lambda: iv_mul(iv_from_int(e), cell_log(), prec),
-        )
-        total = iv_add(total, block, prec)
+    for start, end, e in c.run_bounds():
+        lo, hi = (start + _CHUNK - 2) // _CHUNK, end // _CHUNK  # whole lo+1..hi
+        if e and hi - lo < 2:
+            total = _log_cells(total, t, products, start, end, e, prec)
+        elif e:
+            lam = t._memoized(("prefix", prec), lambda: [iv_from_int(0)])
+            while len(lam) <= hi:  # Lambda_k = Lambda_{k-1} + cell k's log
+                j = len(lam) * _CHUNK
+                cell = _log_cells(0, t, products, j - _CHUNK + 1, j, 1, prec)
+                lam.append(iv_add(lam[-1], cell, prec + 32))  # guard bits
+            span = iv_sub(lam[hi], lam[lo], prec)
+            total = _log_cells(total, t, products, start, lo * _CHUNK, e, prec)
+            total = iv_add(total, span if e == 1 else iv_mul(e, span, prec), prec)
+            total = _log_cells(total, t, products, hi * _CHUNK + 1, end, e, prec)
     return total
 
 
@@ -452,30 +483,30 @@ def _sigma_ratio(p: int, a: int, b: int,
     return iv_div(side(a), side(b), prec)
 
 
-def _log_after(lg: IntervalScalar, edits: dict[int, int], t: PrimeTable,
+def _log_after(lg: IntervalScalar, edits: dict[int, int], primes: dict[int, int],
                prec: int) -> IntervalScalar:
-    """log n' for n' = n * Pi p_i^edits[i], each edit +1 or -1, from an
-    enclosure ``lg`` of log n: each cached log p_i added in decreasing i."""
+    """log n' for n' = n * Pi p_i^edits[i], p_i = primes[i], each edit +1
+    or -1, from an enclosure ``lg`` of log n: each log p_i in decreasing i."""
     for i, delta in sorted(edits.items(), reverse=True):
-        lp = iv_log_rational(t.nth_prime(i), prec)
+        lp = iv_log_rational(primes[i], prec)
         lg = iv_add(lg, lp, prec) if delta > 0 else iv_sub(lg, lp, prec)
     return lg
 
 
 def _g_ratio_edit(before: dict[int, int], edits: dict[int, int],
-                  t: PrimeTable, prec: int, loglog: IntervalScalar,
+                  primes: dict[int, int], prec: int, loglog: IntervalScalar,
                   loglog_after: IntervalScalar) -> IntervalScalar:
     """Enclosure of G(n) / G(n') for n' = n * Pi p_i^edits[i], each edit
-    +1 or -1, from n's exponents before[i] and enclosures of log log n and
-    log log n'.  The sigma ratios at the edited primes multiply into one
-    exact integer fraction unless an exponent is huge, and only the two
-    log log factors need enclosures, so the result is far tighter than
-    dividing two independently computed G values.
+    +1 or -1 and p_i = primes[i], from n's exponents before[i] and
+    enclosures of log log n and log log n'.  The sigma ratios at the edited
+    primes multiply into one exact integer fraction unless an exponent is
+    huge, and only the two log log factors need enclosures, so the result
+    is far tighter than dividing two independently computed G values.
     """
     num, den, parts = 1, 1, []
     for i, delta in edits.items():
         a = before[i]
-        f = _sigma_ratio(t.nth_prime(i), a, a + delta, prec)
+        f = _sigma_ratio(primes[i], a, a + delta, prec)
         if isinstance(f, tuple):
             num, den = num * f[0], den * f[1]
         else:
@@ -490,8 +521,9 @@ def _g_ratio_fresh(c: CandidateFactorization, edits: dict[int, int],
                    t: PrimeTable, prec: int) -> IntervalScalar:
     """_g_ratio_edit from a fresh sum of log n."""
     lg, before = log_n(c, t, prec), {i: c.a(i) for i in edits}
-    return _g_ratio_edit(before, edits, t, prec, _loglog_from(lg, prec),
-                         _loglog_from(_log_after(lg, edits, t, prec), prec))
+    primes = {i: t.nth_prime(i) for i in edits}
+    return _g_ratio_edit(before, edits, primes, prec, _loglog_from(lg, prec),
+                         _loglog_from(_log_after(lg, edits, primes, prec), prec))
 
 
 def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,

@@ -50,9 +50,9 @@ _GAP_MAX_X = 1 << 62
 
 # Entries a table's memo holds before it is emptied.  A corpus pass of the
 # benchmark (seed 1) stores 418, and a power-form full_audit at r = 10^6
-# (exponents >= 2 throughout, so every cell also has its e log entry)
-# stores 5,887 per precision, so this covers that audit at 128 bits and
-# its 256-bit recheck (11,774 entries, about 6.2 MB).
+# (its bulk run at exponent 2 reads the prefix of cell logs, not e log
+# entries) stores 3,936 per precision, so this covers that audit at 128
+# bits and its 256-bit recheck (7,872 entries, about 5.6 MB).
 _MEMO_CAP = 1 << 14
 
 # Largest limit a table is built for: 203,280,221 primes, 1.6 GB as int64.
@@ -120,8 +120,10 @@ class PrimeTable:
 
         For small values that depend only on the primes and on ``key``
         (cell enclosures with their precision, M(k)), so a hit returns
-        exactly what ``compute()`` would.  Past ``_MEMO_CAP`` entries the
-        memo is emptied and starts again."""
+        exactly what ``compute()`` would.  One value grows in place, the
+        prefix of cell logs of ``factored.log_n``: a list whose entries stay
+        fixed once appended.  Past ``_MEMO_CAP`` entries the memo is emptied
+        and starts again."""
         v = self._memo.get(key)
         if v is None:
             v = compute()

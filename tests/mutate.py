@@ -84,6 +84,8 @@ STEP_TESTS = ("tests/test_audit.py::test_one_log_per_step_and_per_sum",
               "tests/test_audit.py::test_trace_ratios_match_each_state_on_its_own")
 CACHE_TESTS = (T_MEMO + "test_process_caches_answer_only_their_precision",)
 B6_TESTS = ("tests/test_audit.py::test_density_b6_matches_exact_product",)
+PREFIX_TESTS = (T_FAC + "test_prefix_log_n_meets_the_oracle_and_the_cell_walk",
+                T_FAC + "test_prefix_log_n_bits_do_not_depend_on_history")
 JSON_TESTS = (T_FAC + "test_json_refusals_name_field_and_reason",)
 RUN_LIST_TESTS = (T_FAC + "test_constructor_refuses_all_but_one_run_list",
                   T_FAC + "test_runs_constructor_rejects_non_decreasing")
@@ -224,6 +226,9 @@ MUTANTS = [
     Mutant("walk: the ratio's log log n' read from the current state", "audit.py",
            "            loglog_after = _loglog_from(lg, prec)\n",
            "            loglog_after = ctx.loglog\n", STEP_TESTS),
+    Mutant("walk: p_r handed to the step as p_s", "audit.py",
+           "primes = {s: t.nth_prime(s), ctx.r: ctx.p_r}",
+           "primes = {s: ctx.p_r, ctx.r: ctx.p_r}", ("tests/test_golden.py",)),
     Mutant("walk: the next state forms its log log n again", "audit.py",
            "                nxt.loglog = loglog_after\n", "                pass\n",
            STEP_TESTS),
@@ -311,6 +316,24 @@ MUTANTS = [
     Mutant("cell memo: exponent-scaled log keyed without the exponent",
            "factored.py", '("elog", i, j, e, prec)', '("elog", i, j, prec)',
            (T_MEMO + "test_exponent_scaled_cell_logs_answer_only_their_key",)),
+    # the prefix of cell logs behind log n's runs over whole cells
+    Mutant("prefix: first whole cell off by one", "factored.py",
+           "lo, hi = (start + _CHUNK - 2) // _CHUNK, end // _CHUNK",
+           "lo, hi = (start + _CHUNK - 2) // _CHUNK - 1, end // _CHUNK",
+           PREFIX_TESTS),
+    Mutant("prefix: Lambda_lo subtraction dropped", "factored.py",
+           "span = iv_sub(lam[hi], lam[lo], prec)", "span = lam[hi]",
+           PREFIX_TESTS),
+    Mutant("prefix: summed at the working precision", "factored.py",
+           "lam.append(iv_add(lam[-1], cell, prec + 32))",
+           "lam.append(iv_add(lam[-1], cell, prec))",
+           (T_FAC + "test_prefix_span_is_narrower_than_its_cell_walk",)),
+    Mutant("prefix: keyed without the precision", "factored.py",
+           '("prefix", prec)', '("prefix",)', PREFIX_TESTS),
+    Mutant("prefix: exponent factor dropped on the indexed span", "factored.py",
+           "span if e == 1 else iv_mul(e, span, prec)", "span", PREFIX_TESTS),
+    Mutant("prefix: used for a run with one whole cell", "factored.py",
+           "if e and hi - lo < 2:", "if e and hi - lo < 1:", PREFIX_TESTS),
     # B6 as the density product, folded one cell piece at a time
     Mutant("B6: tail factor dropped", "audit.py",
            "low = iv_mul(product, Fraction(q - 2, q - 1), prec)", "low = product",
@@ -320,8 +343,8 @@ MUTANTS = [
            "if iv_compare(product, bound.hi) is Comparison.CERTAINLY_LESS:",
            B6_TESTS),
     Mutant("B6: zero-exponent piece folded", "factored.py",
-           "if e == 0:\n            continue\n        i = start",
-           "if False:\n            continue\n        i = start", B6_TESTS),
+           "if e\n            for i, j in _cut(start, end))",
+           "if True\n            for i, j in _cut(start, end))", B6_TESTS),
     Mutant("B6: piece key without prec", "factored.py",
            '("b6", i, j, e, prec)', '("b6", i, j, e)',
            (T_MEMO + "test_entries_answer_only_their_precision",)),

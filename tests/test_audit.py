@@ -980,9 +980,10 @@ def test_trace_ratios_match_each_state_on_its_own(walk, resum):
             ratio = (g_ratio_divide if divide else g_ratio_swap)(state, s, t, 128)
         else:
             edits = {s: -1} if divide else {s: 1, state.r: -1}
-            after = factored._log_after(lg, edits, t, 128)
+            primes = {i: t.nth_prime(i) for i in edits}
+            after = factored._log_after(lg, edits, primes, 128)
             ratio = factored._g_ratio_edit(
-                {i: state.a(i) for i in edits}, edits, t, 128,
+                {i: state.a(i) for i in edits}, edits, primes, 128,
                 factored._loglog_from(lg, 128),
                 factored._loglog_from(after, 128))
         assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]

@@ -8,7 +8,7 @@ import jsonschema
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import n_over_phi_exact, rho_exact
 
@@ -24,6 +24,7 @@ from robinaudit.factored import (
     Run,
     _cell_pieces,
     _g_ratio_edit,
+    _prod,
     _Products,
     _sigma_ratio,
     big_g,
@@ -40,9 +41,12 @@ from robinaudit.intervals import (
     _EXACT_POW_BITS,
     Comparison,
     _pow_bits,
+    iv_add,
     iv_compare,
     iv_from_fraction,
     iv_from_int,
+    iv_from_int_rounded,
+    iv_log,
     iv_mul,
 )
 from robinaudit.primes import PrimeTable
@@ -382,13 +386,20 @@ HOLEY = CandidateFactorization.from_exponents(
     [2] * 10 + [0] * 520 + [1] * 600 + [3] * 5 + [0] * 3 + [1] * 400)
 
 
+# 512-bit sums of log p_1..p_k, k = 0, 1, ...; the primes at a position
+# are the same in every table that holds it
+_MP_LOG_SUMS = [mpmath.mpf(0)]
+
+
 def _mp_log_n(c, t):
-    """sum a_i log p_i as an exact Fraction of a 512-bit mpmath sum."""
+    """sum a_i log p_i as an exact Fraction of 512-bit mpmath sums: each
+    run's e times the difference of two sums of log p."""
     with mpmath.mp.workprec(512):
-        total = mpmath.mpf(0)
-        for start, end, e in c.run_bounds():
-            for p in t.slice(start, end).tolist():
-                total += e * mpmath.log(p)
+        if c.r >= len(_MP_LOG_SUMS):
+            for p in t.slice(len(_MP_LOG_SUMS), c.r).tolist():
+                _MP_LOG_SUMS.append(_MP_LOG_SUMS[-1] + mpmath.log(p))
+        total = mpmath.fsum(e * (_MP_LOG_SUMS[end] - _MP_LOG_SUMS[start - 1])
+                            for start, end, e in c.run_bounds())
         man, exp = total.man_exp
     return Fraction(man) * Fraction(2) ** exp
 
@@ -419,6 +430,101 @@ def test_aggregates_across_cell_edges(c, table_1e6):
     lg = log_n(c, table_1e6)
     assert lg.contains(_mp_log_n(c, table_1e6))
     assert lg.width() < Fraction(1, 10**30)
+
+
+# p_9592 = 99991: 18 whole cells
+_INDEX_TABLE_LIMIT = 10**5
+_INDEX_TABLE = PrimeTable.build(_INDEX_TABLE_LIMIT)
+# run ends at the cell edges and one position either side of them
+_EDGES = [k * _CHUNK + d for k in range(1, 19) for d in (-1, 0, 1)]
+
+
+@st.composite
+def _cell_run_lists(draw):
+    """Run lists whose positive runs cover 0, 1, 2 or many whole cells,
+    with zero runs between them and exponents 1, 2 and 2^70."""
+    ends = sorted(draw(st.lists(st.one_of(st.sampled_from(_EDGES),
+                                          st.integers(1, 9500)),
+                                min_size=1, max_size=6, unique=True)))
+    exps = draw(st.lists(st.sampled_from([0, 1, 2, 2**70]),
+                         min_size=len(ends), max_size=len(ends)))
+    exps[-1] = exps[-1] or 1
+    return CandidateFactorization._from_pieces(
+        (e, end - start) for start, end, e in zip([0] + ends, ends, exps))
+
+
+def _whole_cells(start, end):
+    """Number of whole cells inside positions start..end."""
+    return max(0, end // _CHUNK - (start + _CHUNK - 2) // _CHUNK)
+
+
+def _cell_walk(c, t, prec):
+    """log n the way every run took it before the prefix of cell logs:
+    e times the log of each cell piece's exact product, added in order,
+    formed afresh."""
+    total = iv_from_int(0)
+    for i, j, e in _cell_pieces(c):
+        cell = iv_log(iv_from_int_rounded(_prod(t.slice(i, j).tolist()), prec), prec)
+        total = iv_add(total, cell if e == 1 else iv_mul(iv_from_int(e), cell, prec),
+                       prec)
+    return total
+
+
+_INDEX_EXAMPLES = [
+    [(0, 512), (1, 512)],  # one whole cell, not the first
+    [(1, 511), (2, 1026)],  # 512..1537: two whole cells and a prime at each end
+    [(0, 1023), (2**70, 2050), (0, 7), (1, 9)],  # 1024..3073: whole cells 3..6
+    [(3, 1), (1, 9215)],  # 2..9216: every cell but the first whole
+    [(2, 1025), (1, 8191)],  # whole cells 1 and 3..18 in two runs
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cell_run_lists())
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[0]))
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[1]))
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[2]))
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[3]))
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[4]))
+def test_prefix_log_n_meets_the_oracle_and_the_cell_walk(c):
+    # one table at rising precision, so an entry of a lower precision that
+    # answered a higher one would show as a wide enclosure
+    t, exact = _INDEX_TABLE, _mp_log_n(c, _INDEX_TABLE)
+    short = all(_whole_cells(start, end) < 2 for start, end, e in c.run_bounds() if e)
+    for prec in (64, 128, 256):
+        lg, walk = log_n(c, t, prec), _cell_walk(c, t, prec)
+        assert lg.contains(exact), prec
+        assert lg.lo <= walk.hi and walk.lo <= lg.hi, prec
+        assert lg.width() <= lg.lo / 2 ** (prec - 32), prec
+        if short:  # runs over fewer than two whole cells keep the cell walk
+            assert (lg._lo, lg._hi) == (walk._lo, walk._hi), prec
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cell_run_lists(), st.lists(_cell_run_lists(), max_size=3))
+@example(CandidateFactorization._from_pieces(_INDEX_EXAMPLES[2]),
+         [CandidateFactorization._from_pieces(_INDEX_EXAMPLES[3])])
+def test_prefix_log_n_bits_do_not_depend_on_history(c, others):
+    # a fresh table, the shared table after other candidates at every
+    # precision, and the shared table after its memo is emptied
+    fresh = PrimeTable.build(_INDEX_TABLE_LIMIT)
+    want = {prec: log_n(c, fresh, prec) for prec in (64, 128, 256)}
+    for other in others:
+        for prec in (256, 64, 128):
+            log_n(other, _INDEX_TABLE, prec)
+    for prec, v in want.items():
+        assert log_n(c, _INDEX_TABLE, prec) == v, prec
+    _INDEX_TABLE._memo.clear()
+    for prec in (128, 64, 256):
+        assert log_n(c, _INDEX_TABLE, prec) == want[prec], prec
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_prefix_span_is_narrower_than_its_cell_walk(prec, table_1e6):
+    # whole cells 101..153 of 153: Lambda_153 - Lambda_100, summed above the
+    # precision, against the walk's 53 cell logs and its roundings
+    c = CandidateFactorization._from_pieces([(0, 100 * _CHUNK), (1, 53 * _CHUNK)])
+    assert log_n(c, table_1e6, prec).width() < _cell_walk(c, table_1e6, prec).width()
 
 
 def test_shared_products_give_fresh_endpoints():
@@ -630,8 +736,8 @@ def test_integer_sigma_part_matches_the_fraction_path(s):
             want = iv_from_fraction(exact, 128)
             for f in parts:
                 want = iv_mul(want, f, 128)
-            got = _g_ratio_edit({i: before[i] for i in edits}, edits, t, 128,
-                                one, one)
+            got = _g_ratio_edit({i: before[i] for i in edits}, edits,
+                                {i: t.nth_prime(i) for i in edits}, 128, one, one)
             assert (got._lo, got._hi) == (want._lo, want._hi), (a, edits)
 
 
