@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import (
     DomainError,
     InvariantError,
-    PrecisionError,
     _int_text,
 )
 from .factored import (
@@ -43,7 +42,6 @@ from .factored import (
     _g_ratio_edit,
     _log_after,
     _loglog_from,
-    _Products,
     _require_table,
     is_sum_of_two_squares,
     log_n,
@@ -120,25 +118,17 @@ def _interval_json(v: IntervalScalar, prec: int) -> dict:
     return interval_to_json(iv_round(v, prec))
 
 
-def int_log_floor(x: int, p: int) -> int:
-    """Largest m >= 0 with p^m <= x, exact."""
-    if x < 1 or p < 2:
-        raise DomainError("int_log_floor needs x >= 1 and p >= 2, got "
-                          f"{_int_text(x)}, {_int_text(p)}")
-    m = 0
-    v = p
+def compute_l(x: int, p: int) -> int:
+    """The largest m with p^m <= x, exact; L(p) = floor(log p_r / log p)
+    at x = p_r."""
+    if x < 2 or p < 2:
+        raise DomainError("compute_l needs x >= 2 and p >= 2, got "
+                          f"x={_int_text(x)}, p={_int_text(p)}")
+    m, v = 0, p
     while v <= x:
         v *= p
         m += 1
     return m
-
-
-def compute_l(p_r: int, p: int) -> int:
-    """L(p) = floor(log p_r / log p), exact integer arithmetic."""
-    if p < 2 or p_r < 2:
-        raise DomainError("compute_l needs primes >= 2, got "
-                          f"p_r={_int_text(p_r)}, p={_int_text(p)}")
-    return int_log_floor(p_r, p)
 
 
 def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
@@ -166,24 +156,14 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     return k
 
 
-def compute_u_from_log(lg: IntervalScalar, p: int,
-                       prec: int = DEFAULT_PRECISION_BITS) -> int:
-    """U(p) for a given enclosure of log n (single precision, no retry)."""
-    try:
-        return _upper_bound(lg, p, prec)
-    except _Indeterminate as e:
-        raise PrecisionError(str(e), **e.witness) from e
-
-
 def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
               prec: int = DEFAULT_PRECISION_BITS) -> int:
     """U(p_i) for the candidate, retrying at doubled precision when a
     power comparison stays indeterminate."""
     p = t.nth_prime(i)
-    products = _Products()
 
     def attempt(work: int) -> Optional[int]:
-        lg = log_n(c, t, work, products=products)
+        lg = log_n(c, t, work)
         cmp = iv_compare(p, lg)
         if cmp is Comparison.CERTAINLY_GREATER:
             raise DomainError(f"U undefined at p_{i}={p}: log n is below it")
@@ -209,9 +189,8 @@ def compute_m(k: int, t: PrimeTable,
 
     def fresh() -> IntervalScalar:
         primorial = CandidateFactorization.from_runs([(1, k)])
-        products = _Products()
-        f = n_over_phi(primorial, t, prec, products=products)
-        lg = log_n(primorial, t, prec, products=products)
+        f = n_over_phi(primorial, t, prec)
+        lg = log_n(primorial, t, prec)
         inner = iv_mul(constants(prec).exp_neg_gamma, f, prec)
         return iv_sub(iv_exp(inner, prec), lg, prec)
 
@@ -263,9 +242,10 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
-    log n (``lg`` when carried from the previous state), log log n and the
-    bounds at p_r, with r = c.r given when the caller has it.  ``products``,
-    made on first read, holds the cell products of a fresh log n and B6."""
+    log n (``lg`` when carried from the previous state), log log n, U(p_i)
+    per index and the bounds at p_r, with r = c.r given when the caller has
+    it.  It holds no cell product: the enclosures made from those live in
+    the table's memo."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
                  lg: Optional[IntervalScalar] = None, r: Optional[int] = None):
@@ -280,12 +260,8 @@ class _AuditContext:
         self._u: dict[int, int] = {}
 
     @functools.cached_property
-    def products(self) -> _Products:
-        return _Products()
-
-    @functools.cached_property
     def log_n(self) -> IntervalScalar:
-        return log_n(self.c, self.t, self.prec, products=self.products)
+        return log_n(self.c, self.t, self.prec)
 
     @functools.cached_property
     def loglog(self) -> IntervalScalar:
@@ -410,7 +386,7 @@ def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
     if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
         return NOT_APPLICABLE, {"reason": "log log n undefined", "log_n": lg}
     slack = constants(prec).log_window_slack_alt_iv
-    factor = iv_sub(iv_from_int(1), iv_div(slack, iv_log(lg, prec), prec), prec)
+    factor = iv_sub(iv_from_int(1), iv_div(slack, ctx.loglog, prec), prec)
     bound = iv_mul(lg, factor, prec)
     cmp = iv_compare(ctx.p_r, bound)
     witness = {"p_r": ctx.p_r, "lower_bound": bound}
@@ -465,7 +441,7 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     p_j = ctx.t.nth_prime(j)
     a_i = ctx.c.a(i)
     if _pow_bits(p_i, a_i) <= _EXACT_POW_BITS:
-        return int_log_floor(p_i**a_i, p_j)
+        return compute_l(p_i**a_i, p_j)
 
     # interval route for astronomically large exponents
     def attempt(prec: int) -> Optional[int]:
@@ -563,7 +539,7 @@ def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
     pieces = itertools.pairwise(itertools.chain(_cell_pieces(ctx.c), [None]))
     for k, ((i, j, e), after) in enumerate(pieces, 1):  # one piece read ahead
         product = iv_mul(
-            product, _density_piece(ctx.t, ctx.products, i, j, e, prec), prec)
+            product, _density_piece(ctx.t, i, j, e, prec), prec)
         q = ctx.t.nth_prime(after[0]) if after else None
         witness = {
             "product": product,

@@ -405,7 +405,7 @@ def _cmd_normalize(args, prec: int, limit: int) -> tuple[int, _Output]:
 
 
 def _selftest_checks(prec: int):
-    from .audit import compute_l, compute_u_from_log
+    from .audit import _upper_bound, compute_l
     from .intervals import (
         Comparison, constants, interval_from_json, iv_compare, iv_from_int,
     )
@@ -429,8 +429,8 @@ def _selftest_checks(prec: int):
 
     def window_bounds():
         lg = iv_from_int(100)
-        return (compute_u_from_log(lg, 2) == 9
-                and compute_u_from_log(lg, 7) == 2
+        return (_upper_bound(lg, 2, prec) == 9
+                and _upper_bound(lg, 7, prec) == 2
                 and compute_l(97, 2) == 6)
 
     def interval_round_trip():

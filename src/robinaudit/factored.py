@@ -8,24 +8,29 @@ certified enclosures built from exact big-integer products over cells of
 512 consecutive prime positions on a fixed grid (positions 1..512,
 513..1024, ...), taking one outward-rounded logarithm or division per
 cell; one walk, ``_cell_pieces``, cuts the positive-exponent runs at the
-cell edges for all of them.  Because cells sit at fixed positions, the
-products Pi p, Pi (p - 1) and Pi (p + 1) of a cell do not depend on the
-exponents: one audit context forms each of them at most once and shares
-it between log n and the density pieces.  The enclosures made from them
-(the log of a cell's Pi p and that log times an exponent e, a cell's
-n/phi and density blocks, keyed by the cell, the precision and for e log
-and density the exponent) are memoized on the PrimeTable; rho is folded
-from them as P * n/phi, so it has no cell path of its own.  That memo
-serves the primorial margin M(r), normalize's re-sums of log n and later
-calls on the same table, which form a product only for a cell piece no
-earlier call has evaluated.  Per precision it also holds the prefix
-Lambda_k of cell logs over the whole cells 1..k, built in order as
-Lambda_{k-1} + cell k's log at 32 bits above the precision, so log n takes
-a run over whole cells lo+1..hi, hi - lo >= 2, as e (Lambda_hi - Lambda_lo)
-in O(1).  Such a span is about as wide as hi cell logs, against hi - lo
-cell logs and (hi - lo)^2 / 2 roundings for a walk: narrower, except near
-the end of a table (76 times wider over the last two cells of a 10^6 table
-at 64 bits).  Cold, Lambda_hi reads the log of every whole cell up to hi: a
+cell edges for all of them.  The enclosures of a cell piece (the log of
+its Pi p and that log times an exponent e, its n/phi block
+Pi p / Pi (p - 1) and its density block Pi (p^(e+1) - 1) / (Pi p)^(e+1),
+keyed by the piece, the precision and for e log and density the
+exponent) are memoized on the PrimeTable.  Each forms the exact products
+it needs from the piece's primes when it misses and drops them, so only
+fixed-size enclosures stay resident; rho is folded from them as
+P * n/phi, so it has no cell path of its own.  That memo serves the
+primorial margin M(r), normalize's re-sums of log n and later calls on
+the same table, which form products only for a cell piece no earlier
+call has evaluated.  A block forms its own Pi p rather than share one
+with the other blocks of its piece: a cold audit at r = 10^6 forms 5 more
+products of about 5,880 that way, and its traced peak falls from 11.9 to
+2.6 MiB.  A cold rho, which reads Pi p three times per piece, pays most
+(big_g at r = 10^5: 1,006 products, not 604).  Per precision the memo
+also holds the prefix Lambda_k of cell logs over the whole cells 1..k,
+built in order as Lambda_{k-1} + cell k's log at 32 bits above the
+precision, so log n takes a run over whole cells lo+1..hi,
+hi - lo >= 2, as e (Lambda_hi - Lambda_lo) in O(1).  Such a span is
+about as wide as hi cell logs, against hi - lo cell logs and
+(hi - lo)^2 / 2 roundings for a walk: narrower, except near the end of a
+table (76 times wider over the last two cells of a 10^6 table at 64
+bits).  Cold, Lambda_hi reads the log of every whole cell up to hi: a
 canonical candidate covers those cells anyway and pays one more log per
 cell its runs split; a run past a long zero run pays once, per table and
 precision, for the cells below it.  The log of one prime, which the
@@ -318,36 +323,14 @@ def _cell_pieces(c: CandidateFactorization) -> Iterator[tuple[int, int, int]]:
             for i, j in _cut(start, end))
 
 
-class _Products:
-    """Exact products Pi (p + shift), shift in {-1, 0, 1}, over p_i..p_j,
-    each formed on first use.  Keyed by prime positions only, so one
-    object serves every candidate over the same primes.  Callers create
-    one per call or audit context and drop it with that: the big ints
-    stay out of the table's memo, which keeps only the fixed-size
-    enclosures made from them, so a call whose cells are all memoized
-    forms no product at all."""
-
-    def __init__(self):
-        self._cells: dict[tuple[int, int, int], int] = {}
-
-    def get(self, t: PrimeTable, i: int, j: int, shift: int = 0) -> int:
-        key = (i, j, shift)
-        v = self._cells.get(key)
-        if v is None:
-            primes = t.slice(i, j).tolist()
-            v = _prod([p + shift for p in primes] if shift else primes)
-            self._cells[key] = v
-        return v
-
-
-def _log_cells(total: Union[IntervalScalar, int], t: PrimeTable, products: _Products,
+def _log_cells(total: Union[IntervalScalar, int], t: PrimeTable,
                start: int, end: int, e: int, prec: int) -> IntervalScalar:
     """total + e Sum log p_i over start <= i <= end, one block per cell
     piece, memoized on the table."""
     for i, j in _cut(start, end):
         def cell_log() -> IntervalScalar:
             return t._memoized(("log", i, j, prec), lambda: iv_log(
-                iv_from_int_rounded(products.get(t, i, j), prec), prec))
+                iv_from_int_rounded(_prod(t.slice(i, j).tolist()), prec), prec))
 
         block = cell_log() if e == 1 else t._memoized(
             ("elog", i, j, e, prec), lambda: iv_mul(iv_from_int(e), cell_log(), prec))
@@ -356,29 +339,27 @@ def _log_cells(total: Union[IntervalScalar, int], t: PrimeTable, products: _Prod
 
 
 def log_n(c: CandidateFactorization, t: PrimeTable,
-          prec: int = DEFAULT_PRECISION_BITS, *,
-          products: Optional[_Products] = None) -> IntervalScalar:
+          prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of log n = sum a_i log p_i (natural log).
 
     A run over the whole cells lo+1..hi, hi - lo >= 2, adds e (Lambda_hi -
     Lambda_lo) (module docstring) and walks its end pieces; others walk."""
     _require_table(c, t)
-    products = _Products() if products is None else products
     total = iv_from_int(0)
     for start, end, e in c.run_bounds():
         lo, hi = (start + _CHUNK - 2) // _CHUNK, end // _CHUNK  # whole lo+1..hi
         if e and hi - lo < 2:
-            total = _log_cells(total, t, products, start, end, e, prec)
+            total = _log_cells(total, t, start, end, e, prec)
         elif e:
             lam = t._memoized(("prefix", prec), lambda: [iv_from_int(0)])
             while len(lam) <= hi:  # Lambda_k = Lambda_{k-1} + cell k's log
                 j = len(lam) * _CHUNK
-                cell = _log_cells(0, t, products, j - _CHUNK + 1, j, 1, prec)
+                cell = _log_cells(0, t, j - _CHUNK + 1, j, 1, prec)
                 lam.append(iv_add(lam[-1], cell, prec + 32))  # guard bits
             span = iv_sub(lam[hi], lam[lo], prec)
-            total = _log_cells(total, t, products, start, lo * _CHUNK, e, prec)
+            total = _log_cells(total, t, start, lo * _CHUNK, e, prec)
             total = iv_add(total, span if e == 1 else iv_mul(e, span, prec), prec)
-            total = _log_cells(total, t, products, hi * _CHUNK + 1, end, e, prec)
+            total = _log_cells(total, t, hi * _CHUNK + 1, end, e, prec)
     return total
 
 
@@ -390,21 +371,19 @@ def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
 
 
 def rho(c: CandidateFactorization, t: PrimeTable,
-        prec: int = DEFAULT_PRECISION_BITS, *,
-        products: Optional[_Products] = None) -> IntervalScalar:
+        prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of rho(n) = sigma(n)/n, folded as P * n/phi(n) with
     P = Pi (1 - p^-(a+1)): each cell piece's density block times its
     n/phi block."""
     _require_table(c, t)
-    products = _Products() if products is None else products
     total = iv_from_int(1)
     for i, j, e in _cell_pieces(c):
-        total = iv_mul(total, _density_piece(t, products, i, j, e, prec), prec)
-        total = iv_mul(total, _nphi_block(t, products, i, j, prec), prec)
+        total = iv_mul(total, _density_piece(t, i, j, e, prec), prec)
+        total = iv_mul(total, _nphi_block(t, i, j, prec), prec)
     return total
 
 
-def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
+def _density_piece(t: PrimeTable, i: int, j: int, e: int,
                    prec: int) -> IntervalScalar:
     """Enclosure of Pi (1 - p^-(e+1)) = Pi (p^(e+1) - 1) / Pi p^(e+1) over
     p_i..p_j, the piece's share of rho / (n/phi), memoized on the table.
@@ -412,18 +391,16 @@ def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
     with intervals beyond."""
 
     def fresh() -> IntervalScalar:
-        if _pow_bits(t.nth_prime(j), e + 1) > _EXACT_POW_BITS:
+        primes = t.slice(i, j).tolist()
+        if _pow_bits(primes[-1], e + 1) > _EXACT_POW_BITS:
             total = iv_from_int(1)
-            for p in t.slice(i, j).tolist():
+            for p in primes:
                 tiny = iv_exp(iv_neg(iv_mul(iv_from_int(e + 1),
                                             iv_log_rational(p, prec), prec)), prec)
                 total = iv_mul(total, iv_sub(iv_from_int(1), tiny, prec), prec)
             return total
-        if e == 1:  # Pi (p - 1) Pi (p + 1) / (Pi p)^2
-            num = products.get(t, i, j, -1) * products.get(t, i, j, 1)
-        else:
-            num = _prod([p ** (e + 1) - 1 for p in t.slice(i, j).tolist()])
-        den = products.get(t, i, j) ** (e + 1)
+        num = _prod([p ** (e + 1) - 1 for p in primes])
+        den = _prod(primes) ** (e + 1)
         return iv_div(
             iv_from_int_rounded(num, prec), iv_from_int_rounded(den, prec), prec
         )
@@ -431,35 +408,32 @@ def _density_piece(t: PrimeTable, products: _Products, i: int, j: int, e: int,
     return t._memoized(("b6", i, j, e, prec), fresh)
 
 
-def _nphi_block(t: PrimeTable, products: _Products, i: int, j: int,
-                prec: int) -> IntervalScalar:
+def _nphi_block(t: PrimeTable, i: int, j: int, prec: int) -> IntervalScalar:
     """Enclosure of Pi p/(p - 1) over p_i..p_j, memoized on the table."""
-    return t._memoized(
-        ("nphi", i, j, prec),
-        lambda: iv_div(iv_from_int_rounded(products.get(t, i, j), prec),
-                       iv_from_int_rounded(products.get(t, i, j, -1), prec),
-                       prec),
-    )
+
+    def fresh() -> IntervalScalar:
+        primes = t.slice(i, j).tolist()
+        return iv_div(iv_from_int_rounded(_prod(primes), prec),
+                      iv_from_int_rounded(_prod([p - 1 for p in primes]), prec),
+                      prec)
+
+    return t._memoized(("nphi", i, j, prec), fresh)
 
 
 def n_over_phi(c: CandidateFactorization, t: PrimeTable,
-               prec: int = DEFAULT_PRECISION_BITS, *,
-               products: Optional[_Products] = None) -> IntervalScalar:
+               prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of n/phi(n) = prod p/(p-1) over the prime support."""
     _require_table(c, t)
-    products = _Products() if products is None else products
     total = iv_from_int(1)
     for i, j, _e in _cell_pieces(c):
-        total = iv_mul(total, _nphi_block(t, products, i, j, prec), prec)
+        total = iv_mul(total, _nphi_block(t, i, j, prec), prec)
     return total
 
 
 def big_g(c: CandidateFactorization, t: PrimeTable,
           prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure of G(n) = rho(n) / log log n; needs log n certainly > 1."""
-    products = _Products()
-    lg = log_n(c, t, prec, products=products)
-    return iv_div(rho(c, t, prec, products=products), _loglog_from(lg, prec), prec)
+    return iv_div(rho(c, t, prec), _loglog_from(log_n(c, t, prec), prec), prec)
 
 
 def _sigma_ratio(p: int, a: int, b: int,

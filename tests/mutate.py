@@ -348,6 +348,14 @@ MUTANTS = [
     Mutant("B6: piece key without prec", "factored.py",
            '("b6", i, j, e, prec)', '("b6", i, j, e)',
            (T_MEMO + "test_entries_answer_only_their_precision",)),
+    Mutant("B6: density numerator p^(e+1) - 1 taken as p^e - 1", "factored.py",
+           "_prod([p ** (e + 1) - 1 for p in primes])",
+           "_prod([p ** e - 1 for p in primes])",
+           B6_TESTS + (T_FAC + "test_rho_matches_sympy",)),
+    Mutant("n/phi: p - 1 taken as p + 1", "factored.py",
+           "_prod([p - 1 for p in primes])", "_prod([p + 1 for p in primes])",
+           (T_FAC + "test_n_over_phi_matches_sympy",
+            T_FAC + "test_aggregates_across_cell_edges")),
     # the refusals of CandidateFactorization.from_json, one per group
     Mutant("json: a non-object document let through", "factored.py",
            "if not isinstance(obj, dict):", "if False:", JSON_TESTS),
@@ -403,9 +411,9 @@ MUTANTS = [
            "    if count < 1:", "    if count < 0:",
            (T_GEN + "test_ca_sweep_needs_a_positive_count",)),
     # the refusals of U, L and the report lookup
-    Mutant("int_log_floor: x below 1 let through", "audit.py",
-           "if x < 1 or p < 2:", "if p < 2:",
-           (T_BOUNDS + "test_int_log_floor_refuses_x_below_one",)),
+    Mutant("compute_l: x = 1 let through", "audit.py",
+           "if x < 2 or p < 2:", "if x < 1 or p < 2:",
+           (T_BOUNDS + "test_compute_l_refuses_x_or_p_below_two",)),
     Mutant("U: log n at most 2 let through", "audit.py",
            "if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:", "if False:",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),

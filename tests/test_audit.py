@@ -36,9 +36,7 @@ from robinaudit.audit import (
     compute_l,
     compute_m,
     compute_u,
-    compute_u_from_log,
     full_audit,
-    int_log_floor,
     normalize,
     report_to_json_str,
     run_check,
@@ -46,7 +44,6 @@ from robinaudit.audit import (
 from robinaudit.errors import (
     DomainError,
     InvariantError,
-    PrecisionError,
     TableTooSmallError,
 )
 from robinaudit import audit, factored, intervals
@@ -86,22 +83,22 @@ class TestWindowBounds:
     def test_upper_bound_synthetic_log(self):
         # log n pinned to exactly 100
         lg = iv_from_int(100)
-        assert compute_u_from_log(lg, 2) == 9    # 2^9 = 512 <= 900 < 1024
-        assert compute_u_from_log(lg, 3) == 5    # 3^5 = 243 <= 500 < 729
-        assert compute_u_from_log(lg, 7) == 2    # 7^2 = 49 <= 200 < 343
+        assert audit._upper_bound(lg, 2, 128) == 9    # 2^9 = 512 <= 900 < 1024
+        assert audit._upper_bound(lg, 3, 128) == 5    # 3^5 = 243 <= 500 < 729
+        assert audit._upper_bound(lg, 7, 128) == 2    # 7^2 = 49 <= 200 < 343
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 10**12).flatmap(
         lambda x: st.tuples(st.just(x), st.one_of(st.integers(3, min(x, 60)),
                                                   st.integers(3, x)))))
-    @example((4, 3))        # 2^4 = 4 * 4: only PrecisionError is allowed
+    @example((4, 3))        # 2^4 = 4 * 4: only _Indeterminate is allowed
     @example((10**12, 3))
     def test_upper_bound_matches_oracle(self, pair):
         x, below = pair
         p = sympy.prevprime(below)  # a prime p < x
         try:
-            got = compute_u_from_log(iv_from_int(x), p)
-        except PrecisionError:
+            got = audit._upper_bound(iv_from_int(x), p, 128)
+        except audit._Indeterminate:
             assert any(p**j == j * x for j in range(1, 100)), (x, p)
             return
         assert got == u_oracle(x, p), (x, p)
@@ -152,7 +149,6 @@ class TestWindowBounds:
         with pytest.raises(audit._Indeterminate):
             upper_bound_rounded(lg, 2, 64)
         assert audit._upper_bound(lg, 2, 64) == 9
-        assert compute_u_from_log(lg, 2, 64) == 9
         assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -173,7 +169,7 @@ class TestWindowBounds:
 
     def test_upper_bound_monotone_in_prime(self, table_1e6):
         lg = iv_from_int(100)
-        us = [compute_u_from_log(lg, p) for p in (2, 3, 5, 7, 11, 13)]
+        us = [audit._upper_bound(lg, p, 128) for p in (2, 3, 5, 7, 11, 13)]
         assert us == sorted(us, reverse=True)
         assert all(u >= 1 for u in us)
 
@@ -185,13 +181,15 @@ class TestWindowBounds:
 
     def test_upper_bound_refuses_a_log_too_small(self):
         with pytest.raises(DomainError, match="log n certainly > 2"):
-            compute_u_from_log(iv_from_int(2), 2)
+            audit._upper_bound(iv_from_int(2), 2, 128)
         with pytest.raises(DomainError, match="101 not certainly below log n"):
-            compute_u_from_log(iv_from_int(100), 101)
+            audit._upper_bound(iv_from_int(100), 101, 128)
 
-    def test_int_log_floor_refuses_x_below_one(self):
-        with pytest.raises(DomainError, match="x >= 1 and p >= 2, got 0, 2"):
-            int_log_floor(0, 2)
+    def test_compute_l_refuses_x_or_p_below_two(self):
+        for x, p in ((0, 2), (1, 2), (97, 1)):
+            with pytest.raises(DomainError,
+                               match=f"x >= 2 and p >= 2, got x={x}, p={p}$"):
+                compute_l(x, p)
 
     def test_lower_bound_exact(self):
         assert compute_l(97, 2) == 6    # 64 <= 97 < 128
@@ -203,7 +201,7 @@ class TestWindowBounds:
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), st.integers(2, 10**6))
     def test_lower_bound_is_a_floor(self, p, x):
-        m = int_log_floor(x, p)
+        m = compute_l(x, p)
         assert p**m <= x < p ** (m + 1)
 
     def test_m_values(self, table_1e6):

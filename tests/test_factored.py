@@ -25,7 +25,6 @@ from robinaudit.factored import (
     _cell_pieces,
     _g_ratio_edit,
     _prod,
-    _Products,
     _sigma_ratio,
     big_g,
     g_ratio_divide,
@@ -525,22 +524,6 @@ def test_prefix_span_is_narrower_than_its_cell_walk(prec, table_1e6):
     # precision, against the walk's 53 cell logs and its roundings
     c = CandidateFactorization._from_pieces([(0, 100 * _CHUNK), (1, 53 * _CHUNK)])
     assert log_n(c, table_1e6, prec).width() < _cell_walk(c, table_1e6, prec).width()
-
-
-def test_shared_products_give_fresh_endpoints():
-    # one object for both candidates, so later calls read cells that
-    # earlier ones formed; a new table for every call, so no memoized
-    # enclosure stands in for the products
-    shared = _Products()
-
-    def table():
-        return PrimeTable.build(30000)  # p_2803 = 25423 for WIDE
-
-    for c in (WIDE, HOLEY):
-        for f in (log_n, rho, n_over_phi):
-            fresh = f(c, table())
-            again = f(c, table(), products=shared)
-            assert (again.lo, again.hi) == (fresh.lo, fresh.hi), f.__name__
 
 
 def test_big_g_oracles(table_1e6):

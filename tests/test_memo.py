@@ -126,6 +126,19 @@ def formed(monkeypatch):
 
 WIDE = CandidateFactorization.from_runs([(4, 1), (2, 2), (1, 1500)])
 WIDE_LIMIT = 20000  # p_1500 = 12553
+# a short head of falling exponents over a bulk run at exponent 2
+POWER = CandidateFactorization.from_runs(
+    [(40, 2), (31, 1), (17, 3), (9, 2), (3, 4), (2, 1488)])
+
+
+@pytest.mark.parametrize("c", [WIDE, POWER], ids=["canonical", "power"])
+def test_cold_audit_forms_few_products(c, formed):
+    # on a fresh table a cell piece costs at most Pi p for its log and
+    # Pi p, Pi (p - 1) for M(r)'s n/phi, and a B6 piece read two more
+    report = full_audit(c, PrimeTable.build(WIDE_LIMIT))
+    b6 = report.verdict_for("density_B6").witness["pieces_read"]
+    assert b6 >= 1
+    assert 0 < len(formed) <= 3 * len(list(factored._cell_pieces(c))) + 2 * b6
 
 
 def test_second_compute_u_forms_no_product(formed):
