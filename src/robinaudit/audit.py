@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -33,6 +32,7 @@ from .errors import (
     DomainError,
     InvariantError,
     _int_text,
+    _json_text,
 )
 from .factored import (
     CandidateFactorization,
@@ -71,7 +71,6 @@ from .intervals import (
     iv_sqrt,
     iv_sub,
     ladder_exhausted,
-    power_below,
 )
 from .primes import PrimeTable
 
@@ -501,7 +500,7 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
 
     def bad(i: int, e: int) -> bool:
         # p_i^e < 2^(a1+2) fails on a suffix of each run
-        return e > 0 and not _power_below(ctx, t.nth_prime(i), e, 2, a1 + 2)
+        return e > 0 and not _power_below(t.nth_prime(i), e, 2, a1 + 2, ctx.prec)
 
     i = _violation(ctx, bad, lo=2)
     if i is None:
@@ -510,13 +509,25 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
                   "bound_exponent": a1 + 2}
 
 
-def _power_below(ctx: _AuditContext, p: int, e: int, q: int, f: int,
+def _power_below(p: int, e: int, q: int, f: int, prec: int,
                  **witness) -> bool:
-    """Certified p^e < q^f; raises _Indeterminate, carrying ``witness``,
-    when undecidable."""
-    below = power_below(p, e, q, f, ctx.prec)
+    """Certified p^e < q^f for ints p, q >= 2, e, f >= 0: exact while both
+    powers fit _EXACT_POW_BITS, else e log p against f log q, escalating
+    from ``prec``; _Indeterminate, carrying ``witness``, if undecided."""
+    if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
+        return p ** e < q ** f
+
+    def attempt(work: int) -> Optional[bool]:
+        cmp = iv_compare(iv_mul(e, iv_log_rational(p, work), work),
+                         iv_mul(f, iv_log_rational(q, work), work))
+        if cmp is Comparison.OVERLAPPING:
+            return None
+        return cmp is Comparison.CERTAINLY_LESS
+
+    below = escalate(attempt, prec)
     if below is None:
-        raise _Indeterminate(f"{p}^{e} vs {q}^{f} indeterminate", **witness)
+        raise _Indeterminate(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
+                             "indeterminate", **witness)
     return below
 
 
@@ -592,7 +603,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
         if e == 0 or end < 2:
             continue
         p = t.nth_prime(end)
-        ok1 = _power_below(ctx, p, e, 2, a1 + 2, m_r=m_r)
+        ok1 = _power_below(p, e, 2, a1 + 2, prec, m_r=m_r)
         # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
         lhs = iv_mul(iv_from_int(e - 1), iv_log_rational(p, prec), prec)
         cmp2 = iv_compare(lhs, m_r)
@@ -902,4 +913,4 @@ def _edited(c: CandidateFactorization, edits: dict[int, int], r: int
 
 def report_to_json_str(report: AuditReport) -> str:
     """Deterministic serialization (stable key order, no whitespace drift)."""
-    return json.dumps(report.to_json(), sort_keys=True, indent=2)
+    return _json_text(report.to_json())

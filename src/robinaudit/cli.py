@@ -14,7 +14,6 @@ import csv
 import decimal
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -30,9 +29,11 @@ from .errors import (
     PrecisionError,
     ResourceBudgetError,
     _int_text,
+    _json_text,
 )
 from .factored import CandidateFactorization, materialize
-from .generators import ca_candidate, ca_sweep, superabundant_up_to, verify_range
+from .generators import (ca_candidate, ca_sweep, robin_exceptions,
+                         superabundant_up_to, verify_range)
 from .intervals import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
@@ -249,7 +250,7 @@ class _Output(NamedTuple):
 
 def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(out.payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json_text(out.payload) + "\n")
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -415,9 +416,8 @@ def _selftest_checks(prec: int):
         return len(PrimeTable.build(10**5)) == 9592
 
     def classical_exceptions():
-        res = verify_range(3, 5040, prec=prec)
-        ns = [r.n for r in res.violations]
-        return not res.unknowns and len(ns) == 26 and ns[-1] == 5040
+        ns = robin_exceptions(prec)
+        return len(ns) == 26 and ns[-1] == 5040
 
     def g_straddles_threshold():
         t = PrimeTable.build(100)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of its ints."""
+
+import json
+import sys
 
 
 def _int_text(n: int) -> str:
@@ -7,6 +10,18 @@ def _int_text(n: int) -> str:
     if n.bit_length() <= 1 << 12:
         return str(n)
     return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) with CPython's int digit
+    limit lifted while the text is formed, and only then: a report int
+    derived from inputs of 4300 digits, such as a_1 + 2, may have one more."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class RobinAuditError(Exception):

@@ -45,7 +45,6 @@ from .intervals import (
     iv_log_rational,
     iv_mul,
     ladder_exhausted,
-    power_below,
 )
 from .primes import PrimeTable, _prime_chunks
 
@@ -153,16 +152,6 @@ def _sigma_sparse(ns: np.ndarray, root: int) -> np.ndarray:
     cofactor = ns // part
     sigma *= np.where(cofactor > 1, cofactor + 1, 1)
     return sigma
-
-
-def sigma_range(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for n in [lo, hi] inclusive, exact, as int64; hi <= 10^18."""
-    if lo < 1 or hi < lo:
-        raise DomainError(f"bad sigma range [{_int_text(lo)}, {_int_text(hi)}]")
-    if hi > _MAX_N:
-        raise DomainError(f"sigma range ends at {_int_text(hi)}, above the "
-                          "int64 cap 10^18")
-    return _sigma_sparse(np.arange(lo, hi + 1, dtype=np.int64), math.isqrt(hi))
 
 
 def _threshold(n: int, prec: int) -> IntervalScalar:
@@ -366,22 +355,25 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     With u = p^eps, a(p) >= e means (p u - 1)/(u - 1) >= p^(e+1), that is
     u <= F = (p^(e+1) - 1)/(p^(e+1) - p).  Equality never holds: F is a
     rational strictly between 1 and 2, while p^eps is an integer or
-    irrational.  So one certified comparison p^eps < F decides it.
-    power_below rounds F to the working precision before its log; where
-    that leaves it undecided, eps log p is placed against the exact bracket
-    x/(1 + x) < log F < x, x = F - 1, at escalating precision."""
+    irrational.  So eps log p < log F decides it.  Each rung of the ladder
+    compares eps log p with log F, which rounds F to the rung's precision
+    first, and where those overlap, with the exact bracket
+    x/(1 + x) < log F < x, x = F - 1."""
     q = p ** (e + 1)
-    below = power_below(p, eps, Fraction(q - 1, q - p), 1, prec)
-    if below is None:
-        def bracket(work: int) -> Optional[bool]:
-            lhs = iv_mul(eps, iv_log_rational(p, work), work)
-            if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:
-                return True  # below x/(1 + x)
-            if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:
-                return False  # above x
-            return None
+    f = Fraction(q - 1, q - p)
 
-        below = escalate(bracket, prec)
+    def attempt(work: int) -> Optional[bool]:
+        lhs = iv_mul(eps, iv_log_rational(p, work), work)
+        cmp = iv_compare(lhs, iv_log_rational(f, work))
+        if cmp is not Comparison.OVERLAPPING:
+            return cmp is Comparison.CERTAINLY_LESS
+        if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:
+            return True  # below x/(1 + x)
+        if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:
+            return False  # above x
+        return None
+
+    below = escalate(attempt, prec)
     if below is None:
         raise ladder_exhausted(f"exponent of {p} straddles a power boundary "
                                f"at eps={_eps_text(eps)}", prec)

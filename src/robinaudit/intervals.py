@@ -185,17 +185,6 @@ def iv_from_int_rounded(n: int, prec: int = DEFAULT_PRECISION_BITS) -> IntervalS
     return _iv(from_int(n, prec, _ROUND_DOWN), from_int(n, prec, _ROUND_UP))
 
 
-def iv_from_fraction(x: Union[int, Fraction], prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    """Enclosure of an exact rational, outward-rounded to ``prec`` bits."""
-    if isinstance(x, int):
-        return iv_from_int(x)
-    x = Fraction(x)
-    return _iv(
-        from_rational(x.numerator, x.denominator, prec, _ROUND_DOWN),
-        from_rational(x.numerator, x.denominator, prec, _ROUND_UP),
-    )
-
-
 def iv_make(lo: Union[int, Fraction], hi: Union[int, Fraction],
             prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
     """Enclosure [lo, hi] from exact rational endpoints (outward-rounded)."""
@@ -356,29 +345,6 @@ def ladder_exhausted(message: str, prec: int) -> PrecisionError:
 def _pow_bits(p: int, e: int) -> int:
     """Bit-length bound of p^e."""
     return e * p.bit_length() + 1
-
-
-def power_below(x: Union[int, Fraction], a: Union[int, Fraction],
-                y: Union[int, Fraction], b: Union[int, Fraction],
-                prec: int = DEFAULT_PRECISION_BITS) -> Optional[bool]:
-    """Certified x^a < y^b for rationals x, y > 0 and a, b >= 0.
-
-    Exact when a and b are integers and both powers stay within
-    _EXACT_POW_BITS; otherwise a log x is compared with b log y, escalating
-    from ``prec``.  None when that comparison stays indeterminate."""
-    if (a.denominator == b.denominator == 1
-            and _pow_bits(max(x.numerator, x.denominator), a.numerator) <= _EXACT_POW_BITS
-            and _pow_bits(max(y.numerator, y.denominator), b.numerator) <= _EXACT_POW_BITS):
-        return x ** a.numerator < y ** b.numerator
-
-    def attempt(work: int) -> Optional[bool]:
-        cmp = iv_compare(iv_mul(a, iv_log_rational(x, work), work),
-                         iv_mul(b, iv_log_rational(y, work), work))
-        if cmp is Comparison.OVERLAPPING:
-            return None
-        return cmp is Comparison.CERTAINLY_LESS
-
-    return escalate(attempt, prec)
 
 
 def iv_floor(a: IntervalScalar) -> Optional[int]:

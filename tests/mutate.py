@@ -143,13 +143,6 @@ MUTANTS = [
     Mutant("sparse sigma: valuation stops at p^1", GEN,
            "more = more[n[more] // power[more] % p[more] == 0]",
            "more = more[:0]", SPARSE_TESTS),
-    Mutant("sigma range: int64 cap removed", GEN,
-           'if hi > _MAX_N:\n        raise DomainError(f"sigma range',
-           'if False:\n        raise DomainError(f"sigma range',
-           (T_GEN + "test_sigma_range_cap",)),
-    Mutant("sigma range: root taken one below the square root", GEN,
-           "dtype=np.int64), math.isqrt(hi))", "dtype=np.int64), math.isqrt(hi) - 1)",
-           (T_GEN + "test_sigma_range_matches_divisor_pairs",)),
     # the abundancy records over non-increasing exponents
     Mutant("records: exponents must strictly decrease", GEN,
            "while e <= top and m <= limit:", "while e < top and m <= limit:",
@@ -396,13 +389,26 @@ MUTANTS = [
     Mutant("budget: exponents_list expands any width", "factored.py",
            "if self.r > _EXPLICIT_LIMIT:", "if False:",
            (T_FAC + "test_explicit_forms_have_a_width_budget",)),
-    # the CA exponent: power_below first, the exact bracket of log F after
+    # the CA exponent: one ladder, each rung trying log F, then the exact
+    # bracket of log F
     Mutant("CA bracket bounds swapped", GEN,
            "Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS",
            "Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_LESS",
            CA_TESTS),
     Mutant("CA bracket dropped", GEN,
-           "below = escalate(bracket, prec)", "pass", CA_TESTS),
+           "        if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:\n"
+           "            return True  # below x/(1 + x)\n"
+           "        if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:\n"
+           "            return False  # above x\n", "", CA_TESTS),
+    Mutant("CA: an overlapping log F ends the rung", GEN,
+           "if cmp is not Comparison.OVERLAPPING:", "if True:", CA_TESTS),
+    # the integer power test of B4 and D4
+    Mutant("power test: log sides swapped", "audit.py",
+           "cmp = iv_compare(iv_mul(e, iv_log_rational(p, work), work),\n"
+           "                         iv_mul(f, iv_log_rational(q, work), work))",
+           "cmp = iv_compare(iv_mul(f, iv_log_rational(q, work), work),\n"
+           "                         iv_mul(e, iv_log_rational(p, work), work))",
+           ("tests/test_audit.py::test_power_below_exact_and_by_logarithms",)),
     Mutant("CA messages: epsilon formatted by str()", GEN,
            'return text if eps.denominator == 1 else f"{text}/{_int_text(eps.denominator)}"',
            "return str(eps)",
@@ -460,6 +466,10 @@ MUTANTS = [
     Mutant("interval: a too fine endpoint serialized", "intervals.py",
            "if k > _MAX_SERIAL_FRACTION_BITS:", "if False:",
            (T_IV + "test_json_endpoint_finer_than_the_serial_limit_is_refused",)),
+    Mutant("json: the int digit limit kept while a report is written", "errors.py",
+           "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(limit)",
+           ("tests/test_cli.py::TestAuditCommand::"
+            "test_report_ints_past_4300_digits_are_written_exactly",)),
     Mutant("interval: a missing endpoint let through", "intervals.py",
            "except (TypeError, KeyError) as e:", "except TypeError as e:",
            (T_IV + "test_json_missing_endpoint_is_refused",)),

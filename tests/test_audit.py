@@ -619,6 +619,25 @@ class TestFullAudit:
 _HYP_TABLE = PrimeTable.build(100)
 
 
+def test_power_below_exact_and_by_logarithms():
+    below = audit._power_below
+    # powers within the exact cut: exact, and equality is not below
+    assert below(2, 10, 1025, 1, 128) is True
+    assert below(2, 10, 1024, 1, 128) is False
+    # exponents past the cut compare e log p with f log q
+    assert below(2, 3 * 10**6, 8, 10**6 + 1, 128) is True
+    assert below(8, 10**6 + 1, 2, 3 * 10**6, 128) is False
+    # equal powers stay undecided at every rung, and so does a pair of
+    # exponents past 4300 digits, which the reason names by size
+    with pytest.raises(audit._Indeterminate) as e:
+        below(8, 10**6, 2, 3 * 10**6, 128, m_r=1)
+    assert str(e.value) == "8^1000000 vs 2^3000000 indeterminate"
+    assert e.value.witness == {"m_r": 1}
+    with pytest.raises(audit._Indeterminate,
+                       match=r"^2\^<14285-bit integer> vs 2\^<14285-bit integer> "):
+        below(2, 10**4300, 2, 10**4300, 64)
+
+
 def _unknown(reason, prec=128, **witness):
     return {"status": UNKNOWN, "witness": {"reason": reason, **witness},
             "precision_used": prec}
@@ -661,7 +680,8 @@ class TestUnknownWitnesses:
             "floor(a_1 log p_1 / log p_2) straddles an integer")
 
     def test_power_comparisons_of_b4_and_d4(self, table_1e6, monkeypatch):
-        monkeypatch.setattr(audit, "power_below", lambda *args: None)
+        monkeypatch.setattr(audit, "_EXACT_POW_BITS", 0)
+        monkeypatch.setattr(audit, "escalate", lambda *args: None)
         c = cand(4, 2, 1, 1)
         reason = "3^2 vs 2^6 indeterminate"
         assert run_check("shape_B4", c, table_1e6).to_json() == _unknown(reason)

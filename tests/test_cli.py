@@ -14,9 +14,10 @@ import jsonschema
 import pytest
 
 import robinaudit
-from robinaudit import audit, cli, intervals
+from robinaudit import audit, cli, generators, intervals
 from robinaudit.cli import main
 from robinaudit.errors import InvariantError
+from robinaudit.factored import CandidateFactorization
 from robinaudit.primes import PrimeTable
 from oracles import eps_inside_ca_bracket
 from test_factored import REFUSALS
@@ -28,6 +29,13 @@ CAND_30030 = '{"exponents": [1, 1, 1, 1, 1, 1]}'
 def schema(name):
     text = resources.files("robinaudit").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
+
+
+def _one_undecided_rung(attempt, prec):
+    """escalate that tries only the first rung and reports it undecided;
+    the attempt still runs, so a record keeps its threshold."""
+    attempt(prec)
+    return None
 
 
 def run_cli(argv, capsys):
@@ -56,6 +64,17 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["checked"] == 960
         assert payload["violations"] == []
+
+    def test_an_undecided_comparison_exits_two(self, capsys, monkeypatch):
+        # every n that reaches a per-n comparison is left unknown at its
+        # first rung, and 5041..10^7 holds one
+        monkeypatch.setattr(generators, "escalate", _one_undecided_rung)
+        code, out, _ = run_cli(["verify", "--from", "5041", "--to", "1e7"],
+                               capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["violations"] == []
+        assert [u["verdict"] for u in payload["unknowns"]] == ["unknown"]
 
     def test_from_clamped_to_three(self, capsys):
         code, out, _ = run_cli(["verify", "--from", "1", "--to", "10"], capsys)
@@ -273,6 +292,34 @@ class TestAuditCommand:
         text = '{"runs": [{"exponent": 1%s, "count": 2}]}' % ("0" * 62)
         code, out, _ = run_cli(["audit", text], capsys)
         assert code == 1 and json.loads(out)["summary"]["result"] == "excluded"
+
+    @pytest.mark.parametrize("runs, key, digits", [
+        # B4's bound a_1 + 2 = 10^4300 + 1
+        ([("9" * 4300, "1"), ("1", "1")], "bound_exponent", "1" + "0" * 4299 + "1"),
+        # r = 2 (10^4300 - 1), written by D1, D2 and the uncovered checks
+        ([("2", "9" * 4300), ("1", "9" * 4300)], "r", "1" + "9" * 4299 + "8"),
+    ], ids=["a_1_plus_2", "r"])
+    def test_report_ints_past_4300_digits_are_written_exactly(
+            self, runs, key, digits, capsys):
+        # every input int has at most 4300 digits; the report ints derived
+        # from them have 4301, which json.dumps alone refuses to format
+        text = '{"runs": [%s]}' % ", ".join(
+            '{"exponent": %s, "count": %s}' % run for run in runs)
+        code, out, err = run_cli(["audit", text], capsys)
+        assert code == 1 and err == ""
+        assert f'"{key}": {digits}' in out and '"result": "excluded"' in out
+        c = CandidateFactorization.from_json(text)
+        report = audit.full_audit(c, PrimeTable.build(100))
+        assert f'"{key}": {digits}' in audit.report_to_json_str(report)
+        code, out, _ = run_cli(["audit", "--format", "text", text], capsys)
+        assert code == 1 and "result: excluded" in out
+        # the limit still holds where ints are read
+        code, _, err = run_cli(["audit", text.replace("9" * 4300, "9" * 4301)],
+                               capsys)
+        assert code == 66 and "more than 4300 digits" in err
+        code, _, err = run_cli(["verify", "--from", "5041", "--to", "9" * 4301],
+                               capsys)
+        assert code == 64 and "4300 digits" in err
 
     def test_inconclusive_with_small_table(self, capsys):
         cand = json.dumps({
@@ -540,6 +587,16 @@ class TestSelftest:
         assert payload["ok"] is True
         assert all(c["ok"] for c in payload["checks"])
         assert len(payload["checks"]) == 5
+
+    def test_a_raising_check_is_reported(self, capsys, monkeypatch):
+        # unknowns below 5041 make robin_exceptions raise
+        monkeypatch.setattr(generators, "escalate", _one_undecided_rung)
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == ["classical_exceptions"]
+        failed = checks[1]
+        assert "indeterminate comparisons below 5041" in failed["error"]
 
 
 class TestSchemas:

@@ -42,10 +42,10 @@ from robinaudit.intervals import (
     _pow_bits,
     iv_add,
     iv_compare,
-    iv_from_fraction,
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
+    iv_make,
     iv_mul,
 )
 from robinaudit.primes import PrimeTable
@@ -716,7 +716,7 @@ def test_integer_sigma_part_matches_the_fraction_path(s):
                 else:
                     parts.append(_sigma_ratio(q, x, y, 128))
             assert (max(a, a + edits[s]) + 1 > cut) == bool(parts), (a, edits)
-            want = iv_from_fraction(exact, 128)
+            want = iv_make(exact, exact, 128)
             for f in parts:
                 want = iv_mul(want, f, 128)
             got = _g_ratio_edit({i: before[i] for i in edits}, edits,

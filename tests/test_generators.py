@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from robinaudit.errors import (
     PrecisionError,
     TableTooSmallError,
 )
-from robinaudit import generators
+from robinaudit import generators, intervals
 from robinaudit.factored import CandidateFactorization, materialize
 from robinaudit.generators import (
     AbundanceRecord,
@@ -28,7 +29,6 @@ from robinaudit.generators import (
     ca_candidate,
     ca_sweep,
     robin_exceptions,
-    sigma_range,
     superabundant_up_to,
     verify_range,
 )
@@ -48,26 +48,6 @@ def _naive_sigma(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-def test_sigma_range_matches_naive():
-    sig = sigma_range(1, 300)
-    for n in range(1, 301):
-        assert int(sig[n - 1]) == _naive_sigma(n)
-
-
-def test_sigma_range_offset_segment():
-    sig = sigma_range(9973, 10100)
-    for n in (9973, 10000, 10080, 10100):
-        assert int(sig[n - 9973]) == int(sympy.divisor_sigma(n))
-    assert int(sig[10080 - 9973]) == 39312
-
-
-def test_sigma_range_rejects_bad_bounds():
-    with pytest.raises(DomainError):
-        sigma_range(0, 5)
-    with pytest.raises(DomainError):
-        sigma_range(10, 5)
-
-
 _P = 99991  # the largest prime below 10^5: around p^2, p is just below sqrt(hi)
 
 
@@ -85,12 +65,8 @@ _SIGMA_WINDOWS = [
     (_P, _P),
     (_P * _P, _P * _P),
     (10**10, 10**10),
+    (9973, 10100),
 ]
-
-
-@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
-def test_sigma_range_matches_divisor_pairs(lo, hi):
-    assert np.array_equal(sigma_range(lo, hi), sigma_divisor_pairs(lo, hi))
 
 
 @pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
@@ -208,10 +184,6 @@ def test_verify_range_matches_oracle_near_1e9(lo, hi):
 
 
 def test_sigma_range_cap():
-    with pytest.raises(DomainError):
-        sigma_range(10**18, 10**18 + 1)
-    with pytest.raises(DomainError, match="bit integer"):
-        sigma_range(1, 10**5000)
     with pytest.raises(DomainError):
         verify_range(10**18 + 1, 10**18 + 1)
     with pytest.raises(DomainError):
@@ -471,7 +443,7 @@ def test_exponent_of_2_matches_linear_walk(table_1e5, m, k):
         assert exps + [0] == [_linear_exponent(p, eps) for p in primes]
 
 
-def test_exponent_of_2_past_the_rounding_of_f():
+def test_exponent_of_2_past_the_rounding_of_f(monkeypatch):
     # a(2) = 14,280: probes above about e = 2,046 round F = 1 + x, with
     # x about 2^-e, to 1 at every precision of the ladder, so they are
     # decided by the exact bracket x/(1 + x) < log F < x
@@ -480,6 +452,20 @@ def test_exponent_of_2_past_the_rounding_of_f():
     assert generators._ca_exponent_of_2(eps, 128) == 14_280
     assert generators._ca_at_least(2, 14_280, eps, 128)
     assert not generators._ca_at_least(2, 14_281, eps, 128)
+    # the first rung's bracket decides a(2) >= 4096, so the probe asks for
+    # no log above 128 bits, in any module
+    real, asked = intervals.iv_log_rational, []
+
+    def spy(x, prec=intervals.DEFAULT_PRECISION_BITS):
+        asked.append(prec)
+        return real(x, prec)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("robinaudit")
+                and getattr(module, "iv_log_rational", None) is real):
+            monkeypatch.setattr(module, "iv_log_rational", spy)
+    assert generators._ca_at_least(2, 4096, eps, 128)
+    assert asked and set(asked) == {128}
 
 
 @pytest.mark.parametrize("side", [-1, 1], ids=["below_log_f", "above_log_f"])

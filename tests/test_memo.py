@@ -25,10 +25,10 @@ from robinaudit.intervals import (
     iv_add,
     iv_div,
     iv_exp,
-    iv_from_fraction,
     iv_from_int,
     iv_log,
     iv_log_rational,
+    iv_make,
     iv_mul,
     iv_neg,
     iv_sqrt,
@@ -183,7 +183,7 @@ def test_exponent_scaled_cell_logs_answer_only_their_key():
 def _old_top_prime_bounds(p_r, prec):
     """The bounds as the checks formed them inline, field by field."""
     slack, lower, upper, three_halves = (
-        iv_from_fraction(Fraction(d), prec)
+        iv_make(Fraction(d), Fraction(d), prec)
         for d in (Constants.log_window_slack, Constants.s_window_lower,
                   Constants.s_window_upper, Fraction(3, 2)))
     lp = iv_log(iv_from_int(p_r), prec)
