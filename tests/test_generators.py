@@ -69,6 +69,29 @@ _SIGMA_WINDOWS = [
 ]
 
 
+def _sigma_in_segments(lo, hi):
+    """sigma over [lo, hi] from _sigma_sparse, cut into verify_range's
+    segments, each with its own root."""
+    parts, b = [], lo
+    while b <= hi:
+        end = min(b + generators._segment_length(b), 2 * b, hi + 1)
+        ns = np.arange(b, end, dtype=np.int64)
+        parts.append(_sigma_sparse(ns, math.isqrt(end - 1)))
+        b = end
+    return np.concatenate(parts)
+
+
+def test_sigma_range_matches_naive():
+    sig = _sigma_in_segments(1, 300)
+    for n in range(1, 301):
+        assert int(sig[n - 1]) == _naive_sigma(n)
+
+
+@pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
+def test_sigma_range_matches_divisor_pairs(lo, hi):
+    assert np.array_equal(_sigma_in_segments(lo, hi), sigma_divisor_pairs(lo, hi))
+
+
 @pytest.mark.parametrize("lo, hi", _SIGMA_WINDOWS)
 def test_sigma_sparse_matches_divisor_pairs(lo, hi):
     root = math.isqrt(hi)
