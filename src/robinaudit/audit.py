@@ -240,12 +240,13 @@ def _top_prime_bounds(p_r: int, prec: int) -> _TopPrimeBounds:
 class _AuditContext:
     """Shared lazily-computed quantities for one audit or normalize state:
     log n (``lg`` when carried from the previous state), log log n, U(p_i)
-    per index and the bounds at p_r, with r = c.r given when the caller has
-    it.  It holds no cell product: the enclosures made from those live in
-    the table's memo."""
+    per index and the bounds at p_r, with r = c.r and p_r given when the
+    caller has them.  It holds no cell product: the enclosures made from
+    those live in the table's memo."""
 
     def __init__(self, c: CandidateFactorization, t: PrimeTable, prec: int,
-                 lg: Optional[IntervalScalar] = None, r: Optional[int] = None):
+                 lg: Optional[IntervalScalar] = None, r: Optional[int] = None,
+                 p_r: Optional[int] = None):
         if lg is not None:
             self.log_n = lg  # over the cached_property, which has no setter
         self.c = c
@@ -253,7 +254,7 @@ class _AuditContext:
         self.prec = prec
         self.r = c.r if r is None else r
         self.covered = self.r <= len(t)
-        self.p_r = t.nth_prime(self.r) if self.covered else None
+        self.p_r = p_r or (t.nth_prime(self.r) if self.covered else None)
         self._u: dict[int, int] = {}
 
     @functools.cached_property
@@ -302,26 +303,32 @@ def _violation(ctx: _AuditContext, bad: Callable[[int, int], bool], *,
 
 def _below_l(ctx: _AuditContext, *, last: bool = False,
              lo: int = 1) -> Optional[int]:
-    """Least index i >= lo with a_i < L(p_i), or the largest when ``last``;
-    None when there is none.
+    """Least index i >= lo with a_i < L(p_i), or the largest when ``last``
+    (which reads no lo); None when there is none.
 
     e < L(p) = floor(log p_r / log p) means p^(e+1) <= p_r, that is
     p <= floor(p_r^(1/(e+1))) for an integer p.  The primes rise with the
     index, so a run of exponent e holds a violation when its first prime
     does, and its violations end at the run end or at the last prime up to
     that root, found by one search of the table.  No prime does when
-    e + 1 is at least the bit length of p_r, and no power is formed."""
-    t, p_r, runs = ctx.t, ctx.p_r, ctx.c.run_bounds()
-    for start, end, e in reversed(list(runs)) if last else runs:
-        start, k = max(start, lo), e + 1
-        if start > end or k >= p_r.bit_length() or t.nth_prime(start) ** k > p_r:
-            continue
-        if not last:
-            return start
-        root = int(p_r ** (1 / k)) + 1  # float root + 1 >= the exact floor
-        while root**k > p_r:
-            root -= 1
-        return int(t.slice(1, end).searchsorted(root, side="right"))
+    e + 1 is at least the bit length of p_r, and no power is formed.  Both
+    read one view of p_1..p_r; the largest walks down the runs from r."""
+    p_r, bits, primes = ctx.p_r, ctx.p_r.bit_length(), ctx.t.slice(1, ctx.r)
+    if not last:
+        for start, end, e in ctx.c.run_bounds():
+            start, k = max(start, lo), e + 1
+            if start <= end and k < bits and int(primes[start - 1]) ** k <= p_r:
+                return start
+        return None
+    end = ctx.r
+    for e, count in reversed(ctx.c.runs):
+        k = e + 1
+        if k < bits and int(primes[end - count]) ** k <= p_r:  # p at the run start
+            root = int(p_r ** (1 / k)) + 1  # float root + 1 >= the exact floor
+            while root**k > p_r:
+                root -= 1
+            return int(primes[:end].searchsorted(root, side="right"))
+        end -= count
     return None
 
 
@@ -450,7 +457,8 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
 
     m = escalate(attempt, ctx.prec)
     if m is None:
-        raise _Indeterminate(f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
+        raise _Indeterminate(f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer",
+                             suggested_precision_bits=_past_ladder(ctx.prec))
     return m
 
 
@@ -527,8 +535,14 @@ def _power_below(p: int, e: int, q: int, f: int, prec: int,
     below = escalate(attempt, prec)
     if below is None:
         raise _Indeterminate(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
-                             "indeterminate", **witness)
+                             "indeterminate", **witness,
+                             suggested_precision_bits=_past_ladder(prec))
     return below
+
+
+def _past_ladder(prec: int) -> int:
+    """The doubling above the top rung from ``prec``, as ladder_exhausted."""
+    return ladder_exhausted("", prec).suggested_precision_bits
 
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
@@ -793,10 +807,13 @@ class NormalizationResult:
         return len(self.trace)
 
     def to_json(self) -> dict:
+        """Trace ratios are kept as enclosures and written out here."""
         return {
             "candidate": self.candidate.to_json(),
             "status": self.status,
-            "trace": self.trace,
+            "trace": [step if step["ratio"] is None
+                      else {**step, "ratio": interval_to_json(step["ratio"])}
+                      for step in self.trace],
         }
 
 
@@ -815,8 +832,9 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     from the largest index; then swap steps (a_s < L(p_s), trading the top
     prime for one more factor of p_s, which needs a_r = 1).  Each step logs
     a certified enclosure of G(n)/G(n') and whether it is certainly < 1.
-    One audit context is the state: each step's edit map, {s: -1} or {s: +1,
-    r: -1}, moves its runs and a carried log n, re-summed every _RESUM_STEPS.
+    One audit context is the state: each step's edit map, {s: -1} or {r: -1,
+    s: +1} in decreasing index order, moves its runs and a carried log n,
+    re-summed every _RESUM_STEPS.  A divide that leaves r hands p_r on.
     The step's ratio is its sigma part times the next state's log log n over
     this state's, so each state forms log log n once; a re-sum step's ratio
     reads the carried log n', and its next state is a fresh sum.
@@ -846,12 +864,13 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
                 return NormalizationResult(ctx.c, status, trace)
             if ctx.c.runs[-1].exponent != 1:  # a_r
                 return NormalizationResult(ctx.c, BLOCKED_EXPONENT, trace)
-            action, edits = "swap", {s: 1, ctx.r: -1}
+            action, edits = "swap", {ctx.r: -1, s: 1}
         primes = {s: t.nth_prime(s), ctx.r: ctx.p_r}
         lg = _log_after(ctx.log_n, edits, primes, prec)
         carried = step % _RESUM_STEPS != 0
         c_after, r_after, before = _edited(ctx.c, edits, ctx.r)
-        nxt = _AuditContext(c_after, t, prec, lg if carried else None, r_after)
+        nxt = _AuditContext(c_after, t, prec, lg if carried else None, r_after,
+                            ctx.p_r if r_after == ctx.r else None)
         try:
             loglog_after = _loglog_from(lg, prec)
             if carried:  # the next state's log n is lg
@@ -868,28 +887,26 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
 def _step_entry(ctx: _AuditContext, action: str, s: int, p_s: int,
                 ratio: Optional[IntervalScalar]) -> dict:
     """Trace entry of a divide or swap step at index s, prime p_s, with the
-    enclosure ``ratio`` of G(n)/G(n'), or None where it is undefined."""
+    enclosure ``ratio`` of G(n)/G(n'), or None where it is undefined;
+    NormalizationResult.to_json writes the enclosure."""
     entry = {"action": action, "index": s, "prime": p_s}
     if action == "swap":
         entry["removed_prime"] = ctx.p_r
-    if ratio is None:
-        entry.update(ratio=None, ratio_certainly_below_one=None)
-        return entry
-    entry.update(ratio=interval_to_json(ratio),  # iv_mul rounds to prec
-                 ratio_certainly_below_one=iv_compare(ratio, 1)
-                 is Comparison.CERTAINLY_LESS)
+    below = None if ratio is None else (
+        iv_compare(ratio, 1) is Comparison.CERTAINLY_LESS)
+    entry.update(ratio=ratio, ratio_certainly_below_one=below)
     return entry
 
 
 def _edited(c: CandidateFactorization, edits: dict[int, int], r: int
             ) -> tuple[CandidateFactorization, int, dict[int, int]]:
     """Add edits[i] to a_i at each edited position i <= r = c.r; returns
-    the result, its r and each old a_i.  Only the run holding i, found from
-    the end, is split; a_i + edits[i] merges into an equal neighbour run,
-    trailing zeros are stripped, and a hole below r is an InvariantError."""
+    the result, its r and each old a_i.  One walk down from r splits only
+    the runs holding each i; a_i + edits[i] merges into an equal neighbour
+    run, trailing zeros are stripped, a hole below r is an InvariantError."""
     runs, before = list(c.runs), {}
+    k, start = len(runs), r + 1  # runs[k] starts at position start
     for i in sorted(edits, reverse=True):
-        k, start = len(runs), r + 1  # runs[k] starts at position start
         while start > i:
             k -= 1
             start -= runs[k].count
@@ -897,15 +914,21 @@ def _edited(c: CandidateFactorization, edits: dict[int, int], r: int
         before[i], new_e, end = e, e + edits[i], start + count - 1
         if new_e == 0 and i < r:
             raise InvariantError(f"edit at interior index {i} would leave a hole")
-        lo, hi, mid = k, k + 1, 1
+        lo, hi, mid, first = k, k + 1, 1, start
         if i == start and lo and runs[lo - 1].exponent == new_e:
             lo -= 1
             mid += runs[lo].count
+            first -= runs[lo].count
         if i == end and hi < len(runs) and runs[hi].exponent == new_e:
             mid += runs[hi].count
             hi += 1
-        pieces = (Run(e, i - start), Run(new_e, mid), Run(e, end - i))
-        runs[lo:hi] = [run for run in pieces if run.count]
+        pieces = [Run(new_e, mid)]  # and the non-empty rest of the run
+        if i > start:
+            pieces.insert(0, Run(e, i - start))
+        if i < end:
+            pieces.append(Run(e, end - i))
+        runs[lo:hi] = pieces
+        k, start = lo, first  # the edits below i lie in runs[:lo + 1]
     while runs and runs[-1].exponent == 0:
         r -= runs.pop().count
     return CandidateFactorization(tuple(runs)), r, before

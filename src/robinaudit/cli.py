@@ -393,7 +393,7 @@ def _cmd_normalize(args, prec: int, limit: int) -> tuple[int, _Output]:
                        step_limit=args.step_limit)
     steps = list(enumerate(result.trace, 1))
     out = _Output(
-        result.to_json(),
+        result.to_json() if args.format == "json" else None,
         ["step", "action", "index", "prime", "removed_prime"],
         [[i, s["action"], s["index"], s["prime"], s.get("removed_prime", "")]
          for i, s in steps],

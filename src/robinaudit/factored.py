@@ -460,8 +460,9 @@ def _sigma_ratio(p: int, a: int, b: int,
 def _log_after(lg: IntervalScalar, edits: dict[int, int], primes: dict[int, int],
                prec: int) -> IntervalScalar:
     """log n' for n' = n * Pi p_i^edits[i], p_i = primes[i], each edit +1
-    or -1, from an enclosure ``lg`` of log n: each log p_i in decreasing i."""
-    for i, delta in sorted(edits.items(), reverse=True):
+    or -1, from an enclosure ``lg`` of log n: each log p_i in the map's
+    order, which callers give as decreasing i, since the order fixes bits."""
+    for i, delta in edits.items():
         lp = iv_log_rational(primes[i], prec)
         lg = iv_add(lg, lp, prec) if delta > 0 else iv_sub(lg, lp, prec)
     return lg
@@ -522,7 +523,7 @@ def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
         raise DomainError(f"swap requires a_r == 1, got a_r = {_int_text(c.a(r))}")
     if not 1 <= s < r:
         raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
-    return _g_ratio_fresh(c, {s: 1, r: -1}, t, prec)
+    return _g_ratio_fresh(c, {r: -1, s: 1}, t, prec)
 
 
 def materialize(c: CandidateFactorization, t: PrimeTable,

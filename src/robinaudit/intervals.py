@@ -211,8 +211,14 @@ def _endpoints(x: IntervalLike, prec: int) -> tuple[tuple, tuple]:
         return (from_rational(x.numerator, x.denominator, prec, _ROUND_DOWN),
                 from_rational(x.numerator, x.denominator, prec, _ROUND_UP))
     if isinstance(x, Decimal):
-        return _endpoints(Fraction(x), prec)
+        return _decimal_endpoints(x, prec)
     raise TypeError(f"cannot treat {type(x).__name__} as an interval")
+
+
+@functools.lru_cache(maxsize=64)
+def _decimal_endpoints(x: Decimal, prec: int) -> tuple[tuple, tuple]:
+    """A Decimal literal's endpoints, rounded once per (literal, prec)."""
+    return _endpoints(Fraction(x), prec)
 
 
 def iv_add(a: IntervalLike, b: IntervalLike, prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:

@@ -184,11 +184,11 @@ MUTANTS = [
     Mutant("g ratio: log log quotient inverted", "factored.py",
            "iv_div(loglog_after, loglog, prec)", "iv_div(loglog, loglog_after, prec)",
            G_RATIO_TESTS),
-    Mutant("g ratio: swap adds log p_s before it subtracts log p_r", "factored.py",
-           "sorted(edits.items(), reverse=True)", "sorted(edits.items())",
+    Mutant("walk: swap adds log p_s before it subtracts log p_r", "audit.py",
+           '"swap", {ctx.r: -1, s: 1}', '"swap", {s: 1, ctx.r: -1}',
            ("tests/test_golden.py",)),
     Mutant("edit map: the swap's trailing-zero edit of p_r dropped", "audit.py",
-           '"swap", {s: 1, ctx.r: -1}', '"swap", {s: 1}',
+           '"swap", {ctx.r: -1, s: 1}', '"swap", {s: 1}',
            ("tests/test_audit.py::TestNormalize::test_swap_steps_on_primorial",
             "tests/test_golden.py")),
     Mutant("edit map: an interior hole let through", "audit.py",
@@ -202,6 +202,12 @@ MUTANTS = [
     Mutant("edit map: a split skips the merge with the run after", "audit.py",
            "if i == end and hi < len(runs) and runs[hi].exponent == new_e:",
            "if False:", EDIT_TESTS),
+    Mutant("edit map: a merge below leaves the walk's run start in place",
+           "audit.py", "first -= runs[lo].count", "first -= 0", EDIT_TESTS),
+    Mutant("edit map: the empty lower rest of a split kept", "audit.py",
+           "if i > start:", "if i >= start:", EDIT_TESTS),
+    Mutant("edit map: the empty upper rest of a split kept", "audit.py",
+           "if i < end:", "if i <= end:", EDIT_TESTS),
     Mutant("g ratio: swap into a hole refused again", "factored.py",
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n',
            'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n'
@@ -222,6 +228,15 @@ MUTANTS = [
     Mutant("walk: p_r handed to the step as p_s", "audit.py",
            "primes = {s: t.nth_prime(s), ctx.r: ctx.p_r}",
            "primes = {s: ctx.p_r, ctx.r: ctx.p_r}", ("tests/test_golden.py",)),
+    Mutant("walk: p_r handed on after a swap", "audit.py",
+           "ctx.p_r if r_after == ctx.r else None", "ctx.p_r",
+           ("tests/test_audit.py::test_each_state_holds_its_own_top_prime",)),
+    Mutant("walk: the trace ratio left unformatted", "audit.py",
+           'else {**step, "ratio": interval_to_json(step["ratio"])}', "else step",
+           ("tests/test_audit.py::test_walk_reports_match_the_schema",)),
+    Mutant("walk: an undefined trace ratio formatted", "audit.py",
+           'step if step["ratio"] is None', "step if False",
+           ("tests/test_audit.py::test_serializing_leaves_the_trace_alone",)),
     Mutant("walk: the next state forms its log log n again", "audit.py",
            "                nxt.loglog = loglog_after\n", "                pass\n",
            STEP_TESTS),
@@ -239,8 +254,14 @@ MUTANTS = [
            'searchsorted(root, side="right")', 'searchsorted(root - 1, side="right")',
            L_SCAN_TESTS),
     Mutant("L scan: the least violation read at the run end", "audit.py",
-           "if not last:\n            return start",
-           "if not last:\n            return end", L_SCAN_TESTS),
+           "                return start\n", "                return end\n",
+           L_SCAN_TESTS),
+    Mutant("L scan: the least violation tested at the run end prime", "audit.py",
+           "int(primes[start - 1]) ** k", "int(primes[end - 1]) ** k",
+           L_SCAN_TESTS),
+    Mutant("L scan: the top-down walk reads a run's end prime for its start",
+           "audit.py", "int(primes[end - count]) ** k", "int(primes[end - 1]) ** k",
+           L_SCAN_TESTS),
     Mutant("scan: lo ignored", "audit.py",
            "start = max(start, lo)", "start = max(start, 1)",
            ("tests/test_audit.py::TestIndividualChecks::"
@@ -443,6 +464,19 @@ MUTANTS = [
            "                             suggested_precision_bits=prec * 2)",
            'raise DomainError(f"{p} vs log n indeterminate")',
            (T_BOUNDS + "test_upper_bound_with_p_inside_log_n_asks_for_precision",)),
+    Mutant("ladder: an exhausted B2 floor suggests no precision", "audit.py",
+           "straddles an integer\",\n"
+           "                             suggested_precision_bits=_past_ladder(ctx.prec))",
+           "straddles an integer\")",
+           (T_UNKNOWN + "test_shape_b2_floor",)),
+    Mutant("ladder: an exhausted power test suggests no precision", "audit.py",
+           "**witness,\n                             suggested_precision_bits=_past_ladder(prec))",
+           "**witness)",
+           (T_UNKNOWN + "test_power_ladder_exhausted_on_a_real_candidate",)),
+    Mutant("ladder: the top rung itself suggested", "audit.py",
+           'return ladder_exhausted("", prec).suggested_precision_bits',
+           "return prec << 4",
+           (T_UNKNOWN + "test_power_comparisons_of_b4_and_d4",)),
     Mutant("verdict_for: an unknown id read as None", "audit.py",
            "raise KeyError(check_id)", "return None",
            ("tests/test_audit.py::TestFullAudit::"
@@ -463,6 +497,9 @@ MUTANTS = [
            '    raise TypeError(f"cannot treat {type(x).__name__} as an interval")',
            "    return _endpoints(Fraction(x), prec)",
            (T_IV + "test_str_operand_refused",)),
+    Mutant("interval: a Decimal literal rounded at one precision", "intervals.py",
+           "return _decimal_endpoints(x, prec)", "return _decimal_endpoints(x, 128)",
+           (T_IV + "test_decimal_constant_outward_rounding",)),
     Mutant("interval: a too fine endpoint serialized", "intervals.py",
            "if k > _MAX_SERIAL_FRACTION_BITS:", "if False:",
            (T_IV + "test_json_endpoint_finer_than_the_serial_limit_is_refused",)),

@@ -10,6 +10,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
+import mpmath
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -632,7 +634,7 @@ def test_power_below_exact_and_by_logarithms():
     with pytest.raises(audit._Indeterminate) as e:
         below(8, 10**6, 2, 3 * 10**6, 128, m_r=1)
     assert str(e.value) == "8^1000000 vs 2^3000000 indeterminate"
-    assert e.value.witness == {"m_r": 1}
+    assert e.value.witness == {"m_r": 1, "suggested_precision_bits": 4096}
     with pytest.raises(audit._Indeterminate,
                        match=r"^2\^<14285-bit integer> vs 2\^<14285-bit integer> "):
         below(2, 10**4300, 2, 10**4300, 64)
@@ -673,20 +675,38 @@ class TestUnknownWitnesses:
         assert (v.status, v.witness) == (UNKNOWN, {"log_n": lg, "p_r": 7})
 
     def test_shape_b2_floor(self, table_1e6, monkeypatch):
+        # the ladder ran from 128 to 2,048 bits: it suggests 4,096
         monkeypatch.setattr(audit, "escalate", lambda *args: None)
         c = CandidateFactorization.from_runs(
             [(150_000_000_000_000, 1), (2, 1), (1, 3)])
         assert run_check("shape_B2", c, table_1e6).to_json() == _unknown(
-            "floor(a_1 log p_1 / log p_2) straddles an integer")
+            "floor(a_1 log p_1 / log p_2) straddles an integer",
+            suggested_precision_bits=4096)
 
     def test_power_comparisons_of_b4_and_d4(self, table_1e6, monkeypatch):
         monkeypatch.setattr(audit, "_EXACT_POW_BITS", 0)
         monkeypatch.setattr(audit, "escalate", lambda *args: None)
         c = cand(4, 2, 1, 1)
         reason = "3^2 vs 2^6 indeterminate"
-        assert run_check("shape_B4", c, table_1e6).to_json() == _unknown(reason)
+        assert run_check("shape_B4", c, table_1e6).to_json() == _unknown(
+            reason, suggested_precision_bits=4096)
+        assert run_check("vojak_D4", c, table_1e6, 256).to_json()["witness"][
+            "suggested_precision_bits"] == 8192
         assert run_check("vojak_D4", c, table_1e6).to_json() == _unknown(
-            reason, m_r=_M_4_JSON)
+            reason, m_r=_M_4_JSON, suggested_precision_bits=4096)
+
+    def test_power_ladder_exhausted_on_a_real_candidate(self, table_1e6):
+        # 3^(a_2) and 2^(a_1 + 2) agree to about 14,000 bits, so every rung
+        # from 128 to 2,048 bits overlaps; a retry should start above them
+        a_1 = 10**4299
+        with mpmath.workdps(4400):
+            a_2 = int(mpmath.nint((a_1 + 2) * mpmath.log(2) / mpmath.log(3)))
+        c = CandidateFactorization.from_runs([(a_1, 1), (a_2, 1), (1, 1)])
+        for cid in ("shape_B4", "vojak_D4"):
+            v = run_check(cid, c, table_1e6)
+            assert (v.status, v.precision_used) == (UNKNOWN, 128), cid
+            assert v.witness["reason"].endswith("indeterminate"), cid
+            assert v.witness["suggested_precision_bits"] == 4096, cid
 
     def test_uncovered_candidate(self, table_1e5):
         # only the five checks that read no primes decide
@@ -889,15 +909,18 @@ def test_density_b6_matches_exact_product(exps, prec):
     assert audit._check_density_b6(ctx)[0] == UNKNOWN
 
 
-def _recorded_states(mp):
-    """(candidate, carried log n or None) of every state normalize builds."""
+def _recorded_states(mp, tops=None):
+    """(candidate, carried log n or None) of every state normalize builds;
+    each state's p_r is appended to ``tops`` when it is given."""
     states = []
 
     class Recording(audit._AuditContext):
-        def __init__(self, c, t, prec, lg=None, r=None):
-            super().__init__(c, t, prec, lg, r)
+        def __init__(self, c, t, prec, lg=None, r=None, p_r=None):
+            super().__init__(c, t, prec, lg, r, p_r)
             assert self.r == c.r
             states.append((c, lg))
+            if tops is not None:
+                tops.append(self.p_r)
 
     mp.setattr(audit, "_AuditContext", Recording)
     return states
@@ -993,12 +1016,12 @@ def test_trace_ratios_match_each_state_on_its_own(walk, resum):
         res = normalize(_WALKS[walk], t, 128, step_limit=_WALK_STEPS)
     assert res.steps > 80
     assert (resum == 1) == all(lg is None for _, lg in states)
-    for (state, lg), step in zip(states, res.trace):
+    for (state, lg), step in zip(states, res.to_json()["trace"]):
         s, divide = step["index"], step["action"] == "divide"
         if lg is None:
             ratio = (g_ratio_divide if divide else g_ratio_swap)(state, s, t, 128)
         else:
-            edits = {s: -1} if divide else {s: 1, state.r: -1}
+            edits = {s: -1} if divide else {state.r: -1, s: 1}  # decreasing i
             primes = {i: t.nth_prime(i) for i in edits}
             after = factored._log_after(lg, edits, primes, 128)
             ratio = factored._g_ratio_edit(
@@ -1006,6 +1029,42 @@ def test_trace_ratios_match_each_state_on_its_own(walk, resum):
                 factored._loglog_from(lg, 128),
                 factored._loglog_from(after, 128))
         assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_each_state_holds_its_own_top_prime(walk):
+    # a divide leaves r and hands its p_r on; after a swap the next state
+    # looks up the p_r of its smaller r
+    tops = []
+    with pytest.MonkeyPatch.context() as mp:
+        states = _recorded_states(mp, tops)
+        res = normalize(_WALKS[walk], _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+    assert res.steps > 80 and len(tops) == len(states) > res.steps
+    assert tops == [_WALK_TABLE.nth_prime(state.r) for state, _ in states]
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_walk_reports_match_the_schema(walk):
+    res = normalize(_WALKS[walk], _WALK_TABLE, 128, step_limit=_WALK_STEPS)
+    text = (resources.files("robinaudit")
+            .joinpath("schemas/normalize_report.schema.json").read_text())
+    jsonschema.validate(res.to_json(), json.loads(text))
+
+
+def test_serializing_leaves_the_trace_alone():
+    # the trace keeps each ratio as its enclosure; to_json writes the text
+    # into new entries, so a second call reads the same enclosures
+    res = normalize(_WALKS["swaps_5001"], _WALK_TABLE, 128, step_limit=3)
+    kept = [dict(step) for step in res.trace]
+    first = res.to_json()
+    assert res.to_json() == first
+    assert res.trace == kept
+    assert all(isinstance(step["ratio"], IntervalScalar) for step in res.trace)
+    assert [step["ratio"] for step in first["trace"]] == [
+        interval_to_json(step["ratio"]) for step in kept]
+    # 3 -> 2: log 2 < 1, so log log n' and the ratio are undefined
+    (step,) = normalize(cand(0, 1), _WALK_TABLE, 128).to_json()["trace"]
+    assert (step["ratio"], step["ratio_certainly_below_one"]) == (None, None)
 
 
 def _scan_upper(lg, primes):

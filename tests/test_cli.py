@@ -449,6 +449,18 @@ class TestNormalizeCommand:
         assert payload["status"] == "in_window"
         assert [s["action"] for s in payload["trace"]] == ["swap", "swap"]
 
+    def test_ratios_formatted_only_for_json(self, capsys, monkeypatch):
+        calls = []
+        real = intervals._mpf_to_decimal_str
+        monkeypatch.setattr(intervals, "_mpf_to_decimal_str",
+                            lambda t: calls.append(t) or real(t))
+        for fmt in ("csv", "text"):
+            code, out, _ = run_cli(["normalize", CAND_30030, "--format", fmt], capsys)
+            assert code == 0 and "swap" in out
+            assert calls == [], fmt
+        run_cli(["normalize", CAND_30030, "--format", "json"], capsys)
+        assert len(calls) == 4  # two steps, two endpoints each
+
     def test_blocked_exit_two(self, capsys):
         code, out, _ = run_cli(["normalize", '{"exponents": [1, 2]}'], capsys)
         assert code == 2

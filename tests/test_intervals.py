@@ -22,6 +22,7 @@ from mpmath.libmp import (
 from mpmath.libmp import libmpi
 from oracles import check_interval_endpoints
 
+from robinaudit import intervals
 from robinaudit.errors import DomainError
 from robinaudit.intervals import (
     Comparison,
@@ -119,6 +120,21 @@ def test_decimal_constant_outward_rounding():
             assert a.lo < x < a.hi  # not dyadic, so strictly outward
             assert (a._lo, a._hi) == (from_str(str(d), prec, "f"),
                                       from_str(str(d), prec, "c")), (name, prec)
+
+
+def test_decimal_literal_rounded_once_per_precision(monkeypatch):
+    # a second use of a literal at one precision rounds nothing again, and
+    # each precision keeps its own endpoints
+    calls = []
+    monkeypatch.setattr(intervals, "from_rational",
+                        lambda *a: calls.append(a[2]) or from_rational(*a))
+    intervals._decimal_endpoints.cache_clear()
+    d = Constants.size_floor_log10_log10
+    for prec in (64, 128, 64, 128, 256):
+        a = iv_add(d, 0, prec)
+        assert (a._lo, a._hi) == (from_str(str(d), prec, "f"),
+                                  from_str(str(d), prec, "c")), prec
+    assert calls == [64, 64, 128, 128, 256, 256]
 
 
 def test_compare_disjoint_and_overlap():
