@@ -7,10 +7,11 @@ means the condition's preconditions are unmet.  A candidate is excluded
 the moment any single check certifies Fail.
 
 A check states only its own condition: it returns a status and a
-witness, or raises _Indeterminate.  One runner, ``_verdict``, owns the
-rest: a check that reads primes the table does not cover is Unknown, an
-indeterminate comparison is Unknown, and every verdict carries the
-audit's precision.
+witness, or raises PrecisionError at a comparison it cannot decide,
+carrying that comparison's reason and witness.  One runner, ``_verdict``,
+owns the rest: a check that reads primes the table does not cover is
+Unknown, an indeterminate comparison is Unknown, and every verdict
+carries the audit's precision.
 
 Per-index windows (L <= a_i <= U, and B4's p_i^(a_i) < 2^(a_1+2)) are
 decided in O(#runs) by two scans shared by the checks and ``normalize``:
@@ -31,6 +32,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import (
     DomainError,
     InvariantError,
+    PrecisionError,
     _int_text,
     _json_text,
 )
@@ -70,7 +72,6 @@ from .intervals import (
     iv_round,
     iv_sqrt,
     iv_sub,
-    ladder_exhausted,
 )
 from .primes import PrimeTable
 
@@ -104,15 +105,6 @@ class Verdict:
         }
 
 
-class _Indeterminate(Exception):
-    """Internal: a certified decision needs more precision.  ``witness``
-    holds what the Unknown verdict reports besides the reason."""
-
-    def __init__(self, reason: str, **witness):
-        super().__init__(reason)
-        self.witness = witness
-
-
 def _interval_json(v: IntervalScalar, prec: int) -> dict:
     return interval_to_json(iv_round(v, prec))
 
@@ -139,7 +131,7 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
     k is found by walking upward, comparing the exact p^(k+1) with
     (k + 1) times each endpoint m 2^e of the enclosure of log n in exact
-    integers.  Raises _Indeterminate, suggesting twice ``prec``, the
+    integers.  Raises PrecisionError, suggesting twice ``prec``, the
     precision of the enclosure, when p^(k+1) lies between the two or p
     itself lies inside the enclosure; DomainError when p is certainly
     above log n."""
@@ -149,13 +141,13 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     if cmp is Comparison.CERTAINLY_GREATER:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
     if cmp is Comparison.OVERLAPPING:
-        raise _Indeterminate(f"{p} vs log n indeterminate",
+        raise PrecisionError(f"{p} vs log n indeterminate",
                              suggested_precision_bits=prec * 2)
     (lo_m, lo_s), (hi_m, hi_s) = iv_dyadic(lg)
     power, k = p * p, 1
     while power << hi_s <= (k + 1) * hi_m:  # ends: p^(k+1) outgrows (k + 1) log n
         if power << lo_s >= (k + 1) * lo_m:
-            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate",
+            raise PrecisionError(f"{p}^{k + 1} vs {k + 1} log n indeterminate",
                                  suggested_precision_bits=prec * 2)
         power, k = power * p, k + 1
     return k
@@ -166,17 +158,7 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
     """U(p_i) for the candidate, retrying at doubled precision when a
     power comparison stays indeterminate."""
     p = t.nth_prime(i)
-
-    def attempt(work: int) -> Optional[int]:
-        try:
-            return _upper_bound(log_n(c, t, work), p, work)
-        except _Indeterminate:
-            return None
-
-    u = escalate(attempt, prec)
-    if u is None:
-        raise ladder_exhausted(f"U(p_{i}) indeterminate up to {{top}} bits", prec)
-    return u
+    return escalate(lambda work: _upper_bound(log_n(c, t, work), p, work), prec)
 
 
 def compute_m(k: int, t: PrimeTable,
@@ -270,7 +252,7 @@ class _AuditContext:
         return _top_prime_bounds(self.p_r, self.prec)
 
     def u(self, i: int) -> int:
-        """U(p_i), formed once per index; raises _Indeterminate."""
+        """U(p_i), formed once per index; raises PrecisionError."""
         u = self._u.get(i)
         if u is None:
             u = self._u[i] = _upper_bound(self.log_n, self.t.nth_prime(i),
@@ -397,16 +379,21 @@ def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
     return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
 
 
-def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
+def _log_n_above_p_r(ctx: _AuditContext) -> bool:
+    """log n > p_r, which U at the top prime needs; PrecisionError when
+    the two overlap."""
     cmp = iv_compare(ctx.log_n, ctx.p_r)
-    if cmp is Comparison.CERTAINLY_LESS:
+    if cmp is Comparison.OVERLAPPING:
+        raise PrecisionError("log n vs p_r indeterminate", log_n=ctx.log_n,
+                             p_r=ctx.p_r)
+    return cmp is Comparison.CERTAINLY_GREATER
+
+
+def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
+    if not _log_n_above_p_r(ctx):
         return NOT_APPLICABLE, {
             "reason": "log n is below p_r; U is undefined at the top prime",
             "log_n": ctx.log_n, "p_r": ctx.p_r}
-    if cmp is Comparison.OVERLAPPING:
-        return UNKNOWN, {"reason": "log n vs p_r indeterminate",
-                         "log_n": ctx.log_n, "p_r": ctx.p_r}
-
     i = _violation(ctx, ctx.above_u)
     if i is None:
         return PASS, {"runs_checked": sum(1 for run in ctx.c.runs
@@ -448,18 +435,18 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
         return compute_l(p_i**a_i, p_j)
 
     # interval route for astronomically large exponents
-    def attempt(prec: int) -> Optional[int]:
-        return iv_floor(iv_div(
+    def attempt(prec: int) -> int:
+        m = iv_floor(iv_div(
             iv_mul(iv_from_int(a_i), iv_log_rational(p_i, prec), prec),
             iv_log_rational(p_j, prec),
             prec,
         ))
+        if m is None:
+            raise PrecisionError(
+                f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
+        return m
 
-    m = escalate(attempt, ctx.prec)
-    if m is None:
-        raise _Indeterminate(f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer",
-                             suggested_precision_bits=_past_ladder(ctx.prec))
-    return m
+    return escalate(attempt, ctx.prec)
 
 
 def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
@@ -521,28 +508,19 @@ def _power_below(p: int, e: int, q: int, f: int, prec: int,
                  **witness) -> bool:
     """Certified p^e < q^f for ints p, q >= 2, e, f >= 0: exact while both
     powers fit _EXACT_POW_BITS, else e log p against f log q, escalating
-    from ``prec``; _Indeterminate, carrying ``witness``, if undecided."""
+    from ``prec``; PrecisionError, carrying ``witness``, if undecided."""
     if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
         return p ** e < q ** f
 
-    def attempt(work: int) -> Optional[bool]:
+    def attempt(work: int) -> bool:
         cmp = iv_compare(iv_mul(e, iv_log_rational(p, work), work),
                          iv_mul(f, iv_log_rational(q, work), work))
         if cmp is Comparison.OVERLAPPING:
-            return None
+            raise PrecisionError(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
+                                 "indeterminate", **witness)
         return cmp is Comparison.CERTAINLY_LESS
 
-    below = escalate(attempt, prec)
-    if below is None:
-        raise _Indeterminate(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
-                             "indeterminate", **witness,
-                             suggested_precision_bits=_past_ladder(prec))
-    return below
-
-
-def _past_ladder(prec: int) -> int:
-    """The doubling above the top rung from ``prec``, as ladder_exhausted."""
-    return ladder_exhausted("", prec).suggested_precision_bits
+    return escalate(attempt, prec)
 
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
@@ -622,7 +600,7 @@ def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
         lhs = iv_mul(iv_from_int(e - 1), iv_log_rational(p, prec), prec)
         cmp2 = iv_compare(lhs, m_r)
         if cmp2 is Comparison.OVERLAPPING:
-            raise _Indeterminate(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)
+            raise PrecisionError(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)
         ok2 = cmp2 is Comparison.CERTAINLY_LESS
         if not (ok1 and ok2):
             return FAIL, {"index": end, "prime": p, "exponent": e,
@@ -706,8 +684,10 @@ def _verdict(ctx: _AuditContext, check_id: str,
     else:
         try:
             status, witness = check(ctx)
-        except _Indeterminate as e:
+        except PrecisionError as e:
             status, witness = UNKNOWN, {"reason": str(e), **e.witness}
+            if e.suggested_precision_bits:
+                witness["suggested_precision_bits"] = e.suggested_precision_bits
     return Verdict(status, witness, ctx.prec)
 
 
@@ -845,16 +825,11 @@ def normalize(c: CandidateFactorization, t: PrimeTable,
     ctx = _AuditContext(c, t, prec)
     trace: list[dict] = []
     for step in range(1, step_limit + 1):
-        state = iv_compare(ctx.log_n, ctx.p_r)
-        upper_ok = state is Comparison.CERTAINLY_GREATER
-        if state is Comparison.OVERLAPPING:
+        try:
+            upper_ok = _log_n_above_p_r(ctx)
+            s = _violation(ctx, ctx.above_u, last=True) if upper_ok else None
+        except PrecisionError:
             return NormalizationResult(ctx.c, INDETERMINATE, trace)
-        s: Optional[int] = None
-        if upper_ok:
-            try:
-                s = _violation(ctx, ctx.above_u, last=True)
-            except _Indeterminate:
-                return NormalizationResult(ctx.c, INDETERMINATE, trace)
         if s is not None:
             action, edits = "divide", {s: -1}
         else:

@@ -278,11 +278,7 @@ def _record_row(rec) -> list:
 
 
 def _cmd_verify(args, prec: int, limit: int) -> tuple[int, _Output]:
-    lo = max(3, args.lo)
-    hi = args.hi
-    if hi < lo:
-        raise DomainError(f"empty range: [{lo}, {hi}]")
-    result = verify_range(lo, hi, prec=prec)
+    result = verify_range(max(3, args.lo), args.hi, prec=prec)
     flagged = list(result.violations) + list(result.unknowns)
     out = _Output(
         {

@@ -33,14 +33,18 @@ class DomainError(RobinAuditError):
 
 
 class PrecisionError(RobinAuditError):
-    """A certified decision could not be reached at any tried precision.
+    """A certified comparison stayed indeterminate at the precision tried.
 
-    Carries ``suggested_precision_bits``, the next precision worth trying.
+    Carries ``suggested_precision_bits``, the next precision worth trying
+    (0 when none is known), and ``witness``, what an Unknown verdict
+    reports besides the reason.
     """
 
-    def __init__(self, message: str, suggested_precision_bits: int = 0):
+    def __init__(self, message: str, suggested_precision_bits: int = 0,
+                 **witness):
         super().__init__(message)
         self.suggested_precision_bits = suggested_precision_bits
+        self.witness = witness
 
 
 class ResourceBudgetError(RobinAuditError):

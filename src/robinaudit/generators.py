@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, TableTooSmallError, _int_text
+from .errors import DomainError, PrecisionError, TableTooSmallError, _int_text
 from .factored import CandidateFactorization
 from .intervals import (
     DEFAULT_PRECISION_BITS,
@@ -44,7 +44,7 @@ from .intervals import (
     iv_log,
     iv_log_rational,
     iv_mul,
-    ladder_exhausted,
+    ladder_suggestion,
 )
 from .primes import PrimeTable, _prime_chunks
 
@@ -195,18 +195,19 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     """Certified verdict for one n, escalating precision on overlap."""
     thr = None
 
-    def attempt(p: int) -> Optional[VerificationRecord]:
+    def attempt(p: int) -> VerificationRecord:
         nonlocal thr
         thr = _threshold(n, p)
         cmp = iv_compare(sigma, thr)
-        if cmp is Comparison.CERTAINLY_LESS:
-            return VerificationRecord(n, sigma, thr, "holds")
-        if cmp is Comparison.CERTAINLY_GREATER:
-            return VerificationRecord(n, sigma, thr, "fails")
-        return None
+        if cmp is Comparison.OVERLAPPING:
+            raise PrecisionError(f"sigma({n}) vs its threshold indeterminate")
+        return VerificationRecord(
+            n, sigma, thr, "holds" if cmp is Comparison.CERTAINLY_LESS else "fails")
 
-    rec = escalate(attempt, prec)
-    return rec if rec is not None else VerificationRecord(n, sigma, thr, "unknown")
+    try:
+        return escalate(attempt, prec)
+    except PrecisionError:
+        return VerificationRecord(n, sigma, thr, "unknown")
 
 
 def _segment_length(b: int) -> int:
@@ -270,8 +271,9 @@ def robin_exceptions(prec: int = DEFAULT_PRECISION_BITS) -> list[int]:
     """All n in [3, 5040] where the inequality fails."""
     res = verify_range(3, 5040, prec)
     if res.unknowns:
-        raise ladder_exhausted(
-            f"{len(res.unknowns)} indeterminate comparisons below 5041", prec)
+        raise PrecisionError(
+            f"{len(res.unknowns)} indeterminate comparisons below 5041",
+            suggested_precision_bits=ladder_suggestion(prec))
     return [rec.n for rec in res.violations]
 
 
@@ -362,7 +364,7 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
     q = p ** (e + 1)
     f = Fraction(q - 1, q - p)
 
-    def attempt(work: int) -> Optional[bool]:
+    def attempt(work: int) -> bool:
         lhs = iv_mul(eps, iv_log_rational(p, work), work)
         cmp = iv_compare(lhs, iv_log_rational(f, work))
         if cmp is not Comparison.OVERLAPPING:
@@ -371,13 +373,10 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
             return True  # below x/(1 + x)
         if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:
             return False  # above x
-        return None
+        raise PrecisionError(f"exponent of {p} straddles a power boundary "
+                             f"at eps={_eps_text(eps)}")
 
-    below = escalate(attempt, prec)
-    if below is None:
-        raise ladder_exhausted(f"exponent of {p} straddles a power boundary "
-                               f"at eps={_eps_text(eps)}", prec)
-    return below
+    return escalate(attempt, prec)
 
 
 def _ca_exponent_of_2(eps: Fraction, prec: int) -> int:

@@ -328,24 +328,24 @@ def iv_dyadic(a: IntervalScalar) -> tuple[tuple[int, int], tuple[int, int]]:
     return out[0], out[1]
 
 
-def escalate(attempt: Callable[[int], Optional[T]], prec: int) -> Optional[T]:
-    """The first result of attempt(p) that is not None, for p = prec,
-    2 prec, ..., prec * 2^_MAX_ESCALATIONS; None when every attempt stays
-    indeterminate.  The caller reports exhaustion in its own terms."""
+def escalate(attempt: Callable[[int], T], prec: int) -> T:
+    """The result of attempt(p) at the first rung p = prec, 2 prec, ...,
+    prec * 2^_MAX_ESCALATIONS that raises no PrecisionError.  When every
+    rung raises, the top rung's error is re-raised, suggesting
+    ladder_suggestion(prec)."""
     for k in range(_MAX_ESCALATIONS + 1):
-        result = attempt(prec << k)
-        if result is not None:
-            return result
-    return None
+        try:
+            return attempt(prec << k)
+        except PrecisionError as e:
+            if k == _MAX_ESCALATIONS:
+                e.suggested_precision_bits = ladder_suggestion(prec)
+                raise
 
 
-def ladder_exhausted(message: str, prec: int) -> PrecisionError:
-    """The error for an escalation from ``prec`` that stayed indeterminate
-    at every step: ``{top}`` in ``message`` reads as the last precision
-    tried, and the suggested precision is the next doubling above it."""
-    top = prec << _MAX_ESCALATIONS
-    return PrecisionError(message.replace("{top}", str(top)),
-                          suggested_precision_bits=top << 1)
+def ladder_suggestion(prec: int) -> int:
+    """The precision to retry at after escalate from ``prec`` stayed
+    indeterminate at every rung: the doubling above the top rung."""
+    return prec << (_MAX_ESCALATIONS + 1)
 
 
 def _pow_bits(p: int, e: int) -> int:

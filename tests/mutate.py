@@ -282,8 +282,13 @@ MUTANTS = [
            (T_UNKNOWN + "test_uncovered_candidate",)),
     Mutant("runner: the Unknown drops the exception's witness", "audit.py",
            '{"reason": str(e), **e.witness}', '{"reason": str(e)}',
-           (T_UNKNOWN + "test_upper_window_bracket",
+           (T_UNKNOWN + "test_upper_window_log_n_against_p_r",
+            T_UNKNOWN + "test_d4_against_m_r",
             T_UNKNOWN + "test_power_comparisons_of_b4_and_d4")),
+    Mutant("runner: a zero suggestion written", "audit.py",
+           "if e.suggested_precision_bits:", "if True:",
+           (T_UNKNOWN + "test_upper_window_log_n_against_p_r",
+            T_UNKNOWN + "test_d4_against_m_r")),
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
            "cmp is not side and cmp is not Comparison.OVERLAPPING",
            "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
@@ -460,23 +465,48 @@ MUTANTS = [
            "if False:\n        raise DomainError",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p inside log n refused", "audit.py",
-           'raise _Indeterminate(f"{p} vs log n indeterminate",\n'
+           'raise PrecisionError(f"{p} vs log n indeterminate",\n'
            "                             suggested_precision_bits=prec * 2)",
            'raise DomainError(f"{p} vs log n indeterminate")',
            (T_BOUNDS + "test_upper_bound_with_p_inside_log_n_asks_for_precision",)),
-    Mutant("ladder: an exhausted B2 floor suggests no precision", "audit.py",
-           "straddles an integer\",\n"
-           "                             suggested_precision_bits=_past_ladder(ctx.prec))",
-           "straddles an integer\")",
+    Mutant("U: compute_u tries one rung", "audit.py",
+           "return escalate(lambda work: _upper_bound(log_n(c, t, work), p, work), prec)",
+           "return _upper_bound(log_n(c, t, prec), p, prec)",
+           (T_UNKNOWN + "test_compute_u_past_the_ladder",)),
+    # undecided comparisons: each raises its own reason and witness, and
+    # escalate alone suggests the precision past its ladder
+    Mutant("ladder: an undecided B2 floor not raised", "audit.py",
+           "        if m is None:\n            raise PrecisionError(",
+           "        if False:\n            raise PrecisionError(",
            (T_UNKNOWN + "test_shape_b2_floor",)),
-    Mutant("ladder: an exhausted power test suggests no precision", "audit.py",
-           "**witness,\n                             suggested_precision_bits=_past_ladder(prec))",
-           "**witness)",
-           (T_UNKNOWN + "test_power_ladder_exhausted_on_a_real_candidate",)),
-    Mutant("ladder: the top rung itself suggested", "audit.py",
-           'return ladder_exhausted("", prec).suggested_precision_bits',
-           "return prec << 4",
+    Mutant("ladder: an undecided power test drops its witness", "audit.py",
+           '"indeterminate", **witness)', '"indeterminate")',
            (T_UNKNOWN + "test_power_comparisons_of_b4_and_d4",)),
+    Mutant("ladder: escalate suggests one doubling short", "intervals.py",
+           "return prec << (_MAX_ESCALATIONS + 1)", "return prec << _MAX_ESCALATIONS",
+           (T_IV + "test_escalate_doubles_until_decided",
+            T_UNKNOWN + "test_power_ladder_exhausted_on_a_real_candidate")),
+    Mutant("ladder: escalate re-raises without retrying", "intervals.py",
+           "if k == _MAX_ESCALATIONS:", "if True:",
+           (T_IV + "test_escalate_doubles_until_decided",
+            T_GEN + "test_classify_escalates_past_an_overlap_at_64_bits")),
+    Mutant("upper window: log n vs p_r raised without its witness", "audit.py",
+           'raise PrecisionError("log n vs p_r indeterminate", log_n=ctx.log_n,\n'
+           "                             p_r=ctx.p_r)",
+           'raise PrecisionError("log n vs p_r indeterminate")',
+           (T_UNKNOWN + "test_upper_window_log_n_against_p_r",)),
+    Mutant("D4: (a-1) log p vs M(r) raised without m_r", "audit.py",
+           'at index {end}", m_r=m_r)', 'at index {end}")',
+           (T_UNKNOWN + "test_d4_against_m_r",)),
+    Mutant("normalize: an undecided state read as in the window", "audit.py",
+           "return NormalizationResult(ctx.c, INDETERMINATE, trace)",
+           "return NormalizationResult(ctx.c, IN_WINDOW, trace)",
+           (T_UNKNOWN + "test_normalize_stops_undecided",)),
+    Mutant("classify: an undecided n read as holding", GEN,
+           'return VerificationRecord(n, sigma, thr, "unknown")',
+           'return VerificationRecord(n, sigma, thr, "holds")',
+           ("tests/test_cli.py::TestVerifyCommand::"
+            "test_an_undecided_comparison_exits_two",)),
     Mutant("verdict_for: an unknown id read as None", "audit.py",
            "raise KeyError(check_id)", "return None",
            ("tests/test_audit.py::TestFullAudit::"

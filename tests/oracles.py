@@ -23,8 +23,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import finf, fnan, fninf, mpf_cmp
 
-from robinaudit.audit import _Indeterminate
-from robinaudit.errors import DomainError, InvariantError
+from robinaudit.errors import DomainError, InvariantError, PrecisionError
 from robinaudit.intervals import Comparison, iv_compare, iv_mul
 
 
@@ -114,7 +113,7 @@ def b2_violations(exps: list, primes: list) -> dict:
 def upper_bound_rounded(lg, p: int, prec: int) -> int:
     """U(p) by the rounded bracket walk: the first k with p^(k+1) certainly
     above the enclosure iv_mul(k + 1, log n) at ``prec`` bits; raises
-    _Indeterminate when they overlap."""
+    PrecisionError when they overlap."""
     if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
     if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
@@ -126,7 +125,7 @@ def upper_bound_rounded(lg, p: int, prec: int) -> int:
         if cmp is Comparison.CERTAINLY_GREATER:
             return k
         if cmp is Comparison.OVERLAPPING:
-            raise _Indeterminate(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
+            raise PrecisionError(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
     raise InvariantError(f"bracket walk for {p} did not terminate")
 
 

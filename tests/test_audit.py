@@ -28,6 +28,7 @@ from robinaudit.audit import (
     _edited,
     CHECK_IDS,
     FAIL,
+    INDETERMINATE,
     IN_WINDOW,
     NOT_APPLICABLE,
     PASS,
@@ -46,6 +47,7 @@ from robinaudit.audit import (
 from robinaudit.errors import (
     DomainError,
     InvariantError,
+    PrecisionError,
     TableTooSmallError,
 )
 from robinaudit import audit, factored, intervals
@@ -93,14 +95,14 @@ class TestWindowBounds:
     @given(st.integers(3, 10**12).flatmap(
         lambda x: st.tuples(st.just(x), st.one_of(st.integers(3, min(x, 60)),
                                                   st.integers(3, x)))))
-    @example((4, 3))        # 2^4 = 4 * 4: only _Indeterminate is allowed
+    @example((4, 3))        # 2^4 = 4 * 4: only PrecisionError is allowed
     @example((10**12, 3))
     def test_upper_bound_matches_oracle(self, pair):
         x, below = pair
         p = sympy.prevprime(below)  # a prime p < x
         try:
             got = audit._upper_bound(iv_from_int(x), p, 128)
-        except audit._Indeterminate:
+        except PrecisionError:
             assert any(p**j == j * x for j in range(1, 100)), (x, p)
             return
         assert got == u_oracle(x, p), (x, p)
@@ -125,11 +127,11 @@ class TestWindowBounds:
             lg = iv_make(lo, lo + Fraction(1, 2**width_bits), prec)
         try:
             rounded = upper_bound_rounded(lg, p, prec)
-        except audit._Indeterminate:
+        except PrecisionError:
             rounded = None
         try:
             exact = audit._upper_bound(lg, p, prec)
-        except audit._Indeterminate:
+        except PrecisionError:
             exact = None
         if rounded is not None:
             assert exact == rounded, (x, p, prec)
@@ -148,7 +150,7 @@ class TestWindowBounds:
         m = (1024 << 110) // 10
         t = from_man_exp(m, -110)
         lg = IntervalScalar(t, t)
-        with pytest.raises(audit._Indeterminate):
+        with pytest.raises(PrecisionError):
             upper_bound_rounded(lg, 2, 64)
         assert audit._upper_bound(lg, 2, 64) == 9
         assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
@@ -189,10 +191,11 @@ class TestWindowBounds:
 
     def test_upper_bound_with_p_inside_log_n_asks_for_precision(self):
         # p equal to log n: more bits may separate them, so no refusal
-        with pytest.raises(audit._Indeterminate,
+        with pytest.raises(PrecisionError,
                            match="101 vs log n indeterminate") as info:
             audit._upper_bound(iv_from_int(101), 101, 128)
-        assert info.value.witness == {"suggested_precision_bits": 256}
+        assert info.value.suggested_precision_bits == 256
+        assert info.value.witness == {}
 
     def test_compute_l_refuses_x_or_p_below_two(self):
         for x, p in ((0, 2), (1, 2), (97, 1)):
@@ -631,11 +634,12 @@ def test_power_below_exact_and_by_logarithms():
     assert below(8, 10**6 + 1, 2, 3 * 10**6, 128) is False
     # equal powers stay undecided at every rung, and so does a pair of
     # exponents past 4300 digits, which the reason names by size
-    with pytest.raises(audit._Indeterminate) as e:
+    with pytest.raises(PrecisionError) as e:
         below(8, 10**6, 2, 3 * 10**6, 128, m_r=1)
     assert str(e.value) == "8^1000000 vs 2^3000000 indeterminate"
-    assert e.value.witness == {"m_r": 1, "suggested_precision_bits": 4096}
-    with pytest.raises(audit._Indeterminate,
+    assert e.value.witness == {"m_r": 1}
+    assert e.value.suggested_precision_bits == 4096
+    with pytest.raises(PrecisionError,
                        match=r"^2\^<14285-bit integer> vs 2\^<14285-bit integer> "):
         below(2, 10**4300, 2, 10**4300, 64)
 
@@ -674,9 +678,41 @@ class TestUnknownWitnesses:
         v = run_check("log_window_1", cand(4, 2, 1, 1), table_1e6)
         assert (v.status, v.witness) == (UNKNOWN, {"log_n": lg, "p_r": 7})
 
+    def test_upper_window_log_n_against_p_r(self, table_1e6, monkeypatch):
+        lg = iv_make(6, 8)
+        monkeypatch.setattr(audit, "log_n", lambda *args, **kwargs: lg)
+        v = run_check("upper_window_3", cand(4, 2, 1, 1), table_1e6)
+        assert (v.status, v.witness) == (UNKNOWN, {
+            "reason": "log n vs p_r indeterminate", "log_n": lg, "p_r": 7})
+
+    def test_d4_against_m_r(self, table_1e6, monkeypatch):
+        # 1 * log 3 = 1.09... lies inside M(r) in [1, 2]
+        m_r = iv_make(1, 2)
+        monkeypatch.setattr(audit, "compute_m", lambda *args, **kwargs: m_r)
+        v = run_check("vojak_D4", cand(4, 2, 1, 1), table_1e6)
+        assert (v.status, v.witness) == (UNKNOWN, {
+            "reason": "(a-1) log p vs M(r) at index 2", "m_r": m_r})
+
+    @pytest.mark.parametrize("lo", [6, 340])
+    def test_normalize_stops_undecided(self, table_1e6, monkeypatch, lo):
+        # [6, 8] holds p_r = 7; 2^12 lies inside 12 * [340, 342]
+        monkeypatch.setattr(audit, "log_n",
+                            lambda *args, **kwargs: iv_make(lo, lo + 2))
+        res = normalize(cand(4, 2, 1, 1), table_1e6)
+        assert (res.status, res.steps) == (INDETERMINATE, 0)
+
+    def test_compute_u_past_the_ladder(self, table_1e6, monkeypatch):
+        # 2^12 lies inside 12 * [340, 342] at every rung
+        monkeypatch.setattr(audit, "log_n",
+                            lambda c, t, prec: iv_make(340, 342, prec))
+        with pytest.raises(PrecisionError, match="indeterminate") as info:
+            compute_u(cand(4, 2, 1, 1), 1, table_1e6)
+        assert info.value.suggested_precision_bits == 4096
+
     def test_shape_b2_floor(self, table_1e6, monkeypatch):
-        # the ladder ran from 128 to 2,048 bits: it suggests 4,096
-        monkeypatch.setattr(audit, "escalate", lambda *args: None)
+        # the floor straddles an integer at every rung from 128 to 2,048
+        # bits, so the ladder suggests 4,096
+        monkeypatch.setattr(audit, "iv_floor", lambda a: None)
         c = CandidateFactorization.from_runs(
             [(150_000_000_000_000, 1), (2, 1), (1, 3)])
         assert run_check("shape_B2", c, table_1e6).to_json() == _unknown(
@@ -684,8 +720,11 @@ class TestUnknownWitnesses:
             suggested_precision_bits=4096)
 
     def test_power_comparisons_of_b4_and_d4(self, table_1e6, monkeypatch):
+        # every rung compares 2 log 3 with 6 log 2 for logs known only to
+        # lie in [1, 4]
         monkeypatch.setattr(audit, "_EXACT_POW_BITS", 0)
-        monkeypatch.setattr(audit, "escalate", lambda *args: None)
+        monkeypatch.setattr(audit, "iv_log_rational",
+                            lambda x, prec: iv_make(1, 4, prec))
         c = cand(4, 2, 1, 1)
         reason = "3^2 vs 2^6 indeterminate"
         assert run_check("shape_B4", c, table_1e6).to_json() == _unknown(
@@ -1071,7 +1110,7 @@ def _scan_upper(lg, primes):
     """U(p_i) at every position, or None when one bracket is undecided."""
     try:
         return [audit._upper_bound(lg, p, 128) for p in primes]
-    except audit._Indeterminate:
+    except PrecisionError:
         return None
 
 

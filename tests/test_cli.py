@@ -16,7 +16,7 @@ import pytest
 import robinaudit
 from robinaudit import audit, cli, generators, intervals
 from robinaudit.cli import main
-from robinaudit.errors import InvariantError
+from robinaudit.errors import InvariantError, PrecisionError
 from robinaudit.factored import CandidateFactorization
 from robinaudit.primes import PrimeTable
 from oracles import eps_inside_ca_bracket
@@ -35,7 +35,7 @@ def _one_undecided_rung(attempt, prec):
     """escalate that tries only the first rung and reports it undecided;
     the attempt still runs, so a record keeps its threshold."""
     attempt(prec)
-    return None
+    raise PrecisionError("undecided at the first rung")
 
 
 def run_cli(argv, capsys):

@@ -348,7 +348,10 @@ def test_robin_exceptions_helper():
 def test_robin_exceptions_suggests_past_the_ladder(monkeypatch):
     # _classify has already tried up to prec << 4, so the suggestion must
     # lie beyond the ladder, as compute_u and _ca_at_least suggest
-    monkeypatch.setattr(generators, "escalate", lambda attempt, prec: None)
+    def undecided(attempt, prec):
+        raise PrecisionError("undecided")
+
+    monkeypatch.setattr(generators, "escalate", undecided)
     with pytest.raises(PrecisionError) as info:
         robin_exceptions(128)
     assert info.value.suggested_precision_bits == 4096

@@ -23,7 +23,7 @@ from mpmath.libmp import libmpi
 from oracles import check_interval_endpoints
 
 from robinaudit import intervals
-from robinaudit.errors import DomainError
+from robinaudit.errors import DomainError, PrecisionError
 from robinaudit.intervals import (
     Comparison,
     Constants,
@@ -49,7 +49,7 @@ from robinaudit.intervals import (
     iv_round,
     iv_sqrt,
     iv_sub,
-    ladder_exhausted,
+    ladder_suggestion,
 )
 
 # Frozen oracles (50+ digit evaluations, computed independently before the
@@ -159,18 +159,21 @@ def test_escalate_doubles_until_decided():
     def decided_at(bits):
         def attempt(p):
             tried.append(p)
-            return False if p >= bits else None  # a falsy result still ends it
+            if p < bits:
+                raise PrecisionError(f"undecided at {p} bits",
+                                     suggested_precision_bits=2 * p, m=p)
+            return None  # a falsy result still ends it
         return attempt
 
-    assert escalate(decided_at(512), 128) is False
+    assert escalate(decided_at(512), 128) is None
     assert tried == [128, 256, 512]
     tried.clear()
-    assert escalate(decided_at(10**9), 128) is None
+    # the top rung's own error, suggesting the doubling above that rung
+    with pytest.raises(PrecisionError, match="^undecided at 2048 bits$") as e:
+        escalate(decided_at(10**9), 128)
     assert tried == [128, 256, 512, 1024, 2048]
-    # the error names the last precision tried and suggests the next one
-    err = ladder_exhausted("undecided up to {top} bits", 128)
-    assert str(err) == "undecided up to 2048 bits"
-    assert err.suggested_precision_bits == 4096
+    assert (e.value.suggested_precision_bits, e.value.witness) == (4096, {"m": 2048})
+    assert ladder_suggestion(128) == 4096
 
 
 def test_division_by_zero_interval_rejected():
