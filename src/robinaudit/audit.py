@@ -8,10 +8,12 @@ the moment any single check certifies Fail.
 
 A check states only its own condition: it returns a status and a
 witness, or raises PrecisionError at a comparison it cannot decide,
-carrying that comparison's reason and witness.  One runner, ``_verdict``,
-owns the rest: a check that reads primes the table does not cover is
-Unknown, an indeterminate comparison is Unknown, and every verdict
-carries the audit's precision.
+carrying that comparison's reason and witness, at the one precision it is
+given.  One runner, ``_verdict``, owns the rest: a check that reads primes
+the table does not cover is Unknown; a check that raises is run again on
+the precision ladder (``escalate``), and is Unknown, with the ladder's
+suggested precision, only when its top rung raises too.  A verdict
+carries the precision that decided it.
 
 Per-index windows (L <= a_i <= U, and B4's p_i^(a_i) < 2^(a_1+2)) are
 decided in O(#runs) by two scans shared by the checks and ``normalize``:
@@ -122,7 +124,7 @@ def compute_l(x: int, p: int) -> int:
     return m
 
 
-def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
+def _upper_bound(lg: IntervalScalar, p: int) -> int:
     """U(p) = floor(log(k log n) / log p), where k is the bracket index
     with x_{k+1} < p <= x_k and x_k = (k log n)^(1/k).
 
@@ -131,9 +133,8 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     p^k <= k log n < (k + 1) log n < p^(k+1) makes k the floor as well.
     k is found by walking upward, comparing the exact p^(k+1) with
     (k + 1) times each endpoint m 2^e of the enclosure of log n in exact
-    integers.  Raises PrecisionError, suggesting twice ``prec``, the
-    precision of the enclosure, when p^(k+1) lies between the two or p
-    itself lies inside the enclosure; DomainError when p is certainly
+    integers.  Raises PrecisionError when p^(k+1) lies between the two or
+    p itself lies inside the enclosure; DomainError when p is certainly
     above log n."""
     if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
@@ -141,14 +142,12 @@ def _upper_bound(lg: IntervalScalar, p: int, prec: int) -> int:
     if cmp is Comparison.CERTAINLY_GREATER:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
     if cmp is Comparison.OVERLAPPING:
-        raise PrecisionError(f"{p} vs log n indeterminate",
-                             suggested_precision_bits=prec * 2)
+        raise PrecisionError(f"{p} vs log n indeterminate")
     (lo_m, lo_s), (hi_m, hi_s) = iv_dyadic(lg)
     power, k = p * p, 1
     while power << hi_s <= (k + 1) * hi_m:  # ends: p^(k+1) outgrows (k + 1) log n
         if power << lo_s >= (k + 1) * lo_m:
-            raise PrecisionError(f"{p}^{k + 1} vs {k + 1} log n indeterminate",
-                                 suggested_precision_bits=prec * 2)
+            raise PrecisionError(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
         power, k = power * p, k + 1
     return k
 
@@ -158,7 +157,7 @@ def compute_u(c: CandidateFactorization, i: int, t: PrimeTable,
     """U(p_i) for the candidate, retrying at doubled precision when a
     power comparison stays indeterminate."""
     p = t.nth_prime(i)
-    return escalate(lambda work: _upper_bound(log_n(c, t, work), p, work), prec)
+    return escalate(lambda work: _upper_bound(log_n(c, t, work), p), prec)
 
 
 def compute_m(k: int, t: PrimeTable,
@@ -255,8 +254,7 @@ class _AuditContext:
         """U(p_i), formed once per index; raises PrecisionError."""
         u = self._u.get(i)
         if u is None:
-            u = self._u[i] = _upper_bound(self.log_n, self.t.nth_prime(i),
-                                          self.prec)
+            u = self._u[i] = _upper_bound(self.log_n, self.t.nth_prime(i))
         return u
 
     def above_u(self, i: int, e: int) -> bool:
@@ -318,13 +316,13 @@ def _decide(pairs: list[tuple[Comparison, Comparison]],
             witness: dict) -> tuple[str, dict]:
     """Status from (comparison, side that passes) pairs: Pass when every
     comparison is on its passing side, Fail when any is certainly on the
-    other side, Unknown otherwise."""
+    other side; otherwise PrecisionError, carrying ``witness``."""
     if all(cmp is side for cmp, side in pairs):
         return PASS, witness
     if any(cmp is not side and cmp is not Comparison.OVERLAPPING
            for cmp, side in pairs):
         return FAIL, witness
-    return UNKNOWN, witness
+    raise PrecisionError("comparison indeterminate", **witness)
 
 
 def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
@@ -430,23 +428,19 @@ def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
     """floor(a_i log p_i / log p_j) = largest m with p_j^m <= p_i^(a_i)."""
     p_i = ctx.t.nth_prime(i)
     p_j = ctx.t.nth_prime(j)
-    a_i = ctx.c.a(i)
+    a_i, prec = ctx.c.a(i), ctx.prec
     if _pow_bits(p_i, a_i) <= _EXACT_POW_BITS:
         return compute_l(p_i**a_i, p_j)
-
     # interval route for astronomically large exponents
-    def attempt(prec: int) -> int:
-        m = iv_floor(iv_div(
-            iv_mul(iv_from_int(a_i), iv_log_rational(p_i, prec), prec),
-            iv_log_rational(p_j, prec),
-            prec,
-        ))
-        if m is None:
-            raise PrecisionError(
-                f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
-        return m
-
-    return escalate(attempt, ctx.prec)
+    m = iv_floor(iv_div(
+        iv_mul(iv_from_int(a_i), iv_log_rational(p_i, prec), prec),
+        iv_log_rational(p_j, prec),
+        prec,
+    ))
+    if m is None:
+        raise PrecisionError(
+            f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
+    return m
 
 
 def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
@@ -507,20 +501,16 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
 def _power_below(p: int, e: int, q: int, f: int, prec: int,
                  **witness) -> bool:
     """Certified p^e < q^f for ints p, q >= 2, e, f >= 0: exact while both
-    powers fit _EXACT_POW_BITS, else e log p against f log q, escalating
-    from ``prec``; PrecisionError, carrying ``witness``, if undecided."""
+    powers fit _EXACT_POW_BITS, else e log p against f log q at ``prec``;
+    PrecisionError, carrying ``witness``, if undecided."""
     if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
         return p ** e < q ** f
-
-    def attempt(work: int) -> bool:
-        cmp = iv_compare(iv_mul(e, iv_log_rational(p, work), work),
-                         iv_mul(f, iv_log_rational(q, work), work))
-        if cmp is Comparison.OVERLAPPING:
-            raise PrecisionError(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
-                                 "indeterminate", **witness)
-        return cmp is Comparison.CERTAINLY_LESS
-
-    return escalate(attempt, prec)
+    cmp = iv_compare(iv_mul(e, iv_log_rational(p, prec), prec),
+                     iv_mul(f, iv_log_rational(q, prec), prec))
+    if cmp is Comparison.OVERLAPPING:
+        raise PrecisionError(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
+                             "indeterminate", **witness)
+    return cmp is Comparison.CERTAINLY_LESS
 
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
@@ -672,23 +662,31 @@ _TABLE_FREE = frozenset({"shape_B1", "shape_B3", "vojak_D1", "vojak_D2",
 
 def _verdict(ctx: _AuditContext, check_id: str,
              check: Callable[[_AuditContext], tuple[str, dict]]) -> Verdict:
-    """Run one check: Unknown when it reads primes the table does not
-    cover or its comparison stays indeterminate; every verdict is stamped
-    with the audit's precision."""
+    """Run one check on the precision ladder from the audit's precision,
+    forming the state at a higher rung only when the rung below raised
+    PrecisionError.  A decided verdict is stamped with the rung that
+    decided it.  Unknown, stamped with the audit's precision, when the
+    check reads primes the table does not cover, or when its comparison
+    stays indeterminate at every rung: then the witness is the top rung's
+    reason and witness, with the suggested precision."""
     if not ctx.covered and check_id not in _TABLE_FREE:
-        status, witness = UNKNOWN, {
+        return Verdict(UNKNOWN, {
             "reason": "prime table does not cover the candidate",
             "needed_index": ctx.r,
             "table_primes": len(ctx.t),
-        }
-    else:
-        try:
-            status, witness = check(ctx)
-        except PrecisionError as e:
-            status, witness = UNKNOWN, {"reason": str(e), **e.witness}
-            if e.suggested_precision_bits:
-                witness["suggested_precision_bits"] = e.suggested_precision_bits
-    return Verdict(status, witness, ctx.prec)
+        }, ctx.prec)
+
+    def attempt(work: int) -> Verdict:
+        rung = ctx if work == ctx.prec else _AuditContext(
+            ctx.c, ctx.t, work, r=ctx.r, p_r=ctx.p_r)
+        return Verdict(*check(rung), work)
+
+    try:
+        return escalate(attempt, ctx.prec)
+    except PrecisionError as e:
+        witness = {"reason": str(e), **e.witness,
+                   "suggested_precision_bits": e.suggested_precision_bits}
+        return Verdict(UNKNOWN, witness, ctx.prec)
 
 
 SURVIVES = "survives_all_checks"

@@ -425,8 +425,8 @@ def _selftest_checks(prec: int):
 
     def window_bounds():
         lg = iv_from_int(100)
-        return (_upper_bound(lg, 2, prec) == 9
-                and _upper_bound(lg, 7, prec) == 2
+        return (_upper_bound(lg, 2) == 9
+                and _upper_bound(lg, 7) == 2
                 and compute_l(97, 2) == 6)
 
     def interval_round_trip():

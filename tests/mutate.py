@@ -276,22 +276,32 @@ MUTANTS = [
     Mutant("B2: the low corner of two runs skipped", "audit.py",
            "corners = [(t_i, s_j), (s_i, t_j)]", "corners = [(t_i, s_j)]",
            B2_TESTS),
-    # the check runner: coverage, indeterminacy and the comparison verdict
+    # the check runner: coverage, the ladder and the comparison verdict
     Mutant("runner: two_squares_F taken as table-free", "audit.py",
            '"exponents_E"})', '"exponents_E", "two_squares_F"})',
            (T_UNKNOWN + "test_uncovered_candidate",)),
     Mutant("runner: the Unknown drops the exception's witness", "audit.py",
-           '{"reason": str(e), **e.witness}', '{"reason": str(e)}',
+           '{"reason": str(e), **e.witness,', '{"reason": str(e),',
            (T_UNKNOWN + "test_upper_window_log_n_against_p_r",
             T_UNKNOWN + "test_d4_against_m_r",
             T_UNKNOWN + "test_power_comparisons_of_b4_and_d4")),
-    Mutant("runner: a zero suggestion written", "audit.py",
-           "if e.suggested_precision_bits:", "if True:",
-           (T_UNKNOWN + "test_upper_window_log_n_against_p_r",
-            T_UNKNOWN + "test_d4_against_m_r")),
+    Mutant("runner: one rung tried", "audit.py",
+           "return escalate(attempt, ctx.prec)", "return attempt(ctx.prec)",
+           (T_UNKNOWN + "test_overlap_decided_at_the_second_rung",
+            T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung")),
+    Mutant("runner: a higher rung's state formed at the audit's precision",
+           "audit.py", "ctx.c, ctx.t, work, r=ctx.r, p_r=ctx.p_r)",
+           "ctx.c, ctx.t, ctx.prec, r=ctx.r, p_r=ctx.p_r)",
+           (T_UNKNOWN + "test_overlap_decided_at_the_second_rung",
+            T_UNKNOWN + "test_shape_b2_floor_decided_at_the_second_rung")),
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
            "cmp is not side and cmp is not Comparison.OVERLAPPING",
            "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
+    Mutant("decide: an overlapping comparison reads as Pass", "audit.py",
+           'raise PrecisionError("comparison indeterminate", **witness)',
+           "return PASS, witness",
+           (T_UNKNOWN + "test_overlapping_comparison",
+            T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung")),
     # the interval kernel: direct endpoint roundings where both lower ends
     # are positive, libmpi's case analysis elsewhere
     Mutant("kernel: iv_add's upper end rounded down", "intervals.py",
@@ -430,10 +440,10 @@ MUTANTS = [
            "if cmp is not Comparison.OVERLAPPING:", "if True:", CA_TESTS),
     # the integer power test of B4 and D4
     Mutant("power test: log sides swapped", "audit.py",
-           "cmp = iv_compare(iv_mul(e, iv_log_rational(p, work), work),\n"
-           "                         iv_mul(f, iv_log_rational(q, work), work))",
-           "cmp = iv_compare(iv_mul(f, iv_log_rational(q, work), work),\n"
-           "                         iv_mul(e, iv_log_rational(p, work), work))",
+           "cmp = iv_compare(iv_mul(e, iv_log_rational(p, prec), prec),\n"
+           "                     iv_mul(f, iv_log_rational(q, prec), prec))",
+           "cmp = iv_compare(iv_mul(f, iv_log_rational(q, prec), prec),\n"
+           "                     iv_mul(e, iv_log_rational(p, prec), prec))",
            ("tests/test_audit.py::test_power_below_exact_and_by_logarithms",)),
     Mutant("CA messages: epsilon formatted by str()", GEN,
            'return text if eps.denominator == 1 else f"{text}/{_int_text(eps.denominator)}"',
@@ -465,19 +475,18 @@ MUTANTS = [
            "if False:\n        raise DomainError",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p inside log n refused", "audit.py",
-           'raise PrecisionError(f"{p} vs log n indeterminate",\n'
-           "                             suggested_precision_bits=prec * 2)",
+           'raise PrecisionError(f"{p} vs log n indeterminate")',
            'raise DomainError(f"{p} vs log n indeterminate")',
            (T_BOUNDS + "test_upper_bound_with_p_inside_log_n_asks_for_precision",)),
     Mutant("U: compute_u tries one rung", "audit.py",
-           "return escalate(lambda work: _upper_bound(log_n(c, t, work), p, work), prec)",
-           "return _upper_bound(log_n(c, t, prec), p, prec)",
+           "return escalate(lambda work: _upper_bound(log_n(c, t, work), p), prec)",
+           "return _upper_bound(log_n(c, t, prec), p)",
            (T_UNKNOWN + "test_compute_u_past_the_ladder",)),
     # undecided comparisons: each raises its own reason and witness, and
     # escalate alone suggests the precision past its ladder
     Mutant("ladder: an undecided B2 floor not raised", "audit.py",
-           "        if m is None:\n            raise PrecisionError(",
-           "        if False:\n            raise PrecisionError(",
+           "    if m is None:\n        raise PrecisionError(",
+           "    if False:\n        raise PrecisionError(",
            (T_UNKNOWN + "test_shape_b2_floor",)),
     Mutant("ladder: an undecided power test drops its witness", "audit.py",
            '"indeterminate", **witness)', '"indeterminate")',

@@ -87,9 +87,9 @@ class TestWindowBounds:
     def test_upper_bound_synthetic_log(self):
         # log n pinned to exactly 100
         lg = iv_from_int(100)
-        assert audit._upper_bound(lg, 2, 128) == 9    # 2^9 = 512 <= 900 < 1024
-        assert audit._upper_bound(lg, 3, 128) == 5    # 3^5 = 243 <= 500 < 729
-        assert audit._upper_bound(lg, 7, 128) == 2    # 7^2 = 49 <= 200 < 343
+        assert audit._upper_bound(lg, 2) == 9    # 2^9 = 512 <= 900 < 1024
+        assert audit._upper_bound(lg, 3) == 5    # 3^5 = 243 <= 500 < 729
+        assert audit._upper_bound(lg, 7) == 2    # 7^2 = 49 <= 200 < 343
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 10**12).flatmap(
@@ -101,7 +101,7 @@ class TestWindowBounds:
         x, below = pair
         p = sympy.prevprime(below)  # a prime p < x
         try:
-            got = audit._upper_bound(iv_from_int(x), p, 128)
+            got = audit._upper_bound(iv_from_int(x), p)
         except PrecisionError:
             assert any(p**j == j * x for j in range(1, 100)), (x, p)
             return
@@ -130,7 +130,7 @@ class TestWindowBounds:
         except PrecisionError:
             rounded = None
         try:
-            exact = audit._upper_bound(lg, p, prec)
+            exact = audit._upper_bound(lg, p)
         except PrecisionError:
             exact = None
         if rounded is not None:
@@ -152,7 +152,7 @@ class TestWindowBounds:
         lg = IntervalScalar(t, t)
         with pytest.raises(PrecisionError):
             upper_bound_rounded(lg, 2, 64)
-        assert audit._upper_bound(lg, 2, 64) == 9
+        assert audit._upper_bound(lg, 2) == 9
         assert 2**9 < 9 * lg.lo and 10 * lg.hi < 2**10
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -160,7 +160,7 @@ class TestWindowBounds:
         x = 2**300 + 12345
         want = max(k for k in range(1, 400) if p**k <= k * x)
         assert want > 150  # the walk used to stop at 199 brackets
-        assert audit._upper_bound(iv_from_int(x), p, 128) == want
+        assert audit._upper_bound(iv_from_int(x), p) == want
 
     def test_upper_bound_candidate(self, table_1e6):
         c = CandidateFactorization.from_runs([(1, 1000)])
@@ -173,7 +173,7 @@ class TestWindowBounds:
 
     def test_upper_bound_monotone_in_prime(self, table_1e6):
         lg = iv_from_int(100)
-        us = [audit._upper_bound(lg, p, 128) for p in (2, 3, 5, 7, 11, 13)]
+        us = [audit._upper_bound(lg, p) for p in (2, 3, 5, 7, 11, 13)]
         assert us == sorted(us, reverse=True)
         assert all(u >= 1 for u in us)
 
@@ -185,16 +185,17 @@ class TestWindowBounds:
 
     def test_upper_bound_refuses_a_log_too_small(self):
         with pytest.raises(DomainError, match="log n certainly > 2"):
-            audit._upper_bound(iv_from_int(2), 2, 128)
+            audit._upper_bound(iv_from_int(2), 2)
         with pytest.raises(DomainError, match="101 not certainly below log n"):
-            audit._upper_bound(iv_from_int(100), 101, 128)
+            audit._upper_bound(iv_from_int(100), 101)
 
     def test_upper_bound_with_p_inside_log_n_asks_for_precision(self):
-        # p equal to log n: more bits may separate them, so no refusal
+        # p equal to log n: more bits may separate them, so no refusal;
+        # the ladder that calls it, not the bound, suggests a precision
         with pytest.raises(PrecisionError,
                            match="101 vs log n indeterminate") as info:
-            audit._upper_bound(iv_from_int(101), 101, 128)
-        assert info.value.suggested_precision_bits == 256
+            audit._upper_bound(iv_from_int(101), 101)
+        assert info.value.suggested_precision_bits == 0
         assert info.value.witness == {}
 
     def test_compute_l_refuses_x_or_p_below_two(self):
@@ -632,13 +633,14 @@ def test_power_below_exact_and_by_logarithms():
     # exponents past the cut compare e log p with f log q
     assert below(2, 3 * 10**6, 8, 10**6 + 1, 128) is True
     assert below(8, 10**6 + 1, 2, 3 * 10**6, 128) is False
-    # equal powers stay undecided at every rung, and so does a pair of
-    # exponents past 4300 digits, which the reason names by size
+    # equal powers stay undecided, and so does a pair of exponents past
+    # 4300 digits, which the reason names by size; the power test makes
+    # one attempt, so the ladder that calls it suggests the precision
     with pytest.raises(PrecisionError) as e:
         below(8, 10**6, 2, 3 * 10**6, 128, m_r=1)
     assert str(e.value) == "8^1000000 vs 2^3000000 indeterminate"
     assert e.value.witness == {"m_r": 1}
-    assert e.value.suggested_precision_bits == 4096
+    assert e.value.suggested_precision_bits == 0
     with pytest.raises(PrecisionError,
                        match=r"^2\^<14285-bit integer> vs 2\^<14285-bit integer> "):
         below(2, 10**4300, 2, 10**4300, 64)
@@ -649,12 +651,13 @@ def _unknown(reason, prec=128, **witness):
             "precision_used": prec}
 
 
-# M(4) at 128 bits, rounded outward, as D4 reports it
+# M(4) at 2,048 bits, the ladder's top rung, rounded outward to 128 bits,
+# as an undecided D4 reports it
 _M_4_JSON = {
-    "lo": "6.315470310101542113285278193406834511803545239391213867369242460959"
-          "8127122233303062416587270178069957182742655277252197265625",
-    "hi": "6.315470310101542113285278193406834512438312188835249121672360191059"
-          "82537824540970689858598863253291710861958563327789306640625",
+    "lo": "6.315470310101542113285278193406834512085663883588562869281739229893"
+          "1516748998100398669597321799074052250944077968597412109375",
+    "hi": "6.315470310101542113285278193406834512109173770605008619441113960637"
+          "59658845618335100240148261008243935066275298595428466796875",
 }
 
 
@@ -669,21 +672,71 @@ class TestUnknownWitnesses:
                             lambda *args, **kwargs: iv_make(340, 342, prec))
         v = run_check("upper_window_3", cand(4, 2, 1, 1), table_1e6, prec)
         assert v.to_json() == _unknown("2^12 vs 12 log n indeterminate", prec,
-                                       suggested_precision_bits=2 * prec)
+                                       suggested_precision_bits=32 * prec)
 
     def test_overlapping_comparison(self, table_1e6, monkeypatch):
         # log n in [6, 8] against p_r = 7: neither side is certain
         lg = iv_make(6, 8)
         monkeypatch.setattr(audit, "log_n", lambda *args, **kwargs: lg)
         v = run_check("log_window_1", cand(4, 2, 1, 1), table_1e6)
-        assert (v.status, v.witness) == (UNKNOWN, {"log_n": lg, "p_r": 7})
+        assert (v.status, v.witness) == (UNKNOWN, {
+            "reason": "comparison indeterminate", "log_n": lg, "p_r": 7,
+            "suggested_precision_bits": 4096})
+
+    def test_overlap_decided_at_the_second_rung(self, table_1e6, monkeypatch):
+        # log n in [6, 8] at 128 bits holds p_r = 7; at 256 bits it lies
+        # in [7.5, 7.75], certainly above 7
+        monkeypatch.setattr(audit, "log_n", lambda c, t, prec: (
+            iv_make(6, 8, prec) if prec == 128
+            else iv_make(Fraction(15, 2), Fraction(31, 4), prec)))
+        v = run_check("log_window_1", cand(4, 2, 1, 1), table_1e6)
+        assert (v.status, v.precision_used) == (PASS, 256)
+        assert v.witness == {"log_n": iv_make(Fraction(15, 2), Fraction(31, 4),
+                                              256), "p_r": 7}
+
+    def test_shape_b2_floor_decided_at_the_second_rung(self, table_1e6,
+                                                       monkeypatch):
+        # a_1 log 2 / log 3 is enclosed to about 2^-80 at 128 bits and
+        # 2^-208 at 256; a floor is refused wider than 2^-150
+        floor = audit.iv_floor
+        monkeypatch.setattr(audit, "iv_floor", lambda a: (
+            None if a.width() > Fraction(1, 2**150) else floor(a)))
+        a_1 = 150_000_000_000_000
+        c = CandidateFactorization.from_runs([(a_1, 1), (2, 1), (1, 3)])
+        v = run_check("shape_B2", c, table_1e6)
+        with mpmath.workdps(60):
+            want = int(mpmath.floor(a_1 * mpmath.log(2) / mpmath.log(3)))
+        assert (v.status, v.precision_used) == (FAIL, 256)
+        assert v.witness == {"index_i": 1, "index_j": 2, "exponent_j": 2,
+                             "predicted": want}
+
+    @pytest.mark.parametrize("cid", ["size_floor_C", "log_window_1",
+                                     "log_window_2", "density_B6",
+                                     "vojak_D3", "s_window_56",
+                                     "log_window_alt"])
+    def test_decided_comparisons_overlap_at_every_rung(self, table_1e6,
+                                                       monkeypatch, cid):
+        # every comparison but those against 1, which guard the checks'
+        # domains, overlaps at every rung
+        compare = audit.iv_compare
+        monkeypatch.setattr(audit, "iv_compare", lambda a, b, *args: (
+            compare(a, b, *args) if isinstance(b, int) and b == 1
+            else Comparison.OVERLAPPING))
+        checks = {**audit._CHECK_FUNCS,
+                  "log_window_alt": audit._check_log_window_alt}
+        ctx = audit._AuditContext(cand(4, 2, 1, 1), table_1e6, 128)
+        v = audit._verdict(ctx, cid, checks[cid])
+        assert (v.status, v.precision_used) == (UNKNOWN, 128)
+        assert v.witness["reason"] == "comparison indeterminate"
+        assert v.witness["suggested_precision_bits"] == 4096
 
     def test_upper_window_log_n_against_p_r(self, table_1e6, monkeypatch):
         lg = iv_make(6, 8)
         monkeypatch.setattr(audit, "log_n", lambda *args, **kwargs: lg)
         v = run_check("upper_window_3", cand(4, 2, 1, 1), table_1e6)
         assert (v.status, v.witness) == (UNKNOWN, {
-            "reason": "log n vs p_r indeterminate", "log_n": lg, "p_r": 7})
+            "reason": "log n vs p_r indeterminate", "log_n": lg, "p_r": 7,
+            "suggested_precision_bits": 4096})
 
     def test_d4_against_m_r(self, table_1e6, monkeypatch):
         # 1 * log 3 = 1.09... lies inside M(r) in [1, 2]
@@ -691,7 +744,8 @@ class TestUnknownWitnesses:
         monkeypatch.setattr(audit, "compute_m", lambda *args, **kwargs: m_r)
         v = run_check("vojak_D4", cand(4, 2, 1, 1), table_1e6)
         assert (v.status, v.witness) == (UNKNOWN, {
-            "reason": "(a-1) log p vs M(r) at index 2", "m_r": m_r})
+            "reason": "(a-1) log p vs M(r) at index 2", "m_r": m_r,
+            "suggested_precision_bits": 4096})
 
     @pytest.mark.parametrize("lo", [6, 340])
     def test_normalize_stops_undecided(self, table_1e6, monkeypatch, lo):
@@ -945,7 +999,8 @@ def test_density_b6_matches_exact_product(exps, prec):
     ctx = audit._AuditContext(c, t, prec)
     ctx.top = ctx.top._replace(
         epsilon=iv_make(0, 1 - exact + Fraction(1, 2**20), prec))
-    assert audit._check_density_b6(ctx)[0] == UNKNOWN
+    with pytest.raises(PrecisionError, match="comparison indeterminate"):
+        audit._check_density_b6(ctx)
 
 
 def _recorded_states(mp, tops=None):
@@ -1109,7 +1164,7 @@ def test_serializing_leaves_the_trace_alone():
 def _scan_upper(lg, primes):
     """U(p_i) at every position, or None when one bracket is undecided."""
     try:
-        return [audit._upper_bound(lg, p, 128) for p in primes]
+        return [audit._upper_bound(lg, p) for p in primes]
     except PrecisionError:
         return None
 
