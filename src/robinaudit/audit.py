@@ -7,13 +7,14 @@ means the condition's preconditions are unmet.  A candidate is excluded
 the moment any single check certifies Fail.
 
 A check states only its own condition: it returns a status and a
-witness, or raises PrecisionError at a comparison it cannot decide,
-carrying that comparison's reason and witness, at the one precision it is
-given.  One runner, ``_verdict``, owns the rest: a check that reads primes
-the table does not cover is Unknown; a check that raises is run again on
-the precision ladder (``escalate``), and is Unknown, with the ladder's
-suggested precision, only when its top rung raises too.  A verdict
-carries the precision that decided it.
+witness, at the one precision it is given.  A comparison it cannot decide
+raises PrecisionError, carrying the check's reason and witness, from
+``iv_less`` or ``iv_floor`` (U's exact integer walk raises its own).  One
+runner, ``_verdict``, owns the rest: a check that reads primes the table
+does not cover is Unknown; a check that raises is run again on the
+precision ladder (``escalate``), and is Unknown, with the ladder's
+suggested precision, only when its top rung raises too.  A verdict carries
+the precision that decided it.
 
 Per-index windows (L <= a_i <= U, and B4's p_i^(a_i) < 2^(a_1+2)) are
 decided in O(#runs) by two scans shared by the checks and ``normalize``:
@@ -55,6 +56,7 @@ from .intervals import (
     _EXACT_POW_BITS,
     DEFAULT_PRECISION_BITS,
     Comparison,
+    IntervalLike,
     IntervalScalar,
     _pow_bits,
     constants,
@@ -67,6 +69,7 @@ from .intervals import (
     iv_exp,
     iv_floor,
     iv_from_int,
+    iv_less,
     iv_log,
     iv_log_rational,
     iv_mul,
@@ -138,11 +141,8 @@ def _upper_bound(lg: IntervalScalar, p: int) -> int:
     above log n."""
     if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
         raise DomainError("upper window bounds need log n certainly > 2")
-    cmp = iv_compare(p, lg)
-    if cmp is Comparison.CERTAINLY_GREATER:
+    if not iv_less(p, lg, f"{p} vs log n indeterminate"):
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
-    if cmp is Comparison.OVERLAPPING:
-        raise PrecisionError(f"{p} vs log n indeterminate")
     (lo_m, lo_s), (hi_m, hi_s) = iv_dyadic(lg)
     power, k = p * p, 1
     while power << hi_s <= (k + 1) * hi_m:  # ends: p^(k+1) outgrows (k + 1) log n
@@ -312,17 +312,18 @@ def _below_l(ctx: _AuditContext, *, last: bool = False,
     return None
 
 
-def _decide(pairs: list[tuple[Comparison, Comparison]],
-            witness: dict) -> tuple[str, dict]:
-    """Status from (comparison, side that passes) pairs: Pass when every
-    comparison is on its passing side, Fail when any is certainly on the
-    other side; otherwise PrecisionError, carrying ``witness``."""
-    if all(cmp is side for cmp, side in pairs):
-        return PASS, witness
-    if any(cmp is not side and cmp is not Comparison.OVERLAPPING
-           for cmp, side in pairs):
-        return FAIL, witness
-    raise PrecisionError("comparison indeterminate", **witness)
+def _decide(ctx: _AuditContext, witness: dict,
+            *pairs: tuple[IntervalLike, IntervalLike]) -> tuple[str, dict]:
+    """Pass, with ``witness``, when a < b certainly holds for every (a, b)
+    pair, read in order; Fail at the first pair certainly the other way
+    round.  A pair that overlaps raises PrecisionError carrying ``witness``."""
+    # In each two-pair check (D3, the s-window) the first pair's bound lies
+    # certainly below the second's, so one pair cannot overlap while the
+    # other certainly fails: reading in order decides as reading all does.
+    for a, b in pairs:
+        if not iv_less(a, b, "comparison indeterminate", witness, ctx.prec):
+            return FAIL, witness
+    return PASS, witness
 
 
 def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
@@ -335,29 +336,26 @@ def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
         return FAIL, {"log_n": ctx.log_n,
                       "bound_log10_log10": str(cst.size_floor_log10_log10)}
     val = iv_div(iv_log(log10_n, prec), cst.ln10, prec)
-    cmp = iv_compare(val, cst.size_floor_log10_log10, prec)
     witness = {
         "log10_log10_n": val,
         "bound_log10_log10": str(cst.size_floor_log10_log10),
     }
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
+    return _decide(ctx, witness, (cst.size_floor_log10_log10, val))
 
 
 def _check_log_window_1(ctx: _AuditContext) -> tuple[str, dict]:
-    cmp = iv_compare(ctx.log_n, ctx.p_r)
     witness = {"log_n": ctx.log_n, "p_r": ctx.p_r}
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
+    return _decide(ctx, witness, (ctx.p_r, ctx.log_n))
 
 
 def _check_log_window_2(ctx: _AuditContext) -> tuple[str, dict]:
     bound = ctx.top.log_window_2_upper
-    cmp = iv_compare(ctx.log_n, bound)
     witness = {
         "log_n": ctx.log_n,
         "upper_bound": bound,
         "p_r": ctx.p_r,
     }
-    return _decide([(cmp, Comparison.CERTAINLY_LESS)], witness)
+    return _decide(ctx, witness, (ctx.log_n, bound))
 
 
 def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
@@ -372,19 +370,15 @@ def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
     slack = constants(prec).log_window_slack_alt
     factor = iv_sub(iv_from_int(1), iv_div(slack, ctx.loglog, prec), prec)
     bound = iv_mul(lg, factor, prec)
-    cmp = iv_compare(ctx.p_r, bound)
     witness = {"p_r": ctx.p_r, "lower_bound": bound}
-    return _decide([(cmp, Comparison.CERTAINLY_GREATER)], witness)
+    return _decide(ctx, witness, (bound, ctx.p_r))
 
 
 def _log_n_above_p_r(ctx: _AuditContext) -> bool:
     """log n > p_r, which U at the top prime needs; PrecisionError when
     the two overlap."""
-    cmp = iv_compare(ctx.log_n, ctx.p_r)
-    if cmp is Comparison.OVERLAPPING:
-        raise PrecisionError("log n vs p_r indeterminate", log_n=ctx.log_n,
-                             p_r=ctx.p_r)
-    return cmp is Comparison.CERTAINLY_GREATER
+    return iv_less(ctx.p_r, ctx.log_n, "log n vs p_r indeterminate",
+                   {"log_n": ctx.log_n, "p_r": ctx.p_r})
 
 
 def _check_upper_window(ctx: _AuditContext) -> tuple[str, dict]:
@@ -424,23 +418,19 @@ def _check_shape_b1(ctx: _AuditContext) -> tuple[str, dict]:
     return PASS, {"canonical": True}
 
 
-def _b2_pred(ctx: _AuditContext, i: int, j: int) -> int:
+def _b2_pred(ctx: _AuditContext, i: int, a_i: int, j: int) -> int:
     """floor(a_i log p_i / log p_j) = largest m with p_j^m <= p_i^(a_i)."""
     p_i = ctx.t.nth_prime(i)
     p_j = ctx.t.nth_prime(j)
-    a_i, prec = ctx.c.a(i), ctx.prec
+    prec = ctx.prec
     if _pow_bits(p_i, a_i) <= _EXACT_POW_BITS:
         return compute_l(p_i**a_i, p_j)
     # interval route for astronomically large exponents
-    m = iv_floor(iv_div(
+    return iv_floor(iv_div(
         iv_mul(iv_from_int(a_i), iv_log_rational(p_i, prec), prec),
         iv_log_rational(p_j, prec),
         prec,
-    ))
-    if m is None:
-        raise PrecisionError(
-            f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
-    return m
+    ), f"floor(a_{i} log p_{i} / log p_{j}) straddles an integer")
 
 
 def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
@@ -455,7 +445,7 @@ def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
     is never used."""
     runs = [bounds for bounds in ctx.c.run_bounds() if bounds[2]]
     pairs = 0
-    for k, (s_i, t_i, _e_i) in enumerate(runs):
+    for k, (s_i, t_i, e_i) in enumerate(runs):
         for s_j, t_j, e_j in runs[k:]:
             if s_i == s_j:
                 corners = [(s_i, t_i)] if t_i > s_i else []
@@ -463,7 +453,7 @@ def _check_shape_b2(ctx: _AuditContext) -> tuple[str, dict]:
                 corners = [(t_i, s_j), (s_i, t_j)]
             pairs += len(corners)
             for i, j in corners:
-                pred = _b2_pred(ctx, i, j)
+                pred = _b2_pred(ctx, i, e_i, j)
                 if abs(e_j - pred) > 1:
                     return FAIL, {"index_i": i, "index_j": j,
                                   "exponent_j": e_j, "predicted": pred}
@@ -499,18 +489,16 @@ def _check_shape_b4(ctx: _AuditContext) -> tuple[str, dict]:
 
 
 def _power_below(p: int, e: int, q: int, f: int, prec: int,
-                 **witness) -> bool:
+                 witness: Optional[dict] = None) -> bool:
     """Certified p^e < q^f for ints p, q >= 2, e, f >= 0: exact while both
     powers fit _EXACT_POW_BITS, else e log p against f log q at ``prec``;
     PrecisionError, carrying ``witness``, if undecided."""
     if _pow_bits(p, e) <= _EXACT_POW_BITS and _pow_bits(q, f) <= _EXACT_POW_BITS:
         return p ** e < q ** f
-    cmp = iv_compare(iv_mul(e, iv_log_rational(p, prec), prec),
-                     iv_mul(f, iv_log_rational(q, prec), prec))
-    if cmp is Comparison.OVERLAPPING:
-        raise PrecisionError(f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} "
-                             "indeterminate", **witness)
-    return cmp is Comparison.CERTAINLY_LESS
+    return iv_less(iv_mul(e, iv_log_rational(p, prec), prec),
+                   iv_mul(f, iv_log_rational(q, prec), prec),
+                   f"{p}^{_int_text(e)} vs {q}^{_int_text(f)} indeterminate",
+                   witness)
 
 
 def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
@@ -540,8 +528,7 @@ def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
             "tail_from_prime": q,
         }
         if q is None:
-            return _decide([(iv_compare(product, bound),
-                             Comparison.CERTAINLY_GREATER)], witness)
+            return _decide(ctx, witness, (bound, product))
         if iv_compare(product, bound) is Comparison.CERTAINLY_LESS:
             return FAIL, witness
         low = iv_mul(product, Fraction(q - 2, q - 1), prec)
@@ -565,14 +552,11 @@ def _check_vojak_d2(ctx: _AuditContext) -> tuple[str, dict]:
 def _check_vojak_d3(ctx: _AuditContext) -> tuple[str, dict]:
     lower = ctx.top.d3_lower
     mid = iv_div(iv_from_int(ctx.p_r), ctx.log_n, ctx.prec)
-    c1 = iv_compare(lower, mid)
-    c2 = iv_compare(mid, 1)
     witness = {
         "ratio": mid,
         "lower": lower,
     }
-    return _decide([(c1, Comparison.CERTAINLY_LESS),
-                    (c2, Comparison.CERTAINLY_LESS)], witness)
+    return _decide(ctx, witness, (lower, mid), (mid, 1))
 
 
 def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
@@ -581,17 +565,15 @@ def _check_vojak_d4(ctx: _AuditContext) -> tuple[str, dict]:
         return PASS, {"reason": "no index above 1"}
     a1 = c.a(1)
     m_r = compute_m(c.r, t, prec)
+    undecided = {"m_r": m_r}
     for start, end, e in c.run_bounds():
         if e == 0 or end < 2:
             continue
         p = t.nth_prime(end)
-        ok1 = _power_below(p, e, 2, a1 + 2, prec, m_r=m_r)
+        ok1 = _power_below(p, e, 2, a1 + 2, prec, undecided)
         # p^e < p e^M(r)  <=>  (e-1) log p < M(r)
         lhs = iv_mul(iv_from_int(e - 1), iv_log_rational(p, prec), prec)
-        cmp2 = iv_compare(lhs, m_r)
-        if cmp2 is Comparison.OVERLAPPING:
-            raise PrecisionError(f"(a-1) log p vs M(r) at index {end}", m_r=m_r)
-        ok2 = cmp2 is Comparison.CERTAINLY_LESS
+        ok2 = iv_less(lhs, m_r, f"(a-1) log p vs M(r) at index {end}", undecided)
         if not (ok1 and ok2):
             return FAIL, {"index": end, "prime": p, "exponent": e,
                           "below_power_bound": ok1, "below_m_bound": ok2,
@@ -621,14 +603,11 @@ def _check_s_window(ctx: _AuditContext) -> tuple[str, dict]:
                                 "s": s, "r": ctx.r}
     p_s = ctx.t.nth_prime(s)
     lower, upper = ctx.top.s_lower, ctx.top.s_upper
-    c1 = iv_compare(p_s, lower)
-    c2 = iv_compare(p_s, upper)
     witness = {
         "s": s, "p_s": p_s, "p_r": ctx.p_r,
         "lower": lower, "upper": upper,
     }
-    return _decide([(c1, Comparison.CERTAINLY_GREATER),
-                    (c2, Comparison.CERTAINLY_LESS)], witness)
+    return _decide(ctx, witness, (lower, p_s), (p_s, upper))
 
 
 # The ledger, in report order.

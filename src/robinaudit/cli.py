@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .audit import full_audit, normalize, IN_WINDOW
+from .audit import EXCLUDED, INCONCLUSIVE, IN_WINDOW, full_audit, normalize
 from .errors import (
     CandidateFormatError,
     DomainError,
@@ -376,9 +376,9 @@ def _cmd_audit(args, prec: int, limit: int) -> tuple[int, _Output]:
         [[cid, v.status, v.precision_used] for cid, v in checks],
         lines,
     )
-    if report.result == "excluded":
+    if report.result == EXCLUDED:
         return EX_NEGATIVE, out
-    if report.result == "inconclusive":
+    if report.result == INCONCLUSIVE:
         return EX_INCONCLUSIVE, out
     return EX_OK, out
 

@@ -41,6 +41,7 @@ from .intervals import (
     escalate,
     iv_compare,
     iv_from_int,
+    iv_less,
     iv_log,
     iv_log_rational,
     iv_mul,
@@ -198,11 +199,8 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     def attempt(p: int) -> VerificationRecord:
         nonlocal thr
         thr = _threshold(n, p)
-        cmp = iv_compare(sigma, thr)
-        if cmp is Comparison.OVERLAPPING:
-            raise PrecisionError(f"sigma({n}) vs its threshold indeterminate")
-        return VerificationRecord(
-            n, sigma, thr, "holds" if cmp is Comparison.CERTAINLY_LESS else "fails")
+        holds = iv_less(sigma, thr, f"sigma({n}) vs its threshold indeterminate")
+        return VerificationRecord(n, sigma, thr, "holds" if holds else "fails")
 
     try:
         return escalate(attempt, prec)

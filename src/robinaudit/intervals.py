@@ -318,6 +318,18 @@ def iv_compare(a: IntervalLike, b: IntervalLike,
     return Comparison.OVERLAPPING
 
 
+def iv_less(a: IntervalLike, b: IntervalLike, reason: str,
+            witness: Optional[dict] = None,
+            prec: int = DEFAULT_PRECISION_BITS) -> bool:
+    """Certified a < b: True when a lies certainly below b, False when it
+    lies certainly above.  Overlapping enclosures, shared endpoints
+    included, leave it undecided: PrecisionError(reason, **witness)."""
+    cmp = iv_compare(a, b, prec)
+    if cmp is Comparison.OVERLAPPING:
+        raise PrecisionError(reason, **(witness or {}))
+    return cmp is Comparison.CERTAINLY_LESS
+
+
 def iv_dyadic(a: IntervalScalar) -> tuple[tuple[int, int], tuple[int, int]]:
     """Both endpoints of a exactly, each as (m, s) with value m / 2^s and
     s >= 0, for comparisons in integer arithmetic."""
@@ -353,16 +365,15 @@ def _pow_bits(p: int, e: int) -> int:
     return e * p.bit_length() + 1
 
 
-def iv_floor(a: IntervalScalar) -> Optional[int]:
-    """Common floor of all values in the enclosure, or None if it straddles
-    an integer boundary (the indeterminate case)."""
+def iv_floor(a: IntervalScalar, reason: str) -> int:
+    """Common floor of all values in the enclosure; PrecisionError(reason)
+    when it straddles an integer boundary."""
     import math
 
     lo_floor = math.floor(a.lo)
-    hi_floor = math.floor(a.hi)
-    if lo_floor == hi_floor:
-        return lo_floor
-    return None
+    if lo_floor != math.floor(a.hi):
+        raise PrecisionError(reason)
+    return lo_floor
 
 
 def _mpf_to_decimal_str(t: tuple) -> str:

@@ -75,6 +75,8 @@ WALK_TESTS = ("tests/test_audit.py::test_carried_log_n_meets_a_fresh_sum",
 T_UNKNOWN = "tests/test_audit.py::TestUnknownWitnesses::"
 SCAN_TESTS = ("tests/test_audit.py::test_window_indices_match_linear_scan",)
 L_SCAN_TESTS = SCAN_TESTS + ("tests/test_audit.py::test_l_violations_match_a_linear_scan",)
+DECIDE_LESS = 'if not iv_less(a, b, "comparison indeterminate", witness, ctx.prec):'
+DECIDE_TESTS = ("tests/test_audit.py::test_decide_in_order_matches_the_rule_of_sides",)
 B2_TESTS = ("tests/test_audit.py::test_shape_b2_corners_match_all_pairs",)
 T_MEMO = "tests/test_memo.py::"
 T_IV = "tests/test_intervals.py::"
@@ -295,13 +297,28 @@ MUTANTS = [
            (T_UNKNOWN + "test_overlap_decided_at_the_second_rung",
             T_UNKNOWN + "test_shape_b2_floor_decided_at_the_second_rung")),
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
-           "cmp is not side and cmp is not Comparison.OVERLAPPING",
-           "cmp is not side", (T_UNKNOWN + "test_overlapping_comparison",)),
+           DECIDE_LESS, "if iv_compare(a, b) is not Comparison.CERTAINLY_LESS:",
+           (T_UNKNOWN + "test_overlapping_comparison",)),
     Mutant("decide: an overlapping comparison reads as Pass", "audit.py",
-           'raise PrecisionError("comparison indeterminate", **witness)',
-           "return PASS, witness",
+           DECIDE_LESS, "if iv_compare(a, b) is Comparison.CERTAINLY_GREATER:",
            (T_UNKNOWN + "test_overlapping_comparison",
             T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung")),
+    Mutant("decide: Pass after the first pair", "audit.py",
+           "            return FAIL, witness\n    return PASS, witness",
+           "            return FAIL, witness\n        return PASS, witness",
+           DECIDE_TESTS),
+    # the undecided comparisons of the interval layer
+    Mutant("iv_less: an overlap reads as False", "intervals.py",
+           "raise PrecisionError(reason, **(witness or {}))", "return False",
+           (T_IV + "test_less_decided_and_overlapping",
+            T_UNKNOWN + "test_overlapping_comparison")),
+    Mutant("iv_less: sides swapped", "intervals.py",
+           "cmp = iv_compare(a, b, prec)", "cmp = iv_compare(b, a, prec)",
+           (T_IV + "test_less_decided_and_overlapping",) + DECIDE_TESTS),
+    Mutant("iv_floor: lo's floor returned on a straddle", "intervals.py",
+           "raise PrecisionError(reason)\n    return lo_floor",
+           "return lo_floor\n    return lo_floor",
+           (T_IV + "test_floor_determinate_and_straddling",)),
     # the interval kernel: direct endpoint roundings where both lower ends
     # are positive, libmpi's case analysis elsewhere
     Mutant("kernel: iv_add's upper end rounded down", "intervals.py",
@@ -440,10 +457,10 @@ MUTANTS = [
            "if cmp is not Comparison.OVERLAPPING:", "if True:", CA_TESTS),
     # the integer power test of B4 and D4
     Mutant("power test: log sides swapped", "audit.py",
-           "cmp = iv_compare(iv_mul(e, iv_log_rational(p, prec), prec),\n"
-           "                     iv_mul(f, iv_log_rational(q, prec), prec))",
-           "cmp = iv_compare(iv_mul(f, iv_log_rational(q, prec), prec),\n"
-           "                     iv_mul(e, iv_log_rational(p, prec), prec))",
+           "return iv_less(iv_mul(e, iv_log_rational(p, prec), prec),\n"
+           "                   iv_mul(f, iv_log_rational(q, prec), prec),",
+           "return iv_less(iv_mul(f, iv_log_rational(q, prec), prec),\n"
+           "                   iv_mul(e, iv_log_rational(p, prec), prec),",
            ("tests/test_audit.py::test_power_below_exact_and_by_logarithms",)),
     Mutant("CA messages: epsilon formatted by str()", GEN,
            'return text if eps.denominator == 1 else f"{text}/{_int_text(eps.denominator)}"',
@@ -471,12 +488,12 @@ MUTANTS = [
            "if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:", "if False:",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p above log n let through", "audit.py",
-           "if cmp is Comparison.CERTAINLY_GREATER:\n        raise DomainError",
-           "if False:\n        raise DomainError",
+           'raise DomainError(f"bracket undefined: {p} not certainly below log n")',
+           "pass",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p inside log n refused", "audit.py",
-           'raise PrecisionError(f"{p} vs log n indeterminate")',
-           'raise DomainError(f"{p} vs log n indeterminate")',
+           'if not iv_less(p, lg, f"{p} vs log n indeterminate"):',
+           "if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:",
            (T_BOUNDS + "test_upper_bound_with_p_inside_log_n_asks_for_precision",)),
     Mutant("U: compute_u tries one rung", "audit.py",
            "return escalate(lambda work: _upper_bound(log_n(c, t, work), p), prec)",
@@ -484,12 +501,11 @@ MUTANTS = [
            (T_UNKNOWN + "test_compute_u_past_the_ladder",)),
     # undecided comparisons: each raises its own reason and witness, and
     # escalate alone suggests the precision past its ladder
-    Mutant("ladder: an undecided B2 floor not raised", "audit.py",
-           "    if m is None:\n        raise PrecisionError(",
-           "    if False:\n        raise PrecisionError(",
+    Mutant("ladder: an undecided B2 floor not raised", "intervals.py",
+           "if lo_floor != math.floor(a.hi):", "if False:",
            (T_UNKNOWN + "test_shape_b2_floor",)),
     Mutant("ladder: an undecided power test drops its witness", "audit.py",
-           '"indeterminate", **witness)', '"indeterminate")',
+           'indeterminate",\n                   witness)', 'indeterminate")',
            (T_UNKNOWN + "test_power_comparisons_of_b4_and_d4",)),
     Mutant("ladder: escalate suggests one doubling short", "intervals.py",
            "return prec << (_MAX_ESCALATIONS + 1)", "return prec << _MAX_ESCALATIONS",
@@ -500,12 +516,12 @@ MUTANTS = [
            (T_IV + "test_escalate_doubles_until_decided",
             T_GEN + "test_classify_escalates_past_an_overlap_at_64_bits")),
     Mutant("upper window: log n vs p_r raised without its witness", "audit.py",
-           'raise PrecisionError("log n vs p_r indeterminate", log_n=ctx.log_n,\n'
-           "                             p_r=ctx.p_r)",
-           'raise PrecisionError("log n vs p_r indeterminate")',
+           '"log n vs p_r indeterminate",\n'
+           '                   {"log_n": ctx.log_n, "p_r": ctx.p_r})',
+           '"log n vs p_r indeterminate")',
            (T_UNKNOWN + "test_upper_window_log_n_against_p_r",)),
     Mutant("D4: (a-1) log p vs M(r) raised without m_r", "audit.py",
-           'at index {end}", m_r=m_r)', 'at index {end}")',
+           'at index {end}", undecided)', 'at index {end}")',
            (T_UNKNOWN + "test_d4_against_m_r",)),
     Mutant("normalize: an undecided state read as in the window", "audit.py",
            "return NormalizationResult(ctx.c, INDETERMINATE, trace)",

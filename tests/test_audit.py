@@ -637,13 +637,53 @@ def test_power_below_exact_and_by_logarithms():
     # 4300 digits, which the reason names by size; the power test makes
     # one attempt, so the ladder that calls it suggests the precision
     with pytest.raises(PrecisionError) as e:
-        below(8, 10**6, 2, 3 * 10**6, 128, m_r=1)
+        below(8, 10**6, 2, 3 * 10**6, 128, {"m_r": 1})
     assert str(e.value) == "8^1000000 vs 2^3000000 indeterminate"
     assert e.value.witness == {"m_r": 1}
     assert e.value.suggested_precision_bits == 0
     with pytest.raises(PrecisionError,
                        match=r"^2\^<14285-bit integer> vs 2\^<14285-bit integer> "):
         below(2, 10**4300, 2, 10**4300, 64)
+
+
+def _decide_by_sides(pairs, witness):
+    """The rule _decide replaced, as an oracle: Pass when every comparison
+    is on its passing side, Fail when any is certainly on the other side,
+    otherwise PrecisionError carrying ``witness``."""
+    if all(cmp is side for cmp, side in pairs):
+        return PASS, witness
+    if any(cmp is not side and cmp is not Comparison.OVERLAPPING
+           for cmp, side in pairs):
+        return FAIL, witness
+    raise PrecisionError("comparison indeterminate", **witness)
+
+
+_EIGHTHS = st.integers(0, 48).map(lambda k: Fraction(k, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_EIGHTHS, min_size=2, max_size=2).map(sorted),
+       st.lists(_EIGHTHS, min_size=2, max_size=2).map(sorted),
+       st.integers(1, 48))
+def test_decide_in_order_matches_the_rule_of_sides(x_ends, lo_ends, gap):
+    # the two-pair checks (D3, the s-window) test lo < x < hi with lo
+    # certainly below hi; x falls anywhere, so every outcome is drawn
+    lo = iv_make(*lo_ends)
+    hi = iv_make(lo.hi + Fraction(gap, 8), lo.hi + Fraction(gap + 8, 8))
+    x = iv_make(*x_ends)
+    witness = {"x": x}
+    less = Comparison.CERTAINLY_LESS
+    try:
+        want = _decide_by_sides([(iv_compare(lo, x), less),
+                                 (iv_compare(x, hi), less)], witness)
+    except PrecisionError as e:
+        want = (str(e), e.witness)
+    ctx = audit._AuditContext(cand(1), _HYP_TABLE, 128)
+    try:
+        got = audit._decide(ctx, witness, (lo, x), (x, hi))
+    except PrecisionError as e:
+        got = (str(e), e.witness)
+    assert got == want
 
 
 def _unknown(reason, prec=128, **witness):
@@ -697,10 +737,12 @@ class TestUnknownWitnesses:
     def test_shape_b2_floor_decided_at_the_second_rung(self, table_1e6,
                                                        monkeypatch):
         # a_1 log 2 / log 3 is enclosed to about 2^-80 at 128 bits and
-        # 2^-208 at 256; a floor is refused wider than 2^-150
+        # 2^-208 at 256; a floor wider than 2^-150 is widened to straddle
+        # an integer
         floor = audit.iv_floor
-        monkeypatch.setattr(audit, "iv_floor", lambda a: (
-            None if a.width() > Fraction(1, 2**150) else floor(a)))
+        monkeypatch.setattr(audit, "iv_floor", lambda a, reason: floor(
+            iv_make(a.lo - 1, a.hi) if a.width() > Fraction(1, 2**150) else a,
+            reason))
         a_1 = 150_000_000_000_000
         c = CandidateFactorization.from_runs([(a_1, 1), (2, 1), (1, 3)])
         v = run_check("shape_B2", c, table_1e6)
@@ -717,11 +759,17 @@ class TestUnknownWitnesses:
     def test_decided_comparisons_overlap_at_every_rung(self, table_1e6,
                                                        monkeypatch, cid):
         # every comparison but those against 1, which guard the checks'
-        # domains, overlaps at every rung
-        compare = audit.iv_compare
-        monkeypatch.setattr(audit, "iv_compare", lambda a, b, *args: (
-            compare(a, b, *args) if isinstance(b, int) and b == 1
-            else Comparison.OVERLAPPING))
+        # domains, overlaps at every rung: iv_less's, and B6's interim
+        # reads, which would otherwise decide before the last piece
+        compare = intervals.iv_compare
+
+        def overlap(a, b, *args):
+            if isinstance(b, int) and b == 1:
+                return compare(a, b, *args)
+            return Comparison.OVERLAPPING
+
+        monkeypatch.setattr(intervals, "iv_compare", overlap)
+        monkeypatch.setattr(audit, "iv_compare", overlap)
         checks = {**audit._CHECK_FUNCS,
                   "log_window_alt": audit._check_log_window_alt}
         ctx = audit._AuditContext(cand(4, 2, 1, 1), table_1e6, 128)
@@ -766,7 +814,9 @@ class TestUnknownWitnesses:
     def test_shape_b2_floor(self, table_1e6, monkeypatch):
         # the floor straddles an integer at every rung from 128 to 2,048
         # bits, so the ladder suggests 4,096
-        monkeypatch.setattr(audit, "iv_floor", lambda a: None)
+        floor = audit.iv_floor
+        monkeypatch.setattr(audit, "iv_floor", lambda a, reason: floor(
+            iv_make(a.lo - 1, a.hi), reason))
         c = CandidateFactorization.from_runs(
             [(150_000_000_000_000, 1), (2, 1), (1, 3)])
         assert run_check("shape_B2", c, table_1e6).to_json() == _unknown(

@@ -42,6 +42,7 @@ from robinaudit.intervals import (
     iv_floor,
     iv_from_int,
     iv_from_int_rounded,
+    iv_less,
     iv_log,
     iv_make,
     iv_mul,
@@ -147,10 +148,39 @@ def test_compare_disjoint_and_overlap():
     assert iv_compare(iv_from_int(3), iv_make(3, 4)) is Comparison.OVERLAPPING
 
 
+def test_less_decided_and_overlapping():
+    assert iv_less(3, iv_from_int(4), "3 vs 4") is True
+    assert iv_less(iv_make(5, 6), 4, "[5, 6] vs 4") is False
+    # overlapping enclosures raise the caller's reason and witness; the
+    # ladder that calls it, not iv_less, suggests a precision
+    with pytest.raises(PrecisionError, match="^a vs b$") as info:
+        iv_less(iv_make(1, 3), iv_make(2, 4), "a vs b", {"m": 1})
+    assert info.value.witness == {"m": 1}
+    assert info.value.suggested_precision_bits == 0
+    # a shared endpoint is not a strict verdict either
+    with pytest.raises(PrecisionError, match="^shared$") as info:
+        iv_less(iv_from_int(3), iv_make(3, 4), "shared")
+    assert info.value.witness == {}
+
+
+def test_less_rounds_a_rational_side_at_its_precision():
+    # b lies below x by about 2^-102: inside x rounded to 64 bits, certainly
+    # below x rounded to 256
+    for x in (Fraction(1, 3), Decimal("0.1")):
+        below = Fraction(int(Fraction(x) * 2**101), 2**101)
+        b = iv_make(below, below, 256)
+        with pytest.raises(PrecisionError):
+            iv_less(b, x, "b vs x", prec=64)
+        assert iv_less(b, x, "b vs x", prec=256) is True
+        assert iv_less(x, b, "x vs b", prec=256) is False
+
+
 def test_floor_determinate_and_straddling():
-    assert iv_floor(iv_log(iv_from_int(8))) == 2  # ln 8 = 2.079...
-    assert iv_floor(iv_make(Fraction(29, 10), Fraction(31, 10))) is None
-    assert iv_floor(iv_from_int(7)) == 7
+    assert iv_floor(iv_log(iv_from_int(8)), "ln 8") == 2  # ln 8 = 2.079...
+    with pytest.raises(PrecisionError, match="^straddles 3$") as info:
+        iv_floor(iv_make(Fraction(29, 10), Fraction(31, 10)), "straddles 3")
+    assert info.value.witness == {}
+    assert iv_floor(iv_from_int(7), "7") == 7
 
 
 def test_escalate_doubles_until_decided():
