@@ -12,7 +12,6 @@ from .errors import (
     TableTooSmallError,
 )
 from .intervals import (
-    Comparison,
     IntervalScalar,
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
@@ -54,7 +53,6 @@ __all__ = [
     "CHECK_IDS",
     "CandidateFactorization",
     "CandidateFormatError",
-    "Comparison",
     "DEFAULT_PRECISION_BITS",
     "DomainError",
     "IntervalScalar",

@@ -9,8 +9,10 @@ the moment any single check certifies Fail.
 A check states only its own condition: it returns a status and a
 witness, at the one precision it is given.  A comparison it cannot decide
 raises PrecisionError, carrying the check's reason and witness, from
-``iv_less`` or ``iv_floor`` (U's exact integer walk raises its own).  One
-runner, ``_verdict``, owns the rest: a check that reads primes the table
+``iv_less`` or ``iv_floor`` (U's exact integer walk raises its own).  A
+guard or early exit asks ``iv_certainly_less`` instead, which reads an
+overlap as "not certain" and takes the safe branch.  One runner,
+``_verdict``, owns the rest: a check that reads primes the table
 does not cover is Unknown; a check that raises is run again on the
 precision ladder (``escalate``), and is Unknown, with the ladder's
 suggested precision, only when its top rung raises too.  A verdict carries
@@ -55,7 +57,6 @@ from .factored import (
 from .intervals import (
     _EXACT_POW_BITS,
     DEFAULT_PRECISION_BITS,
-    Comparison,
     IntervalLike,
     IntervalScalar,
     _pow_bits,
@@ -63,7 +64,7 @@ from .intervals import (
     escalate,
     interval_to_json,
     iv_add,
-    iv_compare,
+    iv_certainly_less,
     iv_div,
     iv_dyadic,
     iv_exp,
@@ -139,7 +140,7 @@ def _upper_bound(lg: IntervalScalar, p: int) -> int:
     integers.  Raises PrecisionError when p^(k+1) lies between the two or
     p itself lies inside the enclosure; DomainError when p is certainly
     above log n."""
-    if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
+    if not iv_certainly_less(2, lg):
         raise DomainError("upper window bounds need log n certainly > 2")
     if not iv_less(p, lg, f"{p} vs log n indeterminate"):
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
@@ -330,7 +331,7 @@ def _check_size_floor(ctx: _AuditContext) -> tuple[str, dict]:
     prec = ctx.prec
     cst = constants(prec)
     log10_n = iv_div(ctx.log_n, cst.ln10, prec)
-    if iv_compare(log10_n, 1) is not Comparison.CERTAINLY_GREATER:
+    if not iv_certainly_less(1, log10_n):
         # log10 n is not certainly > 1: n is about 10 or less, far below
         # the double-exponential floor
         return FAIL, {"log_n": ctx.log_n,
@@ -365,7 +366,7 @@ def _check_log_window_alt(ctx: _AuditContext) -> tuple[str, dict]:
     """
     prec = ctx.prec
     lg = ctx.log_n
-    if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
+    if not iv_certainly_less(1, lg):
         return NOT_APPLICABLE, {"reason": "log log n undefined", "log_n": lg}
     slack = constants(prec).log_window_slack_alt
     factor = iv_sub(iv_from_int(1), iv_div(slack, ctx.loglog, prec), prec)
@@ -529,10 +530,10 @@ def _check_density_b6(ctx: _AuditContext) -> tuple[str, dict]:
         }
         if q is None:
             return _decide(ctx, witness, (bound, product))
-        if iv_compare(product, bound) is Comparison.CERTAINLY_LESS:
+        if iv_certainly_less(product, bound):
             return FAIL, witness
         low = iv_mul(product, Fraction(q - 2, q - 1), prec)
-        if iv_compare(low, bound) is Comparison.CERTAINLY_GREATER:
+        if iv_certainly_less(bound, low):
             return PASS, witness
 
 
@@ -844,8 +845,7 @@ def _step_entry(ctx: _AuditContext, action: str, s: int, p_s: int,
     entry = {"action": action, "index": s, "prime": p_s}
     if action == "swap":
         entry["removed_prime"] = ctx.p_r
-    below = None if ratio is None else (
-        iv_compare(ratio, 1) is Comparison.CERTAINLY_LESS)
+    below = None if ratio is None else iv_certainly_less(ratio, 1)
     entry.update(ratio=ratio, ratio_certainly_below_one=below)
     return entry
 

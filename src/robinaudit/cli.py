@@ -404,7 +404,7 @@ def _cmd_normalize(args, prec: int, limit: int) -> tuple[int, _Output]:
 def _selftest_checks(prec: int):
     from .audit import _upper_bound, compute_l
     from .intervals import (
-        Comparison, constants, interval_from_json, iv_compare, iv_from_int,
+        constants, interval_from_json, iv_certainly_less, iv_from_int,
     )
     from .factored import big_g
 
@@ -420,8 +420,7 @@ def _selftest_checks(prec: int):
         g1 = big_g(CandidateFactorization.from_exponents([4, 2, 1, 1]), t, prec)
         g2 = big_g(CandidateFactorization.from_exponents([4, 2, 1, 1, 1]), t, prec)
         eg = constants(prec).exp_gamma
-        return (iv_compare(g1, eg) is Comparison.CERTAINLY_GREATER
-                and iv_compare(g2, eg) is Comparison.CERTAINLY_LESS)
+        return iv_certainly_less(eg, g1) and iv_certainly_less(g2, eg)
 
     def window_bounds():
         lg = iv_from_int(100)

@@ -60,11 +60,10 @@ from .errors import (
 from .intervals import (
     _EXACT_POW_BITS,
     DEFAULT_PRECISION_BITS,
-    Comparison,
     IntervalScalar,
     _pow_bits,
     iv_add,
-    iv_compare,
+    iv_certainly_less,
     iv_div,
     iv_exp,
     iv_from_int,
@@ -365,7 +364,7 @@ def log_n(c: CandidateFactorization, t: PrimeTable,
 
 def _loglog_from(lg: IntervalScalar, prec: int) -> IntervalScalar:
     """log log n from an enclosure ``lg`` of log n."""
-    if iv_compare(lg, 1) is not Comparison.CERTAINLY_GREATER:
+    if not iv_certainly_less(1, lg):
         raise DomainError("log log n requires log n certainly > 1")
     return iv_log(lg, prec)
 

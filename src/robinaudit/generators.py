@@ -35,11 +35,10 @@ from .errors import DomainError, PrecisionError, TableTooSmallError, _int_text
 from .factored import CandidateFactorization
 from .intervals import (
     DEFAULT_PRECISION_BITS,
-    Comparison,
     IntervalScalar,
     constants,
     escalate,
-    iv_compare,
+    iv_certainly_less,
     iv_from_int,
     iv_less,
     iv_log,
@@ -364,12 +363,14 @@ def _ca_at_least(p: int, e: int, eps: Fraction, prec: int) -> bool:
 
     def attempt(work: int) -> bool:
         lhs = iv_mul(eps, iv_log_rational(p, work), work)
-        cmp = iv_compare(lhs, iv_log_rational(f, work))
-        if cmp is not Comparison.OVERLAPPING:
-            return cmp is Comparison.CERTAINLY_LESS
-        if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:
+        log_f = iv_log_rational(f, work)
+        if iv_certainly_less(lhs, log_f):
+            return True
+        if iv_certainly_less(log_f, lhs):
+            return False
+        if iv_certainly_less(lhs, Fraction(p - 1, q - 1), work):
             return True  # below x/(1 + x)
-        if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:
+        if iv_certainly_less(Fraction(p - 1, q - p), lhs, work):
             return False  # above x
         raise PrecisionError(f"exponent of {p} straddles a power boundary "
                              f"at eps={_eps_text(eps)}")

@@ -3,9 +3,13 @@
 Every ``IntervalScalar`` is an enclosure [lo, hi] of an exact real number.
 All operations round endpoints outward, so the exact value of an expression
 always stays inside the computed interval, and comparisons issue a strict
-verdict only when the enclosures are disjoint.  Endpoints are raw mpmath
-mpf tuples (sign, mantissa, exponent, bitcount); the exponent is an
-unbounded Python int, so no operation here can overflow to infinity.
+verdict only when the enclosures are disjoint.  There are two order
+questions: ``iv_certainly_less`` answers False for any overlap, for guards
+where "not certain" takes the safe branch; ``iv_less`` decides a verdict
+and raises PrecisionError when neither order is certain.  Endpoints are
+raw mpmath mpf tuples (sign, mantissa, exponent, bitcount); the exponent
+is an unbounded Python int, so no operation here can overflow to
+infinity.
 
 Sums, differences and the unary ops (log, exp, sqrt, re-rounding) call
 their mpf function once per endpoint, rounding lo down and hi up, which is
@@ -21,7 +25,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
 
@@ -66,14 +69,6 @@ _ROUND_DOWN = "f"
 _ROUND_UP = "c"
 
 _SPECIALS = (finf, fninf, fnan)
-
-
-class Comparison(Enum):
-    """Outcome of a certified comparison of two enclosures."""
-
-    CERTAINLY_LESS = "certainly_less"
-    CERTAINLY_GREATER = "certainly_greater"
-    OVERLAPPING = "overlapping"
 
 
 def _cmp(s: tuple, t: tuple) -> int:
@@ -302,32 +297,26 @@ def iv_round(a: IntervalScalar, prec: int) -> IntervalScalar:
     return _iv(mpf_pos(a._lo, prec, _ROUND_DOWN), mpf_pos(a._hi, prec, _ROUND_UP))
 
 
-def iv_compare(a: IntervalLike, b: IntervalLike,
-               prec: int = DEFAULT_PRECISION_BITS) -> Comparison:
-    """Certified order of the exact values enclosed by a and b.
-
-    CERTAINLY_LESS / CERTAINLY_GREATER require strictly disjoint enclosures;
-    anything else (including shared endpoints) is OVERLAPPING.
-    """
-    a_lo, a_hi = _endpoints(a, prec)
-    b_lo, b_hi = _endpoints(b, prec)
-    if _cmp(a_hi, b_lo) < 0:
-        return Comparison.CERTAINLY_LESS
-    if _cmp(a_lo, b_hi) > 0:
-        return Comparison.CERTAINLY_GREATER
-    return Comparison.OVERLAPPING
+def iv_certainly_less(a: IntervalLike, b: IntervalLike,
+                      prec: int = DEFAULT_PRECISION_BITS) -> bool:
+    """True only when a's enclosure lies strictly below b's.  Overlapping
+    enclosures, shared endpoints included, give False: for guards and
+    early exits, where "not certain" picks the safe branch."""
+    return _cmp(_endpoints(a, prec)[1], _endpoints(b, prec)[0]) < 0
 
 
 def iv_less(a: IntervalLike, b: IntervalLike, reason: str,
             witness: Optional[dict] = None,
             prec: int = DEFAULT_PRECISION_BITS) -> bool:
-    """Certified a < b: True when a lies certainly below b, False when it
-    lies certainly above.  Overlapping enclosures, shared endpoints
-    included, leave it undecided: PrecisionError(reason, **witness)."""
-    cmp = iv_compare(a, b, prec)
-    if cmp is Comparison.OVERLAPPING:
-        raise PrecisionError(reason, **(witness or {}))
-    return cmp is Comparison.CERTAINLY_LESS
+    """Certified a < b, for verdicts: True when a lies certainly below b,
+    False when b lies certainly below a.  Overlapping enclosures, shared
+    endpoints included, leave it undecided: PrecisionError(reason,
+    **witness)."""
+    if iv_certainly_less(a, b, prec):
+        return True
+    if iv_certainly_less(b, a, prec):
+        return False
+    raise PrecisionError(reason, **(witness or {}))
 
 
 def iv_dyadic(a: IntervalScalar) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -236,6 +236,10 @@ MUTANTS = [
     Mutant("walk: the trace ratio left unformatted", "audit.py",
            'else {**step, "ratio": interval_to_json(step["ratio"])}', "else step",
            ("tests/test_audit.py::test_walk_reports_match_the_schema",)),
+    Mutant("normalize: ratio flag sides swapped", "audit.py",
+           "iv_certainly_less(ratio, 1)", "iv_certainly_less(1, ratio)",
+           ("tests/test_audit.py::TestNormalize::test_divide_steps_until_in_window",
+            "tests/test_audit.py::TestNormalize::test_swap_steps_on_primorial")),
     Mutant("walk: an undefined trace ratio formatted", "audit.py",
            'step if step["ratio"] is None', "step if False",
            ("tests/test_audit.py::test_serializing_leaves_the_trace_alone",)),
@@ -290,17 +294,18 @@ MUTANTS = [
     Mutant("runner: one rung tried", "audit.py",
            "return escalate(attempt, ctx.prec)", "return attempt(ctx.prec)",
            (T_UNKNOWN + "test_overlap_decided_at_the_second_rung",
-            T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung")),
+            T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung",
+            T_UNKNOWN + "test_real_candidate_decided_at_a_higher_rung")),
     Mutant("runner: a higher rung's state formed at the audit's precision",
            "audit.py", "ctx.c, ctx.t, work, r=ctx.r, p_r=ctx.p_r)",
            "ctx.c, ctx.t, ctx.prec, r=ctx.r, p_r=ctx.p_r)",
            (T_UNKNOWN + "test_overlap_decided_at_the_second_rung",
             T_UNKNOWN + "test_shape_b2_floor_decided_at_the_second_rung")),
     Mutant("decide: an overlapping comparison reads as Fail", "audit.py",
-           DECIDE_LESS, "if iv_compare(a, b) is not Comparison.CERTAINLY_LESS:",
+           DECIDE_LESS, "if not iv_certainly_less(a, b):",
            (T_UNKNOWN + "test_overlapping_comparison",)),
     Mutant("decide: an overlapping comparison reads as Pass", "audit.py",
-           DECIDE_LESS, "if iv_compare(a, b) is Comparison.CERTAINLY_GREATER:",
+           DECIDE_LESS, "if iv_certainly_less(b, a):",
            (T_UNKNOWN + "test_overlapping_comparison",
             T_UNKNOWN + "test_decided_comparisons_overlap_at_every_rung")),
     Mutant("decide: Pass after the first pair", "audit.py",
@@ -313,8 +318,19 @@ MUTANTS = [
            (T_IV + "test_less_decided_and_overlapping",
             T_UNKNOWN + "test_overlapping_comparison")),
     Mutant("iv_less: sides swapped", "intervals.py",
-           "cmp = iv_compare(a, b, prec)", "cmp = iv_compare(b, a, prec)",
+           "    if iv_certainly_less(a, b, prec):\n        return True\n"
+           "    if iv_certainly_less(b, a, prec):",
+           "    if iv_certainly_less(b, a, prec):\n        return True\n"
+           "    if iv_certainly_less(a, b, prec):",
            (T_IV + "test_less_decided_and_overlapping",) + DECIDE_TESTS),
+    Mutant("iv_certainly_less: a shared endpoint reads as certain", "intervals.py",
+           "_endpoints(b, prec)[0]) < 0", "_endpoints(b, prec)[0]) <= 0",
+           (T_IV + "test_compare_disjoint_and_overlap",
+            T_IV + "test_less_decided_and_overlapping")),
+    Mutant("iv_certainly_less: lower ends compared", "intervals.py",
+           "_cmp(_endpoints(a, prec)[1]", "_cmp(_endpoints(a, prec)[0]",
+           (T_IV + "test_compare_disjoint_and_overlap",
+            T_IV + "test_less_decided_and_overlapping")),
     Mutant("iv_floor: lo's floor returned on a straddle", "intervals.py",
            "raise PrecisionError(reason)\n    return lo_floor",
            "return lo_floor\n    return lo_floor",
@@ -385,8 +401,8 @@ MUTANTS = [
            "low = iv_mul(product, Fraction(q - 2, q - 1), prec)", "low = product",
            B6_TESTS),
     Mutant("B6: fail tested against 1 - eps's upper end", "audit.py",
-           "if iv_compare(product, bound) is Comparison.CERTAINLY_LESS:",
-           "if iv_compare(product, bound.hi) is Comparison.CERTAINLY_LESS:",
+           "if iv_certainly_less(product, bound):",
+           "if iv_certainly_less(product, bound.hi):",
            B6_TESTS),
     Mutant("B6: zero-exponent piece folded", "factored.py",
            "if e\n            for i, j in _cut(start, end))",
@@ -445,16 +461,16 @@ MUTANTS = [
     # the CA exponent: one ladder, each rung trying log F, then the exact
     # bracket of log F
     Mutant("CA bracket bounds swapped", GEN,
-           "Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS",
-           "Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_LESS",
+           "iv_certainly_less(lhs, Fraction(p - 1, q - 1), work)",
+           "iv_certainly_less(lhs, Fraction(p - 1, q - p), work)",
            CA_TESTS),
     Mutant("CA bracket dropped", GEN,
-           "        if iv_compare(lhs, Fraction(p - 1, q - 1), work) is Comparison.CERTAINLY_LESS:\n"
+           "        if iv_certainly_less(lhs, Fraction(p - 1, q - 1), work):\n"
            "            return True  # below x/(1 + x)\n"
-           "        if iv_compare(lhs, Fraction(p - 1, q - p), work) is Comparison.CERTAINLY_GREATER:\n"
+           "        if iv_certainly_less(Fraction(p - 1, q - p), lhs, work):\n"
            "            return False  # above x\n", "", CA_TESTS),
     Mutant("CA: an overlapping log F ends the rung", GEN,
-           "if cmp is not Comparison.OVERLAPPING:", "if True:", CA_TESTS),
+           "if iv_certainly_less(log_f, lhs):", "if True:", CA_TESTS),
     # the integer power test of B4 and D4
     Mutant("power test: log sides swapped", "audit.py",
            "return iv_less(iv_mul(e, iv_log_rational(p, prec), prec),\n"
@@ -485,7 +501,7 @@ MUTANTS = [
            "if x < 2 or p < 2:", "if x < 1 or p < 2:",
            (T_BOUNDS + "test_compute_l_refuses_x_or_p_below_two",)),
     Mutant("U: log n at most 2 let through", "audit.py",
-           "if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:", "if False:",
+           "if not iv_certainly_less(2, lg):", "if False:",
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p above log n let through", "audit.py",
            'raise DomainError(f"bracket undefined: {p} not certainly below log n")',
@@ -493,7 +509,7 @@ MUTANTS = [
            (T_BOUNDS + "test_upper_bound_refuses_a_log_too_small",)),
     Mutant("U: p inside log n refused", "audit.py",
            'if not iv_less(p, lg, f"{p} vs log n indeterminate"):',
-           "if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:",
+           "if not iv_certainly_less(p, lg):",
            (T_BOUNDS + "test_upper_bound_with_p_inside_log_n_asks_for_precision",)),
     Mutant("U: compute_u tries one rung", "audit.py",
            "return escalate(lambda work: _upper_bound(log_n(c, t, work), p), prec)",

@@ -24,7 +24,7 @@ import numpy as np
 from mpmath.libmp import finf, fnan, fninf, mpf_cmp
 
 from robinaudit.errors import DomainError, InvariantError, PrecisionError
-from robinaudit.intervals import Comparison, iv_compare, iv_mul
+from robinaudit.intervals import iv_mul
 
 
 def sigma_divisor_pairs(lo: int, hi: int) -> np.ndarray:
@@ -113,18 +113,19 @@ def b2_violations(exps: list, primes: list) -> dict:
 def upper_bound_rounded(lg, p: int, prec: int) -> int:
     """U(p) by the rounded bracket walk: the first k with p^(k+1) certainly
     above the enclosure iv_mul(k + 1, log n) at ``prec`` bits; raises
-    PrecisionError when they overlap."""
-    if iv_compare(lg, 2) is not Comparison.CERTAINLY_GREATER:
+    PrecisionError when they overlap.  Orders are read from the exact
+    endpoints, not from the interval layer's order tests."""
+    if not 2 < lg.lo:
         raise DomainError("upper window bounds need log n certainly > 2")
-    if iv_compare(p, lg) is not Comparison.CERTAINLY_LESS:
+    if not p < lg.lo:
         raise DomainError(f"bracket undefined: {p} not certainly below log n")
     power = p
     for k in range(1, 200):
         power *= p
-        cmp = iv_compare(power, iv_mul(k + 1, lg, prec))
-        if cmp is Comparison.CERTAINLY_GREATER:
+        bound = iv_mul(k + 1, lg, prec)
+        if power > bound.hi:
             return k
-        if cmp is Comparison.OVERLAPPING:
+        if power >= bound.lo:
             raise PrecisionError(f"{p}^{k + 1} vs {k + 1} log n indeterminate")
     raise InvariantError(f"bracket walk for {p} did not terminate")
 

@@ -37,10 +37,9 @@ from robinaudit.generators import (
 )
 from robinaudit.intervals import (
     _EXACT_POW_BITS,
-    Comparison,
     _pow_bits,
     constants,
-    iv_compare,
+    iv_certainly_less,
     iv_from_int,
 )
 from robinaudit.primes import dusart_gap_holds, DUSART_GAP_THRESHOLD
@@ -73,8 +72,7 @@ def _boosted_primorial(t, r, extra, prec=128):
     k = max(2, math.ceil((p_r - _theta_float(t, r)) / math.log(2)) + 1)
     while True:
         c = CandidateFactorization.from_runs([(k, 1), (1, r - 1)])
-        if iv_compare(log_n(c, t, prec), iv_from_int(p_r)) \
-                is Comparison.CERTAINLY_GREATER:
+        if iv_certainly_less(iv_from_int(p_r), log_n(c, t, prec)):
             return CandidateFactorization.from_runs([(k + extra, 1), (1, r - 1)])
         k += 1
 
@@ -100,12 +98,12 @@ def test_criterion_2_straddling_pair(table_1e6):
     g_5040 = big_g(CandidateFactorization.from_exponents([4, 2, 1, 1]),
                    table_1e6, 128)
     assert Fraction("1.7905") <= g_5040.lo and g_5040.hi <= Fraction("1.7915")
-    assert iv_compare(g_5040, eg) is Comparison.CERTAINLY_GREATER
+    assert iv_certainly_less(eg, g_5040)
 
     g_55440 = big_g(CandidateFactorization.from_exponents([4, 2, 1, 1, 1]),
                     table_1e6, 128)
     assert Fraction("1.7510") <= g_55440.lo and g_55440.hi <= Fraction("1.7516")
-    assert iv_compare(g_55440, eg) is Comparison.CERTAINLY_LESS
+    assert iv_certainly_less(g_55440, eg)
 
 
 def test_criterion_3_abundance_records_match_brute_force(sa_million):
@@ -175,17 +173,16 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
                 [(c.a(1) + 1, 1), (1, r - 1)]
             )
         ratio = g_ratio_divide(c, 1, t, 128)
-        if iv_compare(ratio, one) is not Comparison.CERTAINLY_LESS:
+        if not iv_certainly_less(ratio, one):
             failures.append(("boost", r))
 
     # family 2: primorial below the log window, divide at the top prime
     for r in range(4, 204):
         c = CandidateFactorization.from_runs([(1, r)])
         p_r = t.nth_prime(r)
-        assert iv_compare(log_n(c, t, 128), iv_from_int(p_r)) \
-            is Comparison.CERTAINLY_LESS
+        assert iv_certainly_less(log_n(c, t, 128), iv_from_int(p_r))
         ratio = g_ratio_divide(c, r, t, 128)
-        if iv_compare(ratio, one) is not Comparison.CERTAINLY_LESS:
+        if not iv_certainly_less(ratio, one):
             failures.append(("primorial-top", r))
 
     # family 3: first exponent below its lower bound, swap top prime down
@@ -193,7 +190,7 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
         c = CandidateFactorization.from_runs([(1, r)])
         assert compute_l(t.nth_prime(r), 2) > 1
         ratio = g_ratio_swap(c, 1, t, 128)
-        if iv_compare(ratio, one) is not Comparison.CERTAINLY_LESS:
+        if not iv_certainly_less(ratio, one):
             failures.append(("swap", r))
 
     assert failures == [], failures[:10]

@@ -61,10 +61,9 @@ from robinaudit.factored import (
     rho,
 )
 from robinaudit.intervals import (
-    Comparison,
     IntervalScalar,
     interval_to_json,
-    iv_compare,
+    iv_certainly_less,
     iv_from_int,
     iv_make,
     iv_mul,
@@ -646,14 +645,26 @@ def test_power_below_exact_and_by_logarithms():
         below(2, 10**4300, 2, 10**4300, 64)
 
 
+_BELOW, _ABOVE, _OVERLAPPING = "below", "above", "overlapping"
+
+
+def _side(a, b):
+    """Where the enclosure a lies against b, read from their exact
+    endpoints; a shared endpoint overlaps."""
+    if a.hi < b.lo:
+        return _BELOW
+    if b.hi < a.lo:
+        return _ABOVE
+    return _OVERLAPPING
+
+
 def _decide_by_sides(pairs, witness):
     """The rule _decide replaced, as an oracle: Pass when every comparison
     is on its passing side, Fail when any is certainly on the other side,
     otherwise PrecisionError carrying ``witness``."""
-    if all(cmp is side for cmp, side in pairs):
+    if all(cmp == side for cmp, side in pairs):
         return PASS, witness
-    if any(cmp is not side and cmp is not Comparison.OVERLAPPING
-           for cmp, side in pairs):
+    if any(cmp != side and cmp != _OVERLAPPING for cmp, side in pairs):
         return FAIL, witness
     raise PrecisionError("comparison indeterminate", **witness)
 
@@ -672,10 +683,9 @@ def test_decide_in_order_matches_the_rule_of_sides(x_ends, lo_ends, gap):
     hi = iv_make(lo.hi + Fraction(gap, 8), lo.hi + Fraction(gap + 8, 8))
     x = iv_make(*x_ends)
     witness = {"x": x}
-    less = Comparison.CERTAINLY_LESS
     try:
-        want = _decide_by_sides([(iv_compare(lo, x), less),
-                                 (iv_compare(x, hi), less)], witness)
+        want = _decide_by_sides([(_side(lo, x), _BELOW),
+                                 (_side(x, hi), _BELOW)], witness)
     except PrecisionError as e:
         want = (str(e), e.witness)
     ctx = audit._AuditContext(cand(1), _HYP_TABLE, 128)
@@ -761,15 +771,15 @@ class TestUnknownWitnesses:
         # every comparison but those against 1, which guard the checks'
         # domains, overlaps at every rung: iv_less's, and B6's interim
         # reads, which would otherwise decide before the last piece
-        compare = intervals.iv_compare
+        certainly_less = intervals.iv_certainly_less
 
         def overlap(a, b, *args):
-            if isinstance(b, int) and b == 1:
-                return compare(a, b, *args)
-            return Comparison.OVERLAPPING
+            if any(isinstance(x, int) and x == 1 for x in (a, b)):
+                return certainly_less(a, b, *args)
+            return False
 
-        monkeypatch.setattr(intervals, "iv_compare", overlap)
-        monkeypatch.setattr(audit, "iv_compare", overlap)
+        monkeypatch.setattr(intervals, "iv_certainly_less", overlap)
+        monkeypatch.setattr(audit, "iv_certainly_less", overlap)
         checks = {**audit._CHECK_FUNCS,
                   "log_window_alt": audit._check_log_window_alt}
         ctx = audit._AuditContext(cand(4, 2, 1, 1), table_1e6, 128)
@@ -837,6 +847,22 @@ class TestUnknownWitnesses:
             "suggested_precision_bits"] == 8192
         assert run_check("vojak_D4", c, table_1e6).to_json() == _unknown(
             reason, m_r=_M_4_JSON, suggested_precision_bits=4096)
+
+    @pytest.mark.parametrize("a_1, a_2, status, rung", [
+        (7354673373747273031, 4640282259296926456, PASS, 256),
+        (36143248623210700398, 22803850947114245497, FAIL, 256),
+        (140690488826696872097589025558558402298,
+         88765815445275743487588285864370556199, PASS, 512),
+    ])
+    def test_real_candidate_decided_at_a_higher_rung(self, table_1e6, a_1,
+                                                     a_2, status, rung):
+        # a_2 / (a_1 + 2) sits next to a convergent of log 2 / log 3:
+        # a_2 log 3 and (a_1 + 2) log 2, near 2^62 (2^127 for the last),
+        # differ by about 2^-65 (2^-129), finer than 128 bits (256) enclose
+        # them; no stub, the ladder climbs on its own
+        c = CandidateFactorization.from_runs([(a_1, 1), (a_2, 1), (1, 1)])
+        v = run_check("shape_B4", c, table_1e6)
+        assert (v.status, v.precision_used) == (status, rung)
 
     def test_power_ladder_exhausted_on_a_real_candidate(self, table_1e6):
         # 3^(a_2) and 2^(a_1 + 2) agree to about 14,000 bits, so every rung
@@ -1016,9 +1042,10 @@ def _old_density_status(c, t, prec):
     product replaced."""
     eps = audit._top_prime_bounds(t.nth_prime(c.r), prec).epsilon
     bound = iv_mul(iv_sub(iv_from_int(1), eps, prec), n_over_phi(c, t, prec), prec)
-    cmp = iv_compare(rho(c, t, prec), bound)
-    return {Comparison.CERTAINLY_GREATER: PASS,
-            Comparison.CERTAINLY_LESS: FAIL}.get(cmp, UNKNOWN)
+    value = rho(c, t, prec)
+    if iv_certainly_less(bound, value):
+        return PASS
+    return FAIL if iv_certainly_less(value, bound) else UNKNOWN
 
 
 @settings(max_examples=300, deadline=None)
@@ -1261,9 +1288,9 @@ def test_window_indices_match_linear_scan(pieces):
     assert got("shape_B4") == _expect(PASS, _first(b4))
 
     lg = log_n(c, t)
-    state = intervals.iv_compare(lg, p_r)
-    upper = (_scan_upper(lg, primes)
-             if state is intervals.Comparison.CERTAINLY_GREATER else None)
+    log_above = intervals.iv_certainly_less(p_r, lg)
+    log_below = intervals.iv_certainly_less(lg, p_r)
+    upper = _scan_upper(lg, primes) if log_above else None
     above = None if upper is None else [
         i for i in positions if a[i - 1] > upper[i - 1]]
     if above is not None:
@@ -1272,11 +1299,10 @@ def test_window_indices_match_linear_scan(pieces):
         assert (v.status, v.witness.get("index")) == _expect(PASS, want)
         if want is not None:
             assert v.witness["upper_bound"] == upper[want - 1]
-    elif state is intervals.Comparison.CERTAINLY_LESS:
+    elif log_below:
         assert got("upper_window_3")[0] == NOT_APPLICABLE
 
-    if state is intervals.Comparison.OVERLAPPING or (
-            state is intervals.Comparison.CERTAINLY_GREATER and above is None):
+    if not (log_above or log_below) or (log_above and above is None):
         return  # normalize stops as indeterminate
     res = normalize(c, t, step_limit=1)
     steps = [(s["action"], s["index"]) for s in res.trace]

@@ -38,10 +38,9 @@ from robinaudit.factored import (
 from robinaudit.audit import full_audit, normalize
 from robinaudit.intervals import (
     _EXACT_POW_BITS,
-    Comparison,
     _pow_bits,
     iv_add,
-    iv_compare,
+    iv_certainly_less,
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
@@ -580,7 +579,7 @@ def test_derived_scalars_bundle(table_1e6):
     assert log_n(C_5040, table_1e6).contains(LN_5040)
     assert big_g(C_5040, table_1e6).contains(G_5040)
     assert nphi.contains(Fraction(35, 8))
-    assert iv_compare(rho(C_5040, table_1e6), nphi) is Comparison.CERTAINLY_LESS
+    assert iv_certainly_less(rho(C_5040, table_1e6), nphi)
 
 
 def _independent_ratio_divide(c, s, t, prec=512):

@@ -32,7 +32,7 @@ from robinaudit.generators import (
     superabundant_up_to,
     verify_range,
 )
-from robinaudit.intervals import Comparison, iv_compare, iv_log, iv_mul
+from robinaudit.intervals import iv_certainly_less, iv_log, iv_mul
 from robinaudit.primes import PrimeTable, _prime_chunks
 
 from oracles import ca_exponent_oracle, eps_inside_ca_bracket, sigma_divisor_pairs
@@ -268,7 +268,7 @@ def test_classify_escalates_past_an_overlap_at_64_bits():
     sigmas = range(math.ceil(thr.lo), math.floor(thr.hi) + 1)
     assert {s < fine.lo for s in sigmas} == {True, False}
     for s in sigmas:
-        assert iv_compare(s, thr) is Comparison.OVERLAPPING
+        assert not iv_certainly_less(s, thr) and not iv_certainly_less(thr, s)
         rec = _classify(n, s, 64)
         assert rec.verdict == ("holds" if s < fine.lo else "fails")
         assert rec.threshold.width() < 2**-60
@@ -633,8 +633,9 @@ def test_ca_candidate_near_a2_boundary(s, table_1e6):
     below, above = _eps_near_a2_boundary(s)
     # 128 bits cannot tell 2^eps from 15/14 here, so the result needs escalation
     for eps in (below, above):
-        cmp = iv_compare(iv_mul(eps, iv_log(2)), iv_log(Fraction(15, 14)))
-        assert cmp is Comparison.OVERLAPPING
+        lhs, log_f = iv_mul(eps, iv_log(2)), iv_log(Fraction(15, 14))
+        assert not iv_certainly_less(lhs, log_f)
+        assert not iv_certainly_less(log_f, lhs)
     assert ca_candidate(below, table_1e6).a(1) == 3
     assert ca_candidate(above, table_1e6).a(1) == 2
 

@@ -25,7 +25,6 @@ from oracles import check_interval_endpoints
 from robinaudit import intervals
 from robinaudit.errors import DomainError, PrecisionError
 from robinaudit.intervals import (
-    Comparison,
     Constants,
     IntervalScalar,
     _cmp,
@@ -35,7 +34,7 @@ from robinaudit.intervals import (
     interval_from_json,
     interval_to_json,
     iv_add,
-    iv_compare,
+    iv_certainly_less,
     iv_div,
     iv_dyadic,
     iv_exp,
@@ -139,13 +138,15 @@ def test_decimal_literal_rounded_once_per_precision(monkeypatch):
 
 
 def test_compare_disjoint_and_overlap():
-    assert iv_compare(iv_from_int(3), iv_from_int(4)) is Comparison.CERTAINLY_LESS
-    assert iv_compare(iv_from_int(4), iv_from_int(3)) is Comparison.CERTAINLY_GREATER
+    assert iv_certainly_less(iv_from_int(3), iv_from_int(4)) is True
+    assert iv_certainly_less(iv_from_int(4), iv_from_int(3)) is False
     a = iv_make(Fraction(1), Fraction(3))
     b = iv_make(Fraction(2), Fraction(4))
-    assert iv_compare(a, b) is Comparison.OVERLAPPING
-    # shared endpoint is not a strict verdict
-    assert iv_compare(iv_from_int(3), iv_make(3, 4)) is Comparison.OVERLAPPING
+    assert not iv_certainly_less(a, b) and not iv_certainly_less(b, a)
+    # shared endpoint is not a strict verdict either way
+    three, above = iv_from_int(3), iv_make(3, 4)
+    assert not iv_certainly_less(three, above)
+    assert not iv_certainly_less(above, three)
 
 
 def test_less_decided_and_overlapping():
@@ -421,8 +422,8 @@ def _near(n):
     lambda n: st.tuples(st.just(n), _near(n))))
 def test_int_operand_compares_as_its_point_interval(case):
     n, x = case
-    assert iv_compare(n, x) == iv_compare(iv_from_int(n), x)
-    assert iv_compare(x, n) == iv_compare(x, iv_from_int(n))
+    assert iv_certainly_less(n, x) == iv_certainly_less(iv_from_int(n), x)
+    assert iv_certainly_less(x, n) == iv_certainly_less(x, iv_from_int(n))
 
 
 @given(st.fractions(-10**6, 10**6), st.fractions(0, 10**6),
@@ -575,10 +576,9 @@ def test_verdicts_never_flip_with_precision():
     for _ in range(500):
         x = _random_fraction(rng)
         y = _random_fraction(rng)
-        low = iv_compare(iv_make(x, x, 64), iv_make(y, y, 64))
-        high = iv_compare(iv_make(x, x, 256), iv_make(y, y, 256))
-        if low is not Comparison.OVERLAPPING:
-            assert high is low
+        for u, v in ((x, y), (y, x)):
+            if iv_certainly_less(iv_make(u, u, 64), iv_make(v, v, 64)):
+                assert iv_certainly_less(iv_make(u, u, 256), iv_make(v, v, 256))
 
 
 def test_repr_readable():

@@ -1,5 +1,7 @@
 """The mutants of tests/mutate.py still apply to the current source."""
 
+import builtins
+import keyword
 import re
 
 import mutate
@@ -31,3 +33,24 @@ def test_every_mutant_test_id_resolves():
                     and all(defined(path.read_text(), n) for n in names)):
                 missing.append((m.name, test_id))
     assert missing == []
+
+
+def test_every_name_a_mutant_adds_is_defined():
+    # a mutant that names a deleted function is caught by its NameError,
+    # not by the behaviour it targets; each identifier the new text adds,
+    # outside plain string literals and less a loop name it binds itself,
+    # must be a builtin or occur elsewhere in the mutated file
+    ident = re.compile(r"[A-Za-z_]\w*")
+    literal = re.compile(r"(?<![A-Za-z_])(\"[^\"]*\"|'[^']*')")
+    unknown = []
+    for m in mutate.MUTANTS:
+        rest = (mutate.ROOT / "src" / "robinaudit" / m.file).read_text()
+        rest = rest.replace(m.old, "", 1)
+        added = (set(ident.findall(literal.sub("", m.new)))
+                 - set(ident.findall(m.old))
+                 - set(re.findall(r"\bfor (\w+) in\b", m.new)))
+        for name in added:
+            if not (keyword.iskeyword(name) or hasattr(builtins, name)
+                    or re.search(rf"\b{name}\b", rest)):
+                unknown.append((m.name, name))
+    assert unknown == []
