@@ -21,8 +21,6 @@ from .primes import PrimeTable, dusart_gap_holds
 from .factored import (
     CandidateFactorization,
     big_g,
-    g_ratio_divide,
-    g_ratio_swap,
     log_n,
     materialize,
     n_over_phi,
@@ -75,8 +73,6 @@ __all__ = [
     "constants",
     "dusart_gap_holds",
     "full_audit",
-    "g_ratio_divide",
-    "g_ratio_swap",
     "log_n",
     "materialize",
     "n_over_phi",

@@ -491,40 +491,6 @@ def _g_ratio_edit(before: dict[int, int], edits: dict[int, int],
     return iv_mul(sig, iv_div(loglog_after, loglog, prec), prec)
 
 
-def _g_ratio_fresh(c: CandidateFactorization, edits: dict[int, int],
-                   t: PrimeTable, prec: int) -> IntervalScalar:
-    """_g_ratio_edit from a fresh sum of log n."""
-    lg, before = log_n(c, t, prec), {i: c.a(i) for i in edits}
-    primes = {i: t.nth_prime(i) for i in edits}
-    return _g_ratio_edit(before, edits, primes, prec, _loglog_from(lg, prec),
-                         _loglog_from(_log_after(lg, edits, primes, prec), prec))
-
-
-def g_ratio_divide(c: CandidateFactorization, s: int, t: PrimeTable,
-                   prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    """Enclosure of G(n) / G(n / p_s)."""
-    if c.a(s) < 1:
-        raise DomainError(f"p_{s} does not divide the candidate")
-    return _g_ratio_fresh(c, {s: -1}, t, prec)
-
-
-def g_ratio_swap(c: CandidateFactorization, s: int, t: PrimeTable,
-                 prec: int = DEFAULT_PRECISION_BITS) -> IntervalScalar:
-    """Enclosure of G(n) / G(n1) for n1 = n * p_s / p_r.
-
-    Requires a_r == 1 (the top prime is removed entirely) and s < r; a_s
-    may be 0, a swap into a hole.
-    """
-    r = c.r
-    if r < 2:
-        raise DomainError("swap needs at least two prime factors")
-    if c.a(r) != 1:
-        raise DomainError(f"swap requires a_r == 1, got a_r = {_int_text(c.a(r))}")
-    if not 1 <= s < r:
-        raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")
-    return _g_ratio_fresh(c, {r: -1, s: 1}, t, prec)
-
-
 def materialize(c: CandidateFactorization, t: PrimeTable,
                 max_bits: int = _DEFAULT_MATERIALIZE_BITS) -> int:
     """The integer n itself; refuses when its bit length would exceed

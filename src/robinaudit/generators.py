@@ -198,7 +198,7 @@ def _classify(n: int, sigma: int, prec: int) -> VerificationRecord:
     def attempt(p: int) -> VerificationRecord:
         nonlocal thr
         thr = _threshold(n, p)
-        holds = iv_less(sigma, thr, f"sigma({n}) vs its threshold indeterminate")
+        holds = iv_less(sigma, thr, "sigma(n) vs its threshold indeterminate")
         return VerificationRecord(n, sigma, thr, "holds" if holds else "fails")
 
     try:

@@ -210,12 +210,6 @@ MUTANTS = [
            "if i > start:", "if i >= start:", EDIT_TESTS),
     Mutant("edit map: the empty upper rest of a split kept", "audit.py",
            "if i < end:", "if i <= end:", EDIT_TESTS),
-    Mutant("g ratio: swap into a hole refused again", "factored.py",
-           'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n',
-           'raise DomainError(f"swap index must satisfy 1 <= s < r = {r}")\n'
-           '    if c.a(s) < 1:\n'
-           '        raise DomainError(f"p_{s} does not divide the candidate")\n',
-           G_RATIO_TESTS),
     # the walk state of normalize: runs, a carried log n and its log log n
     Mutant("walk: the next state reuses the old log n", "audit.py",
            "lg if carried else None", "ctx.log_n if carried else None",

@@ -8,12 +8,15 @@ precision than the code under test.
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from robinaudit.audit import (
+    EXPONENT_FLOORS,
+    _top_prime_bounds,
     compute_l,
     compute_u,
     full_audit,
@@ -25,8 +28,6 @@ from robinaudit.factored import (
     CandidateFactorization,
     _cell_pieces,
     big_g,
-    g_ratio_divide,
-    g_ratio_swap,
     log_n,
     materialize,
 )
@@ -40,11 +41,15 @@ from robinaudit.intervals import (
     _pow_bits,
     constants,
     iv_certainly_less,
+    iv_exp,
     iv_from_int,
+    iv_mul,
 )
 from robinaudit.primes import dusart_gap_holds, DUSART_GAP_THRESHOLD
 
 from oracles import density_product_exact, sigma_divisor_pairs
+from test_factored import fresh_ratio
+from test_readme import README
 
 # the 26 classical exceptions below 5041, frozen from the literature
 EXCEPTIONS_ORACLE = [
@@ -172,7 +177,7 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
             c = CandidateFactorization.from_runs(
                 [(c.a(1) + 1, 1), (1, r - 1)]
             )
-        ratio = g_ratio_divide(c, 1, t, 128)
+        ratio = fresh_ratio(c, {1: -1}, t)
         if not iv_certainly_less(ratio, one):
             failures.append(("boost", r))
 
@@ -181,7 +186,7 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
         c = CandidateFactorization.from_runs([(1, r)])
         p_r = t.nth_prime(r)
         assert iv_certainly_less(log_n(c, t, 128), iv_from_int(p_r))
-        ratio = g_ratio_divide(c, r, t, 128)
+        ratio = fresh_ratio(c, {r: -1}, t)
         if not iv_certainly_less(ratio, one):
             failures.append(("primorial-top", r))
 
@@ -189,7 +194,7 @@ def test_criterion_6_step_ratios_certified_below_one(table_1e6):
     for r in range(5, 205):
         c = CandidateFactorization.from_runs([(1, r)])
         assert compute_l(t.nth_prime(r), 2) > 1
-        ratio = g_ratio_swap(c, 1, t, 128)
+        ratio = fresh_ratio(c, {r: -1, 1: 1}, t)
         if not iv_certainly_less(ratio, one):
             failures.append(("swap", r))
 
@@ -337,3 +342,30 @@ def test_criterion_10_normalization_corpus(table_1e6):
                 assert step["ratio_certainly_below_one"] is True, (
                     exps, step,
                 )
+
+
+def test_regime_floor_from_the_constants():
+    # C's floor on log n is ln 10 * 10^13.099 and window 2's end is
+    # p_r (1 + 0.005589 / log p_r), which grows with p_r: the least p_r
+    # whose end lies certainly above the floor is the README's
+    prec = 128
+    cst = constants(prec)
+    floor = iv_mul(cst.ln10, iv_exp(
+        iv_mul(cst.size_floor_log10_log10, cst.ln10, prec), prec), prec)
+
+    def end(p):
+        return _top_prime_bounds(p, prec).log_window_2_upper
+
+    lo, hi = 2, 10**14  # end(lo) lies below the floor, end(hi) above it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if iv_certainly_less(floor, end(mid), prec):
+            hi = mid
+        else:
+            lo = mid
+    assert iv_certainly_less(end(hi - 1), floor, prec)
+    stated = re.search(r"p_r ≥\s*([\d,]*\d)", README.read_text(encoding="utf-8"))
+    assert int(stated.group(1).replace(",", "")) == hi
+    # L never falls as p_r grows, so C, window 2 and lower_window_4 imply E
+    for (i, strict_floor), p in zip(EXPONENT_FLOORS, (2, 3, 5, 7, 11)):
+        assert compute_l(hi, p) > strict_floor, (i, compute_l(hi, p))

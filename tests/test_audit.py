@@ -23,6 +23,7 @@ from oracles import (
     u_oracle,
     upper_bound_rounded,
 )
+from test_factored import fresh_ratio
 
 from robinaudit.audit import (
     _edited,
@@ -54,8 +55,6 @@ from robinaudit import audit, factored, intervals
 from robinaudit.factored import (
     CandidateFactorization,
     Run,
-    g_ratio_divide,
-    g_ratio_swap,
     log_n,
     n_over_phi,
     rho,
@@ -1179,7 +1178,7 @@ def test_one_log_per_step_and_per_sum(walk):
 def test_trace_ratios_match_each_state_on_its_own(walk, resum):
     # each step's ratio, endpoints included, is what its state gives on its
     # own: from the state's carried log n, or from a fresh sum, which at
-    # resum = 1 every state has and the public g_ratio_* form
+    # resum = 1 every state has
     t = _WALK_TABLE
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(audit, "_RESUM_STEPS", resum)
@@ -1188,17 +1187,9 @@ def test_trace_ratios_match_each_state_on_its_own(walk, resum):
     assert res.steps > 80
     assert (resum == 1) == all(lg is None for _, lg in states)
     for (state, lg), step in zip(states, res.to_json()["trace"]):
-        s, divide = step["index"], step["action"] == "divide"
-        if lg is None:
-            ratio = (g_ratio_divide if divide else g_ratio_swap)(state, s, t, 128)
-        else:
-            edits = {s: -1} if divide else {state.r: -1, s: 1}  # decreasing i
-            primes = {i: t.nth_prime(i) for i in edits}
-            after = factored._log_after(lg, edits, primes, 128)
-            ratio = factored._g_ratio_edit(
-                {i: state.a(i) for i in edits}, edits, primes, 128,
-                factored._loglog_from(lg, 128),
-                factored._loglog_from(after, 128))
+        s = step["index"]
+        edits = {s: -1} if step["action"] == "divide" else {state.r: -1, s: 1}
+        ratio = fresh_ratio(state, edits, t, 128, lg)
         assert interval_to_json(iv_round(ratio, 128)) == step["ratio"]
 
 

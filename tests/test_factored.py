@@ -24,11 +24,11 @@ from robinaudit.factored import (
     Run,
     _cell_pieces,
     _g_ratio_edit,
+    _log_after,
+    _loglog_from,
     _prod,
     _sigma_ratio,
     big_g,
-    g_ratio_divide,
-    g_ratio_swap,
     is_sum_of_two_squares,
     log_n,
     materialize,
@@ -41,6 +41,7 @@ from robinaudit.intervals import (
     _pow_bits,
     iv_add,
     iv_certainly_less,
+    iv_div,
     iv_from_int,
     iv_from_int_rounded,
     iv_log,
@@ -582,52 +583,43 @@ def test_derived_scalars_bundle(table_1e6):
     assert iv_certainly_less(rho(C_5040, table_1e6), nphi)
 
 
-def _independent_ratio_divide(c, s, t, prec=512):
-    """G(c)/G(c / p_s) via two full evaluations at high precision."""
-    exps = c.exponents_list()
-    exps[s - 1] -= 1
-    c1 = CandidateFactorization.from_exponents(exps)
-    from robinaudit.intervals import iv_div
+def fresh_ratio(c, edits, t, prec=128, lg=None):
+    """Enclosure of G(n)/G(n') for n' = n * Pi p_i^edits[i], through the
+    ratio core of a normalize step, from log n ``lg`` or, when it is None,
+    a fresh sum; give the edits in decreasing i, as normalize does."""
+    lg = log_n(c, t, prec) if lg is None else lg
+    primes = {i: t.nth_prime(i) for i in edits}
+    after = _log_after(lg, edits, primes, prec)
+    return _g_ratio_edit({i: c.a(i) for i in edits}, edits, primes, prec,
+                         _loglog_from(lg, prec), _loglog_from(after, prec))
 
+
+def _independent_ratio(c, edits, t, prec=512):
+    """G(c)/G(c') via two full evaluations at high precision."""
+    exps = c.exponents_list()
+    for i, delta in edits.items():
+        exps[i - 1] += delta
+    c1 = CandidateFactorization.from_exponents(exps)  # trailing zeros go
     return iv_div(big_g(c, t, prec), big_g(c1, t, prec), prec)
 
 
 def test_g_ratio_divide_consistent(table_1e6):
     for c, s in ((C_5040, 1), (C_5040, 2), (C_5040, 4),
                  (C_55440, 5), (C_55440, 1)):
-        local = g_ratio_divide(c, s, table_1e6)
-        indep = _independent_ratio_divide(c, s, table_1e6)
+        local = fresh_ratio(c, {s: -1}, table_1e6)
+        indep = _independent_ratio(c, {s: -1}, table_1e6)
         # both enclose the true ratio; the high-precision midpoint of the
         # independent route must land inside the local enclosure
         assert local.contains((indep.lo + indep.hi) / 2)
 
 
-def test_g_ratio_divide_rejects_absent_prime(table_1e6):
-    with pytest.raises(DomainError):
-        g_ratio_divide(C_5040, 5, table_1e6)  # p_5 = 11 does not divide 5040
-
-
 def test_g_ratio_swap_consistent(table_1e6):
     c = C_55440  # a_r = 1 at p_5 = 11
     for s in (1, 2, 3):
-        local = g_ratio_swap(c, s, table_1e6)
-        exps = c.exponents_list()
-        exps[s - 1] += 1
-        exps.pop()
-        c1 = CandidateFactorization.from_exponents(exps)
-        from robinaudit.intervals import iv_div
-
-        indep = iv_div(big_g(c, table_1e6, 512), big_g(c1, table_1e6, 512), 512)
+        edits = {c.r: -1, s: 1}
+        local = fresh_ratio(c, edits, table_1e6)
+        indep = _independent_ratio(c, edits, table_1e6)
         assert local.contains((indep.lo + indep.hi) / 2)
-
-
-def test_g_ratio_swap_preconditions(table_1e6):
-    with pytest.raises(DomainError):
-        g_ratio_swap(CandidateFactorization.from_exponents([2, 2]), 1, table_1e6)
-    with pytest.raises(DomainError):
-        g_ratio_swap(C_55440, 5, table_1e6)  # s must be < r
-    with pytest.raises(DomainError):
-        g_ratio_swap(CandidateFactorization.from_exponents([3]), 1, table_1e6)
 
 
 def _g_ratio_oracle(exps, edited, t):
@@ -659,11 +651,11 @@ def test_g_ratio_edits_contain_oracle(exps, a_1):
         exps.append(1)
     c = CandidateFactorization.from_exponents(exps)
     exps, r = c.exponents_list(), c.r
-    steps = [({s: -1}, g_ratio_divide) for s in range(1, r + 1)
+    steps = [{s: -1} for s in range(1, r + 1)
              if exps[s - 1] >= 2 or (s == r and exps[s - 1] == 1)]
     if exps[-1] == 1:
-        steps += [({s: 1, r: -1}, g_ratio_swap) for s in range(1, r)]
-    for edits, ratio in steps:
+        steps += [{r: -1, s: 1} for s in range(1, r)]
+    for edits in steps:
         edited = list(exps)
         for i, delta in edits.items():
             edited[i - 1] += delta
@@ -671,9 +663,9 @@ def test_g_ratio_edits_contain_oracle(exps, a_1):
             edited.pop()
         if edited in ([], [1]):  # n' <= 2: log log n' is not positive
             with pytest.raises(DomainError):
-                ratio(c, min(edits), t)
+                fresh_ratio(c, edits, t)
         else:
-            assert ratio(c, min(edits), t).contains(
+            assert fresh_ratio(c, edits, t).contains(
                 _g_ratio_oracle(exps, edited, t)), edits
 
 
